@@ -12,12 +12,11 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import align, read_attribute_table, read_latents, split
+from .data import align, read_attribute_table, read_latents
 from .errors import ConfigError, DataError, NumericalError
 from .mapfit import apply_map, latent_mse, save_map
 from .metrics import fid, pixel_rmse, summarize
 from .pipeline import (
-    HOLDOUT_PER_CLASS,
     ExperimentConfig,
     emit_csv,
     fit_pair_map,
@@ -27,9 +26,10 @@ from .pipeline import (
     run_dynamics,
     run_probe_suite,
     run_stitch_grid,
+    train_probe,
     validate_paths,
 )
-from .probes import accuracy, balanced_subset, fit_lasso, save_probe
+from .probes import save_probe
 from .synth import SynthModelSpec, emit_datasets, gen_world, spec_from_string, spec_to_string
 
 
@@ -114,15 +114,11 @@ def _cmd_fit_map(args) -> int:
     src = read_latents(cfg.entry(args.src).latents_path)
     dst = read_latents(cfg.entry(args.dst).latents_path)
     alpha = args.alpha if args.alpha is not None else merged_alpha_registry(cfg).lookup(args.src, args.dst)
-    m, a_hold, b_hold = fit_pair_map(src, dst, alpha, cfg.split)
+    m, train, hold = fit_pair_map(src, dst, alpha, cfg.split)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.src}__{args.dst}.lmap"
     save_map(m, path)
-    a, b = align(src, dst)
-    a_train, _ = split(a, cfg.split)
-    b_train, _ = split(b, cfg.split)
-    train_mse = latent_mse(apply_map(m, a_train.X), b_train.X)
-    hold_mse = latent_mse(apply_map(m, a_hold.X), b_hold.X)
+    train_mse, hold_mse = (latent_mse(apply_map(m, src.X[s]), dst.X[d]) for s, d in (train, hold))
     print(f"map {args.src}->{args.dst} alpha={alpha:.9g} -> {path}")
     print(f"latent mse: train={train_mse:.9g} holdout={hold_mse:.9g}")
     return 0
@@ -145,27 +141,13 @@ def _cmd_train_probe(args) -> int:
     ds = read_latents(cfg.entry(args.model).latents_path)
     table = read_attribute_table(cfg.attributes_path)
     alpha = args.alpha if args.alpha is not None else resolve_probe_alpha(cfg, args.model)
-    train_pool, hold_pool = split(ds, cfg.split)
-    train = balanced_subset(table, args.attribute, train_pool.ids, seed=cfg.seed)
-    hold = balanced_subset(table, args.attribute, hold_pool.ids, seed=cfg.seed,
-                           per_class=HOLDOUT_PER_CLASS)
-    rows = {sid: i for i, sid in enumerate(ds.ids)}
-    probe = fit_lasso(
-        ds.X[[rows[s] for s in train.ids]],
-        train.labels(),
-        alpha,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        attribute=args.attribute,
-        model_id=args.model,
-        standardize=args.standardize,
-    )
-    acc = accuracy(probe, ds.X[[rows[s] for s in hold.ids]], hold.labels())
+    run = train_probe(cfg, table, ds, args.attribute, alpha, args.model,
+                      standardize=args.standardize, tol=args.tol, max_iter=args.max_iter)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.model}__{args.attribute}.lprb"
-    save_probe(probe, path)
+    save_probe(run.probe, path)
     print(f"probe {args.model}/{args.attribute} alpha={alpha:.9g} "
-          f"train_n_per_class={train.per_class} holdout_accuracy={acc:.9g} -> {path}")
+          f"train_n_per_class={run.train.per_class} holdout_accuracy={run.accuracy:.9g} -> {path}")
     return 0
 
 

@@ -1,17 +1,20 @@
 """Dataset containers and ingestion.
 
-Covers the LSF binary latent format, CelebA-style attribute tables, pixel
-tensors stored as flattened LSF files, id-based alignment between datasets,
-deterministic head splits, and the id-seeded random-encoder baseline.
+Covers the record reader shared by the LSF, LMAP and LPRB binary formats,
+the LSF format, CelebA-style attribute tables, pixel tensors stored as
+flattened LSF files, alignment by row index, deterministic head splits, and
+the id-seeded random-encoder baseline.
 
-All cross-dataset pairing goes through sample ids, never row positions; the
-only positional operation is `split`, which takes the leading rows in stored
-order. Datasets are treated as immutable after construction.
+Cross-dataset pairing matches sample ids (`shared_rows`) and then works on
+row-index arrays; the only positional operation is the head split, which
+takes the leading rows in stored order. Datasets are treated as immutable.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +23,7 @@ from typing import BinaryIO, Sequence, Union
 import numpy as np
 
 from .errors import (
+    BadDims,
     BadMagic,
     CountMismatch,
     DataError,
@@ -176,17 +180,11 @@ class SplitSpec:
 Dataset = Union[LatentDataset, AttributeTable, ImageDataset]
 
 
-# --- LSF binary format ---------------------------------------------------
+# --- binary records (LSF, LMAP, LPRB) ---------------------------------------
 
 
-def _read_exact(f: BinaryIO, size: int) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise TruncatedFile(f"expected {size} bytes, got {len(data)}")
-    return data
-
-
-def _write_str(f: BinaryIO, s: str) -> None:
+def write_str(f: BinaryIO, s: str) -> None:
+    """Write a u16-length-prefixed UTF-8 string."""
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ValueError(f"string too long for u16 length prefix: {len(raw)} bytes")
@@ -194,9 +192,46 @@ def _write_str(f: BinaryIO, s: str) -> None:
     f.write(raw)
 
 
-def _read_str(f: BinaryIO) -> str:
-    (length,) = struct.unpack("<H", _read_exact(f, 2))
-    return _read_exact(f, length).decode("utf-8")
+class RecordReader:
+    """Sequential reader of one little-endian binary record file.
+
+    Construction checks the magic and the u32 version that follow it. Every
+    read is checked against the bytes left in the file before anything is
+    allocated, so a header that declares more payload than the file holds
+    raises TruncatedFile rather than attempting the allocation. No format
+    stores an empty array, so a zero size in a header is rejected too.
+    """
+
+    def __init__(self, f: BinaryIO, path, magic: bytes, version: int) -> None:
+        self.f = f
+        self.path = path
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+        found = self.read(len(magic))
+        if found != magic:
+            raise BadMagic(f"{path}: bad magic {found!r}")
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise VersionUnsupported(f"{path}: {magic.decode()} version {found} not supported")
+
+    def read(self, size: int) -> bytes:
+        if size > self.left:
+            raise TruncatedFile(f"{self.path}: expected {size} bytes, {self.left} left")
+        self.left -= size
+        return self.f.read(size)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def string(self) -> str:
+        (length,) = struct.unpack("<H", self.read(2))
+        return self.read(length).decode("utf-8")
+
+    def array(self, dtype: str, *shape: int) -> np.ndarray:
+        """A fresh buffer per array keeps the values aligned for BLAS."""
+        if 0 in shape:
+            raise BadDims(f"{self.path}: header declares an empty {shape} array")
+        raw = self.read(math.prod(shape) * np.dtype(dtype).itemsize)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def _write_lsf(
@@ -211,31 +246,24 @@ def _write_lsf(
     with open(path, "wb") as f:
         f.write(LSF_MAGIC)
         f.write(struct.pack("<III", LSF_VERSION, n, d))
-        _write_str(f, model_id)
+        write_str(f, model_id)
         if model_id == PIXEL_MODEL_ID:
             if image_shape is None:
                 raise ValueError("pixel LSF files need an (H, W, C) triple")
             f.write(struct.pack("<HHH", *image_shape))
         for sid in ids:
-            _write_str(f, sid)
+            write_str(f, sid)
         f.write(values.tobytes())
 
 
 def _read_lsf(path):
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4)
-        if magic != LSF_MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}")
-        version, n, d = struct.unpack("<III", _read_exact(f, 12))
-        if version != LSF_VERSION:
-            raise VersionUnsupported(f"{path}: LSF version {version} not supported")
-        model_id = _read_str(f)
-        image_shape = None
-        if model_id == PIXEL_MODEL_ID:
-            image_shape = struct.unpack("<HHH", _read_exact(f, 6))
-        ids = [_read_str(f) for _ in range(n)]
-        raw = _read_exact(f, n * d * 4)
-    values = np.frombuffer(raw, dtype="<f4").reshape(n, d)
+        r = RecordReader(f, path, LSF_MAGIC, LSF_VERSION)
+        n, d = r.unpack("<II")
+        model_id = r.string()
+        image_shape = r.unpack("<HHH") if model_id == PIXEL_MODEL_ID else None
+        ids = [r.string() for _ in range(n)]
+        values = r.array("<f4", n, d)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(f"{path}: data contains NaN or Inf")
     return model_id, ids, values, image_shape
@@ -323,42 +351,56 @@ def write_attribute_table(table: AttributeTable, path) -> None:
 # --- alignment and splits --------------------------------------------------
 
 
-def take(ds: Dataset, indices) -> Dataset:
-    """Row-subset of a dataset, same type, rows in the given index order."""
-    idx = np.asarray(indices, dtype=np.intp)
-    ids = [ds.ids[i] for i in idx]
+def _rows(ds: Dataset, rows) -> Dataset:
+    """Same-type dataset over the given rows; a slice gives views of the
+    arrays, an index array copies them."""
+    ids = ds.ids[rows] if isinstance(rows, slice) else [ds.ids[i] for i in rows]
     if isinstance(ds, LatentDataset):
-        return LatentDataset(model_id=ds.model_id, ids=ids, X=ds.X[idx])
+        return LatentDataset(model_id=ds.model_id, ids=ids, X=ds.X[rows])
     if isinstance(ds, AttributeTable):
-        return AttributeTable(names=ds.names, ids=ids, values=ds.values[idx])
+        return AttributeTable(names=ds.names, ids=ids, values=ds.values[rows])
     if isinstance(ds, ImageDataset):
         return ImageDataset(
-            ids=ids, pixels=ds.pixels[idx],
+            ids=ids, pixels=ds.pixels[rows],
             height=ds.height, width=ds.width, channels=ds.channels,
         )
     raise TypeError(f"cannot take rows from {type(ds).__name__}")
 
 
+def take(ds: Dataset, indices) -> Dataset:
+    """Row-subset of a dataset, same type, rows in the given index order."""
+    return _rows(ds, np.asarray(indices, dtype=np.intp))
+
+
+def shared_rows(a_ids: Sequence[str], b_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Row positions of the ids both sequences hold, in a_ids order:
+    ``a_ids[ia[k]] == b_ids[ib[k]]`` for every k."""
+    b_pos = {sid: i for i, sid in enumerate(b_ids)}
+    ia = [i for i, sid in enumerate(a_ids) if sid in b_pos]
+    if not ia:
+        raise EmptyIntersection("datasets share no sample ids")
+    ib = [b_pos[a_ids[i]] for i in ia]
+    return np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp)
+
+
 def align(a: Dataset, b: Dataset) -> tuple[Dataset, Dataset]:
     """Row-align two datasets on their shared ids, ordered by a's id order."""
-    b_pos = {sid: i for i, sid in enumerate(b.ids)}
-    order = [sid for sid in a.ids if sid in b_pos]
-    if not order:
-        raise EmptyIntersection("datasets share no sample ids")
-    a_pos = {sid: i for i, sid in enumerate(a.ids)}
-    return take(a, [a_pos[s] for s in order]), take(b, [b_pos[s] for s in order])
+    ia, ib = shared_rows(a.ids, b.ids)
+    return take(a, ia), take(b, ib)
+
+
+def split_rows(n: int, spec: SplitSpec) -> tuple[slice, slice]:
+    """Head-split row ranges over n rows in stored order: train, then holdout."""
+    if spec.n_train + spec.n_holdout > n:
+        raise InsufficientRows(f"need {spec.n_train}+{spec.n_holdout} rows, dataset has {n}")
+    return slice(0, spec.n_train), slice(spec.n_train, spec.n_train + spec.n_holdout)
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic head split in stored order: train rows then holdout rows."""
-    n = len(ds.ids)
-    if spec.n_train + spec.n_holdout > n:
-        raise InsufficientRows(
-            f"need {spec.n_train}+{spec.n_holdout} rows, dataset has {n}"
-        )
-    train = take(ds, range(spec.n_train))
-    holdout = take(ds, range(spec.n_train, spec.n_train + spec.n_holdout))
-    return train, holdout
+    """Deterministic head split in stored order: views of the train rows,
+    then of the holdout rows."""
+    train, holdout = split_rows(len(ds.ids), spec)
+    return _rows(ds, train), _rows(ds, holdout)
 
 
 # --- random-encoder baseline ------------------------------------------------

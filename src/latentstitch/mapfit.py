@@ -18,14 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    EmptySet,
-    NotSPD,
-    TruncatedFile,
-    VersionUnsupported,
-)
+from .data import RecordReader, write_str
+from .errors import DimensionMismatch, EmptySet, NotSPD
 
 LMAP_MAGIC = b"LMAP"
 LMAP_VERSION = 1
@@ -170,34 +164,18 @@ def save_map(m: LinearMap, path) -> None:
     with open(path, "wb") as f:
         f.write(LMAP_MAGIC)
         f.write(struct.pack("<I", LMAP_VERSION))
-        for s in (m.source_model, m.target_model):
-            raw = s.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
+        write_str(f, m.source_model)
+        write_str(f, m.target_model)
         f.write(struct.pack("<dII", m.alpha, m.d_in, m.d_out))
         f.write(m.b.astype("<f8").tobytes())
         f.write(np.ascontiguousarray(m.W, dtype="<f8").tobytes())
 
 
 def load_map(path) -> LinearMap:
-    def read_exact(f, size):
-        out = f.read(size)
-        if len(out) != size:
-            raise TruncatedFile(f"{path}: expected {size} bytes, got {len(out)}")
-        return out
-
     with open(path, "rb") as f:
-        magic = read_exact(f, 4)
-        if magic != LMAP_MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(f, 4))
-        if version != LMAP_VERSION:
-            raise VersionUnsupported(f"{path}: LMAP version {version} not supported")
-        names = []
-        for _ in range(2):
-            (length,) = struct.unpack("<H", read_exact(f, 2))
-            names.append(read_exact(f, length).decode("utf-8"))
-        alpha, d_in, d_out = struct.unpack("<dII", read_exact(f, 16))
-        b = np.frombuffer(read_exact(f, 8 * d_out), dtype="<f8")
-        W = np.frombuffer(read_exact(f, 8 * d_out * d_in), dtype="<f8").reshape(d_out, d_in)
-    return LinearMap(source_model=names[0], target_model=names[1], W=W, b=b, alpha=alpha)
+        r = RecordReader(f, path, LMAP_MAGIC, LMAP_VERSION)
+        source, target = r.string(), r.string()
+        alpha, d_in, d_out = r.unpack("<dII")
+        b = r.array("<f8", d_out)
+        W = r.array("<f8", d_out, d_in)
+    return LinearMap(source_model=source, target_model=target, W=W, b=b, alpha=alpha)

@@ -20,16 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    AttributeTable,
     LatentDataset,
     SplitSpec,
     align,
     read_attribute_table,
     read_images,
     read_latents,
-    split,
+    shared_rows,
+    split_rows,
     write_latents,
 )
-from .errors import ConfigError, InconsistentIds, IoError, LatentStitchError
+from .errors import ConfigError, EmptyIntersection, InconsistentIds, IoError, LatentStitchError
 from .mapfit import (
     LinearMap,
     apply_map,
@@ -43,6 +45,8 @@ from .metrics import fid, pixel_rmse, summarize
 from .probes import (
     DEFAULT_PROBE_ALPHAS,
     FALLBACK_PROBE_ALPHA,
+    BalancedSubset,
+    Probe,
     accuracy,
     accuracy_delta,
     balanced_subset,
@@ -362,8 +366,11 @@ def _write_json(payload: dict, path) -> None:
 
 
 def _write_errors(errors: list[str], path) -> None:
+    """Write one error per line, or remove a previous run's file when there are none."""
     if errors:
         Path(path).write_text("\n".join(errors) + "\n", encoding="utf-8")
+    else:
+        Path(path).unlink(missing_ok=True)
 
 
 def _run_cells(fn, items, threads: int):
@@ -385,26 +392,66 @@ def _run_cells(fn, items, threads: int):
 # --- map fitting shared by grid and suite ------------------------------------
 
 
+Rows = tuple[np.ndarray, np.ndarray]
+
+
 def fit_pair_map(
     src: LatentDataset,
     dst: LatentDataset,
     alpha: float,
     split_spec: SplitSpec,
-) -> tuple[LinearMap, LatentDataset, LatentDataset]:
-    """Align two latent sets, fit on the train split, and return the map with
-    both holdout views. Unregularized fits fall back to the minimum-norm
-    solution on rank-deficient designs."""
-    a, b = align(src, dst)
-    a_train, a_hold = split(a, split_spec)
-    b_train, b_hold = split(b, split_spec)
+) -> tuple[LinearMap, Rows, Rows]:
+    """Fit a map on the train split of the samples two latent sets share, in
+    src's id order, and return it with the (src rows, dst rows) index arrays
+    of the train and holdout splits. Unregularized fits fall back to the
+    minimum-norm solution on rank-deficient designs."""
+    src_rows, dst_rows = shared_rows(src.ids, dst.ids)
+    train, hold = split_rows(len(src_rows), split_spec)
+    X, Y = src.X[src_rows[train]], dst.X[dst_rows[train]]
     if alpha > 0:
-        m = fit_ridge(a_train.X, b_train.X, alpha, source_model=src.model_id, target_model=dst.model_id)
+        m = fit_ridge(X, Y, alpha, source_model=src.model_id, target_model=dst.model_id)
     else:
         m = fit_ols(
-            a_train.X, b_train.X,
-            source_model=src.model_id, target_model=dst.model_id, svd_fallback=True,
+            X, Y, source_model=src.model_id, target_model=dst.model_id, svd_fallback=True,
         )
-    return m, a_hold, b_hold
+    return m, (src_rows[train], dst_rows[train]), (src_rows[hold], dst_rows[hold])
+
+
+@dataclass
+class ProbeRun:
+    """A trained probe, its balanced subsets, its holdout rows and accuracy."""
+
+    probe: Probe
+    train: BalancedSubset
+    hold: BalancedSubset
+    hold_rows: np.ndarray
+    accuracy: float
+
+
+def train_probe(
+    cfg: ExperimentConfig,
+    table: AttributeTable,
+    ds: LatentDataset,
+    attribute: str,
+    alpha: float,
+    model_id: str,
+    standardize: bool = False,
+    tol: float = 1e-6,
+    max_iter: int = 10000,
+) -> ProbeRun:
+    """Fit a lasso probe on a class-balanced subset of ds's head train rows
+    and score it on a balanced holdout drawn from its holdout rows."""
+    train_pool, hold_pool = split_rows(ds.n, cfg.split)
+    train = balanced_subset(table, attribute, ds.ids[train_pool], seed=cfg.seed)
+    hold = balanced_subset(
+        table, attribute, ds.ids[hold_pool], seed=cfg.seed, per_class=HOLDOUT_PER_CLASS
+    )
+    _, train_rows = shared_rows(train.ids, ds.ids)
+    _, hold_rows = shared_rows(hold.ids, ds.ids)
+    probe = fit_lasso(ds.X[train_rows], train.labels(), alpha, tol=tol, max_iter=max_iter,
+                      attribute=attribute, model_id=model_id, standardize=standardize)
+    acc = accuracy(probe, ds.X[hold_rows], hold.labels())
+    return ProbeRun(probe=probe, train=train, hold=hold, hold_rows=hold_rows, accuracy=acc)
 
 
 def merged_alpha_registry(cfg: ExperimentConfig):
@@ -473,17 +520,18 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     def cell(pair):
         src, dst = pair
         alpha = registry.lookup(src, dst)
-        m, a_hold, b_hold = fit_pair_map(latents[src], latents[dst], alpha, cfg.split)
-        mapped = apply_map(m, a_hold.X)
+        m, _, (src_hold, dst_hold) = fit_pair_map(latents[src], latents[dst], alpha, cfg.split)
+        mapped = apply_map(m, latents[src].X[src_hold])
         result = {
-            "latent_mse": latent_mse(mapped, b_hold.X),
+            "latent_mse": latent_mse(mapped, latents[dst].X[dst_hold]),
             "pixel_rmse": math.nan,
             "fid": math.nan,
             "fid_n": None,
             "errors": [],
         }
         save_map(m, maps_dir / f"{src}__{dst}.lmap")
-        mapped_ds = LatentDataset(model_id=dst, ids=a_hold.ids, X=mapped.astype(np.float32))
+        hold_ids = [latents[src].ids[i] for i in src_hold]
+        mapped_ds = LatentDataset(model_id=dst, ids=hold_ids, X=mapped.astype(np.float32))
         write_latents(mapped_ds, mapped_dir / f"{src}__{dst}.lsf")
         synth_spec = entry_by_id[dst].synth
         if synth_spec is not None and synth_spec.kind != "random" and images is not None:
@@ -585,8 +633,10 @@ def run_probe_suite(
         raise ConfigError(f"attributes.subset names not in table: {unknown}")
     latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
     model_ids = cfg.model_ids()
-    row_of = {mid: {sid: i for i, sid in enumerate(latents[mid].ids)} for mid in model_ids}
-    pools = {mid: split(latents[mid], cfg.split) for mid in model_ids}
+    # an undersized model fails the whole suite before any probe is trained
+    for mid in model_ids:
+        split_rows(latents[mid].n, cfg.split)
+    alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
     errors: list[str] = []
 
     # probes per (model, attribute)
@@ -594,49 +644,30 @@ def run_probe_suite(
 
     def train_one(task):
         mid, attr = task
-        ds = latents[mid]
-        alpha = resolve_probe_alpha(cfg, mid)
-        train_pool, hold_pool = pools[mid]
-        train = balanced_subset(table, attr, train_pool.ids, seed=cfg.seed)
-        hold = balanced_subset(
-            table, attr, hold_pool.ids, seed=cfg.seed, per_class=HOLDOUT_PER_CLASS
-        )
-        rows = row_of[mid]
-        probe = fit_lasso(
-            ds.X[[rows[s] for s in train.ids]],
-            train.labels(),
-            alpha,
-            attribute=attr,
-            model_id=mid,
-            standardize=standardize,
-        )
-        acc = accuracy(probe, ds.X[[rows[s] for s in hold.ids]], hold.labels())
-        return probe, train, hold, acc
+        return train_probe(cfg, table, latents[mid], attr, alphas[mid], mid,
+                           standardize=standardize)
 
     outcomes = _run_cells(train_one, probe_tasks, threads)
 
-    probes: dict[tuple[str, str], object] = {}
-    holdsets: dict[tuple[str, str], object] = {}
+    runs: dict[tuple[str, str], ProbeRun] = {}
     report_rows: list[dict] = []
     acc_values = np.full((len(model_ids), len(attributes)), np.nan)
-    for (mid, attr), (result, err) in zip(probe_tasks, outcomes):
+    for (mid, attr), (run, err) in zip(probe_tasks, outcomes):
         if err is not None:
             errors.append(f"probe {mid}/{attr}: {err}")
             continue
-        probe, train, hold, acc = result
-        probes[(mid, attr)] = probe
-        holdsets[(mid, attr)] = hold
-        save_probe(probe, probes_dir / f"{mid}__{attr}.lprb")
+        runs[(mid, attr)] = run
+        save_probe(run.probe, probes_dir / f"{mid}__{attr}.lprb")
         report_rows.append(
             {
                 "model": mid,
                 "attribute": attr,
-                "alpha": probe.alpha,
-                "train_n_per_class": train.per_class,
-                "holdout_accuracy": acc,
+                "alpha": run.probe.alpha,
+                "train_n_per_class": run.train.per_class,
+                "holdout_accuracy": run.accuracy,
             }
         )
-        acc_values[model_ids.index(mid), attributes.index(attr)] = acc
+        acc_values[model_ids.index(mid), attributes.index(attr)] = run.accuracy
 
     # stitching maps per ordered pair
     registry = merged_alpha_registry(cfg)
@@ -665,26 +696,21 @@ def run_probe_suite(
         m = maps.get((src, dst))
         if m is None:
             continue
-        src_rows = row_of[src]
-        dst_rows = row_of[dst]
         for ai, attr in enumerate(attributes):
-            probe = probes.get((dst, attr))
-            hold = holdsets.get((dst, attr))
-            if probe is None or hold is None:
-                continue
-            label_by_id = dict(zip(hold.ids, hold.labels()))
-            eval_ids = [sid for sid in hold.ids if sid in src_rows]
-            if not eval_ids:
-                errors.append(f"match {src}->{dst}/{attr}: EmptyIntersection: no shared holdout ids")
+            run = runs.get((dst, attr))
+            if run is None:
                 continue
             try:
-                x_native = latents[dst].X[[dst_rows[s] for s in eval_ids]]
-                x_mapped = apply_map(m, latents[src].X[[src_rows[s] for s in eval_ids]])
-                y = np.array([label_by_id[s] for s in eval_ids])
-                match_values[pi, ai] = match_percent(probe, x_native, x_mapped)
-                acc_native = accuracy(probe, x_native, y)
-                acc_mapped = accuracy(probe, x_mapped, y)
+                hold_at, src_rows = shared_rows(run.hold.ids, latents[src].ids)
+                x_native = latents[dst].X[run.hold_rows[hold_at]]
+                x_mapped = apply_map(m, latents[src].X[src_rows])
+                y = run.hold.labels()[hold_at]
+                match_values[pi, ai] = match_percent(run.probe, x_native, x_mapped)
+                acc_native = accuracy(run.probe, x_native, y)
+                acc_mapped = accuracy(run.probe, x_mapped, y)
                 delta_values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
+            except EmptyIntersection:
+                errors.append(f"match {src}->{dst}/{attr}: EmptyIntersection: no shared holdout ids")
             except LatentStitchError as exc:
                 errors.append(f"match {src}->{dst}/{attr}: {type(exc).__name__}: {exc}")
 
@@ -710,7 +736,7 @@ def run_probe_suite(
         "seed": cfg.seed,
         "split": {"train": cfg.split.n_train, "holdout": cfg.split.n_holdout},
         "attributes": attributes,
-        "probe_alpha": {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids},
+        "probe_alpha": alphas,
         "label_coding": {"-1": 0, "+1": 1},
         "decision_threshold": 0.5,
         "threshold_tie_rule": "scores exactly at threshold classify as 1",
@@ -763,25 +789,14 @@ def run_dynamics(
         if ds.ids != datasets[0].ids:
             raise InconsistentIds(f"{p}: sample ids differ from the first checkpoint")
 
+    spaces = dict.fromkeys(ds.model_id for ds in datasets)
+    alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in spaces}
     acc = np.full((len(attributes), len(datasets)), np.nan)
     for ci, ds in enumerate(datasets):
-        train_pool, hold_pool = split(ds, cfg.split)
-        rows = {sid: i for i, sid in enumerate(ds.ids)}
-        alpha = resolve_probe_alpha(cfg, ds.model_id)
         for ai, attr in enumerate(attributes):
-            train = balanced_subset(table, attr, train_pool.ids, seed=cfg.seed)
-            hold = balanced_subset(
-                table, attr, hold_pool.ids, seed=cfg.seed, per_class=HOLDOUT_PER_CLASS
-            )
-            probe = fit_lasso(
-                ds.X[[rows[s] for s in train.ids]],
-                train.labels(),
-                alpha,
-                attribute=attr,
-                model_id=ds.model_id,
-                standardize=standardize,
-            )
-            acc[ai, ci] = accuracy(probe, ds.X[[rows[s] for s in hold.ids]], hold.labels())
+            run = train_probe(cfg, table, ds, attr, alphas[ds.model_id], ds.model_id,
+                              standardize=standardize)
+            acc[ai, ci] = run.accuracy
 
     plateaus = [plateau_index(acc[ai], eps) for ai in range(len(attributes))]
     return DynamicsSeries(

@@ -16,15 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AttributeTable, stable_id_hash
+from .data import AttributeTable, RecordReader, stable_id_hash, write_str
 from .errors import (
-    BadMagic,
     DimensionMismatch,
     EmptySet,
     NoConvergence,
     SingleClassPool,
-    TruncatedFile,
-    VersionUnsupported,
     ZeroBaseline,
 )
 
@@ -304,37 +301,21 @@ def save_probe(probe: Probe, path) -> None:
     with open(path, "wb") as f:
         f.write(LPRB_MAGIC)
         f.write(struct.pack("<I", LPRB_VERSION))
-        for s in (probe.attribute, probe.model_id):
-            raw = s.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
+        write_str(f, probe.attribute)
+        write_str(f, probe.model_id)
         f.write(struct.pack("<ddI", probe.alpha, probe.threshold, probe.d))
         f.write(struct.pack("<d", probe.b))
         f.write(probe.w.astype("<f8").tobytes())
 
 
 def load_probe(path) -> Probe:
-    def read_exact(f, size):
-        out = f.read(size)
-        if len(out) != size:
-            raise TruncatedFile(f"{path}: expected {size} bytes, got {len(out)}")
-        return out
-
     with open(path, "rb") as f:
-        magic = read_exact(f, 4)
-        if magic != LPRB_MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(f, 4))
-        if version != LPRB_VERSION:
-            raise VersionUnsupported(f"{path}: LPRB version {version} not supported")
-        names = []
-        for _ in range(2):
-            (length,) = struct.unpack("<H", read_exact(f, 2))
-            names.append(read_exact(f, length).decode("utf-8"))
-        alpha, threshold, d = struct.unpack("<ddI", read_exact(f, 20))
-        (b,) = struct.unpack("<d", read_exact(f, 8))
-        w = np.frombuffer(read_exact(f, 8 * d), dtype="<f8")
-    return Probe(attribute=names[0], model_id=names[1], w=w, b=b, alpha=alpha, threshold=threshold)
+        r = RecordReader(f, path, LPRB_MAGIC, LPRB_VERSION)
+        attribute, model_id = r.string(), r.string()
+        alpha, threshold, d = r.unpack("<ddI")
+        (b,) = r.unpack("<d")
+        w = r.array("<f8", d)
+    return Probe(attribute=attribute, model_id=model_id, w=w, b=b, alpha=alpha, threshold=threshold)
 
 
 def write_probe_report(rows: Sequence[dict], path) -> None:

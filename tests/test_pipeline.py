@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from latentstitch import data, mapfit, pipeline, synth
+from latentstitch import cli, data, mapfit, pipeline, synth
 from latentstitch.errors import ConfigError, InconsistentIds, IoError
 
 
@@ -404,3 +406,53 @@ def test_dynamics_label_count_must_match(roster, tmp_path):
     cfg = pipeline.load_config(roster["config"])
     with pytest.raises(ConfigError):
         pipeline.run_dynamics(cfg, ckpts, labels=["only-one"])
+
+
+# --- reruns, warnings, threads ------------------------------------------------------
+
+
+def test_clean_rerun_removes_stale_cell_errors(roster, tmp_path):
+    rng = np.random.default_rng(1)
+    tiny = data.LatentDataset(
+        model_id="tiny", ids=[f"{i:06d}" for i in range(40)],
+        X=rng.standard_normal((40, 4)).astype(np.float32),
+    )
+    data.write_latents(tiny, roster["dir"] / "tiny.lsf")
+    text = roster["config"].read_text() + "model.tiny.latents = tiny.lsf\n"
+    out = tmp_path / "out"
+    pipeline.run_stitch_grid(pipeline.parse_config(text, base_dir=roster["dir"]), out)
+    assert (out / "cell_errors.txt").is_file()
+    result = pipeline.run_stitch_grid(pipeline.load_config(roster["config"]), out)
+    assert result.errors == []
+    assert not (out / "cell_errors.txt").exists()
+
+
+def _unconfigured_warnings(caplog, model_id):
+    return [r for r in caplog.records
+            if "no probe alpha configured" in r.getMessage() and repr(model_id) in r.getMessage()]
+
+
+def test_missing_probe_alpha_warns_once_per_space(roster, tmp_path, caplog):
+    text = roster["config"].read_text().replace("probe_alpha.orthA = 0.001\n", "")
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    with caplog.at_level(logging.WARNING, logger="latentstitch.pipeline"):
+        result = pipeline.run_probe_suite(cfg, tmp_path / "suite")
+    assert len(result.accuracy_grid.col_ids) > 1
+    assert len(_unconfigured_warnings(caplog, "orthA")) == 1
+
+    caplog.clear()
+    ckpts = make_checkpoints(tmp_path, roster["world"], [50, 0])
+    with caplog.at_level(logging.WARNING, logger="latentstitch.pipeline"):
+        pipeline.run_dynamics(cfg, ckpts)
+    assert len(_unconfigured_warnings(caplog, "nf")) == 1
+
+
+def test_probe_suite_threads_match_serial(roster, tmp_path):
+    config = str(roster["config"])
+    for threads in ("1", "2"):
+        assert cli.main(["probe-suite", "--config", config, "--out", str(tmp_path / threads),
+                         "--threads", threads]) == 0
+    files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
+    assert any(p.suffix == ".csv" for p in files)
+    for rel in files:
+        assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes(), rel
