@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import align, read_attribute_table, read_latents
+from .data import align, read_attribute_table, read_latents, rows_of, split_ids
 from .errors import ConfigError, DataError, NumericalError
 from .mapfit import apply_map, latent_mse, save_map
 from .metrics import fid, pixel_rmse, summarize
@@ -33,12 +33,14 @@ from .probes import save_probe
 from .synth import SynthModelSpec, emit_datasets, gen_world, spec_from_string, spec_to_string
 
 
-def _common_flags(parser: argparse.ArgumentParser, need_config=True, need_out=True) -> None:
-    parser.add_argument("--config", type=Path, required=need_config,
-                        help="line-oriented key=value experiment config")
+def _common_flags(parser: argparse.ArgumentParser, config=True, threads=True) -> None:
+    if config:
+        parser.add_argument("--config", type=Path, required=True,
+                            help="line-oriented key=value experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", type=Path, required=need_out, help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grid cells")
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
+    if threads:
+        parser.add_argument("--threads", type=int, default=1, help="worker threads for grid cells")
 
 
 def _check_common(args) -> None:
@@ -114,11 +116,14 @@ def _cmd_fit_map(args) -> int:
     src = read_latents(cfg.entry(args.src).latents_path)
     dst = read_latents(cfg.entry(args.dst).latents_path)
     alpha = args.alpha if args.alpha is not None else merged_alpha_registry(cfg).lookup(args.src, args.dst)
-    m, train, hold = fit_pair_map(src, dst, alpha, cfg.split)
+    split = split_ids(src, cfg.split)
+    m = fit_pair_map(src, dst, alpha, split[0])
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.src}__{args.dst}.lmap"
     save_map(m, path)
-    train_mse, hold_mse = (latent_mse(apply_map(m, src.X[s]), dst.X[d]) for s, d in (train, hold))
+    train_mse, hold_mse = (
+        latent_mse(apply_map(m, src.X[rows_of(src, ids)]), dst.X[rows_of(dst, ids)]) for ids in split
+    )
     print(f"map {args.src}->{args.dst} alpha={alpha:.9g} -> {path}")
     print(f"latent mse: train={train_mse:.9g} holdout={hold_mse:.9g}")
     return 0
@@ -141,7 +146,8 @@ def _cmd_train_probe(args) -> int:
     ds = read_latents(cfg.entry(args.model).latents_path)
     table = read_attribute_table(cfg.attributes_path)
     alpha = args.alpha if args.alpha is not None else resolve_probe_alpha(cfg, args.model)
-    run = train_probe(cfg, table, ds, args.attribute, alpha, args.model,
+    split = split_ids(ds, cfg.split)
+    run = train_probe(cfg, table, ds, split, args.attribute, alpha, args.model,
                       standardize=args.standardize, tol=args.tol, max_iter=args.max_iter)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.model}__{args.attribute}.lprb"
@@ -200,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-gen", help="generate a synthetic world with known ground truth")
-    _common_flags(p, need_config=False)
+    _common_flags(p, config=False, threads=False)
     p.add_argument("--n", type=int, default=2200, help="number of samples")
     p.add_argument("--k", type=int, default=8, help="number of ground-truth factors")
     p.add_argument("--dpix", type=int, default=256, help="flattened pixel dimension")
@@ -225,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stitch_grid)
 
     p = sub.add_parser("train-probe", help="train one lasso probe")
-    _common_flags(p)
+    _common_flags(p, threads=False)
     p.add_argument("--model", required=True)
     p.add_argument("--attribute", required=True)
     p.add_argument("--alpha", type=float, default=None)
@@ -251,13 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("fid", help="Frechet distance between two LSF feature files")
-    _common_flags(p, need_config=False, need_out=False)
     p.add_argument("features_a", type=Path)
     p.add_argument("features_b", type=Path)
     p.set_defaults(func=_cmd_fid)
 
     p = sub.add_parser("rmse", help="pixel RMSE between two id-aligned LSF files")
-    _common_flags(p, need_config=False, need_out=False)
     p.add_argument("pixels_a", type=Path)
     p.add_argument("pixels_b", type=Path)
     p.set_defaults(func=_cmd_rmse)

@@ -5,9 +5,10 @@ the LSF format, CelebA-style attribute tables, pixel tensors stored as
 flattened LSF files, alignment by row index, deterministic head splits, and
 the id-seeded random-encoder baseline.
 
-Cross-dataset pairing matches sample ids (`shared_rows`) and then works on
-row-index arrays; the only positional operation is the head split, which
-takes the leading rows in stored order. Datasets are treated as immutable.
+Cross-dataset pairing matches sample ids through each dataset's `row_index`
+(datasets are immutable) and then works on row-index arrays. The only
+positional operation is the head split: a run takes it once (`split_ids`)
+and indexes every dataset by those ids (`rows_of`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Sequence, Union
 
@@ -61,8 +63,15 @@ def _check_ids(ids: Sequence[str]) -> list[str]:
     return out
 
 
+class _RowIndexed:
+    @cached_property
+    def row_index(self) -> dict[str, int]:
+        """Row position of every sample id, built on first use."""
+        return {sid: i for i, sid in enumerate(self.ids)}
+
+
 @dataclass
-class LatentDataset:
+class LatentDataset(_RowIndexed):
     """Per-sample latent vectors for one model.
 
     Values are stored as float32 (source-model native precision); solvers
@@ -93,7 +102,7 @@ class LatentDataset:
 
 
 @dataclass
-class AttributeTable:
+class AttributeTable(_RowIndexed):
     """Per-sample binary attribute annotations, values in {-1, +1}."""
 
     names: list[str]
@@ -127,7 +136,7 @@ class AttributeTable:
 
 
 @dataclass
-class ImageDataset:
+class ImageDataset(_RowIndexed):
     """Flattened pixel tensors, values in [0, 1], row layout H*W*C."""
 
     ids: list[str]
@@ -372,21 +381,21 @@ def take(ds: Dataset, indices) -> Dataset:
     return _rows(ds, np.asarray(indices, dtype=np.intp))
 
 
-def shared_rows(a_ids: Sequence[str], b_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Row positions of the ids both sequences hold, in a_ids order:
-    ``a_ids[ia[k]] == b_ids[ib[k]]`` for every k."""
-    b_pos = {sid: i for i, sid in enumerate(b_ids)}
-    ia = [i for i, sid in enumerate(a_ids) if sid in b_pos]
-    if not ia:
-        raise EmptyIntersection("datasets share no sample ids")
-    ib = [b_pos[a_ids[i]] for i in ia]
-    return np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp)
-
-
 def align(a: Dataset, b: Dataset) -> tuple[Dataset, Dataset]:
     """Row-align two datasets on their shared ids, ordered by a's id order."""
-    ia, ib = shared_rows(a.ids, b.ids)
-    return take(a, ia), take(b, ib)
+    ia = [i for i, sid in enumerate(a.ids) if sid in b.row_index]
+    if not ia:
+        raise EmptyIntersection("datasets share no sample ids")
+    return take(a, ia), take(b, [b.row_index[a.ids[i]] for i in ia])
+
+
+def rows_of(ds: LatentDataset, ids: Sequence[str]) -> np.ndarray:
+    """Row positions of the given ids in ds, in the given order; raises
+    InsufficientRows naming how many of them ds lacks."""
+    rows = np.fromiter((ds.row_index.get(sid, -1) for sid in ids), dtype=np.intp, count=len(ids))
+    if (rows < 0).any():
+        raise InsufficientRows(f"{ds.model_id!r} lacks {np.sum(rows < 0)} of {len(ids)} split ids")
+    return rows
 
 
 def split_rows(n: int, spec: SplitSpec) -> tuple[slice, slice]:
@@ -394,6 +403,12 @@ def split_rows(n: int, spec: SplitSpec) -> tuple[slice, slice]:
     if spec.n_train + spec.n_holdout > n:
         raise InsufficientRows(f"need {spec.n_train}+{spec.n_holdout} rows, dataset has {n}")
     return slice(0, spec.n_train), slice(spec.n_train, spec.n_train + spec.n_holdout)
+
+
+def split_ids(ds: LatentDataset, spec: SplitSpec) -> tuple[list[str], list[str]]:
+    """A run's (train ids, holdout ids): the head split of ds in stored order."""
+    train, holdout = split_rows(ds.n, spec)
+    return ds.ids[train], ds.ids[holdout]
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -27,11 +27,11 @@ from .data import (
     read_attribute_table,
     read_images,
     read_latents,
-    shared_rows,
-    split_rows,
+    rows_of,
+    split_ids,
     write_latents,
 )
-from .errors import ConfigError, EmptyIntersection, InconsistentIds, IoError, LatentStitchError
+from .errors import ConfigError, InconsistentIds, IoError, LatentStitchError
 from .mapfit import (
     LinearMap,
     apply_map,
@@ -389,32 +389,18 @@ def _run_cells(fn, items, threads: int):
     return [guarded(item) for item in items]
 
 
-# --- map fitting shared by grid and suite ------------------------------------
+# --- map fitting and probe training on a run's split ---------------------------
 
 
-Rows = tuple[np.ndarray, np.ndarray]
-
-
-def fit_pair_map(
-    src: LatentDataset,
-    dst: LatentDataset,
-    alpha: float,
-    split_spec: SplitSpec,
-) -> tuple[LinearMap, Rows, Rows]:
-    """Fit a map on the train split of the samples two latent sets share, in
-    src's id order, and return it with the (src rows, dst rows) index arrays
-    of the train and holdout splits. Unregularized fits fall back to the
-    minimum-norm solution on rank-deficient designs."""
-    src_rows, dst_rows = shared_rows(src.ids, dst.ids)
-    train, hold = split_rows(len(src_rows), split_spec)
-    X, Y = src.X[src_rows[train]], dst.X[dst_rows[train]]
+def fit_pair_map(src: LatentDataset, dst: LatentDataset, alpha: float,
+                 train_ids: list[str]) -> LinearMap:
+    """Fit a map on the run's train ids, which both latent sets must hold.
+    Unregularized fits fall back to the minimum-norm solution on
+    rank-deficient designs."""
+    X, Y = src.X[rows_of(src, train_ids)], dst.X[rows_of(dst, train_ids)]
     if alpha > 0:
-        m = fit_ridge(X, Y, alpha, source_model=src.model_id, target_model=dst.model_id)
-    else:
-        m = fit_ols(
-            X, Y, source_model=src.model_id, target_model=dst.model_id, svd_fallback=True,
-        )
-    return m, (src_rows[train], dst_rows[train]), (src_rows[hold], dst_rows[hold])
+        return fit_ridge(X, Y, alpha, source_model=src.model_id, target_model=dst.model_id)
+    return fit_ols(X, Y, source_model=src.model_id, target_model=dst.model_id, svd_fallback=True)
 
 
 @dataclass
@@ -432,6 +418,7 @@ def train_probe(
     cfg: ExperimentConfig,
     table: AttributeTable,
     ds: LatentDataset,
+    split: tuple[list[str], list[str]],
     attribute: str,
     alpha: float,
     model_id: str,
@@ -439,15 +426,14 @@ def train_probe(
     tol: float = 1e-6,
     max_iter: int = 10000,
 ) -> ProbeRun:
-    """Fit a lasso probe on a class-balanced subset of ds's head train rows
-    and score it on a balanced holdout drawn from its holdout rows."""
-    train_pool, hold_pool = split_rows(ds.n, cfg.split)
-    train = balanced_subset(table, attribute, ds.ids[train_pool], seed=cfg.seed)
-    hold = balanced_subset(
-        table, attribute, ds.ids[hold_pool], seed=cfg.seed, per_class=HOLDOUT_PER_CLASS
-    )
-    _, train_rows = shared_rows(train.ids, ds.ids)
-    _, hold_rows = shared_rows(hold.ids, ds.ids)
+    """Fit a lasso probe on a class-balanced subset of the run's train ids
+    and score it on a balanced holdout drawn from its holdout ids; ds must
+    hold every split id."""
+    train_ids, hold_ids = split
+    rows_of(ds, train_ids + hold_ids)
+    train = balanced_subset(table, attribute, train_ids, seed=cfg.seed)
+    hold = balanced_subset(table, attribute, hold_ids, seed=cfg.seed, per_class=HOLDOUT_PER_CLASS)
+    train_rows, hold_rows = rows_of(ds, train.ids), rows_of(ds, hold.ids)
     probe = fit_lasso(ds.X[train_rows], train.labels(), alpha, tol=tol, max_iter=max_iter,
                       attribute=attribute, model_id=model_id, standardize=standardize)
     acc = accuracy(probe, ds.X[hold_rows], hold.labels())
@@ -516,21 +502,20 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     model_ids = cfg.model_ids()
     entry_by_id = {m.model_id: m for m in cfg.models}
     pairs = [(src, dst) for src in model_ids for dst in model_ids]
+    train_ids, hold_ids = split_ids(latents[model_ids[0]], cfg.split)
 
     def cell(pair):
         src, dst = pair
-        alpha = registry.lookup(src, dst)
-        m, _, (src_hold, dst_hold) = fit_pair_map(latents[src], latents[dst], alpha, cfg.split)
-        mapped = apply_map(m, latents[src].X[src_hold])
+        m = fit_pair_map(latents[src], latents[dst], registry.lookup(src, dst), train_ids)
+        mapped = apply_map(m, latents[src].X[rows_of(latents[src], hold_ids)])
         result = {
-            "latent_mse": latent_mse(mapped, latents[dst].X[dst_hold]),
+            "latent_mse": latent_mse(mapped, latents[dst].X[rows_of(latents[dst], hold_ids)]),
             "pixel_rmse": math.nan,
             "fid": math.nan,
             "fid_n": None,
             "errors": [],
         }
         save_map(m, maps_dir / f"{src}__{dst}.lmap")
-        hold_ids = [latents[src].ids[i] for i in src_hold]
         mapped_ds = LatentDataset(model_id=dst, ids=hold_ids, X=mapped.astype(np.float32))
         write_latents(mapped_ds, mapped_dir / f"{src}__{dst}.lsf")
         synth_spec = entry_by_id[dst].synth
@@ -581,7 +566,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     metadata = {
         "command": "stitch-grid",
         "seed": cfg.seed,
-        "split": {"train": cfg.split.n_train, "holdout": cfg.split.n_holdout},
+        "split": {"train": cfg.split.n_train, "holdout": cfg.split.n_holdout, "from": model_ids[0]},
         "grid_orientation": "rows=encoder (source), columns=decoder (target)",
         "models": [
             {
@@ -633,9 +618,7 @@ def run_probe_suite(
         raise ConfigError(f"attributes.subset names not in table: {unknown}")
     latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
     model_ids = cfg.model_ids()
-    # an undersized model fails the whole suite before any probe is trained
-    for mid in model_ids:
-        split_rows(latents[mid].n, cfg.split)
+    split = split_ids(latents[model_ids[0]], cfg.split)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
     errors: list[str] = []
 
@@ -644,7 +627,7 @@ def run_probe_suite(
 
     def train_one(task):
         mid, attr = task
-        return train_probe(cfg, table, latents[mid], attr, alphas[mid], mid,
+        return train_probe(cfg, table, latents[mid], split, attr, alphas[mid], mid,
                            standardize=standardize)
 
     outcomes = _run_cells(train_one, probe_tasks, threads)
@@ -675,10 +658,7 @@ def run_probe_suite(
 
     def fit_one(pair):
         src, dst = pair
-        m, _, _ = fit_pair_map(
-            latents[src], latents[dst], registry.lookup(src, dst), cfg.split
-        )
-        return m
+        return fit_pair_map(latents[src], latents[dst], registry.lookup(src, dst), split[0])
 
     map_outcomes = _run_cells(fit_one, pair_list, threads)
     maps: dict[tuple[str, str], LinearMap] = {}
@@ -701,16 +681,13 @@ def run_probe_suite(
             if run is None:
                 continue
             try:
-                hold_at, src_rows = shared_rows(run.hold.ids, latents[src].ids)
-                x_native = latents[dst].X[run.hold_rows[hold_at]]
-                x_mapped = apply_map(m, latents[src].X[src_rows])
-                y = run.hold.labels()[hold_at]
+                x_native = latents[dst].X[run.hold_rows]
+                x_mapped = apply_map(m, latents[src].X[rows_of(latents[src], run.hold.ids)])
+                y = run.hold.labels()
                 match_values[pi, ai] = match_percent(run.probe, x_native, x_mapped)
                 acc_native = accuracy(run.probe, x_native, y)
                 acc_mapped = accuracy(run.probe, x_mapped, y)
                 delta_values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
-            except EmptyIntersection:
-                errors.append(f"match {src}->{dst}/{attr}: EmptyIntersection: no shared holdout ids")
             except LatentStitchError as exc:
                 errors.append(f"match {src}->{dst}/{attr}: {type(exc).__name__}: {exc}")
 
@@ -734,7 +711,7 @@ def run_probe_suite(
     metadata = {
         "command": "probe-suite",
         "seed": cfg.seed,
-        "split": {"train": cfg.split.n_train, "holdout": cfg.split.n_holdout},
+        "split": {"train": cfg.split.n_train, "holdout": cfg.split.n_holdout, "from": model_ids[0]},
         "attributes": attributes,
         "probe_alpha": alphas,
         "label_coding": {"-1": 0, "+1": 1},
@@ -789,12 +766,13 @@ def run_dynamics(
         if ds.ids != datasets[0].ids:
             raise InconsistentIds(f"{p}: sample ids differ from the first checkpoint")
 
+    split = split_ids(datasets[0], cfg.split)
     spaces = dict.fromkeys(ds.model_id for ds in datasets)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in spaces}
     acc = np.full((len(attributes), len(datasets)), np.nan)
     for ci, ds in enumerate(datasets):
         for ai, attr in enumerate(attributes):
-            run = train_probe(cfg, table, ds, attr, alphas[ds.model_id], ds.model_id,
+            run = train_probe(cfg, table, ds, split, attr, alphas[ds.model_id], ds.model_id,
                               standardize=standardize)
             acc[ai, ci] = run.accuracy
 

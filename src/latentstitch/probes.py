@@ -100,10 +100,10 @@ def balanced_subset(
     uniform without replacement, deterministic given the seed, and invariant
     to the order of pool_ids.
     """
-    value_by_id = dict(zip(table.ids, table.column(attribute)))
-    pool = [sid for sid in pool_ids if sid in value_by_id]
-    pos = sorted(sid for sid in pool if value_by_id[sid] == 1)
-    neg = sorted(sid for sid in pool if value_by_id[sid] == -1)
+    pool = [sid for sid in pool_ids if sid in table.row_index]
+    values = table.column(attribute)[[table.row_index[sid] for sid in pool]].tolist()
+    pos = sorted(sid for sid, v in zip(pool, values) if v == 1)
+    neg = sorted(sid for sid, v in zip(pool, values) if v == -1)
     if not pos or not neg:
         raise SingleClassPool(
             f"attribute {attribute!r}: pool has {len(pos)} positive / {len(neg)} negative"

@@ -272,3 +272,17 @@ def test_random_encoder_law_of_large_numbers():
     x = ds.X.astype(np.float64)
     assert np.abs(x.mean(axis=0)).max() <= 0.05
     assert np.abs(x.var(axis=0) - 1.0).max() <= 0.1
+
+
+def test_rows_of_follows_the_given_ids_and_counts_missing():
+    ds = small_latents()
+    assert data.rows_of(ds, ["s2", "s0"]).tolist() == [2, 0]
+    with pytest.raises(InsufficientRows, match="lacks 2 of 3"):
+        data.rows_of(ds, ["s1", "x", "y"])
+
+
+def test_split_ids_is_the_head_split_in_stored_order():
+    ds = data.take(small_latents(), [2, 0, 1])
+    assert data.split_ids(ds, data.SplitSpec(n_train=2, n_holdout=1)) == (["s2", "s0"], ["s1"])
+    with pytest.raises(InsufficientRows):
+        data.split_ids(ds, data.SplitSpec(n_train=3, n_holdout=1))

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -456,3 +457,76 @@ def test_probe_suite_threads_match_serial(roster, tmp_path):
     assert any(p.suffix == ".csv" for p in files)
     for rel in files:
         assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes(), rel
+
+
+# --- one train/holdout split per run ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def reordered_copy(roster):
+    """A reordered 95% subset of the noise export, configurable as model `noiseP`."""
+    noise = data.read_latents(roster["dir"] / "noise.lsf")
+    keep = np.random.default_rng(3).permutation(noise.n)[: noise.n * 95 // 100]
+    copy = data.LatentDataset(model_id="noiseP", ids=[noise.ids[i] for i in keep], X=noise.X[keep])
+    data.write_latents(copy, roster["dir"] / "noiseP.lsf")
+    return copy
+
+
+def _config_with_copy(roster, n_train):
+    text = roster["config"].read_text().replace("split.train = 200", f"split.train = {n_train}")
+    path = roster["dir"] / f"with_copy_{n_train}.cfg"
+    path.write_text(text + "model.noiseP.latents = noiseP.lsf\n")
+    return path
+
+
+def test_stitch_grid_scores_every_cell_on_the_first_models_holdout(roster, reordered_copy, tmp_path):
+    # 180+60 rows fit in the 247-row copy, but it lacks some of orthA's split ids
+    cfg = pipeline.load_config(_config_with_copy(roster, 180))
+    result = pipeline.run_stitch_grid(cfg, tmp_path)
+    expected = data.read_latents(roster["dir"] / "orthA.lsf").ids[180:240]
+    mapped = sorted((tmp_path / "mapped").glob("*.lsf"))
+    assert len(mapped) == 25
+    for path in mapped:
+        assert data.read_latents(path).ids == expected, path.name
+    copy_cells = {f"{a}->{b}" for a in cfg.model_ids() for b in cfg.model_ids() if "noiseP" in (a, b)}
+    assert {e.split(":")[0] for e in result.errors} == copy_cells
+    assert all(": InsufficientRows: 'noiseP' lacks " in e for e in result.errors)
+    split = json.loads((tmp_path / "metadata.json").read_text())["split"]
+    assert split == {"train": 180, "holdout": 60, "from": "orthA"}
+
+
+def test_probe_suite_isolates_a_model_missing_split_ids(roster, reordered_copy, tmp_path):
+    # the copy holds 247 rows, fewer than the 200+60 split
+    cfg = pipeline.load_config(_config_with_copy(roster, 200))
+    result = pipeline.run_probe_suite(cfg, tmp_path)
+    for name in ("probe_report", "probe_accuracy_grid", "match_grid", "delta_grid"):
+        assert (tmp_path / f"{name}.csv").is_file()
+    attributes = result.accuracy_grid.col_ids
+    probe_errors = [e for e in result.errors if e.startswith("probe ")]
+    map_errors = [e for e in result.errors if e.startswith("map ")]
+    assert len(probe_errors) == len(attributes)
+    assert all(e.startswith("probe noiseP/") for e in probe_errors)
+    assert len(map_errors) == 11
+    assert all("noiseP" in e.split(":")[0] for e in map_errors)
+    assert len(probe_errors) + len(map_errors) == len(result.errors)
+    assert all("InsufficientRows" in e for e in result.errors)
+    acc = result.accuracy_grid.values
+    assert not np.isfinite(acc[result.accuracy_grid.row_ids.index("noiseP")]).any()
+    assert np.isfinite(acc[:5]).all()
+    assert not list((tmp_path / "probes").glob("noiseP__*"))
+    split = json.loads((tmp_path / "metadata.json").read_text())["split"]
+    assert split["from"] == "orthA"
+
+
+def test_fit_map_splits_in_source_order(roster, reordered_copy, tmp_path, capsys):
+    config = _config_with_copy(roster, 180)
+    assert cli.main(["fit-map", "--config", str(config), "--src", "noiseP", "--dst", "orthA",
+                     "--out", str(tmp_path)]) == 0
+    orth_a = data.read_latents(roster["dir"] / "orthA.lsf")
+    target = data.take(orth_a, [orth_a.ids.index(sid) for sid in reordered_copy.ids[:240]])
+    ref = mapfit.fit_ols(reordered_copy.X[:180], target.X[:180], svd_fallback=True)
+    m = mapfit.load_map(tmp_path / "noiseP__orthA.lmap")
+    np.testing.assert_allclose(m.W, ref.W, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(m.b, ref.b, rtol=1e-9, atol=1e-12)
+    hold_mse = mapfit.latent_mse(mapfit.apply_map(m, reordered_copy.X[180:240]), target.X[180:])
+    assert f"holdout={hold_mse:.9g}" in capsys.readouterr().out
