@@ -18,6 +18,7 @@ from .mapfit import apply_map, latent_mse, save_map
 from .metrics import fid, pixel_rmse, summarize
 from .pipeline import (
     ExperimentConfig,
+    draw_subsets,
     emit_csv,
     fit_pair_map,
     load_config,
@@ -147,13 +148,14 @@ def _cmd_train_probe(args) -> int:
     table = read_attribute_table(cfg.attributes_path)
     alpha = args.alpha if args.alpha is not None else resolve_probe_alpha(cfg, args.model)
     split = split_ids(ds, cfg.split)
-    run = train_probe(cfg, table, ds, split, args.attribute, alpha, args.model,
-                      standardize=args.standardize, tol=args.tol, max_iter=args.max_iter)
+    subsets = draw_subsets(table, args.attribute, split, cfg.seed)
+    probe, acc = train_probe(ds, split, subsets, args.attribute, alpha, args.model,
+                             standardize=args.standardize, tol=args.tol, max_iter=args.max_iter)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.model}__{args.attribute}.lprb"
-    save_probe(run.probe, path)
+    save_probe(probe, path)
     print(f"probe {args.model}/{args.attribute} alpha={alpha:.9g} "
-          f"train_n_per_class={run.train.per_class} holdout_accuracy={run.accuracy:.9g} -> {path}")
+          f"train_n_per_class={subsets[0].per_class} holdout_accuracy={acc:.9g} -> {path}")
     return 0
 
 

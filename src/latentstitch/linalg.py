@@ -1,5 +1,5 @@
 """Dense symmetric linear-algebra kernels: SPD solves, symmetric
-eigendecomposition and PSD matrix square roots.
+eigendecomposition and PSD matrix square roots, on NumPy alone.
 
 All routines compute in float64 regardless of input dtype and are pure
 functions of their inputs. Failures surface as NotSPD / NotPSD /
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NoConvergence, NotPSD, NotSPD
 
@@ -58,10 +57,10 @@ def _require_symmetric(a: np.ndarray, name: str) -> None:
 
 
 def spd_solve(a, b) -> np.ndarray:
-    """Solve ``A @ X = B`` for symmetric positive-definite A via Cholesky.
+    """Solve ``A @ X = B`` for symmetric positive-definite A.
 
-    Raises NotSPD when factorization hits a non-positive pivot (the signal
-    that the caller should regularize and retry).
+    A Cholesky factorization raises NotSPD on a non-positive pivot (the
+    signal to regularize or fall back to least squares); LU then solves.
     """
     a = _as_square(a, "A")
     _require_symmetric(a, "A")
@@ -69,10 +68,10 @@ def spd_solve(a, b) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"A is {a.shape[0]}x{a.shape[0]} but B has {b.shape[0]} rows")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotSPD(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(a, b)
 
 
 def sym_eig(s) -> SymEig:

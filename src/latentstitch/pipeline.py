@@ -403,41 +403,35 @@ def fit_pair_map(src: LatentDataset, dst: LatentDataset, alpha: float,
     return fit_ols(X, Y, source_model=src.model_id, target_model=dst.model_id, svd_fallback=True)
 
 
-@dataclass
-class ProbeRun:
-    """A trained probe, its balanced subsets, its holdout rows and accuracy."""
-
-    probe: Probe
-    train: BalancedSubset
-    hold: BalancedSubset
-    hold_rows: np.ndarray
-    accuracy: float
+def draw_subsets(table: AttributeTable, attribute: str, split: tuple[list[str], list[str]],
+                 seed: int) -> tuple[BalancedSubset, BalancedSubset]:
+    """An attribute's balanced train subset and holdout, drawn from the run's split."""
+    train_ids, hold_ids = split
+    return (balanced_subset(table, attribute, train_ids, seed=seed),
+            balanced_subset(table, attribute, hold_ids, seed=seed, per_class=HOLDOUT_PER_CLASS))
 
 
 def train_probe(
-    cfg: ExperimentConfig,
-    table: AttributeTable,
     ds: LatentDataset,
     split: tuple[list[str], list[str]],
+    subsets: tuple[BalancedSubset, BalancedSubset] | LatentStitchError,
     attribute: str,
     alpha: float,
     model_id: str,
     standardize: bool = False,
     tol: float = 1e-6,
     max_iter: int = 10000,
-) -> ProbeRun:
-    """Fit a lasso probe on a class-balanced subset of the run's train ids
-    and score it on a balanced holdout drawn from its holdout ids; ds must
-    hold every split id."""
-    train_ids, hold_ids = split
-    rows_of(ds, train_ids + hold_ids)
-    train = balanced_subset(table, attribute, train_ids, seed=cfg.seed)
-    hold = balanced_subset(table, attribute, hold_ids, seed=cfg.seed, per_class=HOLDOUT_PER_CLASS)
-    train_rows, hold_rows = rows_of(ds, train.ids), rows_of(ds, hold.ids)
-    probe = fit_lasso(ds.X[train_rows], train.labels(), alpha, tol=tol, max_iter=max_iter,
-                      attribute=attribute, model_id=model_id, standardize=standardize)
-    acc = accuracy(probe, ds.X[hold_rows], hold.labels())
-    return ProbeRun(probe=probe, train=train, hold=hold, hold_rows=hold_rows, accuracy=acc)
+) -> tuple[Probe, float]:
+    """Fit a lasso probe on an attribute's balanced train subset; return it and its
+    holdout accuracy. A failed draw, passed as its error, is raised after ds's split check."""
+    rows_of(ds, split[0] + split[1])
+    if isinstance(subsets, LatentStitchError):
+        raise subsets
+    train, hold = subsets
+    probe = fit_lasso(ds.X[rows_of(ds, train.ids)], train.labels(), alpha, tol=tol,
+                      max_iter=max_iter, attribute=attribute, model_id=model_id,
+                      standardize=standardize)
+    return probe, accuracy(probe, ds.X[rows_of(ds, hold.ids)], hold.labels())
 
 
 def merged_alpha_registry(cfg: ExperimentConfig):
@@ -622,35 +616,41 @@ def run_probe_suite(
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
     errors: list[str] = []
 
-    # probes per (model, attribute)
+    # probes per (model, attribute), on subsets drawn once per attribute
+    subsets: dict[str, tuple[BalancedSubset, BalancedSubset] | LatentStitchError] = {}
+    for attr in attributes:
+        try:
+            subsets[attr] = draw_subsets(table, attr, split, cfg.seed)
+        except LatentStitchError as exc:
+            subsets[attr] = exc
     probe_tasks = [(mid, attr) for mid in model_ids for attr in attributes]
 
     def train_one(task):
         mid, attr = task
-        return train_probe(cfg, table, latents[mid], split, attr, alphas[mid], mid,
+        return train_probe(latents[mid], split, subsets[attr], attr, alphas[mid], mid,
                            standardize=standardize)
 
     outcomes = _run_cells(train_one, probe_tasks, threads)
 
-    runs: dict[tuple[str, str], ProbeRun] = {}
+    fitted: dict[tuple[str, str], tuple[Probe, float]] = {}
     report_rows: list[dict] = []
     acc_values = np.full((len(model_ids), len(attributes)), np.nan)
-    for (mid, attr), (run, err) in zip(probe_tasks, outcomes):
+    for (mid, attr), (result, err) in zip(probe_tasks, outcomes):
         if err is not None:
             errors.append(f"probe {mid}/{attr}: {err}")
             continue
-        runs[(mid, attr)] = run
-        save_probe(run.probe, probes_dir / f"{mid}__{attr}.lprb")
+        probe, acc = fitted[(mid, attr)] = result
+        save_probe(probe, probes_dir / f"{mid}__{attr}.lprb")
         report_rows.append(
             {
                 "model": mid,
                 "attribute": attr,
-                "alpha": run.probe.alpha,
-                "train_n_per_class": run.train.per_class,
-                "holdout_accuracy": run.accuracy,
+                "alpha": probe.alpha,
+                "train_n_per_class": subsets[attr][0].per_class,
+                "holdout_accuracy": acc,
             }
         )
-        acc_values[model_ids.index(mid), attributes.index(attr)] = run.accuracy
+        acc_values[model_ids.index(mid), attributes.index(attr)] = acc
 
     # stitching maps per ordered pair
     registry = merged_alpha_registry(cfg)
@@ -677,16 +677,15 @@ def run_probe_suite(
         if m is None:
             continue
         for ai, attr in enumerate(attributes):
-            run = runs.get((dst, attr))
-            if run is None:
+            if (dst, attr) not in fitted:
                 continue
+            probe, acc_native = fitted[(dst, attr)]
+            hold = subsets[attr][1]
             try:
-                x_native = latents[dst].X[run.hold_rows]
-                x_mapped = apply_map(m, latents[src].X[rows_of(latents[src], run.hold.ids)])
-                y = run.hold.labels()
-                match_values[pi, ai] = match_percent(run.probe, x_native, x_mapped)
-                acc_native = accuracy(run.probe, x_native, y)
-                acc_mapped = accuracy(run.probe, x_mapped, y)
+                x_native = latents[dst].X[rows_of(latents[dst], hold.ids)]
+                x_mapped = apply_map(m, latents[src].X[rows_of(latents[src], hold.ids)])
+                match_values[pi, ai] = match_percent(probe, x_native, x_mapped)
+                acc_mapped = accuracy(probe, x_mapped, hold.labels())
                 delta_values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
             except LatentStitchError as exc:
                 errors.append(f"match {src}->{dst}/{attr}: {type(exc).__name__}: {exc}")
@@ -769,12 +768,12 @@ def run_dynamics(
     split = split_ids(datasets[0], cfg.split)
     spaces = dict.fromkeys(ds.model_id for ds in datasets)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in spaces}
+    subsets = {attr: draw_subsets(table, attr, split, cfg.seed) for attr in attributes}
     acc = np.full((len(attributes), len(datasets)), np.nan)
     for ci, ds in enumerate(datasets):
         for ai, attr in enumerate(attributes):
-            run = train_probe(cfg, table, ds, split, attr, alphas[ds.model_id], ds.model_id,
-                              standardize=standardize)
-            acc[ai, ci] = run.accuracy
+            _, acc[ai, ci] = train_probe(ds, split, subsets[attr], attr, alphas[ds.model_id],
+                                         ds.model_id, standardize=standardize)
 
     plateaus = [plateau_index(acc[ai], eps) for ai in range(len(attributes))]
     return DynamicsSeries(

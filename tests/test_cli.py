@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import latentstitch
 from latentstitch import cli, pipeline
 
 
@@ -104,3 +111,30 @@ def test_cli_seed_override_changes_subsets(generated, tmp_path):
 def test_cli_rejects_negative_seed(generated, tmp_path):
     assert cli.main(["probe-suite", "--config", str(generated / "experiment.cfg"),
                      "--out", str(tmp_path), "--seed", "-4"]) == 1
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """NumPy is the only runtime dependency: with every `import scipy` failing,
+    synth-gen, fit-map (an SPD solve) and fid all exit 0."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from latentstitch import cli
+        gen, fit = sys.argv[1], sys.argv[2]
+        codes = [
+            cli.main(["synth-gen", "--out", gen, "--seed", "3",
+                      "--n", "260", "--k", "3", "--dpix", "36"]),
+            cli.main(["fit-map", "--config", gen + "/experiment.cfg", "--out", fit,
+                      "--src", "orthA", "--dst", "orthB", "--alpha", "1"]),
+            cli.main(["fid", gen + "/pixels.lsf", gen + "/pixels.lsf"]),
+        ]
+        print("exit codes", codes)
+    """)
+    src = str(Path(latentstitch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "gen"), str(tmp_path / "fit")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0]", proc.stdout + proc.stderr

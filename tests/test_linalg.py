@@ -29,9 +29,13 @@ def test_spd_solve_random_residual_oracle():
     assert residual <= 1e-8
 
 
-def test_spd_solve_not_spd():
+# an indefinite matrix, and a singular PSD one shaped like a rank-deficient
+# Gram: the signal that sends unregularized fits to the min-norm fallback
+@pytest.mark.parametrize("a", [np.diag([1.0, -1.0]), np.ones((2, 2))],
+                         ids=["indefinite", "psd_singular"])
+def test_spd_solve_not_spd(a):
     with pytest.raises(NotSPD):
-        linalg.spd_solve(np.diag([1.0, -1.0]), np.eye(2))
+        linalg.spd_solve(a, np.eye(2))
 
 
 def test_spd_solve_rejects_asymmetric():

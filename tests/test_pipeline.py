@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from latentstitch import cli, data, mapfit, pipeline, synth
+from latentstitch import cli, data, mapfit, pipeline, probes, synth
 from latentstitch.errors import ConfigError, InconsistentIds, IoError
 
 
@@ -530,3 +530,35 @@ def test_fit_map_splits_in_source_order(roster, reordered_copy, tmp_path, capsys
     np.testing.assert_allclose(m.b, ref.b, rtol=1e-9, atol=1e-12)
     hold_mse = mapfit.latent_mse(mapfit.apply_map(m, reordered_copy.X[180:240]), target.X[180:])
     assert f"holdout={hold_mse:.9g}" in capsys.readouterr().out
+
+
+def test_probe_subsets_are_drawn_once_per_attribute(roster, reordered_copy, tmp_path,
+                                                    monkeypatch):
+    calls = []
+
+    def counted(table, attribute, *args, **kwargs):
+        calls.append(attribute)
+        return probes.balanced_subset(table, attribute, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "balanced_subset", counted)
+    # factor_00 made single-class: its train draw fails, the others draw train and holdout
+    table = data.read_attribute_table(roster["dir"] / "attributes.txt")
+    values = table.values.copy()
+    values[:, 0] = 1
+    single = data.AttributeTable(names=table.names, ids=table.ids, values=values)
+    data.write_attribute_table(single, tmp_path / "single.txt")
+    text = _config_with_copy(roster, 200).read_text() + f"attributes = {tmp_path / 'single.txt'}\n"
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    result = pipeline.run_probe_suite(cfg, tmp_path)
+    assert sorted(calls) == ["factor_00", "factor_01", "factor_01", "factor_02", "factor_02"]
+    # the error is still reported per probe, after a model's own missing-split-ids error
+    probe_errors = [e.split(": ")[:2] for e in result.errors if e.startswith("probe ")]
+    assert probe_errors == (
+        [[f"probe {mid}/factor_00", "SingleClassPool"] for mid in cfg.model_ids()[:5]]
+        + [[f"probe noiseP/{a}", "InsufficientRows"] for a in ("factor_00", "factor_01", "factor_02")]
+    )
+
+    calls.clear()
+    ckpts = make_checkpoints(tmp_path, roster["world"], [50, 20, 0])
+    pipeline.run_dynamics(pipeline.load_config(roster["config"]), ckpts)
+    assert len(calls) == 2 * 3
