@@ -1,5 +1,6 @@
 """Dense symmetric linear-algebra kernels: SPD solves, symmetric
-eigendecomposition and PSD matrix square roots, on NumPy alone.
+eigendecomposition, PSD matrix square roots and nuclear norms, on NumPy
+alone.
 
 All routines compute in float64 regardless of input dtype and are pure
 functions of their inputs. Failures surface as NotSPD / NotPSD /
@@ -85,6 +86,17 @@ def sym_eig(s) -> SymEig:
     return SymEig(eigenvalues=w, eigenvectors=v)
 
 
+def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a nominally-PSD matrix with small negatives
+    clamped to zero; raises NotPSD on a larger negative one."""
+    lam_max = max(float(w[-1]), 0.0)
+    if w[0] < -NEG_EIG_RTOL * lam_max:
+        raise NotPSD(
+            f"eigenvalue {w[0]:.6e} is below -{NEG_EIG_RTOL:.0e} * max eigenvalue {lam_max:.6e}"
+        )
+    return np.clip(w, 0.0, None)
+
+
 def psd_sqrt(s) -> np.ndarray:
     """Symmetric square root of a PSD matrix.
 
@@ -93,12 +105,20 @@ def psd_sqrt(s) -> np.ndarray:
     PSD. Larger negative eigenvalues raise NotPSD.
     """
     eig = sym_eig(s)
-    w = eig.eigenvalues
-    lam_max = max(float(w[-1]), 0.0)
-    if w[0] < -NEG_EIG_RTOL * lam_max:
-        raise NotPSD(
-            f"eigenvalue {w[0]:.6e} is below -{NEG_EIG_RTOL:.0e} * max eigenvalue {lam_max:.6e}"
-        )
     v = eig.eigenvectors
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    root = (v * np.sqrt(_psd_eigenvalues(eig.eigenvalues))) @ v.T
     return (root + root.T) / 2.0
+
+
+def nuclear_norm(m) -> float:
+    """Sum of the singular values of a matrix: the square roots of the
+    eigenvalues of its smaller Gram (m m^T or m^T m), with psd_sqrt's clamp
+    rule. Gram eigenvalues within k * eps of the top one (k the Gram's size)
+    are eigensolver rounding and count as zero; each would otherwise add
+    about sqrt(k * eps) of the top singular value.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    w = _psd_eigenvalues(sym_eig((gram + gram.T) / 2.0).eigenvalues)
+    w[w <= len(w) * np.finfo(np.float64).eps * w[-1]] = 0.0
+    return float(np.sqrt(w).sum())

@@ -29,6 +29,7 @@ from .data import (
     read_latents,
     rows_of,
     split_ids,
+    take,
     write_latents,
 )
 from .errors import ConfigError, InconsistentIds, IoError, LatentStitchError
@@ -41,7 +42,7 @@ from .mapfit import (
     latent_mse,
     save_map,
 )
-from .metrics import fid, pixel_rmse, summarize
+from .metrics import fid, fid_path, pixel_rmse, summarize
 from .probes import (
     DEFAULT_PROBE_ALPHAS,
     FALLBACK_PROBE_ALPHA,
@@ -497,6 +498,14 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     entry_by_id = {m.model_id: m for m in cfg.models}
     pairs = [(src, dst) for src in model_ids for dst in model_ids]
     train_ids, hold_ids = split_ids(latents[model_ids[0]], cfg.split)
+    # Every decoded cell is scored against the same true holdout images (the
+    # holdout ids the image file holds, in holdout order), summarized once.
+    real = real_summary = None
+    if images is not None:
+        real = take(images, [images.row_index[sid] for sid in hold_ids if sid in images.row_index])
+        decodes = any(m.synth is not None and m.synth.kind != "random" for m in cfg.models)
+        if decodes and real.n >= 2:
+            real_summary = summarize(real.pixels)
 
     def cell(pair):
         src, dst = pair
@@ -507,6 +516,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             "pixel_rmse": math.nan,
             "fid": math.nan,
             "fid_n": None,
+            "fid_path": None,
             "errors": [],
         }
         save_map(m, maps_dir / f"{src}__{dst}.lmap")
@@ -516,10 +526,12 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         if synth_spec is not None and synth_spec.kind != "random" and images is not None:
             try:
                 decoded = decode(synth_spec, mapped_ds, image_shape=images.shape)
-                dec_al, img_al = align(decoded, images)
+                dec_al, img_al = align(decoded, real)  # img_al holds real's rows
                 result["pixel_rmse"] = pixel_rmse(dec_al, img_al)
-                result["fid"] = fid(summarize(dec_al.pixels), summarize(img_al.pixels))
+                dec_summary = summarize(dec_al.pixels)
+                result["fid"] = fid(dec_summary, real_summary)
                 result["fid_n"] = dec_al.n
+                result["fid_path"] = fid_path(dec_summary, real_summary)
             except LatentStitchError as exc:
                 result["errors"].append(f"{type(exc).__name__}: {exc}")
         return result
@@ -534,6 +546,8 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     }
     errors: list[str] = []
     fid_n: dict[str, int] = {}
+    fid_paths: dict[str, str] = {}
+    fid_ridge: dict[str, bool] = {}
     for (src, dst), (result, err) in zip(pairs, outcomes):
         i, j = model_ids.index(src), model_ids.index(dst)
         if err is not None:
@@ -544,6 +558,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         grids["fid"].values[i, j] = result["fid"]
         if result["fid_n"] is not None:
             fid_n[f"{src}->{dst}"] = result["fid_n"]
+            fid_paths[f"{src}->{dst}"], fid_ridge[f"{src}->{dst}"] = result["fid_path"]
         errors.extend(f"{src}->{dst}: {msg}" for msg in result["errors"])
 
     if cfg.lpips_path is not None:
@@ -573,8 +588,13 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         "alpha": {f"{s}->{t}": registry.lookup(s, t) for s in model_ids for t in model_ids},
         "latent_mse_convention": "mean over all n*d entries (per-entry, not per-vector)",
         "pixel_range": [0.0, 1.0],
-        "fid_features": "flattened pixels of decoded holdout vs true holdout",
+        "fid_features": "flattened pixels of decoded holdout vs true holdout; fid_path "
+                        "'cross' is the nuclear norm of the n x m cross matrix of centered "
+                        "samples (both n < d, no ridge), 'covariance' the d x d covariance "
+                        "form, which adds a 1e-6 ridge (fid_ridge) when a summary has n < d",
         "fid_n": fid_n,
+        "fid_path": fid_paths,
+        "fid_ridge": fid_ridge,
         "noising_schedule": _noising_metadata(cfg),
     }
     _write_json(metadata, out / "metadata.json")

@@ -4,10 +4,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latentstitch
 from latentstitch import cli, pipeline
+from latentstitch.data import LatentDataset, read_latents, write_latents
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +140,26 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0]", proc.stdout + proc.stderr
+
+
+def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    paths = []
+    for name, n, d in (("a", 40, 96), ("b", 55, 96), ("c", 40, 80)):
+        path = tmp_path / f"{name}.lsf"
+        ids = [f"{name}{i:03d}" for i in range(n)]
+        write_latents(LatentDataset(model_id=name, ids=ids,
+                                    X=rng.standard_normal((n, d)).astype(np.float32)), path)
+        paths.append(str(path))
+    x = read_latents(paths[0]).X.astype(np.float64)
+    y = read_latents(paths[1]).X.astype(np.float64)
+    ax = (x - x.mean(axis=0)) / np.sqrt(len(x) - 1)
+    ay = (y - y.mean(axis=0)) / np.sqrt(len(y) - 1)
+    diff = x.mean(axis=0) - y.mean(axis=0)
+    brute = (diff @ diff + np.sum(ax * ax) + np.sum(ay * ay)
+             - 2.0 * np.linalg.svd(ax @ ay.T, compute_uv=False).sum())
+    assert cli.main(["fid", paths[0], paths[1]]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert printed == f"{brute:.9g}"
+    assert cli.main(["fid", paths[0], paths[2]]) == 2
+    assert "dimension mismatch: 96 vs 80" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,3 +140,96 @@ def test_fid_dimension_mismatch_and_not_psd():
     indefinite = metrics.GaussianSummary(mu=np.zeros(2), sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPSD):
         metrics.fid(indefinite, metrics.GaussianSummary(mu=np.zeros(2), sigma=np.eye(2)))
+
+
+def _brute_force_fid(x, y):
+    """||mu_x - mu_y||^2 + ||A_x||_F^2 + ||A_y||_F^2 - 2 * nuclear norm of A_x A_y^T,
+    with A the centered rows over sqrt(n - 1), singular values by SVD."""
+    ax = (x - x.mean(axis=0)) / np.sqrt(len(x) - 1)
+    ay = (y - y.mean(axis=0)) / np.sqrt(len(y) - 1)
+    diff = x.mean(axis=0) - y.mean(axis=0)
+    nuclear = np.linalg.svd(ax @ ay.T, compute_uv=False).sum()
+    return diff @ diff + np.sum(ax * ax) + np.sum(ay * ay) - 2.0 * nuclear
+
+
+FEWER_SAMPLES_THAN_DIMS = [(5, 8, 12), (30, 17, 64), (40, 90, 128), (120, 60, 300)]
+
+
+def _samples(n, m, d):
+    rng = np.random.default_rng(1000 * n + m)
+    return rng.standard_normal((n, d)), rng.standard_normal((m, d)) * 1.3 + 0.2
+
+
+@pytest.mark.parametrize("n,m,d", FEWER_SAMPLES_THAN_DIMS)
+def test_fid_cross_path_matches_svd_oracle(n, m, d):
+    x, y = _samples(n, m, d)
+    p, q = metrics.summarize(x), metrics.summarize(y)
+    assert metrics.fid_path(p, q) == ("cross", False)
+    expected = _brute_force_fid(x, y)
+    assert abs(metrics.fid(p, q) - expected) <= 1e-9 * abs(expected)
+    assert abs(metrics.fid(q, p) - expected) <= 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize("n,m,d", FEWER_SAMPLES_THAN_DIMS)
+def test_fid_cross_path_matches_covariance_path(n, m, d):
+    x, y = _samples(n, m, d)
+    p, q = metrics.summarize(x), metrics.summarize(y)
+    cross = metrics.fid(p, q)
+    # the same samples as (mu, sigma) summaries: without a sample count no
+    # ridge is added, and the d x d path agrees with the cross path
+    bare = metrics.fid(metrics.GaussianSummary(mu=p.mu, sigma=p.sigma),
+                       metrics.GaussianSummary(mu=q.mu, sigma=q.sigma))
+    assert abs(bare - cross) <= 1e-6 * cross
+    # with the counts the ridge is added; it lowers the value by about
+    # sqrt(RIDGE_SCALE) relative
+    ridged_p = metrics.GaussianSummary(mu=p.mu, sigma=p.sigma, n=n)
+    ridged_q = metrics.GaussianSummary(mu=q.mu, sigma=q.sigma, n=m)
+    assert metrics.fid_path(ridged_p, ridged_q) == ("covariance", True)
+    assert abs(metrics.fid(ridged_p, ridged_q) - cross) <= 1e-3 * cross
+
+
+def test_fid_mixed_summaries_take_the_ridged_covariance_path():
+    rng = np.random.default_rng(8)
+    few = metrics.summarize(rng.standard_normal((6, 10)))
+    many = metrics.summarize(rng.standard_normal((40, 10)))
+    assert few.rows is not None and many.rows is None
+    assert metrics.fid_path(few, many) == ("covariance", True)
+    assert metrics.fid_path(many, many) == ("covariance", False)
+    assert metrics.fid(few, many) == pytest.approx(metrics.fid(many, few), rel=1e-9)
+
+
+def test_summarize_keeps_rows_below_d_and_forms_sigma_on_read():
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal((7, 20))
+    s = metrics.summarize(f)
+    assert s.rows.shape == (7, 20) and s.n == 7
+    np.testing.assert_allclose(s.sigma, np.cov(f, rowvar=False), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(s.sigma, s.sigma.T)
+
+
+def test_fid_cross_path_allocates_no_d_by_d_matrix():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((64, 3072))
+    y = rng.standard_normal((64, 3072)) + 0.1
+    tracemalloc.start()
+    try:
+        value = metrics.fid(metrics.summarize(x), metrics.summarize(y))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < 16 * 2**20  # one 3072 x 3072 float64 matrix is 75 MB
+
+
+def test_fid_cross_path_matches_svd_oracle_on_low_rank_samples():
+    # near-exact stitches: both sample sets span one rank-3 subspace, so the
+    # cross matrix has 37 zero singular values that must not count as noise
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((50, 3))
+    basis = rng.standard_normal((3, 200))
+    x = z @ basis
+    y = (z[:40] + 0.01 * rng.standard_normal((40, 3))) @ basis
+    p, q = metrics.summarize(x), metrics.summarize(y)
+    expected = _brute_force_fid(x, y)
+    assert abs(metrics.fid(p, q) - expected) <= 1e-9 * abs(expected)
+    assert metrics.fid(p, p) <= 1e-10 * np.trace(p.sigma)

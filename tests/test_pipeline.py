@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latentstitch import cli, data, mapfit, pipeline, probes, synth
+from latentstitch import metrics
 from latentstitch.errors import ConfigError, InconsistentIds, IoError
 
 
@@ -562,3 +563,26 @@ def test_probe_subsets_are_drawn_once_per_attribute(roster, reordered_copy, tmp_
     ckpts = make_checkpoints(tmp_path, roster["world"], [50, 20, 0])
     pipeline.run_dynamics(pipeline.load_config(roster["config"]), ckpts)
     assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("holdout,path", [(60, "covariance"), (30, "cross")])
+def test_stitch_grid_summarizes_true_images_once_and_records_fid_path(
+        roster, tmp_path, monkeypatch, holdout, path):
+    # d_pix is 36: a 60-row holdout takes the covariance path, a 30-row one the cross path
+    text = roster["config"].read_text().replace("split.holdout = 60", f"split.holdout = {holdout}")
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    calls = []
+
+    def counting_summarize(features):
+        calls.append(len(features))
+        return metrics.summarize(features)
+
+    monkeypatch.setattr(pipeline, "summarize", counting_summarize)
+    result = pipeline.run_stitch_grid(cfg, tmp_path / "grid")
+    assert result.errors == []
+    assert np.isfinite(result.grids["fid"].values).sum() == 20
+    assert calls == [holdout] * 21  # the true holdout once, then one per decoded cell
+    meta = json.loads((tmp_path / "grid" / "metadata.json").read_text())
+    assert set(meta["fid_path"]) == set(meta["fid_n"]) and len(meta["fid_n"]) == 20
+    assert set(meta["fid_path"].values()) == {path}
+    assert set(meta["fid_ridge"].values()) == {False}
