@@ -1,11 +1,11 @@
 """Dense symmetric linear-algebra kernels: SPD solves, symmetric
-eigendecomposition, PSD matrix square roots and nuclear norms, on NumPy
-alone.
+eigendecomposition, PSD matrix square roots, covariance factors and nuclear
+norms, on NumPy alone.
 
 All routines compute in float64 regardless of input dtype and are pure
 functions of their inputs. Failures surface as NotSPD / NotPSD /
-NoConvergence instead of raw LAPACK errors, so callers can react (typically
-by adding a ridge term).
+NoConvergence instead of raw LAPACK errors, so callers can react (mapfit
+falls back to least squares on NotSPD).
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ class SymEig:
     """Eigendecomposition of a symmetric matrix.
 
     eigenvalues are ascending; eigenvectors are orthonormal columns, so
-    ``V @ diag(w) @ V.T`` reconstructs the input.
+    ``V @ diag(w) @ V.T`` reconstructs the input, or None when only the
+    eigenvalues were asked for.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -75,12 +76,13 @@ def spd_solve(a, b) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def sym_eig(s) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+def sym_eig(s, vectors: bool = True) -> SymEig:
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending; with
+    ``vectors=False`` the eigenvalues alone (eigvalsh), which is cheaper."""
     s = _as_square(s, "S")
     _require_symmetric(s, "S")
     try:
-        w, v = np.linalg.eigh(s)
+        w, v = np.linalg.eigh(s) if vectors else (np.linalg.eigvalsh(s), None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return SymEig(eigenvalues=w, eigenvectors=v)
@@ -110,6 +112,17 @@ def psd_sqrt(s) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
+def cov_factor(s) -> np.ndarray:
+    """A factor F with ``F.T @ F == S`` for a PSD matrix S: the transposed
+    Cholesky factor, or psd_sqrt(S) when Cholesky fails (S singular, or
+    indefinite, which psd_sqrt then reports as NotPSD)."""
+    s = _as_square(s, "S")
+    try:
+        return np.linalg.cholesky(s).T
+    except np.linalg.LinAlgError:
+        return psd_sqrt(s)
+
+
 def nuclear_norm(m) -> float:
     """Sum of the singular values of a matrix: the square roots of the
     eigenvalues of its smaller Gram (m m^T or m^T m), with psd_sqrt's clamp
@@ -119,6 +132,6 @@ def nuclear_norm(m) -> float:
     """
     m = np.asarray(m, dtype=np.float64)
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    w = _psd_eigenvalues(sym_eig((gram + gram.T) / 2.0).eigenvalues)
+    w = _psd_eigenvalues(sym_eig((gram + gram.T) / 2.0, vectors=False).eigenvalues)
     w[w <= len(w) * np.finfo(np.float64).eps * w[-1]] = 0.0
     return float(np.sqrt(w).sum())

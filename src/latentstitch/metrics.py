@@ -5,46 +5,49 @@ feature sets. The Frechet computation consumes generic feature vectors;
 flattened raw pixels are a legitimate degenerate choice ("pixel-FID") when
 no embedding network is in play.
 
-A summary of fewer samples than dimensions keeps its scaled centered rows
-instead of the d x d covariance, and FID between two such summaries takes
-the cross path: tr sqrt(Sp Sq) is the nuclear norm of the small n x m cross
-matrix of the rows (Mathiasen & Hvilshoej, arXiv:2009.14075), so no d x d
-matrix is formed or factored, and no ridge is added. Every other pair takes
-the d x d covariance path, which adds a small ridge when either summary came
-from fewer samples than dimensions.
+Every summary holds a covariance factor F with F^T F = Sigma, and FID has one
+formula: tr Sigma = ||F||_F^2, and tr (Sp^1/2 Sq Sp^1/2)^1/2 is the nuclear
+norm of Fp Fq^T (Dowson & Landau 1982; Mathiasen & Hvilshoej,
+arXiv:2009.14075). A summary of fewer samples than dimensions keeps its
+scaled centered rows as F, so FID between two of them forms no d x d matrix.
+No ridge is added.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from .data import ImageDataset
 from .errors import DimensionMismatch, NotPSD, TooFewSamples
-from .linalg import nuclear_norm, psd_sqrt
-
-#: Ridge fraction (of the mean covariance diagonal) applied on the covariance
-#: path when a summary was estimated from fewer samples than dimensions.
-RIDGE_SCALE = 1e-6
+from .linalg import cov_factor, nuclear_norm
 
 #: Results above this negative floor are treated as numerical zero.
 NEGATIVE_FLOOR = -1e-6
 
 
 class GaussianSummary:
-    """Mean and unbiased covariance of one feature set.
+    """Mean and unbiased covariance of one feature set, with a factor F
+    (``factor``, F.T @ F == sigma).
 
-    Held either as the covariance ``sigma`` or as the scaled centered rows
-    ``rows`` (an n x d matrix A with A.T @ A == sigma); in the latter case
-    ``sigma`` is formed on first read.
+    Given the scaled centered rows ``rows`` (an n x d matrix), F is those rows
+    and ``sigma`` is formed from F on first read. Given ``sigma``, F is
+    linalg.cov_factor(sigma) (Cholesky, else the PSD square root), formed on
+    first use, so an indefinite sigma raises NotPSD there, not here. Grid
+    cells on several threads share one summary, so it is factored under a
+    lock, once.
     """
 
     def __init__(self, mu, sigma=None, n: int | None = None, rows=None) -> None:
         if (sigma is None) == (rows is None):
             raise ValueError("give exactly one of sigma and rows")
         self.mu = np.ascontiguousarray(mu, dtype=np.float64)
-        self.n = n  # sample count when known; drives the n < d ridge rule
+        self.n = n  # sample count when known
         held = np.ascontiguousarray(sigma if rows is None else rows, dtype=np.float64)
         self.rows, self._sigma = (None, held) if rows is None else (held, None)
+        self._factor = self.rows
+        self._factor_lock = threading.Lock()
         d = self.mu.shape[0]
         if self.mu.ndim != 1 or held.shape != (d if rows is None else len(held), d):
             name = "sigma" if rows is None else "rows"
@@ -60,9 +63,16 @@ class GaussianSummary:
             raise DimensionMismatch("sigma diagonal must be non-negative")
 
     @property
+    def factor(self) -> np.ndarray:
+        with self._factor_lock:
+            if self._factor is None:
+                self._factor = cov_factor(self._sigma)
+        return self._factor
+
+    @property
     def sigma(self) -> np.ndarray:
         if self._sigma is None:
-            sigma = self.rows.T @ self.rows
+            sigma = self.factor.T @ self.factor
             self._sigma = (sigma + sigma.T) / 2.0
         return self._sigma
 
@@ -89,8 +99,9 @@ def pixel_rmse(a, b) -> float:
 def summarize(features) -> GaussianSummary:
     """Column means and unbiased (n-1 divisor) covariance of a feature set.
 
-    With fewer samples than dimensions the summary keeps the scaled centered
-    rows (n x d) rather than the covariance (d x d), whichever is smaller.
+    The summary keeps whichever is smaller: the scaled centered rows (n x d,
+    its factor) when there are fewer samples than dimensions, else the
+    covariance (d x d), which is factored on first use.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
@@ -108,44 +119,21 @@ def summarize(features) -> GaussianSummary:
     return GaussianSummary(mu=mu, sigma=sigma, n=n)
 
 
-def fid_path(p: GaussianSummary, q: GaussianSummary) -> tuple[str, bool]:
-    """How fid computes: ("cross", False) when both summaries hold their
-    rows, else ("covariance", whether the n < d ridge is added)."""
-    if p.rows is not None and q.rows is not None:
-        return "cross", False
-    return "covariance", any(s.n is not None and s.n < s.d for s in (p, q))
-
-
 def fid(p: GaussianSummary, q: GaussianSummary) -> float:
     """Frechet distance between two Gaussian summaries.
 
-    ||mu_p - mu_q||^2 + tr(S_p + S_q - 2 (S_p^{1/2} S_q S_p^{1/2})^{1/2}).
-    When both summaries hold their rows A_p, A_q (fewer samples than
-    dimensions), the traces are ||A||_F^2 and the cross term is the nuclear
-    norm of A_p A_q^T; no ridge is added. Otherwise the trace term is kept
-    symmetric so only symmetric eigensolves are needed, and a small ridge is
-    added to both covariances when either summary comes from fewer samples
-    than dimensions.
+    ||mu_p - mu_q||^2 + tr(S_p + S_q - 2 (S_p^{1/2} S_q S_p^{1/2})^{1/2}),
+    through the factors (F^T F = S): tr S = ||F||_F^2, and the cross term is
+    the nuclear norm of F_p F_q^T, whose squared singular values are the
+    eigenvalues of S_p S_q. One eigenvalue-only solve of the smaller Gram of
+    that r_p x r_q matrix (r the factor's row count) does the work.
     """
     if p.d != q.d:
         raise DimensionMismatch(f"dimension mismatch: {p.d} vs {q.d}")
-    path, ridge = fid_path(p, q)
-    if path == "cross":
-        tr_p = float(np.vdot(p.rows, p.rows))
-        tr_q = float(np.vdot(q.rows, q.rows))
-        cross = nuclear_norm(p.rows @ q.rows.T)
-    else:
-        sp = p.sigma
-        sq = q.sigma
-        if ridge:
-            eye = np.eye(p.d)
-            sp = sp + (RIDGE_SCALE * np.trace(sp) / p.d) * eye
-            sq = sq + (RIDGE_SCALE * np.trace(sq) / q.d) * eye
-        root_p = psd_sqrt(sp)
-        inner = root_p @ sq @ root_p
-        inner = (inner + inner.T) / 2.0
-        tr_p, tr_q = np.trace(sp), np.trace(sq)
-        cross = np.trace(psd_sqrt(inner))
+    fp, fq = p.factor, q.factor
+    tr_p = float(np.vdot(fp, fp))
+    tr_q = float(np.vdot(fq, fq))
+    cross = nuclear_norm(fp @ fq.T)
     diff = p.mu - q.mu
     value = float(diff @ diff + tr_p + tr_q - 2.0 * cross)
     scale = max(1.0, abs(tr_p) + abs(tr_q) + float(diff @ diff))

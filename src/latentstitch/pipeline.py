@@ -42,7 +42,7 @@ from .mapfit import (
     latent_mse,
     save_map,
 )
-from .metrics import fid, fid_path, pixel_rmse, summarize
+from .metrics import fid, pixel_rmse, summarize
 from .probes import (
     DEFAULT_PROBE_ALPHAS,
     FALLBACK_PROBE_ALPHA,
@@ -516,7 +516,6 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             "pixel_rmse": math.nan,
             "fid": math.nan,
             "fid_n": None,
-            "fid_path": None,
             "errors": [],
         }
         save_map(m, maps_dir / f"{src}__{dst}.lmap")
@@ -528,10 +527,8 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
                 decoded = decode(synth_spec, mapped_ds, image_shape=images.shape)
                 dec_al, img_al = align(decoded, real)  # img_al holds real's rows
                 result["pixel_rmse"] = pixel_rmse(dec_al, img_al)
-                dec_summary = summarize(dec_al.pixels)
-                result["fid"] = fid(dec_summary, real_summary)
+                result["fid"] = fid(summarize(dec_al.pixels), real_summary)
                 result["fid_n"] = dec_al.n
-                result["fid_path"] = fid_path(dec_summary, real_summary)
             except LatentStitchError as exc:
                 result["errors"].append(f"{type(exc).__name__}: {exc}")
         return result
@@ -546,8 +543,6 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     }
     errors: list[str] = []
     fid_n: dict[str, int] = {}
-    fid_paths: dict[str, str] = {}
-    fid_ridge: dict[str, bool] = {}
     for (src, dst), (result, err) in zip(pairs, outcomes):
         i, j = model_ids.index(src), model_ids.index(dst)
         if err is not None:
@@ -558,7 +553,6 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         grids["fid"].values[i, j] = result["fid"]
         if result["fid_n"] is not None:
             fid_n[f"{src}->{dst}"] = result["fid_n"]
-            fid_paths[f"{src}->{dst}"], fid_ridge[f"{src}->{dst}"] = result["fid_path"]
         errors.extend(f"{src}->{dst}: {msg}" for msg in result["errors"])
 
     if cfg.lpips_path is not None:
@@ -588,13 +582,11 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         "alpha": {f"{s}->{t}": registry.lookup(s, t) for s in model_ids for t in model_ids},
         "latent_mse_convention": "mean over all n*d entries (per-entry, not per-vector)",
         "pixel_range": [0.0, 1.0],
-        "fid_features": "flattened pixels of decoded holdout vs true holdout; fid_path "
-                        "'cross' is the nuclear norm of the n x m cross matrix of centered "
-                        "samples (both n < d, no ridge), 'covariance' the d x d covariance "
-                        "form, which adds a 1e-6 ridge (fid_ridge) when a summary has n < d",
+        "fid_features": "flattened pixels of decoded holdout vs true holdout; the cross "
+                        "term is the nuclear norm of Fp Fq^T for covariance factors "
+                        "F^T F = Sigma (scaled centered samples when n < d, else the Cholesky "
+                        "factor, or the PSD square root of a singular Sigma), no ridge",
         "fid_n": fid_n,
-        "fid_path": fid_paths,
-        "fid_ridge": fid_ridge,
         "noising_schedule": _noising_metadata(cfg),
     }
     _write_json(metadata, out / "metadata.json")

@@ -163,3 +163,23 @@ def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):
     assert printed == f"{brute:.9g}"
     assert cli.main(["fid", paths[0], paths[2]]) == 2
     assert "dimension mismatch: 96 vs 80" in capsys.readouterr().err
+
+
+def test_cli_fid_mixed_sample_counts_matches_brute_force(tmp_path, capsys):
+    # one LSF with fewer rows than columns, one with more: no ridge moves the value
+    rng = np.random.default_rng(13)
+    paths, rows = [], []
+    for name, n in (("few", 40), ("many", 150)):
+        x = rng.standard_normal((n, 96)).astype(np.float32)
+        ids = [f"{name}{i:03d}" for i in range(n)]
+        path = tmp_path / f"{name}.lsf"
+        write_latents(LatentDataset(model_id=name, ids=ids, X=x), path)
+        paths.append(str(path))
+        rows.append(x.astype(np.float64))
+    ax, ay = ((r - r.mean(axis=0)) / np.sqrt(len(r) - 1) for r in rows)
+    diff = rows[0].mean(axis=0) - rows[1].mean(axis=0)
+    brute = (diff @ diff + np.sum(ax * ax) + np.sum(ay * ay)
+             - 2.0 * np.linalg.svd(ax @ ay.T, compute_uv=False).sum())
+    for args in (paths, paths[::-1]):
+        assert cli.main(["fid", *args]) == 0
+        assert capsys.readouterr().out.strip() == f"{brute:.9g}"

@@ -124,6 +124,40 @@ def test_psd_sqrt_clamps_small_negatives():
     assert np.abs(r @ r - s).max() <= 1e-6
 
 
+def test_sym_eig_eigenvalues_only():
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal((7, 7))
+    s = (s + s.T) / 2
+    eig = linalg.sym_eig(s, vectors=False)
+    assert eig.eigenvectors is None
+    np.testing.assert_allclose(eig.eigenvalues, linalg.sym_eig(s).eigenvalues,
+                               rtol=0, atol=1e-13 * np.abs(s).max())
+
+
+@pytest.mark.parametrize("shape", [(7, 30), (30, 7), (20, 20)], ids=["wide", "tall", "square"])
+def test_nuclear_norm_matches_svd(shape):
+    m = np.random.default_rng(sum(shape)).standard_normal(shape)
+    expected = np.linalg.svd(m, compute_uv=False).sum()
+    assert abs(linalg.nuclear_norm(m) - expected) <= 1e-12 * expected
+
+
+def test_cov_factor_is_cholesky_for_spd_input():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((9, 5))
+    s = m.T @ m
+    f = linalg.cov_factor(s)
+    np.testing.assert_array_equal(f, np.triu(f))
+    assert np.abs(f.T @ f - s).max() <= 1e-13 * np.abs(s).max()
+
+
+def test_cov_factor_falls_back_to_psd_sqrt():
+    s = np.diag([4.0, 0.0, 1.0])  # singular: Cholesky meets a zero pivot
+    f = linalg.cov_factor(s)
+    np.testing.assert_allclose(f, np.diag([2.0, 0.0, 1.0]), atol=1e-12)
+    with pytest.raises(NotPSD):
+        linalg.cov_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def test_errors_are_numerical_error_subclasses():
     assert issubclass(NotSPD, Exception)
     assert issubclass(NoConvergence, Exception)

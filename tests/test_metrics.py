@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentstitch import metrics
+from latentstitch import linalg, metrics
 from latentstitch.data import ImageDataset
 from latentstitch.errors import DimensionMismatch, NotPSD, TooFewSamples
+from latentstitch.linalg import psd_sqrt, sym_eig
 
 
 def test_pixel_rmse_trivials():
@@ -164,7 +167,6 @@ def _samples(n, m, d):
 def test_fid_cross_path_matches_svd_oracle(n, m, d):
     x, y = _samples(n, m, d)
     p, q = metrics.summarize(x), metrics.summarize(y)
-    assert metrics.fid_path(p, q) == ("cross", False)
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-9 * abs(expected)
     assert abs(metrics.fid(q, p) - expected) <= 1e-9 * abs(expected)
@@ -175,27 +177,32 @@ def test_fid_cross_path_matches_covariance_path(n, m, d):
     x, y = _samples(n, m, d)
     p, q = metrics.summarize(x), metrics.summarize(y)
     cross = metrics.fid(p, q)
-    # the same samples as (mu, sigma) summaries: without a sample count no
-    # ridge is added, and the d x d path agrees with the cross path
-    bare = metrics.fid(metrics.GaussianSummary(mu=p.mu, sigma=p.sigma),
-                       metrics.GaussianSummary(mu=q.mu, sigma=q.sigma))
-    assert abs(bare - cross) <= 1e-6 * cross
-    # with the counts the ridge is added; it lowers the value by about
-    # sqrt(RIDGE_SCALE) relative
-    ridged_p = metrics.GaussianSummary(mu=p.mu, sigma=p.sigma, n=n)
-    ridged_q = metrics.GaussianSummary(mu=q.mu, sigma=q.sigma, n=m)
-    assert metrics.fid_path(ridged_p, ridged_q) == ("covariance", True)
-    assert abs(metrics.fid(ridged_p, ridged_q) - cross) <= 1e-3 * cross
+    # the same samples as (mu, sigma) summaries, with and without their sample
+    # counts: sigma (rank n - 1 < d) is factored and no ridge is added, so the
+    # value is the rows summaries' one
+    for n_p, n_q in ((None, None), (n, m)):
+        bare = metrics.fid(metrics.GaussianSummary(mu=p.mu, sigma=p.sigma, n=n_p),
+                           metrics.GaussianSummary(mu=q.mu, sigma=q.sigma, n=n_q))
+        assert abs(bare - cross) <= 1e-9 * cross
 
 
-def test_fid_mixed_summaries_take_the_ridged_covariance_path():
+def test_fid_mixed_summaries_match_svd_oracle(monkeypatch):
     rng = np.random.default_rng(8)
-    few = metrics.summarize(rng.standard_normal((6, 10)))
-    many = metrics.summarize(rng.standard_normal((40, 10)))
+    x = rng.standard_normal((6, 10))
+    y = rng.standard_normal((40, 10))
+    few, many = metrics.summarize(x), metrics.summarize(y)
     assert few.rows is not None and many.rows is None
-    assert metrics.fid_path(few, many) == ("covariance", True)
-    assert metrics.fid_path(many, many) == ("covariance", False)
-    assert metrics.fid(few, many) == pytest.approx(metrics.fid(many, few), rel=1e-9)
+    sizes = []
+
+    def recording_sym_eig(s, vectors=True):
+        sizes.append(len(s))
+        return sym_eig(s, vectors)
+
+    monkeypatch.setattr(linalg, "sym_eig", recording_sym_eig)
+    expected = _brute_force_fid(x, y)
+    assert abs(metrics.fid(few, many) - expected) <= 1e-9 * expected
+    assert abs(metrics.fid(many, few) - expected) <= 1e-9 * expected
+    assert sizes == [6, 6]  # the 6 x 6 Gram of the cross matrix, no 10 x 10 solve
 
 
 def test_summarize_keeps_rows_below_d_and_forms_sigma_on_read():
@@ -233,3 +240,77 @@ def test_fid_cross_path_matches_svd_oracle_on_low_rank_samples():
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-9 * abs(expected)
     assert metrics.fid(p, p) <= 1e-10 * np.trace(p.sigma)
+
+
+@pytest.mark.parametrize("n,m,d", [(60, 80, 12), (300, 500, 64)])
+def test_fid_many_samples_matches_svd_oracle(n, m, d):
+    x, y = _samples(n, m, d)
+    p, q = metrics.summarize(x), metrics.summarize(y)
+    assert p.rows is None and q.rows is None
+    expected = _brute_force_fid(x, y)
+    assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
+    assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
+
+
+def test_fid_many_samples_matches_svd_oracle_on_low_rank_samples():
+    # n >= d, but both sample sets span one rank-3 subspace of 20 dimensions:
+    # sigma is singular up to rounding, and its factor must not add noise
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((200, 3))
+    basis = rng.standard_normal((3, 20))
+    x = z @ basis
+    y = (z[:150] + 0.01 * rng.standard_normal((150, 3))) @ basis
+    p, q = metrics.summarize(x), metrics.summarize(y)
+    expected = _brute_force_fid(x, y)
+    assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
+    assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
+
+
+def test_fid_exactly_singular_sigma_takes_the_psd_square_root(monkeypatch):
+    x, y = _samples(80, 60, 12)
+    x[:, 5] = 0.0  # a zero row and column in sigma_x: Cholesky has a zero pivot
+    sx = metrics.summarize(x)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(sx.sigma)
+    roots = []
+
+    def counting_psd_sqrt(s):
+        roots.append(len(s))
+        return psd_sqrt(s)
+
+    monkeypatch.setattr(linalg, "psd_sqrt", counting_psd_sqrt)
+    p = metrics.GaussianSummary(mu=sx.mu, sigma=sx.sigma)
+    q = metrics.summarize(y)
+    expected = _brute_force_fid(x, y)
+    assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
+    assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
+    assert roots == [12]  # sigma_x once, then its cached factor; sigma_y by Cholesky
+
+
+def test_summary_shared_by_threads_is_factored_once(monkeypatch):
+    # stitch-grid cells on several threads read one true-image summary
+    sigma = np.cov(np.random.default_rng(15).standard_normal((40, 8)), rowvar=False)
+    summary = metrics.GaussianSummary(mu=np.zeros(8), sigma=sigma)
+    calls = []
+
+    def slow_cov_factor(s):
+        calls.append(1)
+        threading.Event().wait(0.01)
+        return linalg.cov_factor(s)
+
+    monkeypatch.setattr(metrics, "cov_factor", slow_cov_factor)
+    factors = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: factors.append(summary.factor))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1 and len(factors) == 8
+    assert all(f is factors[0] for f in factors)

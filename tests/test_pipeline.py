@@ -565,10 +565,12 @@ def test_probe_subsets_are_drawn_once_per_attribute(roster, reordered_copy, tmp_
     assert len(calls) == 2 * 3
 
 
-@pytest.mark.parametrize("holdout,path", [(60, "covariance"), (30, "cross")])
+# d_pix is 36: a 60-row holdout's summaries hold covariances, a 30-row one's their
+# rows. The ids name the two FID paths that once existed.
+@pytest.mark.parametrize("holdout", [pytest.param(60, id="60-covariance"),
+                                     pytest.param(30, id="30-cross")])
 def test_stitch_grid_summarizes_true_images_once_and_records_fid_path(
-        roster, tmp_path, monkeypatch, holdout, path):
-    # d_pix is 36: a 60-row holdout takes the covariance path, a 30-row one the cross path
+        roster, tmp_path, monkeypatch, holdout):
     text = roster["config"].read_text().replace("split.holdout = 60", f"split.holdout = {holdout}")
     cfg = pipeline.parse_config(text, base_dir=roster["dir"])
     calls = []
@@ -583,6 +585,6 @@ def test_stitch_grid_summarizes_true_images_once_and_records_fid_path(
     assert np.isfinite(result.grids["fid"].values).sum() == 20
     assert calls == [holdout] * 21  # the true holdout once, then one per decoded cell
     meta = json.loads((tmp_path / "grid" / "metadata.json").read_text())
-    assert set(meta["fid_path"]) == set(meta["fid_n"]) and len(meta["fid_n"]) == 20
-    assert set(meta["fid_path"].values()) == {path}
-    assert set(meta["fid_ridge"].values()) == {False}
+    ids = cfg.model_ids()
+    assert meta["fid_n"] == {f"{s}->{t}": holdout for s in ids for t in ids if t != "rand"}
+    assert "fid_path" not in meta and "fid_ridge" not in meta
