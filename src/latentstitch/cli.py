@@ -22,7 +22,7 @@ from .pipeline import (
     emit_csv,
     fit_pair_map,
     load_config,
-    merged_alpha_registry,
+    resolve_map_alpha,
     resolve_probe_alpha,
     run_dynamics,
     run_probe_suite,
@@ -116,7 +116,7 @@ def _cmd_fit_map(args) -> int:
     validate_paths(cfg)
     src = read_latents(cfg.entry(args.src).latents_path)
     dst = read_latents(cfg.entry(args.dst).latents_path)
-    alpha = args.alpha if args.alpha is not None else merged_alpha_registry(cfg).lookup(args.src, args.dst)
+    alpha = args.alpha if args.alpha is not None else resolve_map_alpha(cfg, args.src, args.dst)
     split = split_ids(src, cfg.split)
     m = fit_pair_map(src, dst, alpha, split[0])
     args.out.mkdir(parents=True, exist_ok=True)
@@ -185,9 +185,9 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_fid(args) -> int:
-    a = read_latents(args.features_a)
-    b = read_latents(args.features_b)
-    value = fid(summarize(a.X), summarize(b.X))
+    p = summarize(read_latents(args.features_a).X)
+    q = summarize(read_latents(args.features_b).X)
+    value = fid(p, q)
     print(f"{value:.9g}")
     return 0
 
@@ -225,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--alpha", type=float, default=None,
-                   help="ridge strength; defaults to the registry value for the pair")
+                   help="ridge strength; defaults to the config or roster value for the pair")
     p.set_defaults(func=_cmd_fit_map)
 
     p = sub.add_parser("stitch-grid", help="latent MSE / pixel RMSE / FID over all ordered pairs")

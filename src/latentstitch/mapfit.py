@@ -13,7 +13,7 @@ columns.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,49 +56,33 @@ class LinearMap:
         return self.W.shape[0]
 
 
-@dataclass
-class AlphaRegistry:
-    """Ridge strength per ordered (source, target) pair; unlisted pairs are 0."""
-
-    entries: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for pair, alpha in self.entries.items():
-            if alpha < 0:
-                raise ValueError(f"alpha for {pair} must be >= 0")
-
-    def lookup(self, source_model: str, target_model: str) -> float:
-        return self.entries.get((source_model, target_model), 0.0)
-
-
-def default_alphas() -> AlphaRegistry:
-    """Ridge strengths for the standard roster; maps from the NF and DM
-    latent spaces are regularized, everything else is unregularized."""
-    return AlphaRegistry(
-        entries={
-            ("DM", "GAN"): 2000.0,
-            ("DM", "VAE"): 100.0,
-            ("DM", "VQVAE"): 5000.0,
-            ("DM", "NF"): 5000.0,
-            ("NF", "GAN"): 50000.0,
-            ("NF", "VAE"): 5000.0,
-            ("NF", "VQVAE"): 50000.0,
-            ("NF", "DM"): 50000.0,
-        }
-    )
+#: Ridge strengths for the standard roster, per ordered (source, target)
+#: pair; maps from the NF and DM latent spaces are regularized, unlisted
+#: pairs are unregularized.
+DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
+    ("DM", "GAN"): 2000.0,
+    ("DM", "VAE"): 100.0,
+    ("DM", "VQVAE"): 5000.0,
+    ("DM", "NF"): 5000.0,
+    ("NF", "GAN"): 50000.0,
+    ("NF", "VAE"): 5000.0,
+    ("NF", "VQVAE"): 50000.0,
+    ("NF", "DM"): 50000.0,
+}
 
 
 def _fit_affine(X, Y, alpha: float, svd_fallback: bool) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
+    # one float64 copy of each, centered in place; the inputs stay unchanged
+    Xc = np.array(X, dtype=np.float64)
+    Yc = np.array(Y, dtype=np.float64)
+    if Xc.ndim != 2 or Yc.ndim != 2:
         raise DimensionMismatch("X and Y must be 2-D")
-    if X.shape[0] != Y.shape[0] or X.shape[0] < 1:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-    x_mean = X.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    Xc = X - x_mean
-    Yc = Y - y_mean
+    if Xc.shape[0] != Yc.shape[0] or Xc.shape[0] < 1:
+        raise DimensionMismatch(f"X has {Xc.shape[0]} rows, Y has {Yc.shape[0]}")
+    x_mean = Xc.mean(axis=0)
+    y_mean = Yc.mean(axis=0)
+    Xc -= x_mean
+    Yc -= y_mean
     gram = Xc.T @ Xc
     if alpha > 0:
         gram[np.diag_indices_from(gram)] += alpha

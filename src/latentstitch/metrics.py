@@ -1,25 +1,24 @@
 """Reconstruction-based similarity metrics.
 
 Pixel-space RMSE and the Frechet distance between Gaussian fits of two
-feature sets. The Frechet computation consumes generic feature vectors;
-flattened raw pixels are a legitimate degenerate choice ("pixel-FID") when
-no embedding network is in play.
+feature sets, on arrays. The Frechet computation consumes generic feature
+vectors; flattened raw pixels are a legitimate degenerate choice
+("pixel-FID") when no embedding network is in play.
 
-Every summary holds a covariance factor F with F^T F = Sigma, and FID has one
-formula: tr Sigma = ||F||_F^2, and tr (Sp^1/2 Sq Sp^1/2)^1/2 is the nuclear
-norm of Fp Fq^T (Dowson & Landau 1982; Mathiasen & Hvilshoej,
-arXiv:2009.14075). A summary of fewer samples than dimensions keeps its
-scaled centered rows as F, so FID between two of them forms no d x d matrix.
-No ridge is added.
+A summary is its mean, a covariance factor F with F^T F = Sigma, built when
+the summary is, and its sample count. FID has one formula: tr Sigma =
+||F||_F^2, and tr (Sp^1/2 Sq Sp^1/2)^1/2 is the nuclear norm of Fp Fq^T
+(Dowson & Landau 1982; Mathiasen & Hvilshoej, arXiv:2009.14075). A summary
+of fewer samples than dimensions takes its scaled centered rows as F, so FID
+between two of them forms no d x d matrix. No ridge is added.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import cached_property
 
 import numpy as np
 
-from .data import ImageDataset
 from .errors import DimensionMismatch, NotPSD, TooFewSamples
 from .linalg import cov_factor, nuclear_norm
 
@@ -28,53 +27,42 @@ NEGATIVE_FLOOR = -1e-6
 
 
 class GaussianSummary:
-    """Mean and unbiased covariance of one feature set, with a factor F
-    (``factor``, F.T @ F == sigma).
+    """Mean ``mu``, covariance factor ``factor`` (F.T @ F == sigma) and sample
+    count ``n`` (None when unknown) of one feature set.
 
-    Given the scaled centered rows ``rows`` (an n x d matrix), F is those rows
-    and ``sigma`` is formed from F on first read. Given ``sigma``, F is
-    linalg.cov_factor(sigma) (Cholesky, else the PSD square root), formed on
-    first use, so an indefinite sigma raises NotPSD there, not here. Grid
-    cells on several threads share one summary, so it is factored under a
-    lock, once.
+    Give exactly one of ``sigma`` (d x d) and ``factor`` (r x d, e.g. the
+    scaled centered rows). A sigma is checked for shape, symmetry and a
+    non-negative diagonal, then factored by linalg.cov_factor (Cholesky, else
+    the PSD square root), so an indefinite sigma raises NotPSD here.
+    ``sigma`` is formed from F on first read.
     """
 
-    def __init__(self, mu, sigma=None, n: int | None = None, rows=None) -> None:
-        if (sigma is None) == (rows is None):
-            raise ValueError("give exactly one of sigma and rows")
+    def __init__(self, mu, sigma=None, n: int | None = None, factor=None) -> None:
+        if (sigma is None) == (factor is None):
+            raise ValueError("give exactly one of sigma and factor")
         self.mu = np.ascontiguousarray(mu, dtype=np.float64)
-        self.n = n  # sample count when known
-        held = np.ascontiguousarray(sigma if rows is None else rows, dtype=np.float64)
-        self.rows, self._sigma = (None, held) if rows is None else (held, None)
-        self._factor = self.rows
-        self._factor_lock = threading.Lock()
+        self.n = n
+        held = np.ascontiguousarray(sigma if factor is None else factor, dtype=np.float64)
         d = self.mu.shape[0]
-        if self.mu.ndim != 1 or held.shape != (d if rows is None else len(held), d):
-            name = "sigma" if rows is None else "rows"
+        if self.mu.ndim != 1 or held.shape != (d if factor is None else len(held), d):
+            name = "sigma" if factor is None else "factor"
             raise DimensionMismatch(
                 f"mu shape {self.mu.shape} incompatible with {name} shape {held.shape}"
             )
-        if rows is not None:
+        if factor is not None:
+            self.factor = held
             return
         scale = np.abs(held).max()
         if scale > 0 and np.abs(held - held.T).max() > 1e-10 * scale:
             raise DimensionMismatch("sigma must be symmetric within 1e-10 relative")
         if np.any(np.diag(held) < 0):
             raise DimensionMismatch("sigma diagonal must be non-negative")
+        self.factor = cov_factor(held)
 
-    @property
-    def factor(self) -> np.ndarray:
-        with self._factor_lock:
-            if self._factor is None:
-                self._factor = cov_factor(self._sigma)
-        return self._factor
-
-    @property
+    @cached_property
     def sigma(self) -> np.ndarray:
-        if self._sigma is None:
-            sigma = self.factor.T @ self.factor
-            self._sigma = (sigma + sigma.T) / 2.0
-        return self._sigma
+        sigma = self.factor.T @ self.factor
+        return (sigma + sigma.T) / 2.0
 
     @property
     def d(self) -> int:
@@ -82,8 +70,7 @@ class GaussianSummary:
 
 
 def _rows(a) -> np.ndarray:
-    pixels = a.pixels if isinstance(a, ImageDataset) else np.asarray(a)
-    out = np.asarray(pixels, dtype=np.float64)
+    out = np.asarray(a, dtype=np.float64)
     return out.reshape(1, -1) if out.ndim == 1 else out
 
 
@@ -97,24 +84,24 @@ def pixel_rmse(a, b) -> float:
 
 
 def summarize(features) -> GaussianSummary:
-    """Column means and unbiased (n-1 divisor) covariance of a feature set.
-
-    The summary keeps whichever is smaller: the scaled centered rows (n x d,
-    its factor) when there are fewer samples than dimensions, else the
-    covariance (d x d), which is factored on first use.
+    """Column means and unbiased (n-1 divisor) covariance factor of a feature
+    set. One float64 copy of the samples is taken and centered in place, so
+    the input is left unchanged. With fewer samples than dimensions the
+    scaled centered rows (n x d) are the factor; otherwise the covariance
+    (d x d) is formed and factored.
     """
-    f = np.asarray(features, dtype=np.float64)
+    f = np.array(features, dtype=np.float64)
     if f.ndim != 2:
         raise DimensionMismatch(f"features must be 2-D, got shape {f.shape}")
     n, d = f.shape
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples for a covariance, got {n}")
     mu = f.mean(axis=0)
-    centered = f - mu
+    f -= mu
     if n < d:
-        centered /= np.sqrt(n - 1)
-        return GaussianSummary(mu=mu, rows=centered, n=n)
-    sigma = centered.T @ centered / (n - 1)
+        f /= np.sqrt(n - 1)
+        return GaussianSummary(mu=mu, factor=f, n=n)
+    sigma = f.T @ f / (n - 1)
     sigma = (sigma + sigma.T) / 2.0
     return GaussianSummary(mu=mu, sigma=sigma, n=n)
 

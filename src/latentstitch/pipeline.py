@@ -34,9 +34,9 @@ from .data import (
 )
 from .errors import ConfigError, InconsistentIds, IoError, LatentStitchError
 from .mapfit import (
+    DEFAULT_MAP_ALPHAS,
     LinearMap,
     apply_map,
-    default_alphas,
     fit_ols,
     fit_ridge,
     latent_mse,
@@ -261,6 +261,11 @@ def validate_paths(cfg: ExperimentConfig, need_pixels=False, need_attributes=Fal
         raise ConfigError("config defines no models")
 
 
+def resolve_map_alpha(cfg: ExperimentConfig, src: str, dst: str) -> float:
+    """The config's ridge strength for a map, else the roster default, else 0."""
+    return cfg.alpha_overrides.get((src, dst), DEFAULT_MAP_ALPHAS.get((src, dst), 0.0))
+
+
 def resolve_probe_alpha(cfg: ExperimentConfig, model_id: str) -> float:
     if model_id in cfg.probe_alpha:
         return cfg.probe_alpha[model_id]
@@ -305,10 +310,6 @@ class DynamicsSeries:
     attributes: list[str]
     accuracies: np.ndarray  # (n_attributes, n_checkpoints)
     plateau_indices: list[int]
-
-    def plateau_label(self, attribute: str) -> str:
-        idx = self.plateau_indices[self.attributes.index(attribute)]
-        return self.checkpoint_labels[idx]
 
 
 def plateau_index(accuracies, eps: float) -> int:
@@ -435,12 +436,6 @@ def train_probe(
     return probe, accuracy(probe, ds.X[rows_of(ds, hold.ids)], hold.labels())
 
 
-def merged_alpha_registry(cfg: ExperimentConfig):
-    registry = default_alphas()
-    registry.entries.update(cfg.alpha_overrides)
-    return registry
-
-
 def _noising_metadata(cfg: ExperimentConfig) -> dict | None:
     if any(m.synth is not None and m.synth.kind == "noising" for m in cfg.models):
         s = NoisingSchedule()
@@ -493,7 +488,6 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
 
     latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
     images = read_images(cfg.pixels_path) if cfg.pixels_path else None
-    registry = merged_alpha_registry(cfg)
     model_ids = cfg.model_ids()
     entry_by_id = {m.model_id: m for m in cfg.models}
     pairs = [(src, dst) for src in model_ids for dst in model_ids]
@@ -509,7 +503,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
 
     def cell(pair):
         src, dst = pair
-        m = fit_pair_map(latents[src], latents[dst], registry.lookup(src, dst), train_ids)
+        m = fit_pair_map(latents[src], latents[dst], resolve_map_alpha(cfg, src, dst), train_ids)
         mapped = apply_map(m, latents[src].X[rows_of(latents[src], hold_ids)])
         result = {
             "latent_mse": latent_mse(mapped, latents[dst].X[rows_of(latents[dst], hold_ids)]),
@@ -526,7 +520,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             try:
                 decoded = decode(synth_spec, mapped_ds, image_shape=images.shape)
                 dec_al, img_al = align(decoded, real)  # img_al holds real's rows
-                result["pixel_rmse"] = pixel_rmse(dec_al, img_al)
+                result["pixel_rmse"] = pixel_rmse(dec_al.pixels, img_al.pixels)
                 result["fid"] = fid(summarize(dec_al.pixels), real_summary)
                 result["fid_n"] = dec_al.n
             except LatentStitchError as exc:
@@ -579,7 +573,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             }
             for m in cfg.models
         ],
-        "alpha": {f"{s}->{t}": registry.lookup(s, t) for s in model_ids for t in model_ids},
+        "alpha": {f"{s}->{t}": resolve_map_alpha(cfg, s, t) for s in model_ids for t in model_ids},
         "latent_mse_convention": "mean over all n*d entries (per-entry, not per-vector)",
         "pixel_range": [0.0, 1.0],
         "fid_features": "flattened pixels of decoded holdout vs true holdout; the cross "
@@ -665,12 +659,11 @@ def run_probe_suite(
         acc_values[model_ids.index(mid), attributes.index(attr)] = acc
 
     # stitching maps per ordered pair
-    registry = merged_alpha_registry(cfg)
     pair_list = [(src, dst) for src in model_ids for dst in model_ids]
 
     def fit_one(pair):
         src, dst = pair
-        return fit_pair_map(latents[src], latents[dst], registry.lookup(src, dst), split[0])
+        return fit_pair_map(latents[src], latents[dst], resolve_map_alpha(cfg, src, dst), split[0])
 
     map_outcomes = _run_cells(fit_one, pair_list, threads)
     maps: dict[tuple[str, str], LinearMap] = {}

@@ -48,6 +48,18 @@ def test_fit_ols_rank_deficient_raises_then_fallback():
     np.testing.assert_allclose(mapfit.apply_map(m, x), y, atol=1e-8)
 
 
+@pytest.mark.parametrize("fit", [
+    pytest.param(lambda x, y: mapfit.fit_ols(x, y), id="ols"),
+    pytest.param(lambda x, y: mapfit.fit_ols(x[:5], y[:5], svd_fallback=True), id="ols-lstsq"),
+    pytest.param(lambda x, y: mapfit.fit_ridge(x, y, 2.5), id="ridge"),
+])
+def test_fits_leave_float64_inputs_unchanged(fit):
+    x, y, _, _ = planted_problem(seed=17)
+    x_before, y_before = x.copy(), y.copy()
+    fit(x, y)
+    assert x.tobytes() == x_before.tobytes() and y.tobytes() == y_before.tobytes()
+
+
 def test_fit_ridge_zero_alpha_matches_ols_exactly():
     x, y, _, _ = planted_problem(seed=3)
     ols = mapfit.fit_ols(x, y)
@@ -168,18 +180,17 @@ def test_latent_mse_shape_mismatch():
 
 
 def test_default_alphas():
-    registry = mapfit.default_alphas()
-    assert registry.lookup("DM", "GAN") == 2000.0
-    assert registry.lookup("DM", "VAE") == 100.0
-    assert registry.lookup("DM", "VQVAE") == 5000.0
-    assert registry.lookup("DM", "NF") == 5000.0
-    assert registry.lookup("NF", "GAN") == 50000.0
-    assert registry.lookup("NF", "VAE") == 5000.0
-    assert registry.lookup("NF", "VQVAE") == 50000.0
-    assert registry.lookup("NF", "DM") == 50000.0
+    alphas = mapfit.DEFAULT_MAP_ALPHAS
+    assert alphas[("DM", "GAN")] == 2000.0
+    assert alphas[("DM", "VAE")] == 100.0
+    assert alphas[("DM", "VQVAE")] == 5000.0
+    assert alphas[("DM", "NF")] == 5000.0
+    assert alphas[("NF", "GAN")] == 50000.0
+    assert alphas[("NF", "VAE")] == 5000.0
+    assert alphas[("NF", "VQVAE")] == 50000.0
+    assert alphas[("NF", "DM")] == 50000.0
     # unlisted pairs are unregularized
-    assert registry.lookup("VAE", "VQVAE") == 0.0
-    assert registry.lookup("GAN", "DM") == 0.0
+    assert ("VAE", "VQVAE") not in alphas and ("GAN", "DM") not in alphas
 
 
 def test_lmap_round_trip(tmp_path):

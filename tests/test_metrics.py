@@ -35,7 +35,7 @@ def test_pixel_rmse_accepts_image_datasets():
                          height=2, width=2, channels=1)
     img_b = ImageDataset(ids=["x"], pixels=rng.random((1, 4), dtype=np.float32),
                          height=2, width=2, channels=1)
-    assert metrics.pixel_rmse(img_a, img_b) >= 0.0
+    assert metrics.pixel_rmse(img_a.pixels, img_b.pixels) >= 0.0
     with pytest.raises(DimensionMismatch):
         metrics.pixel_rmse(img_a.pixels, np.zeros((1, 5)))
 
@@ -77,6 +77,14 @@ def test_summarize_brute_force_covariance_oracle():
 def test_summarize_too_few_samples():
     with pytest.raises(TooFewSamples):
         metrics.summarize(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("n,d", [(7, 20), (40, 6)])
+def test_summarize_leaves_a_float64_input_unchanged(n, d):
+    f = np.random.default_rng(16).standard_normal((n, d)) + 3.0
+    before = f.copy()
+    metrics.summarize(f)
+    assert f.tobytes() == before.tobytes()
 
 
 def test_fid_self_distance_zero():
@@ -140,9 +148,8 @@ def test_fid_dimension_mismatch_and_not_psd():
     q = metrics.GaussianSummary(mu=np.zeros(3), sigma=np.eye(3))
     with pytest.raises(DimensionMismatch):
         metrics.fid(p, q)
-    indefinite = metrics.GaussianSummary(mu=np.zeros(2), sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPSD):
-        metrics.fid(indefinite, metrics.GaussianSummary(mu=np.zeros(2), sigma=np.eye(2)))
+        metrics.GaussianSummary(mu=np.zeros(2), sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def _brute_force_fid(x, y):
@@ -191,7 +198,7 @@ def test_fid_mixed_summaries_match_svd_oracle(monkeypatch):
     x = rng.standard_normal((6, 10))
     y = rng.standard_normal((40, 10))
     few, many = metrics.summarize(x), metrics.summarize(y)
-    assert few.rows is not None and many.rows is None
+    assert few.factor.shape == (6, 10) and many.factor.shape == (10, 10)
     sizes = []
 
     def recording_sym_eig(s, vectors=True):
@@ -209,7 +216,7 @@ def test_summarize_keeps_rows_below_d_and_forms_sigma_on_read():
     rng = np.random.default_rng(9)
     f = rng.standard_normal((7, 20))
     s = metrics.summarize(f)
-    assert s.rows.shape == (7, 20) and s.n == 7
+    assert s.factor.shape == (7, 20) and s.n == 7
     np.testing.assert_allclose(s.sigma, np.cov(f, rowvar=False), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(s.sigma, s.sigma.T)
 
@@ -246,7 +253,7 @@ def test_fid_cross_path_matches_svd_oracle_on_low_rank_samples():
 def test_fid_many_samples_matches_svd_oracle(n, m, d):
     x, y = _samples(n, m, d)
     p, q = metrics.summarize(x), metrics.summarize(y)
-    assert p.rows is None and q.rows is None
+    assert p.factor.shape == q.factor.shape == (d, d)
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
     assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
@@ -269,9 +276,9 @@ def test_fid_many_samples_matches_svd_oracle_on_low_rank_samples():
 def test_fid_exactly_singular_sigma_takes_the_psd_square_root(monkeypatch):
     x, y = _samples(80, 60, 12)
     x[:, 5] = 0.0  # a zero row and column in sigma_x: Cholesky has a zero pivot
-    sx = metrics.summarize(x)
+    sigma_x = np.cov(x, rowvar=False)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(sx.sigma)
+        np.linalg.cholesky(sigma_x)
     roots = []
 
     def counting_psd_sqrt(s):
@@ -279,18 +286,17 @@ def test_fid_exactly_singular_sigma_takes_the_psd_square_root(monkeypatch):
         return psd_sqrt(s)
 
     monkeypatch.setattr(linalg, "psd_sqrt", counting_psd_sqrt)
-    p = metrics.GaussianSummary(mu=sx.mu, sigma=sx.sigma)
+    p = metrics.GaussianSummary(mu=x.mean(axis=0), sigma=sigma_x)
     q = metrics.summarize(y)
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
     assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
-    assert roots == [12]  # sigma_x once, then its cached factor; sigma_y by Cholesky
+    assert roots == [12]  # sigma_x once, when p is built; sigma_y by Cholesky
 
 
 def test_summary_shared_by_threads_is_factored_once(monkeypatch):
     # stitch-grid cells on several threads read one true-image summary
     sigma = np.cov(np.random.default_rng(15).standard_normal((40, 8)), rowvar=False)
-    summary = metrics.GaussianSummary(mu=np.zeros(8), sigma=sigma)
     calls = []
 
     def slow_cov_factor(s):
@@ -299,6 +305,7 @@ def test_summary_shared_by_threads_is_factored_once(monkeypatch):
         return linalg.cov_factor(s)
 
     monkeypatch.setattr(metrics, "cov_factor", slow_cov_factor)
+    summary = metrics.GaussianSummary(mu=np.zeros(8), sigma=sigma)
     factors = []
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

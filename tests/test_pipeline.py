@@ -107,6 +107,17 @@ def test_resolve_probe_alpha_roster_defaults():
     assert pipeline.resolve_probe_alpha(cfg, "NF") == 0.3
 
 
+def test_resolve_map_alpha_override_then_roster_default_then_zero():
+    cfg = pipeline.ExperimentConfig()
+    assert pipeline.resolve_map_alpha(cfg, "NF", "GAN") == 50000.0
+    assert pipeline.resolve_map_alpha(cfg, "GAN", "NF") == 0.0
+    cfg.alpha_overrides[("NF", "GAN")] = 7.0
+    cfg.alpha_overrides[("GAN", "NF")] = 3.0
+    assert pipeline.resolve_map_alpha(cfg, "NF", "GAN") == 7.0
+    assert pipeline.resolve_map_alpha(cfg, "GAN", "NF") == 3.0
+    assert pipeline.resolve_map_alpha(cfg, "DM", "GAN") == 2000.0
+
+
 # --- CSV emission -----------------------------------------------------------------
 
 

@@ -115,8 +115,9 @@ def test_lossy_reconstruction_worse_than_orthogonal():
     world, img = world_and_images()
     orth = synth.SynthModelSpec(model_id="o", kind="orthogonal", d=64, seed=12)
     lossy = synth.SynthModelSpec(model_id="l", kind="lossy", d=16, seed=12, rank=2, d_pix=64)
-    rmse_orth = metrics.pixel_rmse(synth.decode(orth, synth.encode(orth, img)), img)
-    rmse_lossy = metrics.pixel_rmse(synth.decode(lossy, synth.encode(lossy, img)), img)
+    rmse_orth = metrics.pixel_rmse(synth.decode(orth, synth.encode(orth, img)).pixels, img.pixels)
+    rmse_lossy = metrics.pixel_rmse(synth.decode(lossy, synth.encode(lossy, img)).pixels,
+                                    img.pixels)
     assert rmse_lossy > rmse_orth
 
 
