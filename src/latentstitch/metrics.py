@@ -70,17 +70,27 @@ class GaussianSummary:
 
 
 def _rows(a) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
+    out = np.asarray(a)
     return out.reshape(1, -1) if out.ndim == 1 else out
 
 
 def pixel_rmse(a, b) -> float:
-    """Root mean squared pixel difference over all samples and channels."""
+    """Root mean squared pixel difference over all samples and channels.
+
+    The squared differences are summed in float64 over row blocks of about
+    2^20 entries, so no float64 copy of a whole input is made.
+    """
     x = _rows(a)
     y = _rows(b)
     if x.shape != y.shape:
         raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.sqrt(np.mean((x - y) ** 2)))
+    step = max(1, (1 << 20) // max(1, x.shape[1]))
+    total = np.float64(0.0)
+    for start in range(0, x.shape[0], step):
+        diff = np.subtract(x[start:start + step], y[start:start + step], dtype=np.float64)
+        total += np.vdot(diff, diff)
+        del diff  # free this block before the next one is allocated
+    return float(np.sqrt(total / x.size))
 
 
 def summarize(features) -> GaussianSummary:

@@ -726,6 +726,10 @@ def run_probe_suite(
         "accuracy_delta": "signed percent change relative to native accuracy",
         "grid_layout": "rows=source->target pair, columns=attributes",
         "noising_schedule": _noising_metadata(cfg),
+        "probe_lasso": {
+            f"{mid}/{attr}": {"sweeps": probe.sweeps, "nnz": int(np.count_nonzero(probe.w))}
+            for (mid, attr), (probe, _) in fitted.items()
+        },
     }
     _write_json(metadata, out / "metadata.json")
     return SuiteResult(

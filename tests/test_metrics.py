@@ -40,6 +40,23 @@ def test_pixel_rmse_accepts_image_datasets():
         metrics.pixel_rmse(img_a.pixels, np.zeros((1, 5)))
 
 
+def test_pixel_rmse_sums_float32_rows_in_blocks():
+    # 3000 x 2048 float32 inputs span six blocks; the float64 formula holds
+    # four 49 MB arrays at once
+    rng = np.random.default_rng(2)
+    a = rng.random((3000, 2048), dtype=np.float32)
+    b = rng.random((3000, 2048), dtype=np.float32)
+    expected = np.sqrt(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+    tracemalloc.start()
+    try:
+        value = metrics.pixel_rmse(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert peak < 12 * 2**20
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_pixel_rmse_triangle_bound(seed):

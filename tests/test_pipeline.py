@@ -358,6 +358,17 @@ def test_probe_suite_report_and_grids(suite_result):
     assert (out / "metadata.json").is_file()
 
 
+def test_probe_suite_records_lasso_counters(suite_result):
+    result, out = suite_result
+    counters = json.loads((out / "metadata.json").read_text())["probe_lasso"]
+    assert sorted(counters) == sorted(f"{r['model']}/{r['attribute']}" for r in result.report_rows)
+    for key, entry in counters.items():
+        mid, attr = key.split("/")
+        probe = probes.load_probe(out / "probes" / f"{mid}__{attr}.lprb")
+        assert entry["nnz"] == np.count_nonzero(probe.w)
+        assert entry["sweeps"] >= 1
+
+
 def test_probe_suite_delta_zero_on_diagonal(suite_result):
     result, _ = suite_result
     grid = result.delta_grid

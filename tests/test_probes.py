@@ -1,3 +1,12 @@
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
+
+import latentstitch
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +136,19 @@ def test_lasso_kkt_conditions(seed):
     assert kkt_violation_raw(x, y, w, b, alpha) <= 10 * tol
 
 
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=80, max_value=160))
+@settings(max_examples=15, deadline=None)
+def test_lasso_kkt_conditions_partial_working_set(seed, d):
+    rng = np.random.default_rng(seed)
+    n = 100
+    x = rng.standard_normal((n, d))
+    beta = np.zeros(d)
+    beta[rng.choice(d, size=4, replace=False)] = rng.standard_normal(4)
+    y = x @ beta + 0.2 * rng.standard_normal(n)
+    w, b, _, _ = probes.lasso_cd(x, y, alpha=0.05, tol=1e-6)
+    assert kkt_violation_raw(x, y, w, b, 0.05) <= 1e-5
+
+
 def test_lasso_objective_non_increasing():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((80, 20))
@@ -142,6 +164,162 @@ def test_lasso_no_convergence_reports_gap():
     y = rng.standard_normal(30)
     with pytest.raises(NoConvergence, match="duality gap"):
         probes.lasso_cd(x, y, alpha=1e-4, tol=1e-14, max_iter=2)
+
+
+def test_lasso_single_sweep_cap_reports_gap():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((30, 40))
+    y = rng.standard_normal(30)
+    with pytest.raises(NoConvergence, match="duality gap"):
+        probes.lasso_cd(x, y, alpha=1e-3, max_iter=1)
+
+
+# --- working set against the full cyclic sweep ----------------------------------
+
+
+def _oracle_soft_threshold(x, t):
+    if x > t:
+        return x - t
+    if x < -t:
+        return x + t
+    return 0.0
+
+
+def cyclic_lasso_oracle(X, y, alpha, tol=1e-6, max_iter=10000):
+    """Reference: cyclic coordinate descent sweeping every non-constant column
+    with residual updates, exiting on the same KKT <= 10*tol certificate.
+    Returns (w, b, sweeps, updates), updates counting coordinate visits."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n, d = X.shape
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    Xc = np.asfortranarray(X - x_mean)
+    col_ms = np.einsum("ij,ij->j", Xc, Xc) / n
+    cols = np.nonzero(col_ms > 0.0)[0]
+    w = np.zeros(d)
+    r = y - y_mean
+    for sweep in range(1, max_iter + 1):
+        for j in cols:
+            wj = w[j]
+            rho = Xc[:, j] @ r / n + col_ms[j] * wj
+            wj_new = _oracle_soft_threshold(rho, alpha) / col_ms[j]
+            if wj_new != wj:
+                r += Xc[:, j] * (wj - wj_new)
+                w[j] = wj_new
+        corr = Xc.T @ r / n
+        active = w != 0.0
+        viol = np.concatenate([np.abs(corr[active] - alpha * np.sign(w[active])),
+                               np.abs(corr[~active]) - alpha, [0.0]])
+        if viol.max() <= 10.0 * tol:
+            return w, float(y_mean - x_mean @ w), sweep, sweep * len(cols)
+    raise AssertionError("oracle did not converge")
+
+
+def lasso_objective(x, y, w, b, alpha):
+    r = y - x @ w - b
+    return 0.5 * (r @ r) / len(y) + alpha * np.abs(w).sum()
+
+
+def rank8_design(rng, n):
+    """Rank-8 latents in 256 columns stored as float32 (the synthetic
+    orthogonal encoders' shape); labels are factor signs."""
+    mix = np.linalg.qr(rng.standard_normal((256, 8)))[0].T
+    z = rng.standard_normal((n, 8))
+    return (z @ mix).astype(np.float32), (z[:, 0] + 0.3 * z[:, 1] > 0).astype(float)
+
+
+def dense_design(rng, n):
+    """Full-rank 512 columns with a weak signal spread over all of them."""
+    x = rng.standard_normal((n, 512))
+    beta = rng.standard_normal(512) / np.sqrt(512)
+    return x, (x @ beta + 0.5 * rng.standard_normal(n) > 0).astype(float)
+
+
+@pytest.mark.parametrize("design", [rank8_design, dense_design])
+def test_lasso_matches_cyclic_oracle(design):
+    rng = np.random.default_rng(11)
+    x, y = design(rng, 1400)
+    x_hold, y_hold = x[1000:], y[1000:]
+    x, y = x[:1000], y[:1000]
+    alpha, tol = 0.001, 1e-6
+    w, b, _, _ = probes.lasso_cd(x, y, alpha=alpha, tol=tol)
+    w_ref, b_ref, _, _ = cyclic_lasso_oracle(x, y, alpha=alpha, tol=tol)
+    x64 = x.astype(np.float64)
+    assert kkt_violation_raw(x64, y, w, b, alpha) <= 10 * tol
+    obj, obj_ref = lasso_objective(x64, y, w, b, alpha), lasso_objective(x64, y, w_ref, b_ref, alpha)
+    assert abs(obj - obj_ref) <= 1e-4 * obj_ref
+    x_hold = x_hold.astype(np.float64)
+    agree = np.mean((x_hold @ w + b >= 0.5) == (x_hold @ w_ref + b_ref >= 0.5))
+    assert agree >= 0.99
+
+
+def test_lasso_sparse_fit_visits_few_coordinates(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((300, 256))
+    y = x[:, :3] @ np.array([1.0, -0.7, 0.5]) + 0.1 * rng.standard_normal(300)
+    visits = []
+    real = probes._soft_threshold
+    monkeypatch.setattr(probes, "_soft_threshold", lambda v, t: visits.append(1) or real(v, t))
+    w, _, _, _ = probes.lasso_cd(x, y, alpha=0.05)
+    _, _, _, oracle_visits = cyclic_lasso_oracle(x, y, alpha=0.05)
+    assert np.count_nonzero(w) == 3
+    assert len(visits) <= oracle_visits / 4
+
+
+def test_lasso_all_constant_features():
+    x = np.tile([2.5, -1.0, 0.0], (20, 1))
+    y = np.arange(20.0) % 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, b, _, _ = probes.lasso_cd(x, y, alpha=0.01)
+    assert np.all(w == 0.0)
+    assert b == y.mean()
+
+
+def test_lasso_fewer_than_ten_features():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((40, 4))
+    y = x @ np.array([0.5, 0.0, -1.0, 0.2]) + 0.1 * rng.standard_normal(40)
+    w, b, _, _ = probes.lasso_cd(x, y, alpha=0.01)
+    w_ref, b_ref, _, _ = cyclic_lasso_oracle(x, y, alpha=0.01)
+    assert kkt_violation_raw(x, y, w, b, 0.01) <= 1e-5
+    np.testing.assert_allclose(w, w_ref, atol=1e-4)
+
+
+def test_lasso_objective_non_increasing_as_the_working_set_grows(monkeypatch):
+    rng = np.random.default_rng(14)
+    n, d = 200, 400
+    x = rng.standard_normal((n, d))
+    y = x[:, :30] @ rng.standard_normal(30) + 0.5 * rng.standard_normal(n)
+    checked = []  # lengths of the KKT checks: d for each round's full check, |W| within it
+    real = probes._kkt_violations
+    monkeypatch.setattr(probes, "_kkt_violations",
+                        lambda corr, w, alpha: checked.append(len(w)) or real(corr, w, alpha))
+    _, _, _, objectives = probes.lasso_cd(x, y, alpha=0.05, record_objective=True)
+    sizes = [size for size, _ in itertools.groupby(checked) if size < d]
+    assert len(sizes) >= 3 and sizes[0] < sizes[1] < sizes[2], sizes
+    assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
+
+
+def test_lasso_imports_no_masked_arrays():
+    """np.union1d and np.unique import numpy.ma lazily, which costs memory in
+    every command that fits a probe."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from latentstitch import probes
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((120, 200))
+        probes.lasso_cd(x, x[:, :3].sum(axis=1), alpha=0.05)
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(latentstitch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_fit_lasso_standardize_smoke():
