@@ -195,8 +195,7 @@ def _cmd_fid(args) -> int:
 def _cmd_rmse(args) -> int:
     a = read_latents(args.pixels_a)
     b = read_latents(args.pixels_b)
-    a, b = align(a, b)
-    print(f"{pixel_rmse(a.X, b.X):.9g}")
+    print(f"{pixel_rmse(a, b, rows=align(a, b, as_rows=True)):.9g}")
     return 0
 
 

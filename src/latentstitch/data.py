@@ -381,12 +381,17 @@ def take(ds: Dataset, indices) -> Dataset:
     return _rows(ds, np.asarray(indices, dtype=np.intp))
 
 
-def align(a: Dataset, b: Dataset) -> tuple[Dataset, Dataset]:
-    """Row-align two datasets on their shared ids, ordered by a's id order."""
+def align(a: Dataset, b: Dataset, as_rows: bool = False):
+    """Row-align two datasets on their shared ids, ordered by a's id order:
+    the two row-subsets, or with as_rows=True the row index arrays into a
+    and b that select them, so no row is copied."""
     ia = [i for i, sid in enumerate(a.ids) if sid in b.row_index]
     if not ia:
         raise EmptyIntersection("datasets share no sample ids")
-    return take(a, ia), take(b, [b.row_index[a.ids[i]] for i in ia])
+    ib = [b.row_index[a.ids[i]] for i in ia]
+    if as_rows:
+        return np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    return take(a, ia), take(b, ib)
 
 
 def rows_of(ds: LatentDataset, ids: Sequence[str]) -> np.ndarray:

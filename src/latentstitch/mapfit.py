@@ -13,7 +13,7 @@ columns.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class LinearMap:
     W: np.ndarray
     b: np.ndarray
     alpha: float = 0.0
+    #: Solver path of the fit that produced the map: "cholesky", or "lstsq" for
+    #: the min-norm fallback; "" when unknown. Not stored in LMAP files.
+    solver: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         self.W = np.ascontiguousarray(self.W, dtype=np.float64)
@@ -71,7 +74,7 @@ DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
 }
 
 
-def _fit_affine(X, Y, alpha: float, svd_fallback: bool) -> tuple[np.ndarray, np.ndarray]:
+def _fit_affine(X, Y, alpha: float, svd_fallback: bool) -> tuple[np.ndarray, np.ndarray, str]:
     # one float64 copy of each, centered in place; the inputs stay unchanged
     Xc = np.array(X, dtype=np.float64)
     Yc = np.array(Y, dtype=np.float64)
@@ -87,16 +90,18 @@ def _fit_affine(X, Y, alpha: float, svd_fallback: bool) -> tuple[np.ndarray, np.
     if alpha > 0:
         gram[np.diag_indices_from(gram)] += alpha
     rhs = Xc.T @ Yc
+    solver = "cholesky"
     try:
         wt = linalg.spd_solve(gram, rhs)
     except NotSPD:
         if alpha == 0.0 and svd_fallback:
             wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
+            solver = "lstsq"
         else:
             raise
     W = np.ascontiguousarray(wt.T)
     b = y_mean - W @ x_mean
-    return W, b
+    return W, b, solver
 
 
 def fit_ols(
@@ -108,17 +113,19 @@ def fit_ols(
     back to the minimum-norm SVD solution instead (the pipeline does this
     for unregularized fits).
     """
-    W, b = _fit_affine(X, Y, alpha=0.0, svd_fallback=svd_fallback)
-    return LinearMap(source_model=source_model, target_model=target_model, W=W, b=b, alpha=0.0)
+    W, b, solver = _fit_affine(X, Y, alpha=0.0, svd_fallback=svd_fallback)
+    return LinearMap(source_model=source_model, target_model=target_model, W=W, b=b, alpha=0.0,
+                     solver=solver)
 
 
 def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "") -> LinearMap:
     """Ridge affine fit; alpha=0 reproduces fit_ols exactly."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    W, b = _fit_affine(X, Y, alpha=float(alpha), svd_fallback=False)
+    W, b, solver = _fit_affine(X, Y, alpha=float(alpha), svd_fallback=False)
     return LinearMap(
-        source_model=source_model, target_model=target_model, W=W, b=b, alpha=float(alpha)
+        source_model=source_model, target_model=target_model, W=W, b=b, alpha=float(alpha),
+        solver=solver,
     )
 
 

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import take
 from .errors import DimensionMismatch, NotPSD, TooFewSamples
 from .linalg import cov_factor, nuclear_norm
 
@@ -74,23 +75,39 @@ def _rows(a) -> np.ndarray:
     return out.reshape(1, -1) if out.ndim == 1 else out
 
 
-def pixel_rmse(a, b) -> float:
+def pixel_rmse(a, b, rows=None) -> float:
     """Root mean squared pixel difference over all samples and channels.
 
-    The squared differences are summed in float64 over row blocks of about
-    2^20 entries, so no float64 copy of a whole input is made.
+    a and b are arrays of the same shape; or, with rows=(ia, ib) from
+    data.align(a, b, as_rows=True), two latent datasets whose rows ia[k] and
+    ib[k] are compared, each block of rows gathered with data.take so no
+    aligned copy of either is made. The squared differences are summed in
+    float64 over row blocks of about 2^20 entries, so no float64 copy of a
+    whole input is made.
     """
-    x = _rows(a)
-    y = _rows(b)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
-    step = max(1, (1 << 20) // max(1, x.shape[1]))
+    if rows is None:
+        x, y = _rows(a), _rows(b)
+        if x.shape != y.shape:
+            raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
+        n, d = x.shape
+    else:
+        ia, ib = rows
+        if (len(ia), a.d) != (len(ib), b.d):
+            raise DimensionMismatch(f"shape mismatch: {(len(ia), a.d)} vs {(len(ib), b.d)}")
+        n, d = len(ia), a.d
+    step = max(1, (1 << 20) // max(1, d))
     total = np.float64(0.0)
-    for start in range(0, x.shape[0], step):
-        diff = np.subtract(x[start:start + step], y[start:start + step], dtype=np.float64)
+    for start in range(0, n, step):
+        blk = slice(start, start + step)
+        if rows is None:
+            x_blk, y_blk = x[blk], y[blk]
+        else:
+            x_blk, y_blk = take(a, ia[blk]).X, take(b, ib[blk]).X
+        diff = np.subtract(x_blk, y_blk, dtype=np.float64)
+        del x_blk, y_blk
         total += np.vdot(diff, diff)
         del diff  # free this block before the next one is allocated
-    return float(np.sqrt(total / x.size))
+    return float(np.sqrt(total / (n * d)))
 
 
 def summarize(features) -> GaussianSummary:

@@ -510,6 +510,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             "pixel_rmse": math.nan,
             "fid": math.nan,
             "fid_n": None,
+            "solver": m.solver,
             "errors": [],
         }
         save_map(m, maps_dir / f"{src}__{dst}.lmap")
@@ -537,11 +538,13 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     }
     errors: list[str] = []
     fid_n: dict[str, int] = {}
+    map_solver: dict[str, str] = {}
     for (src, dst), (result, err) in zip(pairs, outcomes):
         i, j = model_ids.index(src), model_ids.index(dst)
         if err is not None:
             errors.append(f"{src}->{dst}: {err}")
             continue
+        map_solver[f"{src}->{dst}"] = result["solver"]
         grids["latent_mse"].values[i, j] = result["latent_mse"]
         grids["pixel_rmse"].values[i, j] = result["pixel_rmse"]
         grids["fid"].values[i, j] = result["fid"]
@@ -574,6 +577,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             for m in cfg.models
         ],
         "alpha": {f"{s}->{t}": resolve_map_alpha(cfg, s, t) for s in model_ids for t in model_ids},
+        "map_solver": map_solver,
         "latent_mse_convention": "mean over all n*d entries (per-entry, not per-vector)",
         "pixel_range": [0.0, 1.0],
         "fid_features": "flattened pixels of decoded holdout vs true holdout; the cross "
@@ -604,8 +608,10 @@ def run_probe_suite(
 ) -> SuiteResult:
     """Train balanced lasso probes per (model, attribute), evaluate them on
     balanced holdouts, then measure cross-space prediction agreement (match
-    percentage) and signed accuracy change through the fitted stitching maps
-    for every ordered model pair."""
+    percentage) and signed accuracy change through the stitching maps for
+    every ordered model pair. Each target probe is composed with its map by
+    one fit per (source, alpha) of the source's train rows to the target
+    probes' train scores."""
     validate_paths(cfg, need_attributes=True)
     out = Path(out_dir)
     probes_dir = out / "probes"
@@ -658,42 +664,78 @@ def run_probe_suite(
         )
         acc_values[model_ids.index(mid), attributes.index(attr)] = acc
 
-    # stitching maps per ordered pair
+    # Stitched probes, one fit per (source, alpha). OLS, ridge and the min-norm
+    # fallback solve each output column alone with one Gram, so fitting the
+    # source's train rows to a target probe's train scores Y w gives that probe
+    # composed with the src->dst map, x -> (W^T w).x + (c.w + b), without the
+    # d_out x d_in map or any mapped holdout.
     pair_list = [(src, dst) for src in model_ids for dst in model_ids]
+    probe_attrs = {mid: [a for a in attributes if (mid, a) in fitted] for mid in model_ids}
+    probe_weights = {  # (attributes with a probe) x d, the rows of the probe weights
+        mid: np.array([fitted[(mid, a)][0].w for a in probe_attrs[mid]]).reshape(-1, latents[mid].d)
+        for mid in model_ids
+    }
 
-    def fit_one(pair):
-        src, dst = pair
-        return fit_pair_map(latents[src], latents[dst], resolve_map_alpha(cfg, src, dst), split[0])
+    def stitch_source(src):
+        X = latents[src].X[rows_of(latents[src], split[0])]
+        pair_errors: dict[str, str] = {}
+        scores: dict[str, np.ndarray] = {}
+        groups: dict[float, list[str]] = {}
+        for dst in model_ids:
+            try:
+                Y = latents[dst].X[rows_of(latents[dst], split[0])]
+            except LatentStitchError as exc:
+                pair_errors[dst] = f"{type(exc).__name__}: {exc}"
+                continue
+            scores[dst] = Y @ probe_weights[dst].T
+            groups.setdefault(resolve_map_alpha(cfg, src, dst), []).append(dst)
+        by_target: dict[tuple[str, str], Probe] = {}
+        solvers: dict[str, str] = {}
+        for alpha, dsts in groups.items():
+            Y = np.hstack([scores.pop(dst) for dst in dsts])
+            try:
+                m = fit_ridge(X, Y, alpha) if alpha > 0 else fit_ols(X, Y, svd_fallback=True)
+            except LatentStitchError as exc:
+                pair_errors.update(dict.fromkeys(dsts, f"{type(exc).__name__}: {exc}"))
+                continue
+            solvers.update(dict.fromkeys(dsts, m.solver))
+            columns = [(dst, attr) for dst in dsts for attr in probe_attrs[dst]]
+            for (dst, attr), u, c in zip(columns, m.W, m.b):
+                probe = fitted[(dst, attr)][0]
+                by_target[(dst, attr)] = Probe(attribute=attr, model_id=src, w=u, b=c + probe.b,
+                                               alpha=probe.alpha, threshold=probe.threshold)
+        return by_target, solvers, pair_errors
 
-    map_outcomes = _run_cells(fit_one, pair_list, threads)
-    maps: dict[tuple[str, str], LinearMap] = {}
-    for pair, (m, err) in zip(pair_list, map_outcomes):
-        if err is not None:
-            errors.append(f"map {pair[0]}->{pair[1]}: {err}")
-        else:
-            maps[pair] = m
-
-    # match / delta per (pair, attribute), evaluated on the target's balanced holdout
+    # match / delta per (pair, attribute), evaluated on the target's balanced
+    # holdout: the native probe on the target's rows, the stitched probe on the
+    # source's rows. Map errors come first, in pair order, then match errors.
+    source_outcomes = dict(zip(model_ids, _run_cells(stitch_source, model_ids, threads)))
     pair_labels = [f"{src}->{dst}" for src, dst in pair_list]
     match_values = np.full((len(pair_list), len(attributes)), np.nan)
     delta_values = np.full((len(pair_list), len(attributes)), np.nan)
+    map_solver: dict[str, str] = {}
+    match_errors: list[str] = []
     for pi, (src, dst) in enumerate(pair_list):
-        m = maps.get((src, dst))
-        if m is None:
+        result, err = source_outcomes[src]
+        if err is None:
+            by_target, solvers, pair_errors = result
+            err = pair_errors.get(dst)
+        if err is not None:
+            errors.append(f"map {src}->{dst}: {err}")
             continue
-        for ai, attr in enumerate(attributes):
-            if (dst, attr) not in fitted:
-                continue
+        map_solver[f"{src}->{dst}"] = solvers[dst]
+        for attr in probe_attrs[dst]:
             probe, acc_native = fitted[(dst, attr)]
-            hold = subsets[attr][1]
+            stitched, hold, ai = by_target[(dst, attr)], subsets[attr][1], attributes.index(attr)
             try:
                 x_native = latents[dst].X[rows_of(latents[dst], hold.ids)]
-                x_mapped = apply_map(m, latents[src].X[rows_of(latents[src], hold.ids)])
-                match_values[pi, ai] = match_percent(probe, x_native, x_mapped)
-                acc_mapped = accuracy(probe, x_mapped, hold.labels())
+                x_source = latents[src].X[rows_of(latents[src], hold.ids)]
+                match_values[pi, ai] = match_percent(probe, x_native, x_source, stitched=stitched)
+                acc_mapped = accuracy(stitched, x_source, hold.labels())
                 delta_values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
             except LatentStitchError as exc:
-                errors.append(f"match {src}->{dst}/{attr}: {type(exc).__name__}: {exc}")
+                match_errors.append(f"match {src}->{dst}/{attr}: {type(exc).__name__}: {exc}")
+    errors.extend(match_errors)
 
     accuracy_grid = MetricGrid(
         name="probe_accuracy", row_ids=list(model_ids), col_ids=list(attributes), values=acc_values
@@ -730,6 +772,11 @@ def run_probe_suite(
             f"{mid}/{attr}": {"sweeps": probe.sweeps, "nnz": int(np.count_nonzero(probe.w))}
             for (mid, attr), (probe, _) in fitted.items()
         },
+        "map_solver": map_solver,
+        "stitched_probes": "each target probe (w, b) composed with its src->dst map: the map's "
+                           "fit (same alpha and solver) run on the target probes' train scores "
+                           "Y w gives (W^T w, c.w + b) on the source space, scored on the "
+                           "source's holdout rows",
     }
     _write_json(metadata, out / "metadata.json")
     return SuiteResult(

@@ -313,11 +313,13 @@ def accuracy(probe: Probe, X, y) -> float:
     return float(np.mean(predict(probe, X) == y))
 
 
-def match_percent(probe: Probe, X_native, X_mapped) -> float:
+def match_percent(probe: Probe, X_native, X_mapped, stitched: Probe | None = None) -> float:
     """Percentage of row-aligned samples where the probe predicts the same
-    label on native and mapped latents."""
+    label on native and mapped latents. With a stitched probe (the probe
+    composed with a stitching map), X_mapped holds the map's source latents
+    and the stitched probe labels them."""
     a = predict(probe, X_native)
-    b = predict(probe, X_mapped)
+    b = predict(probe if stitched is None else stitched, X_mapped)
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape[0]} native rows vs {b.shape[0]} mapped rows")
     if a.size == 0:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import latentstitch
-from latentstitch import cli, pipeline
+from latentstitch import cli, data, metrics, pipeline
 from latentstitch.data import LatentDataset, read_latents, write_latents
 
 
@@ -76,6 +76,27 @@ def test_cli_fid_and_rmse(generated, capsys):
     assert float(capsys.readouterr().out.strip()) <= 1e-8
     assert cli.main(["rmse", pix, pix]) == 0
     assert float(capsys.readouterr().out.strip()) == 0.0
+
+
+def test_cli_rmse_on_reordered_export_scores_aligned_rows(tmp_path, capsys):
+    # a reordered 95% export of 1,100 rows x 1,024 columns spans two blocks;
+    # scoring through align's row index arrays equals scoring aligned copies
+    rng = np.random.default_rng(6)
+    ids = [f"{i:06d}" for i in range(1100)]
+    images = data.ImageDataset(ids=ids, pixels=rng.random((1100, 1024), dtype=np.float32),
+                               height=32, width=32, channels=1)
+    keep = rng.permutation(1100)[:1045]
+    noisy = images.pixels[keep] + rng.normal(0, 0.1, (1045, 1024)).astype(np.float32)
+    export = LatentDataset(model_id="export", ids=[ids[i] for i in keep], X=noisy)
+    data.write_images(images, tmp_path / "pixels.lsf")
+    write_latents(export, tmp_path / "export.lsf")
+    pixels = read_latents(tmp_path / "pixels.lsf")
+    a, b = data.align(export, pixels)
+    expected = metrics.pixel_rmse(a.X, b.X)
+    rows = data.align(export, pixels, as_rows=True)
+    assert metrics.pixel_rmse(export, pixels, rows=rows) == expected
+    assert cli.main(["rmse", str(tmp_path / "export.lsf"), str(tmp_path / "pixels.lsf")]) == 0
+    assert capsys.readouterr().out == f"{expected:.9g}\n"
 
 
 def test_cli_exit_code_config_error(tmp_path):

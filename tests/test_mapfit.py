@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,20 @@ def test_lmap_round_trip(tmp_path):
     assert (back.source_model, back.target_model, back.alpha) == ("src", "dst", 7.5)
     np.testing.assert_array_equal(back.W, m.W)
     np.testing.assert_array_equal(back.b, m.b)
+
+
+def test_fits_record_solver_path_outside_lmap(tmp_path):
+    rng = np.random.default_rng(14)
+    x, y = rng.standard_normal((5, 8)), rng.standard_normal((5, 3))  # n < d_in
+    fallback = mapfit.fit_ols(x, y, svd_fallback=True)
+    assert fallback.solver == "lstsq"
+    assert mapfit.fit_ridge(x, y, 1.0).solver == "cholesky"
+    x_full, y_full, _, _ = planted_problem(seed=14)
+    assert mapfit.fit_ols(x_full, y_full).solver == "cholesky"
+    mapfit.save_map(fallback, tmp_path / "a.lmap")
+    mapfit.save_map(dataclasses.replace(fallback, solver="cholesky"), tmp_path / "b.lmap")
+    assert (tmp_path / "a.lmap").read_bytes() == (tmp_path / "b.lmap").read_bytes()
+    assert mapfit.load_map(tmp_path / "a.lmap").solver == ""
 
 
 def test_lmap_bad_magic(tmp_path):

@@ -610,3 +610,83 @@ def test_stitch_grid_summarizes_true_images_once_and_records_fid_path(
     ids = cfg.model_ids()
     assert meta["fid_n"] == {f"{s}->{t}": holdout for s in ids for t in ids if t != "rand"}
     assert "fid_path" not in meta and "fid_ridge" not in meta
+
+
+# --- stitched probes against mapped holdouts ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wide_source(roster):
+    """Model `wide`: orthA's latents plus 204 noise columns, so its 200 train rows
+    are fewer than its 240 dimensions and an unregularized map from it takes the
+    min-norm lstsq fallback."""
+    orth_a = data.read_latents(roster["dir"] / "orthA.lsf")
+    noise = np.random.default_rng(4).standard_normal((orth_a.n, 204)).astype(np.float32)
+    wide = data.LatentDataset(model_id="wide", ids=orth_a.ids, X=np.hstack([orth_a.X, noise]))
+    data.write_latents(wide, roster["dir"] / "wide.lsf")
+    return "model.wide.latents = wide.lsf\nprobe_alpha.wide = 0.001\n"
+
+
+# noise's targets split into a ridge group (orthA, orthB) and an OLS group (the rest)
+RIDGE_OVERRIDES = "alpha.noise.orthA = 100000\nalpha.noise.orthB = 100000\n"
+
+
+def _suite_reference(cfg, out, result):
+    """Match and delta grids from full maps: fit_pair_map, apply_map on the
+    source's holdout rows, then the target probe on the mapped latents."""
+    latents = {m.model_id: data.read_latents(m.latents_path) for m in cfg.models}
+    table = data.read_attribute_table(cfg.attributes_path)
+    ids = cfg.model_ids()
+    split = data.split_ids(latents[ids[0]], cfg.split)
+    attributes = result.accuracy_grid.col_ids
+    match = np.full((len(ids) ** 2, len(attributes)), np.nan)
+    delta = np.full_like(match, np.nan)
+    for pi, (src, dst) in enumerate((s, t) for s in ids for t in ids):
+        m = pipeline.fit_pair_map(latents[src], latents[dst],
+                                  pipeline.resolve_map_alpha(cfg, src, dst), split[0])
+        for ai, attr in enumerate(attributes):
+            probe = probes.load_probe(out / "probes" / f"{dst}__{attr}.lprb")
+            hold = pipeline.draw_subsets(table, attr, split, cfg.seed)[1]
+            x_native = latents[dst].X[data.rows_of(latents[dst], hold.ids)]
+            x_mapped = mapfit.apply_map(m, latents[src].X[data.rows_of(latents[src], hold.ids)])
+            match[pi, ai] = probes.match_percent(probe, x_native, x_mapped)
+            acc_mapped = probes.accuracy(probe, x_mapped, hold.labels())
+            delta[pi, ai] = probes.accuracy_delta(result.accuracy_grid.get(dst, attr), acc_mapped)
+    return match, delta
+
+
+@pytest.mark.parametrize("extra", ["", "ridge", "wide"])
+def test_probe_suite_stitched_probes_match_mapped_holdouts(roster, wide_source, tmp_path, extra):
+    text = roster["config"].read_text() + {"": "", "ridge": RIDGE_OVERRIDES,
+                                           "wide": wide_source}[extra]
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    result = pipeline.run_probe_suite(cfg, tmp_path)
+    assert result.errors == []
+    match, delta = _suite_reference(cfg, tmp_path, result)
+    assert np.isfinite(match).all()
+    np.testing.assert_array_equal(result.match_grid.values, match)
+    np.testing.assert_array_equal(result.delta_grid.values, delta)
+    solvers = json.loads((tmp_path / "metadata.json").read_text())["map_solver"]
+    if extra == "wide":
+        assert {solvers[f"wide->{t}"] for t in cfg.model_ids()} == {"lstsq"}
+    if extra == "ridge":
+        # the ridge fit leaves its stitched probes near constant: far from the OLS pair's
+        row = result.delta_grid.row_ids.index
+        assert (result.delta_grid.values[row("noise->orthA")]
+                < result.delta_grid.values[row("orthB->orthA")] - 10).all()
+
+
+def test_map_solver_recorded_per_pair(roster, wide_source, tmp_path):
+    text = roster["config"].read_text() + wide_source + "alpha.wide.orthB = 10\n"
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    pipeline.run_stitch_grid(cfg, tmp_path / "grid")
+    pipeline.run_probe_suite(cfg, tmp_path / "suite")
+    for command in ("grid", "suite"):
+        solvers = json.loads((tmp_path / command / "metadata.json").read_text())["map_solver"]
+        assert len(solvers) == 36
+        assert solvers["wide->orthA"] == "lstsq"  # unregularized, 200 rows < 240 dims
+        assert solvers["wide->orthB"] == "cholesky"  # ridge
+        assert solvers["orthA->wide"] == "cholesky"  # full-rank source
+        assert solvers["noise->orthB"] == "cholesky"
+    suite = json.loads((tmp_path / "suite" / "metadata.json").read_text())
+    assert "stitched_probes" in suite
