@@ -27,6 +27,7 @@ from .pipeline import (
     run_dynamics,
     run_probe_suite,
     run_stitch_grid,
+    select_attributes,
     train_probe,
     validate_paths,
 )
@@ -146,6 +147,7 @@ def _cmd_train_probe(args) -> int:
     validate_paths(cfg, need_attributes=True)
     ds = read_latents(cfg.entry(args.model).latents_path)
     table = read_attribute_table(cfg.attributes_path)
+    select_attributes(table, [args.attribute], source="--attribute")
     alpha = args.alpha if args.alpha is not None else resolve_probe_alpha(cfg, args.model)
     split = split_ids(ds, cfg.split)
     subsets = draw_subsets(table, args.attribute, split, cfg.seed)
@@ -173,8 +175,7 @@ def _cmd_probe_suite(args) -> int:
 def _cmd_dynamics(args) -> int:
     cfg = _load(args)
     labels = [s.strip() for s in args.labels.split(",")] if args.labels else None
-    series = run_dynamics(cfg, args.checkpoints, labels=labels, eps=args.eps,
-                          standardize=args.standardize)
+    series = run_dynamics(cfg, args.checkpoints, labels=labels, standardize=args.standardize)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "dynamics.csv"
     emit_csv(series, path)
@@ -252,8 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", nargs="+", required=True, type=Path,
                    help="checkpoint latent files ordered by epoch")
     p.add_argument("--labels", default=None, help="comma-separated checkpoint labels")
-    p.add_argument("--eps", type=float, default=None,
-                   help="plateau threshold (absolute accuracy; default from config)")
     p.add_argument("--standardize", action="store_true")
     p.set_defaults(func=_cmd_dynamics)
 

@@ -1,13 +1,14 @@
 """Affine stitching maps between latent spaces.
 
-Closed-form OLS and ridge fits via centered normal equations, map
+One closed-form map fit (`fit_ridge`; `fit_ols` is its alpha = 0 name), map
 application, latent-space MSE, the default ridge strengths for the standard
 model roster, and the LMAP binary serialization.
 
-The ridge objective is ``||Y - X W^T - 1 b^T||_F^2 + alpha ||W||_F^2`` with
-an unpenalized intercept and no 1/n factor, solved on column-centered data;
-one factorization of (Xc^T Xc + alpha I) is shared across all output
-columns.
+The fit minimizes ``||Y - X W^T - 1 b^T||_F^2 + alpha ||W||_F^2`` with an
+unpenalized intercept and no 1/n factor, on column-centered data; one
+Cholesky factorization of (Xc^T Xc + alpha I) serves all output columns.
+With alpha = 0 and a singular Gram (a rank-deficient source, or fewer train
+rows than dimensions) it takes the min-norm least-squares solution instead.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import linalg
 from .data import RecordReader, write_str
-from .errors import DimensionMismatch, EmptySet, NotSPD
+from .errors import DimensionMismatch, NotSPD
+from .metrics import mean_squared_difference
 
 LMAP_MAGIC = b"LMAP"
 LMAP_VERSION = 1
@@ -74,7 +76,9 @@ DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
 }
 
 
-def _fit_affine(X, Y, alpha: float, svd_fallback: bool) -> tuple[np.ndarray, np.ndarray, str]:
+def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str) -> LinearMap:
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     # one float64 copy of each, centered in place; the inputs stay unchanged
     Xc = np.array(X, dtype=np.float64)
     Yc = np.array(Y, dtype=np.float64)
@@ -94,39 +98,28 @@ def _fit_affine(X, Y, alpha: float, svd_fallback: bool) -> tuple[np.ndarray, np.
     try:
         wt = linalg.spd_solve(gram, rhs)
     except NotSPD:
-        if alpha == 0.0 and svd_fallback:
-            wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
-            solver = "lstsq"
-        else:
+        if alpha > 0:
             raise
+        wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
+        solver = "lstsq"
     W = np.ascontiguousarray(wt.T)
-    b = y_mean - W @ x_mean
-    return W, b, solver
-
-
-def fit_ols(
-    X, Y, source_model: str = "", target_model: str = "", svd_fallback: bool = False
-) -> LinearMap:
-    """Least-squares affine fit of Y from X via centered normal equations.
-
-    Raises NotSPD on a rank-deficient design; pass svd_fallback=True to fall
-    back to the minimum-norm SVD solution instead (the pipeline does this
-    for unregularized fits).
-    """
-    W, b, solver = _fit_affine(X, Y, alpha=0.0, svd_fallback=svd_fallback)
-    return LinearMap(source_model=source_model, target_model=target_model, W=W, b=b, alpha=0.0,
-                     solver=solver)
+    return LinearMap(source_model=source_model, target_model=target_model, W=W,
+                     b=y_mean - W @ x_mean, alpha=alpha, solver=solver)
 
 
 def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "") -> LinearMap:
-    """Ridge affine fit; alpha=0 reproduces fit_ols exactly."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    W, b, solver = _fit_affine(X, Y, alpha=float(alpha), svd_fallback=False)
-    return LinearMap(
-        source_model=source_model, target_model=target_model, W=W, b=b, alpha=float(alpha),
-        solver=solver,
-    )
+    """The one map fit: ridge for alpha > 0, least squares for alpha = 0.
+
+    Solves the Cholesky-factored normal equations; an unregularized fit whose
+    Gram is singular takes the min-norm np.linalg.lstsq solution instead. The
+    map's ``solver`` records the path ("cholesky" or "lstsq").
+    """
+    return _fit_affine(X, Y, float(alpha), source_model, target_model)
+
+
+def fit_ols(X, Y, source_model: str = "", target_model: str = "") -> LinearMap:
+    """Least-squares affine fit: fit_ridge with alpha = 0, byte for byte."""
+    return _fit_affine(X, Y, 0.0, source_model, target_model)
 
 
 def apply_map(m: LinearMap, X) -> np.ndarray:
@@ -139,13 +132,7 @@ def apply_map(m: LinearMap, X) -> np.ndarray:
 
 def latent_mse(predicted, target) -> float:
     """Mean over all n*d entries of the squared difference."""
-    p = np.asarray(predicted, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise DimensionMismatch(f"shape mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise EmptySet("no entries to average")
-    return float(np.mean((p - t) ** 2))
+    return mean_squared_difference(predicted, target)
 
 
 # --- LMAP serialization -----------------------------------------------------

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import take
-from .errors import DimensionMismatch, NotPSD, TooFewSamples
+from .errors import DimensionMismatch, EmptySet, NotPSD, TooFewSamples
 from .linalg import cov_factor, nuclear_norm
 
 #: Results above this negative floor are treated as numerical zero.
@@ -75,8 +75,8 @@ def _rows(a) -> np.ndarray:
     return out.reshape(1, -1) if out.ndim == 1 else out
 
 
-def pixel_rmse(a, b, rows=None) -> float:
-    """Root mean squared pixel difference over all samples and channels.
+def mean_squared_difference(a, b, rows=None) -> float:
+    """Mean over all entries of the squared difference of a and b.
 
     a and b are arrays of the same shape; or, with rows=(ia, ib) from
     data.align(a, b, as_rows=True), two latent datasets whose rows ia[k] and
@@ -95,7 +95,9 @@ def pixel_rmse(a, b, rows=None) -> float:
         if (len(ia), a.d) != (len(ib), b.d):
             raise DimensionMismatch(f"shape mismatch: {(len(ia), a.d)} vs {(len(ib), b.d)}")
         n, d = len(ia), a.d
-    step = max(1, (1 << 20) // max(1, d))
+    if n * d == 0:
+        raise EmptySet("no entries to average")
+    step = max(1, (1 << 20) // d)
     total = np.float64(0.0)
     for start in range(0, n, step):
         blk = slice(start, start + step)
@@ -107,7 +109,13 @@ def pixel_rmse(a, b, rows=None) -> float:
         del x_blk, y_blk
         total += np.vdot(diff, diff)
         del diff  # free this block before the next one is allocated
-    return float(np.sqrt(total / (n * d)))
+    return float(total / (n * d))
+
+
+def pixel_rmse(a, b, rows=None) -> float:
+    """Root mean squared pixel difference over all samples and channels:
+    the square root of mean_squared_difference(a, b, rows)."""
+    return float(np.sqrt(mean_squared_difference(a, b, rows=rows)))
 
 
 def summarize(features) -> GaussianSummary:

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .mapfit import (
     DEFAULT_MAP_ALPHAS,
     LinearMap,
     apply_map,
-    fit_ols,
     fit_ridge,
     latent_mse,
     save_map,
@@ -56,7 +55,7 @@ from .probes import (
     save_probe,
     write_probe_report,
 )
-from .synth import NoisingSchedule, SynthModelSpec, decode, spec_from_string, spec_to_string
+from .synth import NOISING_SCHEDULE, SynthModelSpec, decode, spec_from_string, spec_to_string
 
 log = logging.getLogger(__name__)
 
@@ -396,13 +395,22 @@ def _run_cells(fn, items, threads: int):
 
 def fit_pair_map(src: LatentDataset, dst: LatentDataset, alpha: float,
                  train_ids: list[str]) -> LinearMap:
-    """Fit a map on the run's train ids, which both latent sets must hold.
-    Unregularized fits fall back to the minimum-norm solution on
-    rank-deficient designs."""
+    """Fit a map on the run's train ids, which both latent sets must hold,
+    with mapfit.fit_ridge: ridge for alpha > 0, else least squares (min-norm
+    on a rank-deficient design)."""
     X, Y = src.X[rows_of(src, train_ids)], dst.X[rows_of(dst, train_ids)]
-    if alpha > 0:
-        return fit_ridge(X, Y, alpha, source_model=src.model_id, target_model=dst.model_id)
-    return fit_ols(X, Y, source_model=src.model_id, target_model=dst.model_id, svd_fallback=True)
+    return fit_ridge(X, Y, alpha, source_model=src.model_id, target_model=dst.model_id)
+
+
+def select_attributes(table: AttributeTable, names: list[str] | None,
+                      source: str = "attributes.subset") -> list[str]:
+    """The named attributes, or every attribute of the table when names is
+    empty; a name the table lacks is a config error."""
+    attributes = names or list(table.names)
+    unknown = [a for a in attributes if a not in table.names]
+    if unknown:
+        raise ConfigError(f"{source} names not in table: {unknown}")
+    return attributes
 
 
 def draw_subsets(table: AttributeTable, attribute: str, split: tuple[list[str], list[str]],
@@ -438,13 +446,7 @@ def train_probe(
 
 def _noising_metadata(cfg: ExperimentConfig) -> dict | None:
     if any(m.synth is not None and m.synth.kind == "noising" for m in cfg.models):
-        s = NoisingSchedule()
-        return {
-            "total_steps": s.total_steps,
-            "steps_used": s.steps_used,
-            "beta_start": s.beta_start,
-            "beta_end": s.beta_end,
-        }
+        return asdict(NOISING_SCHEDULE)
     return None
 
 
@@ -618,10 +620,7 @@ def run_probe_suite(
     probes_dir.mkdir(parents=True, exist_ok=True)
 
     table = read_attribute_table(cfg.attributes_path)
-    attributes = cfg.attribute_subset or list(table.names)
-    unknown = [a for a in attributes if a not in table.names]
-    if unknown:
-        raise ConfigError(f"attributes.subset names not in table: {unknown}")
+    attributes = select_attributes(table, cfg.attribute_subset)
     latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
     model_ids = cfg.model_ids()
     split = split_ids(latents[model_ids[0]], cfg.split)
@@ -664,8 +663,8 @@ def run_probe_suite(
         )
         acc_values[model_ids.index(mid), attributes.index(attr)] = acc
 
-    # Stitched probes, one fit per (source, alpha). OLS, ridge and the min-norm
-    # fallback solve each output column alone with one Gram, so fitting the
+    # Stitched probes, one fit per (source, alpha). fit_ridge solves each output
+    # column alone with one Gram (Cholesky, or min-norm lstsq), so fitting the
     # source's train rows to a target probe's train scores Y w gives that probe
     # composed with the src->dst map, x -> (W^T w).x + (c.w + b), without the
     # d_out x d_in map or any mapped holdout.
@@ -694,7 +693,7 @@ def run_probe_suite(
         for alpha, dsts in groups.items():
             Y = np.hstack([scores.pop(dst) for dst in dsts])
             try:
-                m = fit_ridge(X, Y, alpha) if alpha > 0 else fit_ols(X, Y, svd_fallback=True)
+                m = fit_ridge(X, Y, alpha)
             except LatentStitchError as exc:
                 pair_errors.update(dict.fromkeys(dsts, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -795,7 +794,6 @@ def run_dynamics(
     cfg: ExperimentConfig,
     checkpoint_paths,
     labels: list[str] | None = None,
-    eps: float | None = None,
     standardize: bool = False,
 ) -> DynamicsSeries:
     """Retrain probes on each checkpoint's frozen latents and locate the
@@ -809,8 +807,7 @@ def run_dynamics(
     if missing:
         raise ConfigError("missing checkpoint files: " + ", ".join(missing))
     table = read_attribute_table(cfg.attributes_path)
-    attributes = cfg.attribute_subset or list(table.names)
-    eps = cfg.plateau_eps if eps is None else eps
+    attributes = select_attributes(table, cfg.attribute_subset)
     if labels is None:
         labels = [str(i) for i in range(len(paths))]
     if len(labels) != len(paths):
@@ -831,7 +828,7 @@ def run_dynamics(
             _, acc[ai, ci] = train_probe(ds, split, subsets[attr], attr, alphas[ds.model_id],
                                          ds.model_id, standardize=standardize)
 
-    plateaus = [plateau_index(acc[ai], eps) for ai in range(len(attributes))]
+    plateaus = [plateau_index(acc[ai], cfg.plateau_eps) for ai in range(len(attributes))]
     return DynamicsSeries(
         checkpoint_labels=list(labels),
         attributes=list(attributes),

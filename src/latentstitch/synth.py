@@ -17,7 +17,7 @@ pipeline runs have known ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -70,6 +70,10 @@ class NoisingSchedule:
         return float(np.cumprod(1.0 - betas)[tau - 1])
 
 
+#: The forward process every noising encoder and decoder uses.
+NOISING_SCHEDULE = NoisingSchedule()
+
+
 @dataclass
 class SynthModelSpec:
     """One synthetic model: an encoder kind plus the knobs it needs."""
@@ -81,7 +85,6 @@ class SynthModelSpec:
     rank: int | None = None     # lossy only
     t: int | None = None        # noising only
     d_pix: int | None = None    # needed to decode lossy latents
-    schedule: NoisingSchedule = field(default_factory=NoisingSchedule)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -238,7 +241,7 @@ def encode(spec: SynthModelSpec, images: ImageDataset) -> LatentDataset:
     else:  # noising
         if spec.d != d_pix:
             raise BadDims(f"{spec.model_id}: noising encoders need d == d_pix ({d_pix})")
-        ab = spec.schedule.alpha_bar(spec.t)
+        ab = NOISING_SCHEDULE.alpha_bar(spec.t)
         noise = np.empty_like(x)
         for row, sid in enumerate(images.ids):
             noise[row] = per_id_rng(spec.seed, sid).standard_normal(d_pix)
@@ -272,7 +275,7 @@ def decode(
         x = lat @ embed @ basis.T
         d_pix = spec.d_pix
     else:  # noising
-        x = lat / math.sqrt(spec.schedule.alpha_bar(spec.t))
+        x = lat / math.sqrt(NOISING_SCHEDULE.alpha_bar(spec.t))
         d_pix = spec.d
     x = np.clip(x, 0.0, 1.0)
     h, w, c = image_shape or default_image_shape(d_pix)

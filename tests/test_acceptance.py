@@ -167,8 +167,8 @@ def test_criterion_05_random_encoder_chance_baseline():
         )
         rows_o = {s: i for i, s in enumerate(orth.ids)}
         rows_r = {s: i for i, s in enumerate(rand.ids)}
-        m_ro = mapfit.fit_ols(rand.X[:1000], orth.X[:1000], svd_fallback=True)
-        m_or = mapfit.fit_ols(orth.X[:1000], rand.X[:1000], svd_fallback=True)
+        m_ro = mapfit.fit_ols(rand.X[:1000], orth.X[:1000])
+        m_or = mapfit.fit_ols(orth.X[:1000], rand.X[:1000])
         acc_row, src_row, dst_row = [], [], []
         for attr in world.attribute_names:
             sub = probes.balanced_subset(table, attr, train_ids, seed=seed)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -68,6 +69,22 @@ def test_cli_dynamics(generated, tmp_path):
     assert text.splitlines()[0] == "attribute,1,6,plateau_epoch"
     # identical checkpoints: constant series plateaus at the first label
     assert all(line.endswith(",1") for line in text.splitlines()[1:])
+
+
+@pytest.mark.parametrize("command", ["probe-suite", "dynamics", "train-probe"])
+def test_cli_unknown_attribute_is_a_config_error(generated, tmp_path, capsys, command):
+    # the generated config with absolute file paths, plus a subset naming a missing attribute
+    text = re.sub(r"^(pixels|attributes|model\.\w+\.latents) = ", rf"\g<0>{generated}/",
+                  (generated / "experiment.cfg").read_text(), flags=re.M)
+    cfg = tmp_path / "experiment.cfg"
+    cfg.write_text(text + "attributes.subset = factor_00,nosuch\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "dynamics":
+        args += ["--checkpoints", str(generated / "noise.lsf"), str(generated / "noise.lsf")]
+    if command == "train-probe":
+        args += ["--model", "orthA", "--attribute", "nosuch"]
+    assert cli.main(args) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_fid_and_rmse(generated, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentstitch import mapfit
-from latentstitch.errors import BadMagic, DimensionMismatch, NotSPD
+from latentstitch.errors import BadMagic, DimensionMismatch
 
 
 def planted_problem(seed=0, n=200, d_in=8, d_out=5):
@@ -39,20 +39,64 @@ def test_fit_ols_recovers_planted_map():
     assert np.abs(m.b - c).max() <= 1e-7
 
 
-def test_fit_ols_rank_deficient_raises_then_fallback():
+def test_fit_ols_rank_deficient_takes_min_norm_lstsq():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 8))  # n < d_in
     y = rng.standard_normal((5, 3))
-    with pytest.raises(NotSPD):
-        mapfit.fit_ols(x, y)
-    m = mapfit.fit_ols(x, y, svd_fallback=True)
+    m = mapfit.fit_ols(x, y)
+    assert m.solver == "lstsq"
     # minimum-norm solution interpolates the training rows
     np.testing.assert_allclose(mapfit.apply_map(m, x), y, atol=1e-8)
 
 
+def _reference_unregularized_fit(X, Y):
+    """The alpha = 0 fit as a separate branch: centered normal equations with
+    a Cholesky check and then an LU solve, else the min-norm lstsq solution."""
+    Xc, Yc = np.array(X, dtype=np.float64), np.array(Y, dtype=np.float64)
+    x_mean, y_mean = Xc.mean(axis=0), Yc.mean(axis=0)
+    Xc -= x_mean
+    Yc -= y_mean
+    gram, rhs = Xc.T @ Xc, Xc.T @ Yc
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        wt, solver = np.linalg.lstsq(Xc, Yc, rcond=None)[0], "lstsq"
+    else:
+        wt, solver = np.linalg.solve(gram, rhs), "cholesky"
+    W = np.ascontiguousarray(wt.T)
+    return W, y_mean - W @ x_mean, solver
+
+
+def _rank_k_float32_design():
+    rng = np.random.default_rng(21)
+    x = (rng.standard_normal((120, 3)) @ rng.standard_normal((3, 16))).astype(np.float32)
+    return x, rng.standard_normal((120, 4)).astype(np.float32)
+
+
+@pytest.mark.parametrize("design", [
+    pytest.param(lambda: planted_problem(seed=19)[:2], id="full-rank"),
+    pytest.param(lambda: planted_problem(seed=20, n=6, d_in=10)[:2], id="n<d"),
+    pytest.param(_rank_k_float32_design, id="rank-k-float32"),
+])
+@pytest.mark.parametrize("fit", [
+    pytest.param(lambda x, y: mapfit.fit_ridge(x, y, 0.0), id="fit_ridge-0"),
+    pytest.param(mapfit.fit_ols, id="fit_ols"),
+])
+def test_unregularized_fit_matches_reference_branch_bytes(design, fit):
+    x, y = design()
+    W, b, solver = _reference_unregularized_fit(x, y)
+    m = fit(x, y)
+    assert m.W.tobytes() == W.tobytes() and m.b.tobytes() == b.tobytes()
+    assert m.solver == solver
+    if x.shape[0] < x.shape[1]:
+        assert solver == "lstsq"
+    elif x.dtype == np.float64:
+        assert solver == "cholesky"
+
+
 @pytest.mark.parametrize("fit", [
     pytest.param(lambda x, y: mapfit.fit_ols(x, y), id="ols"),
-    pytest.param(lambda x, y: mapfit.fit_ols(x[:5], y[:5], svd_fallback=True), id="ols-lstsq"),
+    pytest.param(lambda x, y: mapfit.fit_ols(x[:5], y[:5]), id="ols-lstsq"),
     pytest.param(lambda x, y: mapfit.fit_ridge(x, y, 2.5), id="ridge"),
 ])
 def test_fits_leave_float64_inputs_unchanged(fit):
@@ -209,7 +253,7 @@ def test_lmap_round_trip(tmp_path):
 def test_fits_record_solver_path_outside_lmap(tmp_path):
     rng = np.random.default_rng(14)
     x, y = rng.standard_normal((5, 8)), rng.standard_normal((5, 3))  # n < d_in
-    fallback = mapfit.fit_ols(x, y, svd_fallback=True)
+    fallback = mapfit.fit_ols(x, y)
     assert fallback.solver == "lstsq"
     assert mapfit.fit_ridge(x, y, 1.0).solver == "cholesky"
     x_full, y_full, _, _ = planted_problem(seed=14)

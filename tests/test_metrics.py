@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentstitch import linalg, metrics
+from latentstitch import linalg, mapfit, metrics
 from latentstitch.data import ImageDataset
-from latentstitch.errors import DimensionMismatch, NotPSD, TooFewSamples
+from latentstitch.errors import DimensionMismatch, EmptySet, NotPSD, TooFewSamples
 from latentstitch.linalg import psd_sqrt, sym_eig
 
 
@@ -17,6 +17,22 @@ def test_pixel_rmse_trivials():
     a = np.random.default_rng(0).random((3, 8))
     assert metrics.pixel_rmse(a, a) == 0.0
     assert metrics.pixel_rmse(np.zeros((2, 4)), np.ones((2, 4))) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("score", [metrics.mean_squared_difference, metrics.pixel_rmse,
+                                   mapfit.latent_mse])
+def test_squared_difference_of_no_entries_raises(score):
+    with pytest.raises(EmptySet):
+        score(np.zeros((0, 4)), np.zeros((0, 4)))
+
+
+def test_latent_mse_and_pixel_rmse_share_one_sum():
+    rng = np.random.default_rng(5)
+    a, b = rng.random((40, 30)).astype(np.float32), rng.random((40, 30))
+    mse = metrics.mean_squared_difference(a, b)
+    assert mapfit.latent_mse(a, b) == mse
+    assert metrics.pixel_rmse(a, b) == float(np.sqrt(mse))
+    assert mse == pytest.approx(np.mean((a.astype(np.float64) - b) ** 2), rel=1e-12)
 
 
 def test_pixel_rmse_brute_force_oracle():

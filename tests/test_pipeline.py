@@ -547,7 +547,7 @@ def test_fit_map_splits_in_source_order(roster, reordered_copy, tmp_path, capsys
                      "--out", str(tmp_path)]) == 0
     orth_a = data.read_latents(roster["dir"] / "orthA.lsf")
     target = data.take(orth_a, [orth_a.ids.index(sid) for sid in reordered_copy.ids[:240]])
-    ref = mapfit.fit_ols(reordered_copy.X[:180], target.X[:180], svd_fallback=True)
+    ref = mapfit.fit_ols(reordered_copy.X[:180], target.X[:180])
     m = mapfit.load_map(tmp_path / "noiseP__orthA.lmap")
     np.testing.assert_allclose(m.W, ref.W, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(m.b, ref.b, rtol=1e-9, atol=1e-12)

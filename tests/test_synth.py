@@ -152,7 +152,7 @@ def test_exact_linear_stitch_smoke():
     s2 = synth.SynthModelSpec(model_id="m2", kind="orthogonal", d=64, seed=22)
     l1 = synth.encode(s1, img)
     l2 = synth.encode(s2, img)
-    m = mapfit.fit_ols(l1.X[:300], l2.X[:300], svd_fallback=True)
+    m = mapfit.fit_ols(l1.X[:300], l2.X[:300])
     mse = mapfit.latent_mse(mapfit.apply_map(m, l1.X[300:]), l2.X[300:])
     assert mse <= 1e-8
 
