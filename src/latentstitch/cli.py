@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -50,10 +51,15 @@ def _check_common(args) -> None:
         raise ConfigError("--seed must be a non-negative integer")
     if getattr(args, "threads", 1) < 1:
         raise ConfigError("--threads must be >= 1")
-    if getattr(args, "alpha", None) is not None and args.alpha < 0:
-        raise ConfigError("--alpha must be >= 0")
-    if getattr(args, "probe_alpha", None) is not None and args.probe_alpha < 0:
-        raise ConfigError("--probe-alpha must be >= 0")
+    # a NaN fails every comparison, so each `not lo <= x < inf` rejects it
+    for name in ("alpha", "probe_alpha"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < math.inf:
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite and >= 0")
+    if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
+        raise ConfigError("--tol must be finite and > 0")
+    if not getattr(args, "max_iter", 1) >= 1:
+        raise ConfigError("--max-iter must be >= 1")
 
 
 def _load(args) -> ExperimentConfig:
@@ -196,7 +202,7 @@ def _cmd_fid(args) -> int:
 def _cmd_rmse(args) -> int:
     a = read_latents(args.pixels_a)
     b = read_latents(args.pixels_b)
-    print(f"{pixel_rmse(a, b, rows=align(a, b, as_rows=True)):.9g}")
+    print(f"{pixel_rmse(a, b, rows=align(a, b)):.9g}")
     return 0
 
 

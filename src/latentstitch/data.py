@@ -2,13 +2,13 @@
 
 Covers the record reader shared by the LSF, LMAP and LPRB binary formats,
 the LSF format, CelebA-style attribute tables, pixel tensors stored as
-flattened LSF files, alignment by row index, deterministic head splits, and
-the id-seeded random-encoder baseline.
+flattened LSF files, alignment by row index, the head split, and the
+id-seeded random-encoder baseline.
 
-Cross-dataset pairing matches sample ids through each dataset's `row_index`
-(datasets are immutable) and then works on row-index arrays. The only
-positional operation is the head split: a run takes it once (`split_ids`)
-and indexes every dataset by those ids (`rows_of`).
+Datasets are immutable, and rows are selected by index arrays: `align(a, b)`
+gives the rows (ia, ib) of the ids both share, `rows_of` the rows of given
+ids. The only positional operation is the head split: a run takes it once,
+as ids (`split_ids`). `take` copies chosen rows where a dataset is needed.
 """
 
 from __future__ import annotations
@@ -233,7 +233,10 @@ class RecordReader:
 
     def string(self) -> str:
         (length,) = struct.unpack("<H", self.read(2))
-        return self.read(length).decode("utf-8")
+        try:
+            return self.read(length).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.path}: string is not valid UTF-8") from None
 
     def array(self, dtype: str, *shape: int) -> np.ndarray:
         """A fresh buffer per array keeps the values aligned for BLAS."""
@@ -350,7 +353,11 @@ def format_attribute_table(table: AttributeTable) -> str:
 
 
 def read_attribute_table(path) -> AttributeTable:
-    return parse_attribute_table(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: attribute table is not valid UTF-8") from None
+    return parse_attribute_table(text)
 
 
 def write_attribute_table(table: AttributeTable, path) -> None:
@@ -360,14 +367,12 @@ def write_attribute_table(table: AttributeTable, path) -> None:
 # --- alignment and splits --------------------------------------------------
 
 
-def _rows(ds: Dataset, rows) -> Dataset:
-    """Same-type dataset over the given rows; a slice gives views of the
-    arrays, an index array copies them."""
-    ids = ds.ids[rows] if isinstance(rows, slice) else [ds.ids[i] for i in rows]
+def take(ds: Dataset, indices) -> Dataset:
+    """Latent or image dataset over the given rows, copied in index order."""
+    rows = np.asarray(indices, dtype=np.intp)
+    ids = [ds.ids[i] for i in rows]
     if isinstance(ds, LatentDataset):
         return LatentDataset(model_id=ds.model_id, ids=ids, X=ds.X[rows])
-    if isinstance(ds, AttributeTable):
-        return AttributeTable(names=ds.names, ids=ids, values=ds.values[rows])
     if isinstance(ds, ImageDataset):
         return ImageDataset(
             ids=ids, pixels=ds.pixels[rows],
@@ -376,22 +381,15 @@ def _rows(ds: Dataset, rows) -> Dataset:
     raise TypeError(f"cannot take rows from {type(ds).__name__}")
 
 
-def take(ds: Dataset, indices) -> Dataset:
-    """Row-subset of a dataset, same type, rows in the given index order."""
-    return _rows(ds, np.asarray(indices, dtype=np.intp))
-
-
-def align(a: Dataset, b: Dataset, as_rows: bool = False):
+def align(a: Dataset, b: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Row-align two datasets on their shared ids, ordered by a's id order:
-    the two row-subsets, or with as_rows=True the row index arrays into a
-    and b that select them, so no row is copied."""
+    the row index arrays (ia, ib) such that a's row ia[k] and b's row ib[k]
+    hold the same sample. No row is copied."""
     ia = [i for i, sid in enumerate(a.ids) if sid in b.row_index]
     if not ia:
         raise EmptyIntersection("datasets share no sample ids")
     ib = [b.row_index[a.ids[i]] for i in ia]
-    if as_rows:
-        return np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
-    return take(a, ia), take(b, ib)
+    return np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
 
 
 def rows_of(ds: LatentDataset, ids: Sequence[str]) -> np.ndarray:
@@ -403,24 +401,12 @@ def rows_of(ds: LatentDataset, ids: Sequence[str]) -> np.ndarray:
     return rows
 
 
-def split_rows(n: int, spec: SplitSpec) -> tuple[slice, slice]:
-    """Head-split row ranges over n rows in stored order: train, then holdout."""
-    if spec.n_train + spec.n_holdout > n:
-        raise InsufficientRows(f"need {spec.n_train}+{spec.n_holdout} rows, dataset has {n}")
-    return slice(0, spec.n_train), slice(spec.n_train, spec.n_train + spec.n_holdout)
-
-
 def split_ids(ds: LatentDataset, spec: SplitSpec) -> tuple[list[str], list[str]]:
     """A run's (train ids, holdout ids): the head split of ds in stored order."""
-    train, holdout = split_rows(ds.n, spec)
-    return ds.ids[train], ds.ids[holdout]
-
-
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic head split in stored order: views of the train rows,
-    then of the holdout rows."""
-    train, holdout = split_rows(len(ds.ids), spec)
-    return _rows(ds, train), _rows(ds, holdout)
+    n_train, n_hold = spec.n_train, spec.n_holdout
+    if n_train + n_hold > ds.n:
+        raise InsufficientRows(f"need {n_train}+{n_hold} rows, dataset has {ds.n}")
+    return ds.ids[:n_train], ds.ids[n_train:n_train + n_hold]
 
 
 # --- random-encoder baseline ------------------------------------------------

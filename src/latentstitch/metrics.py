@@ -79,11 +79,11 @@ def mean_squared_difference(a, b, rows=None) -> float:
     """Mean over all entries of the squared difference of a and b.
 
     a and b are arrays of the same shape; or, with rows=(ia, ib) from
-    data.align(a, b, as_rows=True), two latent datasets whose rows ia[k] and
-    ib[k] are compared, each block of rows gathered with data.take so no
-    aligned copy of either is made. The squared differences are summed in
-    float64 over row blocks of about 2^20 entries, so no float64 copy of a
-    whole input is made.
+    data.align(a, b), two latent datasets whose rows ia[k] and ib[k] are
+    compared, each block of rows gathered with data.take so no aligned copy
+    of either is made. The squared differences are summed in float64 over
+    row blocks of about 2^20 entries, so no float64 copy of a whole input is
+    made.
     """
     if rows is None:
         x, y = _rows(a), _rows(b)

@@ -237,7 +237,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base_dir=path.parent)
 
@@ -462,16 +462,20 @@ class StitchResult:
 def _read_lpips_pairs(path, model_ids: list[str]) -> dict[tuple[str, str], float]:
     known = set(model_ids)
     out: dict[tuple[str, str], float] = {}
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            if not row or (len(row) == 3 and row[0] == "encoder"):
-                continue
-            if len(row) != 3:
-                raise ConfigError(f"lpips file {path}: expected encoder,decoder,value rows")
-            src, dst, value = row[0].strip(), row[1].strip(), row[2].strip()
-            if src not in known or dst not in known:
-                raise ConfigError(f"lpips file {path}: unknown model pair {src!r} -> {dst!r}")
-            out[(src, dst)] = _parse_float("lpips value", value)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"lpips file {path}: {exc}") from None
+    for row in rows:
+        if not row or (len(row) == 3 and row[0] == "encoder"):
+            continue
+        if len(row) != 3:
+            raise ConfigError(f"lpips file {path}: expected encoder,decoder,value rows")
+        src, dst, value = row[0].strip(), row[1].strip(), row[2].strip()
+        if src not in known or dst not in known:
+            raise ConfigError(f"lpips file {path}: unknown model pair {src!r} -> {dst!r}")
+        out[(src, dst)] = _parse_float("lpips value", value)
     return out
 
 
@@ -522,10 +526,10 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         if synth_spec is not None and synth_spec.kind != "random" and images is not None:
             try:
                 decoded = decode(synth_spec, mapped_ds, image_shape=images.shape)
-                dec_al, img_al = align(decoded, real)  # img_al holds real's rows
-                result["pixel_rmse"] = pixel_rmse(dec_al.pixels, img_al.pixels)
-                result["fid"] = fid(summarize(dec_al.pixels), real_summary)
-                result["fid_n"] = dec_al.n
+                ia, ib = align(decoded, real)
+                result["pixel_rmse"] = pixel_rmse(decoded.pixels[ia], real.pixels[ib])
+                result["fid"] = fid(summarize(decoded.pixels[ia]), real_summary)
+                result["fid_n"] = len(ia)
             except LatentStitchError as exc:
                 result["errors"].append(f"{type(exc).__name__}: {exc}")
         return result

@@ -71,13 +71,18 @@ def test_cli_dynamics(generated, tmp_path):
     assert all(line.endswith(",1") for line in text.splitlines()[1:])
 
 
-@pytest.mark.parametrize("command", ["probe-suite", "dynamics", "train-probe"])
-def test_cli_unknown_attribute_is_a_config_error(generated, tmp_path, capsys, command):
-    # the generated config with absolute file paths, plus a subset naming a missing attribute
+def _config_copy(generated, tmp_path, extra: str) -> Path:
+    """The generated config with absolute file paths, plus the extra lines."""
     text = re.sub(r"^(pixels|attributes|model\.\w+\.latents) = ", rf"\g<0>{generated}/",
                   (generated / "experiment.cfg").read_text(), flags=re.M)
     cfg = tmp_path / "experiment.cfg"
-    cfg.write_text(text + "attributes.subset = factor_00,nosuch\n")
+    cfg.write_text(text + extra)
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["probe-suite", "dynamics", "train-probe"])
+def test_cli_unknown_attribute_is_a_config_error(generated, tmp_path, capsys, command):
+    cfg = _config_copy(generated, tmp_path, "attributes.subset = factor_00,nosuch\n")
     args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     if command == "dynamics":
         args += ["--checkpoints", str(generated / "noise.lsf"), str(generated / "noise.lsf")]
@@ -85,6 +90,54 @@ def test_cli_unknown_attribute_is_a_config_error(generated, tmp_path, capsys, co
         args += ["--model", "orthA", "--attribute", "nosuch"]
     assert cli.main(args) == 1
     assert "config error" in capsys.readouterr().err
+
+
+FIT_MAP = ["fit-map", "--src", "orthA", "--dst", "orthB"]
+TRAIN_PROBE = ["train-probe", "--model", "orthA", "--attribute", "factor_00"]
+
+
+@pytest.mark.parametrize("args", [
+    FIT_MAP + ["--alpha", "nan"],
+    FIT_MAP + ["--alpha", "inf"],
+    FIT_MAP + ["--alpha=-1"],
+    TRAIN_PROBE + ["--alpha", "nan"],
+    TRAIN_PROBE + ["--tol", "nan"],
+    TRAIN_PROBE + ["--tol", "inf"],
+    TRAIN_PROBE + ["--tol", "0"],
+    TRAIN_PROBE + ["--tol=-1"],
+    TRAIN_PROBE + ["--max-iter", "0"],
+    ["synth-gen", "--probe-alpha", "nan"],
+    ["synth-gen", "--probe-alpha", "inf"],
+    ["synth-gen", "--probe-alpha=-0.5"],
+], ids=" ".join)
+def test_cli_bad_numeric_flag_is_a_config_error(generated, tmp_path, capsys, args):
+    # rejected before anything is fitted or written
+    if args[0] != "synth-gen":
+        args = args + ["--config", str(generated / "experiment.cfg")]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, code", [("latents", 2), ("attributes", 2), ("config", 1)])
+def test_cli_invalid_utf8_exits_with_its_code(generated, tmp_path, capsys, kind, code):
+    cfg = _config_copy(generated, tmp_path, "")
+    if kind == "latents":
+        # an id whose bytes are not UTF-8, at the same length as the one it replaces
+        raw = (generated / "orthA.lsf").read_bytes()
+        sid = read_latents(generated / "orthA.lsf").ids[3].encode()
+        (tmp_path / "orthA.lsf").write_bytes(raw.replace(sid, b"\xff" * len(sid), 1))
+        cfg.write_text(cfg.read_text() + f"model.orthA.latents = {tmp_path / 'orthA.lsf'}\n")
+    elif kind == "attributes":
+        text = (generated / "attributes.txt").read_bytes()
+        (tmp_path / "attrs.txt").write_bytes(text.replace(b"factor_00", b"factor_\xc3\x28", 1))
+        cfg.write_text(cfg.read_text() + f"attributes = {tmp_path / 'attrs.txt'}\n")
+    else:
+        cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+    args = TRAIN_PROBE + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == code
+    err = capsys.readouterr().err
+    assert ("config error" if code == 1 else "data error") in err and "utf-8" in err.lower()
 
 
 def test_cli_fid_and_rmse(generated, capsys):
@@ -108,10 +161,9 @@ def test_cli_rmse_on_reordered_export_scores_aligned_rows(tmp_path, capsys):
     data.write_images(images, tmp_path / "pixels.lsf")
     write_latents(export, tmp_path / "export.lsf")
     pixels = read_latents(tmp_path / "pixels.lsf")
-    a, b = data.align(export, pixels)
-    expected = metrics.pixel_rmse(a.X, b.X)
-    rows = data.align(export, pixels, as_rows=True)
-    assert metrics.pixel_rmse(export, pixels, rows=rows) == expected
+    ia, ib = data.align(export, pixels)
+    expected = metrics.pixel_rmse(export.X[ia], pixels.X[ib])
+    assert metrics.pixel_rmse(export, pixels, rows=(ia, ib)) == expected
     assert cli.main(["rmse", str(tmp_path / "export.lsf"), str(tmp_path / "pixels.lsf")]) == 0
     assert capsys.readouterr().out == f"{expected:.9g}\n"
 

@@ -184,17 +184,17 @@ def test_attribute_table_text_round_trip():
 
 def test_align_identity():
     ds = small_latents()
-    a, b = data.align(ds, ds)
-    assert a.ids == ds.ids and b.ids == ds.ids
-    np.testing.assert_array_equal(a.X, b.X)
+    ia, ib = data.align(ds, ds)
+    assert ia.dtype == ib.dtype == np.intp
+    assert ia.tolist() == ib.tolist() == [0, 1, 2]
 
 
 def test_align_permutation():
     ds = small_latents()
     perm = data.take(ds, [2, 0, 1])
-    a, b = data.align(ds, perm)
-    assert b.ids == ds.ids
-    np.testing.assert_array_equal(b.X, ds.X)
+    ia, ib = data.align(ds, perm)
+    assert [perm.ids[i] for i in ib] == ds.ids
+    np.testing.assert_array_equal(perm.X[ib], ds.X[ia])
 
 
 def test_align_disjoint():
@@ -215,32 +215,32 @@ def test_align_idempotent(perm, keep):
         data.LatentDataset(model_id="b", ids=[f"i{j}" for j in perm], X=rng.standard_normal((6, 3))),
         list(range(keep)),
     )
-    a1, b1 = data.align(a, b)
-    a2, b2 = data.align(a1, b1)
-    assert a1.ids == a2.ids and b1.ids == b2.ids
-    np.testing.assert_array_equal(a1.X, a2.X)
-    np.testing.assert_array_equal(b1.X, b2.X)
+    ia, ib = data.align(a, b)
+    assert [a.ids[i] for i in ia] == [b.ids[i] for i in ib]
+    # the aligned rows, taken as datasets, align to themselves row for row
+    ja, jb = data.align(data.take(a, ia), data.take(b, ib))
+    assert ja.tolist() == jb.tolist() == list(range(len(ia)))
 
 
 def test_split_basic():
     ds = data.LatentDataset(model_id="m", ids=[f"i{j}" for j in range(10)], X=np.arange(20.0).reshape(10, 2))
-    train, hold = data.split(ds, data.SplitSpec(n_train=8, n_holdout=2))
-    assert train.ids == ds.ids[:8]
-    assert hold.ids == ds.ids[8:]
+    train, hold = data.split_ids(ds, data.SplitSpec(n_train=8, n_holdout=2))
+    assert train == ds.ids[:8]
+    assert hold == ds.ids[8:]
 
 
 def test_split_default_sizes():
     ds = data.LatentDataset(
         model_id="m", ids=[f"i{j}" for j in range(9100)], X=np.zeros((9100, 1))
     )
-    train, hold = data.split(ds, data.SplitSpec())
-    assert train.n == 9000 and hold.n == 100
+    train, hold = data.split_ids(ds, data.SplitSpec())
+    assert len(train) == 9000 and len(hold) == 100
 
 
 def test_split_insufficient_rows():
     ds = small_latents()
     with pytest.raises(InsufficientRows):
-        data.split(ds, data.SplitSpec(n_train=9000, n_holdout=100))
+        data.split_ids(ds, data.SplitSpec(n_train=9000, n_holdout=100))
 
 
 # --- random encoder ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 
@@ -246,12 +247,41 @@ def test_stitch_grid_offline_recompute_matches_csv(roster):
     for src in grid.row_ids:
         for dst in grid.col_ids:
             m = mapfit.load_map(out / "maps" / f"{src}__{dst}.lmap")
-            a, b = data.align(latents[src], latents[dst])
-            _, a_hold = data.split(a, cfg.split)
-            _, b_hold = data.split(b, cfg.split)
-            recomputed = mapfit.latent_mse(mapfit.apply_map(m, a_hold.X), b_hold.X)
+            ia, ib = data.align(latents[src], latents[dst])
+            hold = slice(cfg.split.n_train, cfg.split.n_train + cfg.split.n_holdout)
+            recomputed = mapfit.latent_mse(mapfit.apply_map(m, latents[src].X[ia[hold]]),
+                                           latents[dst].X[ib[hold]])
             reported = grid.get(src, dst)
             assert reported == pytest.approx(recomputed, rel=1e-8, abs=1e-12)
+
+
+def test_stitch_grid_pixel_cells_replay_from_written_files(roster, tmp_path, capsys):
+    # every pixel_rmse and fid cell is what `latentstitch rmse` and `fid` print
+    # for the decoded mapped holdout file against the true holdout pixels
+    out = tmp_path / "grid"
+    cfg = pipeline.load_config(roster["config"])
+    pipeline.run_stitch_grid(cfg, out)
+    images = data.read_images(cfg.pixels_path)
+    _, hold_ids = data.split_ids(data.read_latents(cfg.models[0].latents_path), cfg.split)
+    real = tmp_path / "real.lsf"
+    data.write_images(data.take(images, [images.row_index[sid] for sid in hold_ids]), real)
+    cells = {name: list(csv.reader((out / f"{name}.csv").read_text().splitlines()))
+             for name in ("pixel_rmse", "fid")}
+    assert [row[0] for row in cells["fid"][1:]] == cells["fid"][0][1:] == cfg.model_ids()
+    replayed = 0
+    for i, src in enumerate(cfg.model_ids(), 1):
+        for j, entry in enumerate(cfg.models, 1):
+            if entry.synth.kind == "random":
+                assert cells["pixel_rmse"][i][j] == cells["fid"][i][j] == ""
+                continue
+            mapped = data.read_latents(out / "mapped" / f"{src}__{entry.model_id}.lsf")
+            decoded = tmp_path / "decoded.lsf"
+            data.write_images(synth.decode(entry.synth, mapped, image_shape=images.shape), decoded)
+            for name, command in (("pixel_rmse", "rmse"), ("fid", "fid")):
+                assert cli.main([command, str(decoded), str(real)]) == 0
+                assert capsys.readouterr().out == cells[name][i][j] + "\n", (src, entry.model_id)
+                replayed += 1
+    assert replayed == 2 * 5 * 4
 
 
 def test_stitch_grid_cell_failure_isolation(roster, tmp_path):
@@ -282,6 +312,14 @@ def test_stitch_grid_lpips_passthrough(roster, tmp_path):
     assert result.grids["lpips"].get("orthA", "orthB") == pytest.approx(0.123)
     assert np.isfinite(result.grids["lpips"].values).sum() == 1
     assert (tmp_path / "out" / "lpips.csv").is_file()
+
+
+def test_stitch_grid_lpips_file_with_invalid_utf8_is_a_config_error(roster, tmp_path):
+    (tmp_path / "lpips.csv").write_bytes(b"encoder,decoder,value\northA,orth\xff,0.1\n")
+    text = roster["config"].read_text() + f"lpips = {tmp_path / 'lpips.csv'}\n"
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    with pytest.raises(ConfigError, match="utf-8"):
+        pipeline.run_stitch_grid(cfg, tmp_path / "out")
 
 
 def test_stitch_grid_threads_match_serial(roster, tmp_path):

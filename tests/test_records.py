@@ -1,10 +1,13 @@
 """The shared binary-record reader: header sizes checked against the file
-before any allocation, empty arrays rejected, long strings refused."""
+before any allocation, empty arrays rejected, long strings refused, invalid
+UTF-8 a data error; and the exit-code contract of commands reading LSF files."""
 
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentstitch import cli, data, mapfit, probes
 from latentstitch.errors import DataError, TruncatedFile
@@ -100,14 +103,6 @@ def test_lmap_and_lprb_writers_refuse_overlong_strings(tmp_path):
         probes.save_probe(probe, tmp_path / "long.lprb")
 
 
-def test_split_returns_views():
-    ds = data.LatentDataset(model_id="m", ids=[f"i{j}" for j in range(10)],
-                            X=np.arange(20.0).reshape(10, 2))
-    train, hold = data.split(ds, data.SplitSpec(n_train=6, n_holdout=3))
-    assert np.shares_memory(train.X, ds.X) and np.shares_memory(hold.X, ds.X)
-    np.testing.assert_array_equal(hold.X, ds.X[6:9])
-
-
 def test_loaded_arrays_are_aligned(tmp_path):
     # an odd-length model id puts the payload at an odd file offset
     ds = data.LatentDataset(model_id="odd", ids=["a", "bb", "ccc"],
@@ -118,3 +113,63 @@ def test_loaded_arrays_are_aligned(tmp_path):
     mapfit.save_map(m, tmp_path / "odd.lmap")
     back = mapfit.load_map(tmp_path / "odd.lmap")
     assert back.W.flags.aligned and back.b.flags.aligned
+
+
+# --- invalid UTF-8 ------------------------------------------------------------------
+
+BAD_UTF8 = struct.pack("<H", 2) + b"\xc3\x28"
+
+
+@pytest.mark.parametrize("load, head", [
+    (data.read_latents, data.LSF_MAGIC + struct.pack("<III", 1, 1, 1)),
+    (mapfit.load_map, mapfit.LMAP_MAGIC + struct.pack("<I", 1)),
+    (probes.load_probe, probes.LPRB_MAGIC + struct.pack("<I", 1)),
+], ids=["lsf", "lmap", "lprb"])
+def test_invalid_utf8_string_is_a_data_error(tmp_path, load, head):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(head + BAD_UTF8 + b"\0" * 64)
+    with pytest.raises(DataError, match="UTF-8"):
+        load(path)
+
+
+# --- the exit-code contract under mutated LSF bytes ---------------------------------
+
+TINY = data.LatentDataset(model_id="m", ids=[f"s{i}" for i in range(6)],
+                          X=np.arange(24, dtype=np.float32).reshape(6, 4) / 24)
+MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("nan"), st.integers(0, TINY.X.size - 1)),
+)
+
+
+def _mutate(raw: bytes, mutations) -> bytes:
+    out = bytearray(raw)
+    payload = len(raw) - TINY.X.nbytes
+    for kind, *arg in mutations:
+        if kind == "flip" and out:
+            out[arg[0] % len(out)] ^= arg[1]
+        elif kind == "truncate":
+            del out[arg[0] % (len(out) + 1):]
+        elif kind == "extend":
+            out += arg[0]
+        elif kind == "nan" and payload + 4 * arg[0] + 4 <= len(out):
+            out[payload + 4 * arg[0]:payload + 4 * arg[0] + 4] = struct.pack("<f", np.nan)
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def tiny_lsf(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.lsf"
+    data.write_latents(TINY, path)
+    return path
+
+
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_lsf_ends_in_a_documented_exit_code(tiny_lsf, mutations):
+    mutated = tiny_lsf.with_name("mutated.lsf")
+    mutated.write_bytes(_mutate(tiny_lsf.read_bytes(), mutations))
+    for command in ("fid", "rmse"):
+        assert cli.main([command, str(mutated), str(tiny_lsf)]) in (0, 1, 2, 3)
