@@ -33,7 +33,14 @@ from .pipeline import (
     validate_paths,
 )
 from .probes import save_probe
-from .synth import SynthModelSpec, emit_datasets, gen_world, spec_from_string, spec_to_string
+from .synth import (
+    NOISING_SCHEDULE,
+    SynthModelSpec,
+    emit_datasets,
+    gen_world,
+    spec_from_string,
+    spec_to_string,
+)
 
 
 def _common_flags(parser: argparse.ArgumentParser, config=True, threads=True) -> None:
@@ -60,6 +67,15 @@ def _check_common(args) -> None:
         raise ConfigError("--tol must be finite and > 0")
     if not getattr(args, "max_iter", 1) >= 1:
         raise ConfigError("--max-iter must be >= 1")
+    # synth-gen's world size and default noising timestep
+    for name in ("n", "k"):
+        if not getattr(args, name, 1) >= 1:
+            raise ConfigError(f"--{name} must be >= 1")
+    if getattr(args, "dpix", 1) < getattr(args, "k", 1):
+        raise ConfigError("--dpix must be >= --k")
+    steps = NOISING_SCHEDULE.steps_used
+    if not 0 <= getattr(args, "noise_t", 0) <= steps:
+        raise ConfigError(f"--noise-t must be in [0, {steps}]")
 
 
 def _load(args) -> ExperimentConfig:

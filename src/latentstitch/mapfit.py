@@ -6,9 +6,14 @@ model roster, and the LMAP binary serialization.
 
 The fit minimizes ``||Y - X W^T - 1 b^T||_F^2 + alpha ||W||_F^2`` with an
 unpenalized intercept and no 1/n factor, on column-centered data; one
-Cholesky factorization of (Xc^T Xc + alpha I) serves all output columns.
+Cholesky-checked solve of (Xc^T Xc + alpha I) serves all output columns.
 With alpha = 0 and a singular Gram (a rank-deficient source, or fewer train
-rows than dimensions) it takes the min-norm least-squares solution instead.
+rows than dimensions, where the attempt is skipped) it takes the min-norm
+least-squares solution pinv(Xc) Yc instead. When Y has more columns k than
+the n train rows, the min-norm fit forms the d x n pseudo-inverse first and
+multiplies, because that costs less than k right-hand sides; the break-even
+is k = n. A SharedFit lets the fits of many targets on one source share
+that pseudo-inverse, one target at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ class LinearMap:
     #: Solver path of the fit that produced the map: "cholesky", or "lstsq" for
     #: the min-norm fallback; "" when unknown. Not stored in LMAP files.
     solver: str = field(default="", compare=False)
+    #: How the fit formed W: "direct" (one solve with Y's columns as
+    #: right-hand sides), "operator" (the min-norm fit's d x n pseudo-inverse,
+    #: then pinv(Xc) Yc); "" when unknown. Not stored in LMAP files.
+    path: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         self.W = np.ascontiguousarray(self.W, dtype=np.float64)
@@ -76,45 +85,119 @@ DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
 }
 
 
-def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str) -> LinearMap:
+#: Y is centered in float64 column blocks of about this many bytes, each a
+#: multiple of 256 columns wide so that a blocked product keeps the bytes of
+#: the whole one.
+Y_BLOCK_BYTES = 4 << 20
+
+
+def _centered_blocks(Y: np.ndarray, y_mean: np.ndarray):
+    """(column slice, float64 block of Y minus its column means) over Y."""
+    step = max(1, Y_BLOCK_BYTES // (8 * Y.shape[0] * 256)) * 256
+    for j in range(0, Y.shape[1], step):
+        cols = slice(j, min(j + step, Y.shape[1]))
+        block = np.array(Y[:, cols], dtype=np.float64)
+        block -= y_mean[cols]
+        yield cols, block
+
+
+class SharedFit:
+    """What the fit_ridge calls for several targets of one source X share.
+
+    Make one per (X, alpha) with the targets' total column count k, and pass
+    it as ``shared`` to each target's fit_ridge call on that same X and alpha.
+    A Cholesky attempt that fails is then made once. When the fits are
+    min-norm and k exceeds the n rows of X, the d x n pseudo-inverse of the
+    centered X is formed once, and each target's fit only multiplies it with
+    its centered Y. Nothing else of one target's fit is kept for the next.
+    Not thread-safe: one per task.
+    """
+
+    def __init__(self, X, alpha: float, k: int):
+        self.X, self.alpha, self.k = X, float(alpha), int(k)
+        self.singular = False  # alpha = 0 and the Gram failed Cholesky
+        self.pinv: np.ndarray | None = None
+
+
+def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
+                shared: SharedFit | None = None) -> LinearMap:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    # one float64 copy of each, centered in place; the inputs stay unchanged
+    # one float64 copy of X, centered in place; Y is centered block by block
+    # where it can be, and the inputs stay unchanged
     Xc = np.array(X, dtype=np.float64)
-    Yc = np.array(Y, dtype=np.float64)
-    if Xc.ndim != 2 or Yc.ndim != 2:
+    Y = np.asarray(Y)
+    if Xc.ndim != 2 or Y.ndim != 2:
         raise DimensionMismatch("X and Y must be 2-D")
-    if Xc.shape[0] != Yc.shape[0] or Xc.shape[0] < 1:
-        raise DimensionMismatch(f"X has {Xc.shape[0]} rows, Y has {Yc.shape[0]}")
+    if Xc.shape[0] != Y.shape[0] or Xc.shape[0] < 1:
+        raise DimensionMismatch(f"X has {Xc.shape[0]} rows, Y has {Y.shape[0]}")
+    if shared is None:
+        shared = SharedFit(X, alpha, Y.shape[1])
+    elif shared.X is not X or shared.alpha != alpha:
+        raise ValueError("a SharedFit serves the fits of one X at one alpha")
+    (n, d), k = Xc.shape, Y.shape[1]
     x_mean = Xc.mean(axis=0)
-    y_mean = Yc.mean(axis=0)
+    y_mean = Y.mean(axis=0, dtype=np.float64)
     Xc -= x_mean
-    Yc -= y_mean
-    gram = Xc.T @ Xc
-    if alpha > 0:
+
+    def affine(W, solver, path):
+        return LinearMap(source_model=source_model, target_model=target_model, W=W,
+                         b=y_mean - W @ x_mean, alpha=alpha, solver=solver, path=path)
+
+    # With alpha = 0 and n <= d the centered design has rank <= n - 1 < d, so
+    # its Gram is singular and no Cholesky attempt is made.
+    if alpha > 0 or (n > d and not shared.singular):
+        rhs = np.empty((d, k))
+        for cols, block in _centered_blocks(Y, y_mean):
+            rhs[:, cols] = Xc.T @ block
+        gram = Xc.T @ Xc
         gram[np.diag_indices_from(gram)] += alpha
-    rhs = Xc.T @ Yc
-    solver = "cholesky"
-    try:
-        wt = linalg.spd_solve(gram, rhs)
-    except NotSPD:
-        if alpha > 0:
-            raise
-        wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
-        solver = "lstsq"
-    W = np.ascontiguousarray(wt.T)
-    return LinearMap(source_model=source_model, target_model=target_model, W=W,
-                     b=y_mean - W @ x_mean, alpha=alpha, solver=solver)
+        try:
+            wt = linalg.spd_solve(gram, rhs)
+        except NotSPD:
+            if alpha > 0:
+                raise
+            shared.singular = True
+        else:
+            return affine(np.ascontiguousarray(wt.T), "cholesky", "direct")
+        del rhs, gram
+    # The min-norm least-squares solution, W^T = pinv(Xc) Yc. With more target
+    # columns than train rows, pinv(Xc) = lstsq(Xc, I_n) costs less than
+    # lstsq(Xc, Yc); the break-even is k = n.
+    if shared.k > n:
+        if shared.pinv is None:
+            shared.pinv, *_ = np.linalg.lstsq(Xc, np.eye(n), rcond=None)
+        del Xc
+        W = np.empty((k, d))
+        for cols, block in _centered_blocks(Y, y_mean):
+            np.matmul(block.T, shared.pinv.T, out=W[cols])
+        return affine(W, "lstsq", "operator")
+    Yc = np.array(Y, dtype=np.float64)
+    Yc -= y_mean
+    wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
+    return affine(np.ascontiguousarray(wt.T), "lstsq", "direct")
 
 
-def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "") -> LinearMap:
+def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "",
+              shared: SharedFit | None = None) -> LinearMap:
     """The one map fit: ridge for alpha > 0, least squares for alpha = 0.
 
-    Solves the Cholesky-factored normal equations; an unregularized fit whose
-    Gram is singular takes the min-norm np.linalg.lstsq solution instead. The
-    map's ``solver`` records the path ("cholesky" or "lstsq").
+    Solves the Cholesky-checked normal equations for all of Y's columns at
+    once; an unregularized fit whose Gram is singular (or must be: n <= d
+    train rows) takes the min-norm least-squares solution instead. The map's
+    ``solver`` records which ("cholesky" or "lstsq"). A min-norm fit with more
+    target columns k than train rows n forms the d x n pseudo-inverse of the
+    centered X, np.linalg.lstsq against the n x n identity, and multiplies it
+    with the centered Y; the map's ``path`` is then "operator", else "direct".
+    With ``shared`` (a SharedFit of this X and alpha), k is the total of the
+    targets it serves and they share one pseudo-inverse. Each map then equals
+    its fit without ``shared`` to the byte on the Cholesky path, and within
+    rounding on the min-norm path.
+
+    The Cholesky and operator paths read Y in float64 column blocks; the
+    direct min-norm path makes a float64 copy of all of Y for np.linalg.lstsq.
     """
-    return _fit_affine(X, Y, float(alpha), source_model, target_model)
+    return _fit_affine(X, Y, float(alpha), source_model, target_model, shared)
 
 
 def fit_ols(X, Y, source_model: str = "", target_model: str = "") -> LinearMap:

@@ -1,10 +1,10 @@
 """Experiment orchestration: stitching grids, probe suites, training-dynamics
 runs, and deterministic CSV reports.
 
-Configs are line-oriented key=value text (see parse_config). Grid cells are
-independent tasks with deterministic placement: cell order is fixed by config
-order, one failing pair never disturbs another cell, and a fixed
-(config, seed) always produces byte-identical CSV output.
+Configs are line-oriented key=value text (see parse_config). Grid cells have
+deterministic placement: cell order is fixed by config order, a pair that
+lacks data never disturbs another cell, and a fixed (config, seed) always
+produces byte-identical CSV output for any thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import ConfigError, InconsistentIds, IoError, LatentStitchError
 from .mapfit import (
     DEFAULT_MAP_ALPHAS,
     LinearMap,
+    SharedFit,
     apply_map,
     fit_ridge,
     latent_mse,
@@ -374,6 +375,10 @@ def _write_errors(errors: list[str], path) -> None:
         Path(path).unlink(missing_ok=True)
 
 
+def _error_text(exc: LatentStitchError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_cells(fn, items, threads: int):
     """Run fn over items with deterministic result placement; each result is
     (value, error_string) so one failure cannot disturb other cells."""
@@ -382,7 +387,7 @@ def _run_cells(fn, items, threads: int):
         try:
             return fn(item), None
         except LatentStitchError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+            return None, _error_text(exc)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -400,6 +405,24 @@ def fit_pair_map(src: LatentDataset, dst: LatentDataset, alpha: float,
     on a rank-deficient design)."""
     X, Y = src.X[rows_of(src, train_ids)], dst.X[rows_of(dst, train_ids)]
     return fit_ridge(X, Y, alpha, source_model=src.model_id, target_model=dst.model_id)
+
+
+def _alpha_groups(cfg: ExperimentConfig, latents: dict[str, LatentDataset], src: str,
+                  ids: list[str]) -> tuple[dict, dict, dict]:
+    """One source's targets grouped by map alpha, in config order: the groups,
+    each grouped target's rows of ids, and an error for each target that lacks
+    one of ids (it joins no group)."""
+    groups: dict[float, list[str]] = {}
+    rows: dict[str, np.ndarray] = {}
+    errors: dict[str, str] = {}
+    for dst in cfg.model_ids():
+        try:
+            rows[dst] = rows_of(latents[dst], ids)
+        except LatentStitchError as exc:
+            errors[dst] = _error_text(exc)
+            continue
+        groups.setdefault(resolve_map_alpha(cfg, src, dst), []).append(dst)
+    return groups, rows, errors
 
 
 def select_attributes(table: AttributeTable, names: list[str] | None,
@@ -484,7 +507,13 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     report latent MSE plus, where a decoder is available in-process, pixel
     RMSE and FID of the stitched reconstructions against the true holdout
     images. Maps and mapped holdout latents are serialized per cell so every
-    reported number can be recomputed offline."""
+    reported number can be recomputed offline.
+
+    Sources run as tasks, each fitting its targets one at a time. The targets
+    of one source and alpha share a mapfit.SharedFit: when their maps are
+    min-norm and their dimensions add up to more than the train rows, one
+    pseudo-inverse of the source serves them all. metadata.json lists each
+    (source, alpha) group's solver and path under map_fits."""
     validate_paths(cfg)
     out = Path(out_dir)
     maps_dir = out / "maps"
@@ -496,7 +525,6 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     images = read_images(cfg.pixels_path) if cfg.pixels_path else None
     model_ids = cfg.model_ids()
     entry_by_id = {m.model_id: m for m in cfg.models}
-    pairs = [(src, dst) for src in model_ids for dst in model_ids]
     train_ids, hold_ids = split_ids(latents[model_ids[0]], cfg.split)
     # Every decoded cell is scored against the same true holdout images (the
     # holdout ids the image file holds, in holdout order), summarized once.
@@ -507,9 +535,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         if decodes and real.n >= 2:
             real_summary = summarize(real.pixels)
 
-    def cell(pair):
-        src, dst = pair
-        m = fit_pair_map(latents[src], latents[dst], resolve_map_alpha(cfg, src, dst), train_ids)
+    def cell(src, dst, m):
         mapped = apply_map(m, latents[src].X[rows_of(latents[src], hold_ids)])
         result = {
             "latent_mse": latent_mse(mapped, latents[dst].X[rows_of(latents[dst], hold_ids)]),
@@ -531,10 +557,34 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
                 result["fid"] = fid(summarize(decoded.pixels[ia]), real_summary)
                 result["fid_n"] = len(ia)
             except LatentStitchError as exc:
-                result["errors"].append(f"{type(exc).__name__}: {exc}")
+                result["errors"].append(_error_text(exc))
         return result
 
-    outcomes = _run_cells(cell, pairs, threads)
+    def source_row(src):
+        """One source's cells, fitted per alpha group with one SharedFit, and
+        the groups' map_fits entries."""
+        X = latents[src].X[rows_of(latents[src], train_ids)]
+        groups, train_rows, errors = _alpha_groups(cfg, latents, src, train_ids)
+        outcomes = {dst: (None, err) for dst, err in errors.items()}
+        fits = []
+        for alpha, dsts in groups.items():
+            shared = SharedFit(X, alpha, sum(latents[dst].d for dst in dsts))
+            fitted = []
+            for dst in dsts:
+                m = None  # frees the previous target's map before this fit
+                try:
+                    m = fit_ridge(X, latents[dst].X[train_rows[dst]], alpha, source_model=src,
+                                  target_model=dst, shared=shared)
+                    fitted.append(dst)
+                    how = {"solver": m.solver, "path": m.path}
+                    outcomes[dst] = cell(src, dst, m), None
+                except LatentStitchError as exc:
+                    outcomes[dst] = None, _error_text(exc)
+            if fitted:
+                fits.append({"source": src, "alpha": alpha, "targets": fitted, **how})
+        return outcomes, fits
+
+    row_outcomes = _run_cells(source_row, model_ids, threads)
 
     n = len(model_ids)
     grids = {
@@ -545,18 +595,22 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     errors: list[str] = []
     fid_n: dict[str, int] = {}
     map_solver: dict[str, str] = {}
-    for (src, dst), (result, err) in zip(pairs, outcomes):
-        i, j = model_ids.index(src), model_ids.index(dst)
-        if err is not None:
-            errors.append(f"{src}->{dst}: {err}")
-            continue
-        map_solver[f"{src}->{dst}"] = result["solver"]
-        grids["latent_mse"].values[i, j] = result["latent_mse"]
-        grids["pixel_rmse"].values[i, j] = result["pixel_rmse"]
-        grids["fid"].values[i, j] = result["fid"]
-        if result["fid_n"] is not None:
-            fid_n[f"{src}->{dst}"] = result["fid_n"]
-        errors.extend(f"{src}->{dst}: {msg}" for msg in result["errors"])
+    map_fits: list[dict] = []
+    for i, (src, (row, row_err)) in enumerate(zip(model_ids, row_outcomes)):
+        cells, fits = row if row_err is None else ({}, [])
+        map_fits.extend(fits)
+        for j, dst in enumerate(model_ids):
+            result, err = cells[dst] if row_err is None else (None, row_err)
+            if err is not None:
+                errors.append(f"{src}->{dst}: {err}")
+                continue
+            map_solver[f"{src}->{dst}"] = result["solver"]
+            grids["latent_mse"].values[i, j] = result["latent_mse"]
+            grids["pixel_rmse"].values[i, j] = result["pixel_rmse"]
+            grids["fid"].values[i, j] = result["fid"]
+            if result["fid_n"] is not None:
+                fid_n[f"{src}->{dst}"] = result["fid_n"]
+            errors.extend(f"{src}->{dst}: {msg}" for msg in result["errors"])
 
     if cfg.lpips_path is not None:
         lpips_pairs = _read_lpips_pairs(cfg.lpips_path, model_ids)
@@ -584,6 +638,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         ],
         "alpha": {f"{s}->{t}": resolve_map_alpha(cfg, s, t) for s in model_ids for t in model_ids},
         "map_solver": map_solver,
+        "map_fits": map_fits,
         "latent_mse_convention": "mean over all n*d entries (per-entry, not per-vector)",
         "pixel_range": [0.0, 1.0],
         "fid_features": "flattened pixels of decoded holdout vs true holdout; the cross "
@@ -681,25 +736,16 @@ def run_probe_suite(
 
     def stitch_source(src):
         X = latents[src].X[rows_of(latents[src], split[0])]
-        pair_errors: dict[str, str] = {}
-        scores: dict[str, np.ndarray] = {}
-        groups: dict[float, list[str]] = {}
-        for dst in model_ids:
-            try:
-                Y = latents[dst].X[rows_of(latents[dst], split[0])]
-            except LatentStitchError as exc:
-                pair_errors[dst] = f"{type(exc).__name__}: {exc}"
-                continue
-            scores[dst] = Y @ probe_weights[dst].T
-            groups.setdefault(resolve_map_alpha(cfg, src, dst), []).append(dst)
+        groups, train_rows, pair_errors = _alpha_groups(cfg, latents, src, split[0])
         by_target: dict[tuple[str, str], Probe] = {}
         solvers: dict[str, str] = {}
         for alpha, dsts in groups.items():
-            Y = np.hstack([scores.pop(dst) for dst in dsts])
+            Y = np.hstack([latents[dst].X[train_rows[dst]] @ probe_weights[dst].T
+                           for dst in dsts])
             try:
                 m = fit_ridge(X, Y, alpha)
             except LatentStitchError as exc:
-                pair_errors.update(dict.fromkeys(dsts, f"{type(exc).__name__}: {exc}"))
+                pair_errors.update(dict.fromkeys(dsts, _error_text(exc)))
                 continue
             solvers.update(dict.fromkeys(dsts, m.solver))
             columns = [(dst, attr) for dst in dsts for attr in probe_attrs[dst]]

@@ -109,6 +109,12 @@ TRAIN_PROBE = ["train-probe", "--model", "orthA", "--attribute", "factor_00"]
     ["synth-gen", "--probe-alpha", "nan"],
     ["synth-gen", "--probe-alpha", "inf"],
     ["synth-gen", "--probe-alpha=-0.5"],
+    ["synth-gen", "--n", "0"],
+    ["synth-gen", "--k", "0"],
+    ["synth-gen", "--dpix", "0"],
+    ["synth-gen", "--dpix", "4", "--k", "8"],
+    ["synth-gen", "--noise-t=-1"],
+    ["synth-gen", "--noise-t", "51"],
 ], ids=" ".join)
 def test_cli_bad_numeric_flag_is_a_config_error(generated, tmp_path, capsys, args):
     # rejected before anything is fitted or written

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentstitch import mapfit
+from latentstitch import linalg, mapfit
 from latentstitch.errors import BadMagic, DimensionMismatch
 
 
@@ -269,3 +269,119 @@ def test_lmap_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(BadMagic):
         mapfit.load_map(path)
+
+
+def _targets(x, n_targets, d_out, seed):
+    """n_targets float32 targets of d_out columns, each an affine image of x
+    plus noise."""
+    rng = np.random.default_rng(seed)
+    return [(x @ rng.standard_normal((x.shape[1], d_out)) + rng.standard_normal(d_out)
+             + 0.1 * rng.standard_normal((x.shape[0], d_out))).astype(np.float32)
+            for _ in range(n_targets)]
+
+
+def _singular_design(n, d, seed):
+    """n x d standard normal rows with column 0 zeroed: exactly rank-deficient,
+    so Cholesky of the Gram fails at its zero pivot."""
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    x[:, 0] = 0.0
+    return x
+
+
+def _max_rel_diff(got, want):
+    got, want = (np.column_stack([m.W, m.b]) for m in (got, want))
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("x, attempts", [
+    pytest.param(np.random.default_rng(30).standard_normal((12, 20)), 0, id="n<d"),
+    pytest.param(_singular_design(40, 8, seed=30), 1, id="singular-n>d"),
+])
+def test_shared_pseudo_inverse_matches_per_target_min_norm_fits(monkeypatch, x, attempts):
+    n = x.shape[0]
+    ys = _targets(x, 5, n // 2, seed=31)  # 5n/2 columns in total, more than n rows
+    shared = mapfit.SharedFit(x, 0.0, sum(y.shape[1] for y in ys))
+    lstsq = _count_calls(monkeypatch, np.linalg, "lstsq")
+    spd = _count_calls(monkeypatch, linalg, "spd_solve")
+    got = [mapfit.fit_ridge(x, y, 0.0, shared=shared) for y in ys]
+    assert (len(lstsq), len(spd)) == (1, attempts)
+    for m, y in zip(got, ys):
+        want = mapfit.fit_ridge(x, y, 0.0)
+        assert (m.solver, m.path, want.solver, want.path) == ("lstsq", "operator", "lstsq", "direct")
+        assert _max_rel_diff(m, want) <= 1e-10
+
+
+@pytest.mark.parametrize("n, d_in, alpha", [
+    pytest.param(40, 8, 0.0, id="full-rank-ols"),
+    pytest.param(40, 8, 25.0, id="ridge"),
+    pytest.param(12, 20, 25.0, id="ridge-n<d"),
+])
+def test_cholesky_fits_stay_direct_and_sharing_changes_no_byte(n, d_in, alpha):
+    x = np.random.default_rng(32).standard_normal((n, d_in))
+    ys = _targets(x, 5, n // 2, seed=33)
+    stacked = mapfit.fit_ridge(x, np.hstack(ys), alpha)
+    assert (stacked.solver, stacked.path) == ("cholesky", "direct")
+    shared = mapfit.SharedFit(x, alpha, stacked.d_out)
+    for y in ys:
+        got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
+        assert (got.solver, got.path) == ("cholesky", "direct")
+        assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
+
+
+def test_operator_break_even_is_one_column_per_train_row():
+    x = np.random.default_rng(34).standard_normal((10, 12))
+    assert mapfit.fit_ols(x, np.hstack(_targets(x, 2, 5, seed=35))).path == "direct"
+    assert mapfit.fit_ols(x, _targets(x, 1, 11, seed=35)[0]).path == "operator"
+
+
+def test_shared_fit_serves_one_design():
+    x = np.random.default_rng(36).standard_normal((10, 12))
+    shared = mapfit.SharedFit(x, 0.0, 20)
+    y = _targets(x, 1, 4, seed=37)[0]
+    with pytest.raises(ValueError):
+        mapfit.fit_ridge(x.copy(), y, 0.0, shared=shared)
+    with pytest.raises(ValueError):
+        mapfit.fit_ridge(x, y, 1.0, shared=shared)
+
+
+@pytest.mark.parametrize("n, alpha, attempts", [
+    pytest.param(12, 0.0, 0, id="ols-n<=d"),
+    pytest.param(20, 0.0, 0, id="ols-n=d"),
+    pytest.param(21, 0.0, 1, id="ols-n>d"),
+    pytest.param(12, 1.0, 1, id="ridge-n<=d"),
+])
+@pytest.mark.parametrize("d_out", [3, 30], ids=["narrow", "wide"])
+def test_unregularized_fit_with_n_at_most_d_skips_the_cholesky_attempt(
+        monkeypatch, n, alpha, attempts, d_out):
+    calls = _count_calls(monkeypatch, linalg, "spd_solve")
+    x = np.random.default_rng(38).standard_normal((n, 20))
+    m = mapfit.fit_ridge(x, np.random.default_rng(39).standard_normal((n, d_out)), alpha)
+    assert len(calls) == attempts
+    assert m.solver == ("lstsq" if attempts == 0 else "cholesky")
+
+
+def test_fit_reads_targets_in_column_blocks(monkeypatch):
+    # blocks of 256 columns: results equal the single-block fit to the byte on
+    # the Cholesky path, and within rounding on the operator path
+    x = np.random.default_rng(40).standard_normal((300, 6))
+    y = np.hstack(_targets(x, 3, 200, seed=41))
+    x_wide = np.random.default_rng(42).standard_normal((100, 120))
+    y_wide = np.hstack(_targets(x_wide, 3, 200, seed=43))
+    direct, operator = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
+    monkeypatch.setattr(mapfit, "Y_BLOCK_BYTES", 1)
+    direct_blocked, operator_blocked = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
+    assert direct_blocked.W.tobytes() == direct.W.tobytes()
+    assert direct_blocked.b.tobytes() == direct.b.tobytes()
+    assert (direct.path, operator.path) == ("direct", "operator")
+    np.testing.assert_allclose(operator_blocked.W, operator.W, rtol=0, atol=1e-12)

@@ -728,3 +728,77 @@ def test_map_solver_recorded_per_pair(roster, wide_source, tmp_path):
         assert solvers["noise->orthB"] == "cholesky"
     suite = json.loads((tmp_path / "suite" / "metadata.json").read_text())
     assert "stitched_probes" in suite
+
+
+# --- stitch-grid shares one pseudo-inverse per (source, alpha) group ------------
+
+
+def _wide_roster_config(roster, wide_source, extra=""):
+    text = roster["config"].read_text() + wide_source + extra
+    return pipeline.parse_config(text, base_dir=roster["dir"])
+
+
+def test_stitch_grid_maps_match_per_cell_fits(roster, wide_source, tmp_path):
+    # The roster's own alphas, all 0. wide has 200 train rows for 240
+    # dimensions, and its targets add up to 381 columns, so its maps are
+    # min-norm and share one pseudo-inverse; every other source's fits are
+    # per target, as fit-map's are.
+    cfg = _wide_roster_config(roster, wide_source)
+    result = pipeline.run_stitch_grid(cfg, tmp_path)
+    assert result.errors == []
+    latents = {m.model_id: data.read_latents(m.latents_path) for m in cfg.models}
+    train_ids = data.split_ids(latents["orthA"], cfg.split)[0]
+    ids = cfg.model_ids()
+    for src in ids:
+        for dst in ids:
+            want = pipeline.fit_pair_map(latents[src], latents[dst], 0.0, train_ids)
+            got = mapfit.load_map(tmp_path / "maps" / f"{src}__{dst}.lmap")
+            want_wb, got_wb = (np.column_stack([m.W, m.b]) for m in (want, got))
+            if src == "wide":
+                assert np.abs(got_wb - want_wb).max() <= 1e-10 * np.abs(want_wb).max(), dst
+            else:
+                assert got_wb.tobytes() == want_wb.tobytes(), (src, dst)
+
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    fits = meta["map_fits"]
+    assert [(f["source"], f["alpha"], f["targets"]) for f in fits] == [(s, 0.0, ids) for s in ids]
+    assert {f["source"]: f["path"] for f in fits} == {
+        s: "operator" if s == "wide" else "direct" for s in ids}
+    assert all(meta["map_solver"][f"{f['source']}->{t}"] == f["solver"]
+               for f in fits for t in f["targets"])
+
+
+def test_stitch_grid_map_fits_split_by_alpha(roster, wide_source, tmp_path):
+    cfg = _wide_roster_config(roster, wide_source, "alpha.wide.orthB = 10\n")
+    pipeline.run_stitch_grid(cfg, tmp_path)
+    fits = json.loads((tmp_path / "metadata.json").read_text())["map_fits"]
+    assert [f for f in fits if f["source"] == "wide"] == [
+        {"source": "wide", "alpha": 0.0, "targets": ["orthA", "lossy", "rand", "noise", "wide"],
+         "solver": "lstsq", "path": "operator"},
+        {"source": "wide", "alpha": 10.0, "targets": ["orthB"], "solver": "cholesky",
+         "path": "direct"},
+    ]
+    assert len(fits) == 7
+
+
+def test_stitch_grid_model_missing_train_ids_fails_only_its_cells(roster, wide_source, tmp_path):
+    noise = data.read_latents(roster["dir"] / "noise.lsf")
+    keep = [i for i in range(noise.n) if i not in (3, 150)]  # two train ids gone
+    gappy = data.LatentDataset(model_id="gappy", ids=[noise.ids[i] for i in keep], X=noise.X[keep])
+    data.write_latents(gappy, tmp_path / "gappy.lsf")
+    without = _wide_roster_config(roster, wide_source)
+    with_gappy = _wide_roster_config(roster, wide_source,
+                                     f"model.gappy.latents = {tmp_path / 'gappy.lsf'}\n")
+    assert pipeline.run_stitch_grid(without, tmp_path / "without").errors == []
+    result = pipeline.run_stitch_grid(with_gappy, tmp_path / "with")
+    ids = with_gappy.model_ids()
+    assert [e.split(":")[0] for e in result.errors] == [
+        f"{s}->{t}" for s in ids for t in ids if "gappy" in (s, t)]
+    assert all(": InsufficientRows: 'gappy' lacks " in e for e in result.errors)
+    # the other targets of each group fit exactly as without the model
+    maps = sorted((tmp_path / "without" / "maps").glob("*.lmap"))
+    assert len(maps) == 36
+    for path in maps:
+        assert path.read_bytes() == (tmp_path / "with" / "maps" / path.name).read_bytes()
+    fits = json.loads((tmp_path / "with" / "metadata.json").read_text())["map_fits"]
+    assert all(f["source"] != "gappy" and "gappy" not in f["targets"] for f in fits)
