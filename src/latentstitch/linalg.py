@@ -123,15 +123,20 @@ def cov_factor(s) -> np.ndarray:
         return psd_sqrt(s)
 
 
+def eig_cutoff(w: np.ndarray) -> float:
+    """k * eps * max(w) for the ascending eigenvalues w of a k x k Gram:
+    eigenvalues at or below it are eigensolver rounding and count as zero."""
+    return len(w) * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
+
+
 def nuclear_norm(m) -> float:
     """Sum of the singular values of a matrix: the square roots of the
     eigenvalues of its smaller Gram (m m^T or m^T m), with psd_sqrt's clamp
-    rule. Gram eigenvalues within k * eps of the top one (k the Gram's size)
-    are eigensolver rounding and count as zero; each would otherwise add
-    about sqrt(k * eps) of the top singular value.
+    rule. Gram eigenvalues at or below eig_cutoff count as zero; each would
+    otherwise add about sqrt(k * eps) of the top singular value.
     """
     m = np.asarray(m, dtype=np.float64)
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
     w = _psd_eigenvalues(sym_eig((gram + gram.T) / 2.0, vectors=False).eigenvalues)
-    w[w <= len(w) * np.finfo(np.float64).eps * w[-1]] = 0.0
+    w[w <= eig_cutoff(w)] = 0.0
     return float(np.sqrt(w).sum())

@@ -5,19 +5,18 @@ application, latent-space MSE, the default ridge strengths for the standard
 model roster, and the LMAP binary serialization.
 
 The fit minimizes ``||Y - X W^T - 1 b^T||_F^2 + alpha ||W||_F^2`` with an
-unpenalized intercept and no 1/n factor, on column-centered data; one
-Cholesky-checked solve of (Xc^T Xc + alpha I) serves all output columns.
-With alpha = 0 and a singular Gram (a rank-deficient source, or fewer train
-rows than dimensions, where the attempt is skipped) it takes the min-norm
-least-squares solution pinv(Xc) Yc instead. When Y has more columns k than
-the n train rows, the min-norm fit forms the d x n pseudo-inverse first and
-multiplies, because that costs less than k right-hand sides; the break-even
-is k = n. A SharedFit lets the fits of many targets on one source share
-that pseudo-inverse, one target at a time.
+unpenalized intercept and no 1/n factor, on column-centered data. A design
+with no more train rows than dimensions (n <= d) is fitted through one
+eigendecomposition of its n x n dual Gram Xc Xc^T, which serves every alpha
+and every target; one with more rows through a Cholesky-checked solve of
+(Xc^T Xc + alpha I), or the min-norm least-squares solution when that Gram
+is singular at alpha = 0. A SharedFit lets the fits of many targets on one
+source share what they can: the dual factor, or the min-norm pseudo-inverse.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .data import RecordReader, write_str
-from .errors import DimensionMismatch, NotSPD
+from .errors import DataError, DimensionMismatch, NotSPD
 from .metrics import mean_squared_difference
 
 LMAP_MAGIC = b"LMAP"
@@ -41,12 +40,14 @@ class LinearMap:
     W: np.ndarray
     b: np.ndarray
     alpha: float = 0.0
-    #: Solver path of the fit that produced the map: "cholesky", or "lstsq" for
-    #: the min-norm fallback; "" when unknown. Not stored in LMAP files.
+    #: Solver path of the fit that produced the map: "eigh" for the dual
+    #: factor of an n <= d design, else "cholesky", or "lstsq" for the min-norm
+    #: fallback; "" when unknown. Not stored in LMAP files.
     solver: str = field(default="", compare=False)
-    #: How the fit formed W: "direct" (one solve with Y's columns as
-    #: right-hand sides), "operator" (the min-norm fit's d x n pseudo-inverse,
-    #: then pinv(Xc) Yc); "" when unknown. Not stored in LMAP files.
+    #: How the fit formed W: "dual" (the eigh factor's products), "direct" (one
+    #: solve with Y's columns as right-hand sides), "operator" (the min-norm
+    #: fit's d x n pseudo-inverse, then pinv(Xc) Yc); "" when unknown. Not
+    #: stored in LMAP files.
     path: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
@@ -101,21 +102,49 @@ def _centered_blocks(Y: np.ndarray, y_mean: np.ndarray):
         yield cols, block
 
 
-class SharedFit:
-    """What the fit_ridge calls for several targets of one source X share.
+@dataclass
+class DualFactor:
+    """The dual factor of an n x d design X with n <= d: Xc = X - x_mean, and
+    Xc Xc^T = U diag(lam) U^T with lam ascending, P = Xc^T U. Eigenvalues at
+    or below ``cutoff`` = linalg.eig_cutoff(lam), n eps max(lam), count as 0
+    and are stored as 0; the ``rank`` others are the last ones of lam."""
 
-    Make one per (X, alpha) with the targets' total column count k, and pass
-    it as ``shared`` to each target's fit_ridge call on that same X and alpha.
-    A Cholesky attempt that fails is then made once. When the fits are
-    min-norm and k exceeds the n rows of X, the d x n pseudo-inverse of the
-    centered X is formed once, and each target's fit only multiplies it with
-    its centered Y. Nothing else of one target's fit is kept for the next.
-    Not thread-safe: one per task.
+    x_mean: np.ndarray
+    lam: np.ndarray
+    U: np.ndarray
+    P: np.ndarray
+    cutoff: float
+    rank: int
+
+
+def _dual_factor(X) -> DualFactor:
+    Xc = np.array(X, dtype=np.float64)
+    x_mean = Xc.mean(axis=0)
+    Xc -= x_mean
+    eig = linalg.sym_eig(Xc @ Xc.T)
+    lam, U = eig.eigenvalues, eig.eigenvectors
+    cutoff = linalg.eig_cutoff(lam)
+    keep = lam > cutoff
+    return DualFactor(x_mean=x_mean, lam=np.where(keep, lam, 0.0), U=U, P=Xc.T @ U,
+                      cutoff=cutoff, rank=int(keep.sum()))
+
+
+class SharedFit:
+    """What the fit_ridge calls for the targets of one source X share.
+
+    Make one per X and pass it as ``shared`` to each target's fit_ridge call
+    on that same X, at any alpha. With n <= d rows the first fit builds the
+    source's DualFactor, kept as ``dual``, and every later fit only multiplies
+    it with its centered Y. With n > d rows, a Cholesky attempt that fails at
+    alpha = 0 is made once; and when those min-norm fits' targets add up to
+    more columns ``k`` than the n rows, the d x n pseudo-inverse of the
+    centered X is formed once for them all. Not thread-safe: one per task.
     """
 
-    def __init__(self, X, alpha: float, k: int):
-        self.X, self.alpha, self.k = X, float(alpha), int(k)
-        self.singular = False  # alpha = 0 and the Gram failed Cholesky
+    def __init__(self, X, k: int = 0):
+        self.X, self.k = X, int(k)
+        self.dual: DualFactor | None = None
+        self.singular = False  # n > d, alpha = 0 and the Gram failed Cholesky
         self.pinv: np.ndarray | None = None
 
 
@@ -123,30 +152,42 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
                 shared: SharedFit | None = None) -> LinearMap:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    # one float64 copy of X, centered in place; Y is centered block by block
-    # where it can be, and the inputs stay unchanged
-    Xc = np.array(X, dtype=np.float64)
-    Y = np.asarray(Y)
-    if Xc.ndim != 2 or Y.ndim != 2:
+    if shared is not None and shared.X is not X:
+        raise ValueError("a SharedFit serves the fits of one X")
+    X, Y = np.asarray(X), np.asarray(Y)
+    if X.ndim != 2 or Y.ndim != 2:
         raise DimensionMismatch("X and Y must be 2-D")
-    if Xc.shape[0] != Y.shape[0] or Xc.shape[0] < 1:
-        raise DimensionMismatch(f"X has {Xc.shape[0]} rows, Y has {Y.shape[0]}")
+    if X.shape[0] != Y.shape[0] or X.shape[0] < 1:
+        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
     if shared is None:
-        shared = SharedFit(X, alpha, Y.shape[1])
-    elif shared.X is not X or shared.alpha != alpha:
-        raise ValueError("a SharedFit serves the fits of one X at one alpha")
-    (n, d), k = Xc.shape, Y.shape[1]
-    x_mean = Xc.mean(axis=0)
+        shared = SharedFit(X)
+    (n, d), k = X.shape, Y.shape[1]
     y_mean = Y.mean(axis=0, dtype=np.float64)
-    Xc -= x_mean
 
-    def affine(W, solver, path):
+    def affine(W, x_mean, solver, path):
         return LinearMap(source_model=source_model, target_model=target_model, W=W,
                          b=y_mean - W @ x_mean, alpha=alpha, solver=solver, path=path)
 
-    # With alpha = 0 and n <= d the centered design has rank <= n - 1 < d, so
-    # its Gram is singular and no Cholesky attempt is made.
-    if alpha > 0 or (n > d and not shared.singular):
+    if n <= d:
+        if shared.dual is None:
+            shared.dual = _dual_factor(X)
+        f = shared.dual
+        # alpha = 0 keeps the nonzero eigenvalues only: the last rank of them
+        first = 0 if alpha > 0 else n - f.rank
+        U, P, scale = f.U[:, first:], f.P[:, first:], 1.0 / (f.lam[first:] + alpha)
+        W = np.empty((k, d))
+        for cols, block in _centered_blocks(Y, y_mean):
+            g = U.T @ block
+            g *= scale[:, None]
+            np.matmul(g.T, P.T, out=W[cols])
+        return affine(W, f.x_mean, "eigh", "dual")
+
+    # one float64 copy of X, centered in place; Y is centered block by block
+    # where it can be, and the inputs stay unchanged
+    Xc = np.array(X, dtype=np.float64)
+    x_mean = Xc.mean(axis=0)
+    Xc -= x_mean
+    if alpha > 0 or not shared.singular:
         rhs = np.empty((d, k))
         for cols, block in _centered_blocks(Y, y_mean):
             rhs[:, cols] = Xc.T @ block
@@ -159,42 +200,49 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
                 raise
             shared.singular = True
         else:
-            return affine(np.ascontiguousarray(wt.T), "cholesky", "direct")
+            return affine(np.ascontiguousarray(wt.T), x_mean, "cholesky", "direct")
         del rhs, gram
     # The min-norm least-squares solution, W^T = pinv(Xc) Yc. With more target
     # columns than train rows, pinv(Xc) = lstsq(Xc, I_n) costs less than
     # lstsq(Xc, Yc); the break-even is k = n.
-    if shared.k > n:
+    if max(shared.k, k) > n:
         if shared.pinv is None:
             shared.pinv, *_ = np.linalg.lstsq(Xc, np.eye(n), rcond=None)
         del Xc
         W = np.empty((k, d))
         for cols, block in _centered_blocks(Y, y_mean):
             np.matmul(block.T, shared.pinv.T, out=W[cols])
-        return affine(W, "lstsq", "operator")
+        return affine(W, x_mean, "lstsq", "operator")
     Yc = np.array(Y, dtype=np.float64)
     Yc -= y_mean
     wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
-    return affine(np.ascontiguousarray(wt.T), "lstsq", "direct")
+    return affine(np.ascontiguousarray(wt.T), x_mean, "lstsq", "direct")
 
 
 def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "",
               shared: SharedFit | None = None) -> LinearMap:
     """The one map fit: ridge for alpha > 0, least squares for alpha = 0.
 
-    Solves the Cholesky-checked normal equations for all of Y's columns at
-    once; an unregularized fit whose Gram is singular (or must be: n <= d
-    train rows) takes the min-norm least-squares solution instead. The map's
-    ``solver`` records which ("cholesky" or "lstsq"). A min-norm fit with more
-    target columns k than train rows n forms the d x n pseudo-inverse of the
-    centered X, np.linalg.lstsq against the n x n identity, and multiplies it
-    with the centered Y; the map's ``path`` is then "operator", else "direct".
-    With ``shared`` (a SharedFit of this X and alpha), k is the total of the
-    targets it serves and they share one pseudo-inverse. Each map then equals
+    A design with n <= d train rows is fitted through its DualFactor (solver
+    "eigh", path "dual"): W^T = P diag(f(lam)) U^T Yc, with f = 1/(lam + alpha),
+    or for alpha = 0 f = 1/lam on the eigenvalues above the factor's cutoff
+    and 0 on the rest, which is the rank-aware min-norm fit. With ``shared``
+    (a SharedFit of this X) the factor is built by the first fit and reused,
+    so each map equals its fit without ``shared`` to the byte.
+
+    A design with n > d rows solves the Cholesky-checked normal equations for
+    all of Y's columns at once; an unregularized fit whose Gram is singular
+    takes the min-norm least-squares solution instead. The map's ``solver``
+    records which ("cholesky" or "lstsq"). A min-norm fit with more target
+    columns k than train rows n forms the d x n pseudo-inverse of the centered
+    X, np.linalg.lstsq against the n x n identity, and multiplies it with the
+    centered Y; the map's ``path`` is then "operator", else "direct". With
+    ``shared``, k is at least the SharedFit's k, the total of the alpha = 0
+    targets it serves, and they share one pseudo-inverse. Each map then equals
     its fit without ``shared`` to the byte on the Cholesky path, and within
     rounding on the min-norm path.
 
-    The Cholesky and operator paths read Y in float64 column blocks; the
+    The dual, Cholesky and operator paths read Y in float64 column blocks; the
     direct min-norm path makes a float64 copy of all of Y for np.linalg.lstsq.
     """
     return _fit_affine(X, Y, float(alpha), source_model, target_model, shared)
@@ -237,6 +285,8 @@ def load_map(path) -> LinearMap:
         r = RecordReader(f, path, LMAP_MAGIC, LMAP_VERSION)
         source, target = r.string(), r.string()
         alpha, d_in, d_out = r.unpack("<dII")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise DataError(f"{path}: map alpha {alpha!r} is not a finite value >= 0")
         b = r.array("<f8", d_out)
         W = r.array("<f8", d_out, d_in)
     return LinearMap(source_model=source, target_model=target, W=W, b=b, alpha=alpha)

@@ -509,11 +509,13 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     images. Maps and mapped holdout latents are serialized per cell so every
     reported number can be recomputed offline.
 
-    Sources run as tasks, each fitting its targets one at a time. The targets
-    of one source and alpha share a mapfit.SharedFit: when their maps are
-    min-norm and their dimensions add up to more than the train rows, one
-    pseudo-inverse of the source serves them all. metadata.json lists each
-    (source, alpha) group's solver and path under map_fits."""
+    Sources run as tasks, each fitting its targets one at a time. All targets
+    of one source share a mapfit.SharedFit: a source with no more train rows
+    than dimensions is factored once for every target and alpha, and one
+    pseudo-inverse of a singular wider source serves its min-norm maps when
+    their dimensions add up to more than the train rows. metadata.json lists
+    each (source, alpha) group's solver and path under map_fits, with the
+    source's kept rank and eigenvalue cutoff for a dual fit."""
     validate_paths(cfg)
     out = Path(out_dir)
     maps_dir = out / "maps"
@@ -561,14 +563,14 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         return result
 
     def source_row(src):
-        """One source's cells, fitted per alpha group with one SharedFit, and
-        the groups' map_fits entries."""
+        """One source's cells, fitted per alpha group with one SharedFit for
+        them all, and the groups' map_fits entries."""
         X = latents[src].X[rows_of(latents[src], train_ids)]
         groups, train_rows, errors = _alpha_groups(cfg, latents, src, train_ids)
         outcomes = {dst: (None, err) for dst, err in errors.items()}
+        shared = SharedFit(X, sum(latents[dst].d for dst in groups.get(0.0, [])))
         fits = []
         for alpha, dsts in groups.items():
-            shared = SharedFit(X, alpha, sum(latents[dst].d for dst in dsts))
             fitted = []
             for dst in dsts:
                 m = None  # frees the previous target's map before this fit
@@ -577,6 +579,8 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
                                   target_model=dst, shared=shared)
                     fitted.append(dst)
                     how = {"solver": m.solver, "path": m.path}
+                    if m.path == "dual":
+                        how.update(rank=shared.dual.rank, cutoff=shared.dual.cutoff)
                     outcomes[dst] = cell(src, dst, m), None
                 except LatentStitchError as exc:
                     outcomes[dst] = None, _error_text(exc)
@@ -722,9 +726,10 @@ def run_probe_suite(
         )
         acc_values[model_ids.index(mid), attributes.index(attr)] = acc
 
-    # Stitched probes, one fit per (source, alpha). fit_ridge solves each output
-    # column alone with one Gram (Cholesky, or min-norm lstsq), so fitting the
-    # source's train rows to a target probe's train scores Y w gives that probe
+    # Stitched probes, one fit per (source, alpha), all of a source's fits
+    # sharing one SharedFit. fit_ridge fits each output column alone with one
+    # factor of the source (dual eigh, Cholesky, or min-norm lstsq), so fitting
+    # the source's train rows to a target probe's train scores Y w gives that probe
     # composed with the src->dst map, x -> (W^T w).x + (c.w + b), without the
     # d_out x d_in map or any mapped holdout.
     pair_list = [(src, dst) for src in model_ids for dst in model_ids]
@@ -739,11 +744,12 @@ def run_probe_suite(
         groups, train_rows, pair_errors = _alpha_groups(cfg, latents, src, split[0])
         by_target: dict[tuple[str, str], Probe] = {}
         solvers: dict[str, str] = {}
+        shared = SharedFit(X)
         for alpha, dsts in groups.items():
             Y = np.hstack([latents[dst].X[train_rows[dst]] @ probe_weights[dst].T
                            for dst in dsts])
             try:
-                m = fit_ridge(X, Y, alpha)
+                m = fit_ridge(X, Y, alpha, shared=shared)
             except LatentStitchError as exc:
                 pair_errors.update(dict.fromkeys(dsts, _error_text(exc)))
                 continue

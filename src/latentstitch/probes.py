@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import AttributeTable, RecordReader, stable_id_hash, write_str
 from .errors import (
+    DataError,
     DimensionMismatch,
     EmptySet,
     NoConvergence,
@@ -353,6 +354,10 @@ def load_probe(path) -> Probe:
         r = RecordReader(f, path, LPRB_MAGIC, LPRB_VERSION)
         attribute, model_id = r.string(), r.string()
         alpha, threshold, d = r.unpack("<ddI")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise DataError(f"{path}: probe alpha {alpha!r} is not a finite value >= 0")
+        if not math.isfinite(threshold):
+            raise DataError(f"{path}: probe threshold {threshold!r} is not finite")
         (b,) = r.unpack("<d")
         w = r.array("<f8", d)
     return Probe(attribute=attribute, model_id=model_id, w=w, b=b, alpha=alpha, threshold=threshold)

@@ -44,7 +44,7 @@ def test_fit_ols_rank_deficient_takes_min_norm_lstsq():
     x = rng.standard_normal((5, 8))  # n < d_in
     y = rng.standard_normal((5, 3))
     m = mapfit.fit_ols(x, y)
-    assert m.solver == "lstsq"
+    assert (m.solver, m.path) == ("eigh", "dual")
     # minimum-norm solution interpolates the training rows
     np.testing.assert_allclose(mapfit.apply_map(m, x), y, atol=1e-8)
 
@@ -86,11 +86,15 @@ def test_unregularized_fit_matches_reference_branch_bytes(design, fit):
     x, y = design()
     W, b, solver = _reference_unregularized_fit(x, y)
     m = fit(x, y)
+    if x.shape[0] <= x.shape[1]:
+        # n <= d takes the dual factor: the same min-norm fit, within rounding
+        assert solver == "lstsq" and (m.solver, m.path) == ("eigh", "dual")
+        want = np.column_stack([W, b])
+        assert np.abs(np.column_stack([m.W, m.b]) - want).max() <= 1e-9 * np.abs(want).max()
+        return
     assert m.W.tobytes() == W.tobytes() and m.b.tobytes() == b.tobytes()
     assert m.solver == solver
-    if x.shape[0] < x.shape[1]:
-        assert solver == "lstsq"
-    elif x.dtype == np.float64:
+    if x.dtype == np.float64:
         assert solver == "cholesky"
 
 
@@ -254,8 +258,8 @@ def test_fits_record_solver_path_outside_lmap(tmp_path):
     rng = np.random.default_rng(14)
     x, y = rng.standard_normal((5, 8)), rng.standard_normal((5, 3))  # n < d_in
     fallback = mapfit.fit_ols(x, y)
-    assert fallback.solver == "lstsq"
-    assert mapfit.fit_ridge(x, y, 1.0).solver == "cholesky"
+    assert fallback.solver == "eigh"
+    assert mapfit.fit_ridge(x, y, 1.0).solver == "eigh"
     x_full, y_full, _, _ = planted_problem(seed=14)
     assert mapfit.fit_ols(x_full, y_full).solver == "cholesky"
     mapfit.save_map(fallback, tmp_path / "a.lmap")
@@ -304,21 +308,24 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("x, attempts", [
-    pytest.param(np.random.default_rng(30).standard_normal((12, 20)), 0, id="n<d"),
-    pytest.param(_singular_design(40, 8, seed=30), 1, id="singular-n>d"),
+@pytest.mark.parametrize("x, calls, how", [
+    # n <= d shares the dual factor instead, and takes no lstsq and no Cholesky
+    pytest.param(np.random.default_rng(30).standard_normal((12, 20)), (0, 0),
+                 ("eigh", "dual", "eigh", "dual"), id="n<d"),
+    pytest.param(_singular_design(40, 8, seed=30), (1, 1),
+                 ("lstsq", "operator", "lstsq", "direct"), id="singular-n>d"),
 ])
-def test_shared_pseudo_inverse_matches_per_target_min_norm_fits(monkeypatch, x, attempts):
+def test_shared_pseudo_inverse_matches_per_target_min_norm_fits(monkeypatch, x, calls, how):
     n = x.shape[0]
     ys = _targets(x, 5, n // 2, seed=31)  # 5n/2 columns in total, more than n rows
-    shared = mapfit.SharedFit(x, 0.0, sum(y.shape[1] for y in ys))
+    shared = mapfit.SharedFit(x, sum(y.shape[1] for y in ys))
     lstsq = _count_calls(monkeypatch, np.linalg, "lstsq")
     spd = _count_calls(monkeypatch, linalg, "spd_solve")
     got = [mapfit.fit_ridge(x, y, 0.0, shared=shared) for y in ys]
-    assert (len(lstsq), len(spd)) == (1, attempts)
+    assert (len(lstsq), len(spd)) == calls
     for m, y in zip(got, ys):
         want = mapfit.fit_ridge(x, y, 0.0)
-        assert (m.solver, m.path, want.solver, want.path) == ("lstsq", "operator", "lstsq", "direct")
+        assert (m.solver, m.path, want.solver, want.path) == how
         assert _max_rel_diff(m, want) <= 1e-10
 
 
@@ -330,36 +337,39 @@ def test_shared_pseudo_inverse_matches_per_target_min_norm_fits(monkeypatch, x, 
 def test_cholesky_fits_stay_direct_and_sharing_changes_no_byte(n, d_in, alpha):
     x = np.random.default_rng(32).standard_normal((n, d_in))
     ys = _targets(x, 5, n // 2, seed=33)
+    how = ("eigh", "dual") if n <= d_in else ("cholesky", "direct")
     stacked = mapfit.fit_ridge(x, np.hstack(ys), alpha)
-    assert (stacked.solver, stacked.path) == ("cholesky", "direct")
-    shared = mapfit.SharedFit(x, alpha, stacked.d_out)
+    assert (stacked.solver, stacked.path) == how
+    shared = mapfit.SharedFit(x, stacked.d_out)
     for y in ys:
         got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
-        assert (got.solver, got.path) == ("cholesky", "direct")
+        assert (got.solver, got.path) == how
         assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
 
 
 def test_operator_break_even_is_one_column_per_train_row():
-    x = np.random.default_rng(34).standard_normal((10, 12))
-    assert mapfit.fit_ols(x, np.hstack(_targets(x, 2, 5, seed=35))).path == "direct"
-    assert mapfit.fit_ols(x, _targets(x, 1, 11, seed=35)[0]).path == "operator"
+    x = _singular_design(12, 10, seed=34)
+    assert mapfit.fit_ols(x, np.hstack(_targets(x, 2, 6, seed=35))).path == "direct"
+    assert mapfit.fit_ols(x, _targets(x, 1, 13, seed=35)[0]).path == "operator"
 
 
 def test_shared_fit_serves_one_design():
     x = np.random.default_rng(36).standard_normal((10, 12))
-    shared = mapfit.SharedFit(x, 0.0, 20)
+    shared = mapfit.SharedFit(x, 20)
     y = _targets(x, 1, 4, seed=37)[0]
     with pytest.raises(ValueError):
         mapfit.fit_ridge(x.copy(), y, 0.0, shared=shared)
-    with pytest.raises(ValueError):
-        mapfit.fit_ridge(x, y, 1.0, shared=shared)
+    # one SharedFit serves every alpha of its design
+    for alpha in (1.0, 0.0):
+        got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
+        assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
 
 
 @pytest.mark.parametrize("n, alpha, attempts", [
     pytest.param(12, 0.0, 0, id="ols-n<=d"),
     pytest.param(20, 0.0, 0, id="ols-n=d"),
     pytest.param(21, 0.0, 1, id="ols-n>d"),
-    pytest.param(12, 1.0, 1, id="ridge-n<=d"),
+    pytest.param(12, 1.0, 0, id="ridge-n<=d"),
 ])
 @pytest.mark.parametrize("d_out", [3, 30], ids=["narrow", "wide"])
 def test_unregularized_fit_with_n_at_most_d_skips_the_cholesky_attempt(
@@ -368,20 +378,84 @@ def test_unregularized_fit_with_n_at_most_d_skips_the_cholesky_attempt(
     x = np.random.default_rng(38).standard_normal((n, 20))
     m = mapfit.fit_ridge(x, np.random.default_rng(39).standard_normal((n, d_out)), alpha)
     assert len(calls) == attempts
-    assert m.solver == ("lstsq" if attempts == 0 else "cholesky")
+    assert m.solver == ("eigh" if n <= 20 else "cholesky")
 
 
 def test_fit_reads_targets_in_column_blocks(monkeypatch):
     # blocks of 256 columns: results equal the single-block fit to the byte on
-    # the Cholesky path, and within rounding on the operator path
+    # the Cholesky path, and within rounding on the dual path
     x = np.random.default_rng(40).standard_normal((300, 6))
     y = np.hstack(_targets(x, 3, 200, seed=41))
     x_wide = np.random.default_rng(42).standard_normal((100, 120))
     y_wide = np.hstack(_targets(x_wide, 3, 200, seed=43))
-    direct, operator = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
+    direct, dual = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
     monkeypatch.setattr(mapfit, "Y_BLOCK_BYTES", 1)
-    direct_blocked, operator_blocked = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
+    direct_blocked, dual_blocked = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
     assert direct_blocked.W.tobytes() == direct.W.tobytes()
     assert direct_blocked.b.tobytes() == direct.b.tobytes()
-    assert (direct.path, operator.path) == ("direct", "operator")
-    np.testing.assert_allclose(operator_blocked.W, operator.W, rtol=0, atol=1e-12)
+    assert (direct.path, dual.path) == ("direct", "dual")
+    np.testing.assert_allclose(dual_blocked.W, dual.W, rtol=0, atol=1e-12)
+
+
+# --- the dual factor of an n <= d design ------------------------------------------
+
+
+def _reference_wb(x, y, alpha):
+    """[W | b] by the n > d routes on any design: for alpha > 0 the centered
+    normal equations with a Cholesky check and an LU solve, for alpha = 0 the
+    min-norm lstsq solution."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    if alpha > 0:
+        gram = xc.T @ xc + alpha * np.eye(x.shape[1])
+        np.linalg.cholesky(gram)
+        W = np.linalg.solve(gram, xc.T @ yc).T
+    else:
+        W = np.linalg.lstsq(xc, yc, rcond=None)[0].T
+    return np.column_stack([W, y.mean(axis=0) - W @ x.mean(axis=0)])
+
+
+@pytest.mark.parametrize("n, d, dtype", [
+    pytest.param(30, 50, np.float64, id="n<d"),
+    pytest.param(40, 40, np.float64, id="n=d"),
+    pytest.param(12, 200, np.float32, id="n<<d-float32"),
+])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 10.0, 50000.0])
+def test_dual_fit_matches_cholesky_ridge_and_full_row_rank_lstsq(n, d, dtype, alpha):
+    rng = np.random.default_rng(50)
+    x = (3.0 * rng.standard_normal((n, d)) + 1.5).astype(dtype)
+    y = (rng.standard_normal((n, 7)) - 2.0).astype(dtype)
+    m = mapfit.fit_ridge(x, y, alpha)
+    assert (m.solver, m.path) == ("eigh", "dual")
+    want = _reference_wb(x, y, alpha)
+    assert np.abs(np.column_stack([m.W, m.b]) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("r", [1, 4, 16])
+def test_dual_factor_keeps_the_planted_rank(dtype, r):
+    rng = np.random.default_rng(51 + r)
+    x = (rng.standard_normal((60, r)) @ rng.standard_normal((r, 150)) + 4.0).astype(dtype)
+    y = rng.standard_normal((60, 5))
+    shared = mapfit.SharedFit(x)
+    m = mapfit.fit_ridge(x, y, 0.0, shared=shared)
+    assert shared.dual.rank == r
+    assert shared.dual.cutoff == 60 * np.finfo(np.float64).eps * shared.dual.lam[-1]
+    assert (shared.dual.lam[:-r] == 0).all() and (shared.dual.lam[-r:] > shared.dual.cutoff).all()
+    # the min-norm fit lies in the row space of the centered design
+    xc = np.asarray(x, dtype=np.float64) - np.asarray(x, dtype=np.float64).mean(axis=0)
+    _, _, vt = np.linalg.svd(xc, full_matrices=False)
+    outside = m.W - (m.W @ vt[:r].T) @ vt[:r]
+    assert np.abs(outside).max() <= 1e-9 * np.abs(m.W).max()
+
+
+def test_shared_dual_factor_is_built_once_for_every_target_and_alpha(monkeypatch):
+    x = np.random.default_rng(52).standard_normal((20, 30))
+    ys = _targets(x, 3, 4, seed=53)
+    factors = _count_calls(monkeypatch, mapfit, "_dual_factor")
+    shared = mapfit.SharedFit(x)
+    for alpha in (0.0, 2.0, 500.0):
+        for y in ys:
+            got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
+            assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
+    assert len(factors) == 1 + 9  # the shared one, then one per unshared fit

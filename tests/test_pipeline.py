@@ -656,8 +656,8 @@ def test_stitch_grid_summarizes_true_images_once_and_records_fid_path(
 @pytest.fixture(scope="module")
 def wide_source(roster):
     """Model `wide`: orthA's latents plus 204 noise columns, so its 200 train rows
-    are fewer than its 240 dimensions and an unregularized map from it takes the
-    min-norm lstsq fallback."""
+    are fewer than its 240 dimensions and every map from it takes the dual
+    factor, min-norm when unregularized."""
     orth_a = data.read_latents(roster["dir"] / "orthA.lsf")
     noise = np.random.default_rng(4).standard_normal((orth_a.n, 204)).astype(np.float32)
     wide = data.LatentDataset(model_id="wide", ids=orth_a.ids, X=np.hstack([orth_a.X, noise]))
@@ -706,7 +706,7 @@ def test_probe_suite_stitched_probes_match_mapped_holdouts(roster, wide_source, 
     np.testing.assert_array_equal(result.delta_grid.values, delta)
     solvers = json.loads((tmp_path / "metadata.json").read_text())["map_solver"]
     if extra == "wide":
-        assert {solvers[f"wide->{t}"] for t in cfg.model_ids()} == {"lstsq"}
+        assert {solvers[f"wide->{t}"] for t in cfg.model_ids()} == {"eigh"}
     if extra == "ridge":
         # the ridge fit leaves its stitched probes near constant: far from the OLS pair's
         row = result.delta_grid.row_ids.index
@@ -722,15 +722,15 @@ def test_map_solver_recorded_per_pair(roster, wide_source, tmp_path):
     for command in ("grid", "suite"):
         solvers = json.loads((tmp_path / command / "metadata.json").read_text())["map_solver"]
         assert len(solvers) == 36
-        assert solvers["wide->orthA"] == "lstsq"  # unregularized, 200 rows < 240 dims
-        assert solvers["wide->orthB"] == "cholesky"  # ridge
+        assert solvers["wide->orthA"] == "eigh"  # unregularized, 200 rows < 240 dims
+        assert solvers["wide->orthB"] == "eigh"  # ridge, from the same dual factor
         assert solvers["orthA->wide"] == "cholesky"  # full-rank source
         assert solvers["noise->orthB"] == "cholesky"
     suite = json.loads((tmp_path / "suite" / "metadata.json").read_text())
     assert "stitched_probes" in suite
 
 
-# --- stitch-grid shares one pseudo-inverse per (source, alpha) group ------------
+# --- stitch-grid shares one fit factor per source ----------------------------------
 
 
 def _wide_roster_config(roster, wide_source, extra=""):
@@ -740,9 +740,8 @@ def _wide_roster_config(roster, wide_source, extra=""):
 
 def test_stitch_grid_maps_match_per_cell_fits(roster, wide_source, tmp_path):
     # The roster's own alphas, all 0. wide has 200 train rows for 240
-    # dimensions, and its targets add up to 381 columns, so its maps are
-    # min-norm and share one pseudo-inverse; every other source's fits are
-    # per target, as fit-map's are.
+    # dimensions, so its maps are min-norm and share one dual factor; every
+    # other source's fits are per target, as fit-map's are.
     cfg = _wide_roster_config(roster, wide_source)
     result = pipeline.run_stitch_grid(cfg, tmp_path)
     assert result.errors == []
@@ -754,16 +753,13 @@ def test_stitch_grid_maps_match_per_cell_fits(roster, wide_source, tmp_path):
             want = pipeline.fit_pair_map(latents[src], latents[dst], 0.0, train_ids)
             got = mapfit.load_map(tmp_path / "maps" / f"{src}__{dst}.lmap")
             want_wb, got_wb = (np.column_stack([m.W, m.b]) for m in (want, got))
-            if src == "wide":
-                assert np.abs(got_wb - want_wb).max() <= 1e-10 * np.abs(want_wb).max(), dst
-            else:
-                assert got_wb.tobytes() == want_wb.tobytes(), (src, dst)
+            assert got_wb.tobytes() == want_wb.tobytes(), (src, dst)
 
     meta = json.loads((tmp_path / "metadata.json").read_text())
     fits = meta["map_fits"]
     assert [(f["source"], f["alpha"], f["targets"]) for f in fits] == [(s, 0.0, ids) for s in ids]
     assert {f["source"]: f["path"] for f in fits} == {
-        s: "operator" if s == "wide" else "direct" for s in ids}
+        s: "dual" if s == "wide" else "direct" for s in ids}
     assert all(meta["map_solver"][f"{f['source']}->{t}"] == f["solver"]
                for f in fits for t in f["targets"])
 
@@ -772,13 +768,53 @@ def test_stitch_grid_map_fits_split_by_alpha(roster, wide_source, tmp_path):
     cfg = _wide_roster_config(roster, wide_source, "alpha.wide.orthB = 10\n")
     pipeline.run_stitch_grid(cfg, tmp_path)
     fits = json.loads((tmp_path / "metadata.json").read_text())["map_fits"]
-    assert [f for f in fits if f["source"] == "wide"] == [
+    wide = [f for f in fits if f["source"] == "wide"]
+    cutoffs = {f.pop("cutoff") for f in wide}
+    assert len(cutoffs) == 1 and cutoffs.pop() > 0  # one factor for both groups
+    assert wide == [
         {"source": "wide", "alpha": 0.0, "targets": ["orthA", "lossy", "rand", "noise", "wide"],
-         "solver": "lstsq", "path": "operator"},
-        {"source": "wide", "alpha": 10.0, "targets": ["orthB"], "solver": "cholesky",
-         "path": "direct"},
+         "solver": "eigh", "path": "dual", "rank": 199},
+        {"source": "wide", "alpha": 10.0, "targets": ["orthB"], "solver": "eigh",
+         "path": "dual", "rank": 199},
     ]
     assert len(fits) == 7
+
+
+# wide's targets in three alpha groups: 0 (orthA, lossy, rand, wide), 10 and 3
+THREE_WIDE_GROUPS = "alpha.wide.orthB = 10\nalpha.wide.noise = 3\n"
+
+
+@pytest.mark.parametrize("command", ["stitch-grid", "probe-suite"])
+def test_each_narrow_source_is_factored_once(monkeypatch, roster, wide_source, tmp_path,
+                                              command):
+    cfg = _wide_roster_config(roster, wide_source, THREE_WIDE_GROUPS)
+    factored = []
+    original = mapfit._dual_factor
+
+    def counting(X):
+        factored.append(X.shape)
+        return original(X)
+
+    monkeypatch.setattr(mapfit, "_dual_factor", counting)
+    run = {"stitch-grid": pipeline.run_stitch_grid, "probe-suite": pipeline.run_probe_suite}
+    assert run[command](cfg, tmp_path).errors == []
+    assert factored == [(200, 240)]  # wide, the one source with n <= d
+    if command == "stitch-grid":
+        fits = json.loads((tmp_path / "metadata.json").read_text())["map_fits"]
+        assert [f["alpha"] for f in fits if f["source"] == "wide"] == [0.0, 10.0, 3.0]
+
+
+@pytest.mark.parametrize("dst, alpha", [("orthA", 0.0), ("orthB", 10.0)])
+def test_fit_map_writes_stitch_grid_bytes_for_a_narrow_source(roster, wide_source, tmp_path,
+                                                             dst, alpha):
+    cfg_path = roster["dir"] / "three_wide_groups.cfg"
+    cfg_path.write_text(roster["config"].read_text() + wide_source + THREE_WIDE_GROUPS)
+    assert cli.main(["stitch-grid", "--config", str(cfg_path), "--out", str(tmp_path / "grid")]) == 0
+    assert cli.main(["fit-map", "--config", str(cfg_path), "--src", "wide", "--dst", dst,
+                     "--out", str(tmp_path / "map")]) == 0
+    name = f"wide__{dst}.lmap"
+    assert mapfit.load_map(tmp_path / "map" / name).alpha == alpha
+    assert (tmp_path / "map" / name).read_bytes() == (tmp_path / "grid" / "maps" / name).read_bytes()
 
 
 def test_stitch_grid_model_missing_train_ids_fails_only_its_cells(roster, wide_source, tmp_path):

@@ -2,6 +2,7 @@
 before any allocation, empty arrays rejected, long strings refused, invalid
 UTF-8 a data error; and the exit-code contract of commands reading LSF files."""
 
+import math
 import struct
 
 import numpy as np
@@ -173,3 +174,70 @@ def test_mutated_lsf_ends_in_a_documented_exit_code(tiny_lsf, mutations):
     mutated.write_bytes(_mutate(tiny_lsf.read_bytes(), mutations))
     for command in ("fid", "rmse"):
         assert cli.main([command, str(mutated), str(tiny_lsf)]) in (0, 1, 2, 3)
+
+
+# --- LMAP and LPRB headers, and the loaders under mutated bytes ---------------------
+
+MAP = mapfit.LinearMap(source_model="a", target_model="b", W=np.arange(6.0).reshape(2, 3),
+                       b=np.ones(2), alpha=2.5)
+PROBE = probes.Probe(attribute="attr", model_id="m", w=np.arange(3.0), b=0.5, alpha=0.1)
+#: record -> (writer, loader, value, byte offsets of its float64 header fields:
+#: the LMAP alpha; the LPRB alpha and threshold)
+RECORDS = {
+    "lmap": (mapfit.save_map, mapfit.load_map, MAP, (4 + 4 + 3 + 3,)),
+    "lprb": (probes.save_probe, probes.load_probe, PROBE, (4 + 4 + 6 + 3, 4 + 4 + 6 + 3 + 8)),
+}
+
+
+def _with_field(raw: bytes, at: int, value: float) -> bytes:
+    return raw[:at] + struct.pack("<d", value) + raw[at + 8:]
+
+
+@pytest.mark.parametrize("record, field, value", [
+    ("lmap", 0, -1.0), ("lmap", 0, math.nan), ("lmap", 0, math.inf),
+    ("lprb", 0, -1e-300), ("lprb", 0, math.nan), ("lprb", 0, math.inf),
+    ("lprb", 1, math.nan), ("lprb", 1, -math.inf),
+])
+def test_bad_header_alpha_or_threshold_is_a_data_error(tmp_path, record, field, value):
+    save, load, value_ok, fields = RECORDS[record]
+    path = tmp_path / f"good.{record}"
+    save(value_ok, path)
+    assert load(path).alpha == value_ok.alpha
+    path.write_bytes(_with_field(path.read_bytes(), fields[field], value))
+    with pytest.raises(DataError):
+        load(path)
+
+
+HEADER_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("field"), st.integers(0, 1),
+              st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 3.0])),
+)
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+@pytest.mark.parametrize("record", ["lmap", "lprb"])
+@given(st.lists(HEADER_MUTATION, min_size=1, max_size=3))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_mutated_lmap_and_lprb_raise_only_data_errors(record_dir, record, mutations):
+    save, load, value, fields = RECORDS[record]
+    path = record_dir / f"mutated.{record}"
+    save(value, path)
+    raw = path.read_bytes()
+    for kind, *arg in mutations:
+        if kind != "field":
+            raw = _mutate(raw, [(kind, *arg)])
+        elif fields[arg[0] % len(fields)] + 8 <= len(raw):
+            raw = _with_field(raw, fields[arg[0] % len(fields)], arg[1])
+    path.write_bytes(raw)
+    try:
+        loaded = load(path)
+    except DataError:
+        return
+    assert math.isfinite(loaded.alpha) and loaded.alpha >= 0
