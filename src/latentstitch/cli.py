@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .data import align, read_attribute_table, read_latents, rows_of, split_ids
 from .errors import ConfigError, DataError, NumericalError
-from .mapfit import apply_map, latent_mse, save_map
+from .mapfit import mapped_mse, save_map
 from .metrics import fid, pixel_rmse, summarize
 from .pipeline import (
     ExperimentConfig,
@@ -146,7 +146,7 @@ def _cmd_fit_map(args) -> int:
     path = args.out / f"{args.src}__{args.dst}.lmap"
     save_map(m, path)
     train_mse, hold_mse = (
-        latent_mse(apply_map(m, src.X[rows_of(src, ids)]), dst.X[rows_of(dst, ids)]) for ids in split
+        mapped_mse(m, src.X, dst.X, (rows_of(src, ids), rows_of(dst, ids))) for ids in split
     )
     print(f"map {args.src}->{args.dst} alpha={alpha:.9g} -> {path}")
     print(f"latent mse: train={train_mse:.9g} holdout={hold_mse:.9g}")

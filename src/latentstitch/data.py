@@ -208,7 +208,8 @@ class RecordReader:
     read is checked against the bytes left in the file before anything is
     allocated, so a header that declares more payload than the file holds
     raises TruncatedFile rather than attempting the allocation. No format
-    stores an empty array, so a zero size in a header is rejected too.
+    stores an empty array, so a zero size in a header is rejected too, and
+    `end` rejects bytes after the last field.
     """
 
     def __init__(self, f: BinaryIO, path, magic: bytes, version: int) -> None:
@@ -237,6 +238,11 @@ class RecordReader:
             return self.read(length).decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{self.path}: string is not valid UTF-8") from None
+
+    def end(self) -> None:
+        """Raise DataError unless the record ended at the end of the file."""
+        if self.left:
+            raise DataError(f"{self.path}: {self.left} bytes after the end of the record")
 
     def array(self, dtype: str, *shape: int) -> np.ndarray:
         """A fresh buffer per array keeps the values aligned for BLAS."""
@@ -276,6 +282,7 @@ def _read_lsf(path):
         image_shape = r.unpack("<HHH") if model_id == PIXEL_MODEL_ID else None
         ids = [r.string() for _ in range(n)]
         values = r.array("<f4", n, d)
+        r.end()
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(f"{path}: data contains NaN or Inf")
     return model_id, ids, values, image_shape

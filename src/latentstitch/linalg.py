@@ -49,11 +49,24 @@ def _as_square(a, name: str) -> np.ndarray:
     return a
 
 
+def max_abs_and_skew(a: np.ndarray) -> tuple[float, float]:
+    """max |a| and max |a - a^T| of a square matrix (NaN if a holds one),
+    compared one block of about 2^20 entries at a time, so no full-size
+    temporary is made."""
+    step = max(1, (1 << 20) // max(1, a.shape[0]))
+    scale = skew = np.float64(0.0)
+    for start in range(0, a.shape[0], step):
+        rows = a[start:start + step]
+        scale = np.maximum(scale, np.abs(rows).max())
+        diff = rows - a[:, start:start + step].T
+        skew = np.maximum(skew, np.abs(diff, out=diff).max())
+    return float(scale), float(skew)
+
+
 def _require_symmetric(a: np.ndarray, name: str) -> None:
-    scale = np.abs(a).max()
+    scale, skew = max_abs_and_skew(a)
     if scale == 0.0:
         return
-    skew = np.abs(a - a.T).max()
     if skew > SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric: relative skew {skew / scale:.3e}")
 
@@ -129,14 +142,19 @@ def eig_cutoff(w: np.ndarray) -> float:
     return len(w) * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
 
 
-def nuclear_norm(m) -> float:
-    """Sum of the singular values of a matrix: the square roots of the
-    eigenvalues of its smaller Gram (m m^T or m^T m), with psd_sqrt's clamp
+def nuclear_norm(m, b=None) -> float:
+    """Sum of the singular values of m, or of m @ b.T when b is given (formed
+    here and freed as soon as its Gram exists): the square roots of the
+    eigenvalues of the smaller Gram (m m^T or m^T m), with psd_sqrt's clamp
     rule. Gram eigenvalues at or below eig_cutoff count as zero; each would
     otherwise add about sqrt(k * eps) of the top singular value.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64) if b is None else m @ b.T
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    w = _psd_eigenvalues(sym_eig((gram + gram.T) / 2.0, vectors=False).eigenvalues)
+    del m
+    sym = gram + gram.T
+    del gram
+    sym /= 2.0
+    w = _psd_eigenvalues(sym_eig(sym, vectors=False).eigenvalues)
     w[w <= eig_cutoff(w)] = 0.0
     return float(np.sqrt(w).sum())

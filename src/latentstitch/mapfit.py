@@ -12,6 +12,8 @@ and every target; one with more rows through a Cholesky-checked solve of
 (Xc^T Xc + alpha I), or the min-norm least-squares solution when that Gram
 is singular at alpha = 0. A SharedFit lets the fits of many targets on one
 source share what they can: the dual factor, or the min-norm pseudo-inverse.
+Fits and scores read their rows by index (``rows=``), so neither makes a
+gathered copy of a latent set.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import linalg
 from .data import RecordReader, write_str
 from .errors import DataError, DimensionMismatch, NotSPD
-from .metrics import mean_squared_difference
+from .metrics import mean_squared_blocks, mean_squared_difference
 
 LMAP_MAGIC = b"LMAP"
 LMAP_VERSION = 1
@@ -92,12 +94,29 @@ DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
 Y_BLOCK_BYTES = 4 << 20
 
 
-def _centered_blocks(Y: np.ndarray, y_mean: np.ndarray):
-    """(column slice, float64 block of Y minus its column means) over Y."""
-    step = max(1, Y_BLOCK_BYTES // (8 * Y.shape[0] * 256)) * 256
+def _centered_rows(A, rows) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 copy of A's rows ``rows``, minus its column means, and those
+    means. The copy is filled one block of about 2^20 entries at a time, so no
+    gathered copy of A is made; its values, and so its means, are those of
+    np.array(A[rows], dtype=np.float64)."""
+    out = np.empty((len(rows), A.shape[1]))
+    step = max(1, (1 << 20) // A.shape[1])
+    for start in range(0, len(rows), step):
+        out[start:start + step] = A[rows[start:start + step]]
+    mean = out.mean(axis=0)
+    out -= mean
+    return out, mean
+
+
+def _centered_blocks(Y: np.ndarray, rows: np.ndarray, y_mean: np.ndarray):
+    """(column slice, float64 block of Y's rows ``rows`` minus its column
+    means) over Y's columns; each block's means are written into y_mean."""
+    n = len(rows)
+    step = max(1, Y_BLOCK_BYTES // (8 * n * 256)) * 256
     for j in range(0, Y.shape[1], step):
         cols = slice(j, min(j + step, Y.shape[1]))
-        block = np.array(Y[:, cols], dtype=np.float64)
+        block = np.ascontiguousarray(Y[rows, cols], dtype=np.float64)
+        y_mean[cols] = block.mean(axis=0)
         block -= y_mean[cols]
         yield cols, block
 
@@ -117,10 +136,8 @@ class DualFactor:
     rank: int
 
 
-def _dual_factor(X) -> DualFactor:
-    Xc = np.array(X, dtype=np.float64)
-    x_mean = Xc.mean(axis=0)
-    Xc -= x_mean
+def _dual_factor(X, rows) -> DualFactor:
+    Xc, x_mean = _centered_rows(X, rows)
     eig = linalg.sym_eig(Xc @ Xc.T)
     lam, U = eig.eigenvalues, eig.eigenvectors
     cutoff = linalg.eig_cutoff(lam)
@@ -132,37 +149,41 @@ def _dual_factor(X) -> DualFactor:
 class SharedFit:
     """What the fit_ridge calls for the targets of one source X share.
 
-    Make one per X and pass it as ``shared`` to each target's fit_ridge call
-    on that same X, at any alpha. With n <= d rows the first fit builds the
-    source's DualFactor, kept as ``dual``, and every later fit only multiplies
-    it with its centered Y. With n > d rows, a Cholesky attempt that fails at
-    alpha = 0 is made once; and when those min-norm fits' targets add up to
-    more columns ``k`` than the n rows, the d x n pseudo-inverse of the
-    centered X is formed once for them all. Not thread-safe: one per task.
+    Make one per (X, rows) and pass it as ``shared`` to each target's
+    fit_ridge call on that same X and the same ``rows`` object (the source's
+    train rows, or None for all of X), at any alpha. With n <= d train rows
+    the first fit builds the source's DualFactor, kept as ``dual``, and every
+    later fit only multiplies it with its centered Y. With n > d rows, a
+    Cholesky attempt that fails at alpha = 0 is made once; and when those
+    min-norm fits' targets add up to more columns ``k`` than the n rows, the
+    d x n pseudo-inverse of the centered X is formed once for them all. Not
+    thread-safe: one per task.
     """
 
-    def __init__(self, X, k: int = 0):
-        self.X, self.k = X, int(k)
+    def __init__(self, X, k: int = 0, rows=None):
+        self.X, self.k, self.rows = X, int(k), rows
         self.dual: DualFactor | None = None
         self.singular = False  # n > d, alpha = 0 and the Gram failed Cholesky
         self.pinv: np.ndarray | None = None
 
 
 def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
-                shared: SharedFit | None = None) -> LinearMap:
+                shared: SharedFit | None = None, rows=None) -> LinearMap:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if shared is not None and shared.X is not X:
-        raise ValueError("a SharedFit serves the fits of one X")
+    key = None if rows is None else rows[0]
+    if shared is None:
+        shared = SharedFit(X, rows=key)
+    elif shared.X is not X or shared.rows is not key:
+        raise ValueError("a SharedFit serves the fits of one X and one set of its rows")
     X, Y = np.asarray(X), np.asarray(Y)
     if X.ndim != 2 or Y.ndim != 2:
         raise DimensionMismatch("X and Y must be 2-D")
-    if X.shape[0] != Y.shape[0] or X.shape[0] < 1:
-        raise DimensionMismatch(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-    if shared is None:
-        shared = SharedFit(X)
-    (n, d), k = X.shape, Y.shape[1]
-    y_mean = Y.mean(axis=0, dtype=np.float64)
+    ix, iy = (np.arange(len(X)), np.arange(len(Y))) if rows is None else rows
+    if len(ix) != len(iy) or len(ix) < 1:
+        raise DimensionMismatch(f"X has {len(ix)} rows, Y has {len(iy)}")
+    (n, d), k = (len(ix), X.shape[1]), Y.shape[1]
+    y_mean = np.empty(k)  # Y's column means, written by _centered_blocks
 
     def affine(W, x_mean, solver, path):
         return LinearMap(source_model=source_model, target_model=target_model, W=W,
@@ -170,28 +191,28 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
 
     if n <= d:
         if shared.dual is None:
-            shared.dual = _dual_factor(X)
+            shared.dual = _dual_factor(X, ix)
         f = shared.dual
         # alpha = 0 keeps the nonzero eigenvalues only: the last rank of them
         first = 0 if alpha > 0 else n - f.rank
         U, P, scale = f.U[:, first:], f.P[:, first:], 1.0 / (f.lam[first:] + alpha)
         W = np.empty((k, d))
-        for cols, block in _centered_blocks(Y, y_mean):
+        for cols, block in _centered_blocks(Y, iy, y_mean):
             g = U.T @ block
             g *= scale[:, None]
             np.matmul(g.T, P.T, out=W[cols])
         return affine(W, f.x_mean, "eigh", "dual")
 
-    # one float64 copy of X, centered in place; Y is centered block by block
-    # where it can be, and the inputs stay unchanged
-    Xc = np.array(X, dtype=np.float64)
-    x_mean = Xc.mean(axis=0)
-    Xc -= x_mean
+    # The centered float64 design is the one whole-set copy held at a time: it
+    # is freed once the Gram and Xc^T Yc exist, as the solve copies both, and
+    # built again only for the min-norm fit.
     if alpha > 0 or not shared.singular:
+        Xc, x_mean = _centered_rows(X, ix)
         rhs = np.empty((d, k))
-        for cols, block in _centered_blocks(Y, y_mean):
+        for cols, block in _centered_blocks(Y, iy, y_mean):
             rhs[:, cols] = Xc.T @ block
         gram = Xc.T @ Xc
+        del Xc
         gram[np.diag_indices_from(gram)] += alpha
         try:
             wt = linalg.spd_solve(gram, rhs)
@@ -202,6 +223,7 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         else:
             return affine(np.ascontiguousarray(wt.T), x_mean, "cholesky", "direct")
         del rhs, gram
+    Xc, x_mean = _centered_rows(X, ix)
     # The min-norm least-squares solution, W^T = pinv(Xc) Yc. With more target
     # columns than train rows, pinv(Xc) = lstsq(Xc, I_n) costs less than
     # lstsq(Xc, Yc); the break-even is k = n.
@@ -210,25 +232,29 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
             shared.pinv, *_ = np.linalg.lstsq(Xc, np.eye(n), rcond=None)
         del Xc
         W = np.empty((k, d))
-        for cols, block in _centered_blocks(Y, y_mean):
+        for cols, block in _centered_blocks(Y, iy, y_mean):
             np.matmul(block.T, shared.pinv.T, out=W[cols])
         return affine(W, x_mean, "lstsq", "operator")
-    Yc = np.array(Y, dtype=np.float64)
-    Yc -= y_mean
+    Yc, y_mean = _centered_rows(Y, iy)
     wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
     return affine(np.ascontiguousarray(wt.T), x_mean, "lstsq", "direct")
 
 
 def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "",
-              shared: SharedFit | None = None) -> LinearMap:
+              shared: SharedFit | None = None, rows=None) -> LinearMap:
     """The one map fit: ridge for alpha > 0, least squares for alpha = 0.
+
+    With ``rows=(ix, iy)`` the fit pairs X's row ix[j] with Y's row iy[j]
+    (the rows of data.align or data.rows_of), reading both arrays in place:
+    the map equals the fit of X[ix] to Y[iy] to the byte, without either
+    gathered copy. Without ``rows`` X and Y pair row by row.
 
     A design with n <= d train rows is fitted through its DualFactor (solver
     "eigh", path "dual"): W^T = P diag(f(lam)) U^T Yc, with f = 1/(lam + alpha),
     or for alpha = 0 f = 1/lam on the eigenvalues above the factor's cutoff
     and 0 on the rest, which is the rank-aware min-norm fit. With ``shared``
-    (a SharedFit of this X) the factor is built by the first fit and reused,
-    so each map equals its fit without ``shared`` to the byte.
+    (a SharedFit of this X and ix) the factor is built by the first fit and
+    reused, so each map equals its fit without ``shared`` to the byte.
 
     A design with n > d rows solves the Cholesky-checked normal equations for
     all of Y's columns at once; an unregularized fit whose Gram is singular
@@ -242,10 +268,13 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     its fit without ``shared`` to the byte on the Cholesky path, and within
     rounding on the min-norm path.
 
-    The dual, Cholesky and operator paths read Y in float64 column blocks; the
-    direct min-norm path makes a float64 copy of all of Y for np.linalg.lstsq.
+    Memory: the centered float64 design is the one whole-set copy of X a fit
+    holds. The Cholesky path frees it before the solve and builds it again
+    only when the Gram fails Cholesky at alpha = 0. The dual, Cholesky and
+    operator paths read Y in float64 column blocks; the direct min-norm path
+    makes a float64 copy of all of Y's rows for np.linalg.lstsq.
     """
-    return _fit_affine(X, Y, float(alpha), source_model, target_model, shared)
+    return _fit_affine(X, Y, float(alpha), source_model, target_model, shared, rows)
 
 
 def fit_ols(X, Y, source_model: str = "", target_model: str = "") -> LinearMap:
@@ -258,12 +287,31 @@ def apply_map(m: LinearMap, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.d_in:
         raise DimensionMismatch(f"X shape {X.shape} incompatible with map d_in={m.d_in}")
-    return X @ m.W.T + m.b
+    out = X @ m.W.T
+    out += m.b
+    return out
 
 
 def latent_mse(predicted, target) -> float:
     """Mean over all n*d entries of the squared difference."""
     return mean_squared_difference(predicted, target)
+
+
+def mapped_mse(m: LinearMap, X, Y, rows) -> float:
+    """latent_mse(apply_map(m, X[ix]), Y[iy]) for rows=(ix, iy), to the byte.
+
+    Each block of rows is mapped and compared on its own, in
+    mean_squared_difference's blocks and summation order, so neither the
+    mapped rows nor a gathered copy of X or Y is held whole.
+    """
+    ix, iy = rows
+    X, Y = np.asarray(X), np.asarray(Y)
+    if len(ix) != len(iy) or Y.ndim != 2 or Y.shape[1] != m.d_out:
+        raise DimensionMismatch(
+            f"{len(ix)} mapped rows of width {m.d_out} against {len(iy)} of shape {Y.shape}"
+        )
+    return mean_squared_blocks(len(ix), m.d_out,
+                               lambda blk: (apply_map(m, X[ix[blk]]), Y[iy[blk]]))
 
 
 # --- LMAP serialization -----------------------------------------------------
@@ -289,4 +337,5 @@ def load_map(path) -> LinearMap:
             raise DataError(f"{path}: map alpha {alpha!r} is not a finite value >= 0")
         b = r.array("<f8", d_out)
         W = r.array("<f8", d_out, d_in)
+        r.end()
     return LinearMap(source_model=source, target_model=target, W=W, b=b, alpha=alpha)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import take
 from .errors import DimensionMismatch, EmptySet, NotPSD, TooFewSamples
-from .linalg import cov_factor, nuclear_norm
+from .linalg import cov_factor, max_abs_and_skew, nuclear_norm
 
 #: Results above this negative floor are treated as numerical zero.
 NEGATIVE_FLOOR = -1e-6
@@ -53,8 +53,8 @@ class GaussianSummary:
         if factor is not None:
             self.factor = held
             return
-        scale = np.abs(held).max()
-        if scale > 0 and np.abs(held - held.T).max() > 1e-10 * scale:
+        scale, skew = max_abs_and_skew(held)
+        if scale > 0 and skew > 1e-10 * scale:
             raise DimensionMismatch("sigma must be symmetric within 1e-10 relative")
         if np.any(np.diag(held) < 0):
             raise DimensionMismatch("sigma diagonal must be non-negative")
@@ -90,25 +90,27 @@ def mean_squared_difference(a, b, rows=None) -> float:
         if x.shape != y.shape:
             raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
         n, d = x.shape
-    else:
-        ia, ib = rows
-        if (len(ia), a.d) != (len(ib), b.d):
-            raise DimensionMismatch(f"shape mismatch: {(len(ia), a.d)} vs {(len(ib), b.d)}")
-        n, d = len(ia), a.d
+        return mean_squared_blocks(n, d, lambda blk: (x[blk], y[blk]))
+    ia, ib = rows
+    if (len(ia), a.d) != (len(ib), b.d):
+        raise DimensionMismatch(f"shape mismatch: {(len(ia), a.d)} vs {(len(ib), b.d)}")
+    return mean_squared_blocks(len(ia), a.d,
+                               lambda blk: (take(a, ia[blk]).X, take(b, ib[blk]).X))
+
+
+def mean_squared_blocks(n: int, d: int, pair) -> float:
+    """Mean over n*d entries of the squared difference x - y, where
+    pair(rows) gives the (x, y) blocks of a slice of the n rows. The squares
+    are summed in float64, one block of about 2^20 entries at a time, in row
+    order; each block is freed before the next is made."""
     if n * d == 0:
         raise EmptySet("no entries to average")
     step = max(1, (1 << 20) // d)
     total = np.float64(0.0)
     for start in range(0, n, step):
-        blk = slice(start, start + step)
-        if rows is None:
-            x_blk, y_blk = x[blk], y[blk]
-        else:
-            x_blk, y_blk = take(a, ia[blk]).X, take(b, ib[blk]).X
-        diff = np.subtract(x_blk, y_blk, dtype=np.float64)
-        del x_blk, y_blk
+        diff = np.subtract(*pair(slice(start, start + step)), dtype=np.float64)
         total += np.vdot(diff, diff)
-        del diff  # free this block before the next one is allocated
+        del diff
     return float(total / (n * d))
 
 
@@ -136,8 +138,12 @@ def summarize(features) -> GaussianSummary:
     if n < d:
         f /= np.sqrt(n - 1)
         return GaussianSummary(mu=mu, factor=f, n=n)
-    sigma = f.T @ f / (n - 1)
-    sigma = (sigma + sigma.T) / 2.0
+    gram = f.T @ f
+    del f  # the copy goes before sigma is symmetrized and factored
+    gram /= n - 1
+    sigma = gram + gram.T
+    del gram
+    sigma /= 2.0
     return GaussianSummary(mu=mu, sigma=sigma, n=n)
 
 
@@ -155,7 +161,7 @@ def fid(p: GaussianSummary, q: GaussianSummary) -> float:
     fp, fq = p.factor, q.factor
     tr_p = float(np.vdot(fp, fp))
     tr_q = float(np.vdot(fq, fq))
-    cross = nuclear_norm(fp @ fq.T)
+    cross = nuclear_norm(fp, fq)
     diff = p.mu - q.mu
     value = float(diff @ diff + tr_p + tr_q - 2.0 * cross)
     scale = max(1.0, abs(tr_p) + abs(tr_q) + float(diff @ diff))

@@ -161,6 +161,8 @@ def parse_config(text: str, base_dir=None) -> ExperimentConfig:
         value = value.strip()
         if key == "seed":
             cfg.seed = _parse_int(key, value)
+            if cfg.seed < 0:
+                raise ConfigError(f"line {lineno}: seed must be a non-negative integer")
         elif key == "pixels":
             cfg.pixels_path = base / value
         elif key == "attributes":
@@ -402,9 +404,10 @@ def fit_pair_map(src: LatentDataset, dst: LatentDataset, alpha: float,
                  train_ids: list[str]) -> LinearMap:
     """Fit a map on the run's train ids, which both latent sets must hold,
     with mapfit.fit_ridge: ridge for alpha > 0, else least squares (min-norm
-    on a rank-deficient design)."""
-    X, Y = src.X[rows_of(src, train_ids)], dst.X[rows_of(dst, train_ids)]
-    return fit_ridge(X, Y, alpha, source_model=src.model_id, target_model=dst.model_id)
+    on a rank-deficient design). Both are read in place by row index."""
+    rows = rows_of(src, train_ids), rows_of(dst, train_ids)
+    return fit_ridge(src.X, dst.X, alpha, source_model=src.model_id, target_model=dst.model_id,
+                     rows=rows)
 
 
 def _alpha_groups(cfg: ExperimentConfig, latents: dict[str, LatentDataset], src: str,
@@ -515,7 +518,9 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     pseudo-inverse of a singular wider source serves its min-norm maps when
     their dimensions add up to more than the train rows. metadata.json lists
     each (source, alpha) group's solver and path under map_fits, with the
-    source's kept rank and eigenvalue cutoff for a dual fit."""
+    source's kept rank and eigenvalue cutoff for a dual fit. Fits read the
+    train rows of each latent set by index, and each cell's map is dropped
+    once it is written, before the decoder runs."""
     validate_paths(cfg)
     out = Path(out_dir)
     maps_dir = out / "maps"
@@ -537,7 +542,8 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         if decodes and real.n >= 2:
             real_summary = summarize(real.pixels)
 
-    def cell(src, dst, m):
+    def write_cell(src, dst, m):
+        """A cell's latent MSE and its files: the map and the mapped holdout."""
         mapped = apply_map(m, latents[src].X[rows_of(latents[src], hold_ids)])
         result = {
             "latent_mse": latent_mse(mapped, latents[dst].X[rows_of(latents[dst], hold_ids)]),
@@ -550,6 +556,10 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         save_map(m, maps_dir / f"{src}__{dst}.lmap")
         mapped_ds = LatentDataset(model_id=dst, ids=hold_ids, X=mapped.astype(np.float32))
         write_latents(mapped_ds, mapped_dir / f"{src}__{dst}.lsf")
+        return result, mapped_ds
+
+    def score_decoded(dst, mapped_ds, result):
+        """The cell's pixel RMSE and FID, where dst's decoder runs in-process."""
         synth_spec = entry_by_id[dst].synth
         if synth_spec is not None and synth_spec.kind != "random" and images is not None:
             try:
@@ -565,23 +575,25 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     def source_row(src):
         """One source's cells, fitted per alpha group with one SharedFit for
         them all, and the groups' map_fits entries."""
-        X = latents[src].X[rows_of(latents[src], train_ids)]
+        X, ix = latents[src].X, rows_of(latents[src], train_ids)
         groups, train_rows, errors = _alpha_groups(cfg, latents, src, train_ids)
         outcomes = {dst: (None, err) for dst, err in errors.items()}
-        shared = SharedFit(X, sum(latents[dst].d for dst in groups.get(0.0, [])))
+        shared = SharedFit(X, sum(latents[dst].d for dst in groups.get(0.0, [])), rows=ix)
         fits = []
         for alpha, dsts in groups.items():
             fitted = []
             for dst in dsts:
                 m = None  # frees the previous target's map before this fit
                 try:
-                    m = fit_ridge(X, latents[dst].X[train_rows[dst]], alpha, source_model=src,
-                                  target_model=dst, shared=shared)
+                    m = fit_ridge(X, latents[dst].X, alpha, source_model=src, target_model=dst,
+                                  shared=shared, rows=(ix, train_rows[dst]))
                     fitted.append(dst)
                     how = {"solver": m.solver, "path": m.path}
                     if m.path == "dual":
                         how.update(rank=shared.dual.rank, cutoff=shared.dual.cutoff)
-                    outcomes[dst] = cell(src, dst, m), None
+                    result, mapped_ds = write_cell(src, dst, m)
+                    m = None  # decoding needs only the mapped holdout, not the d_out x d_in map
+                    outcomes[dst] = score_decoded(dst, mapped_ds, result), None
                 except LatentStitchError as exc:
                     outcomes[dst] = None, _error_text(exc)
             if fitted:
@@ -740,16 +752,16 @@ def run_probe_suite(
     }
 
     def stitch_source(src):
-        X = latents[src].X[rows_of(latents[src], split[0])]
+        X, ix = latents[src].X, rows_of(latents[src], split[0])
         groups, train_rows, pair_errors = _alpha_groups(cfg, latents, src, split[0])
         by_target: dict[tuple[str, str], Probe] = {}
         solvers: dict[str, str] = {}
-        shared = SharedFit(X)
+        shared = SharedFit(X, rows=ix)
         for alpha, dsts in groups.items():
             Y = np.hstack([latents[dst].X[train_rows[dst]] @ probe_weights[dst].T
                            for dst in dsts])
             try:
-                m = fit_ridge(X, Y, alpha, shared=shared)
+                m = fit_ridge(X, Y, alpha, shared=shared, rows=(ix, np.arange(len(ix))))
             except LatentStitchError as exc:
                 pair_errors.update(dict.fromkeys(dsts, _error_text(exc)))
                 continue

@@ -360,6 +360,7 @@ def load_probe(path) -> Probe:
             raise DataError(f"{path}: probe threshold {threshold!r} is not finite")
         (b,) = r.unpack("<d")
         w = r.array("<f8", d)
+        r.end()
     return Probe(attribute=attribute, model_id=model_id, w=w, b=b, alpha=alpha, threshold=threshold)
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latentstitch
 from latentstitch import cli, data, metrics, pipeline
@@ -209,6 +211,9 @@ def test_cli_seed_override_changes_subsets(generated, tmp_path):
 def test_cli_rejects_negative_seed(generated, tmp_path):
     assert cli.main(["probe-suite", "--config", str(generated / "experiment.cfg"),
                      "--out", str(tmp_path), "--seed", "-4"]) == 1
+    # the config's own seed line, which reached NumPy's seeding as a ValueError
+    cfg = _config_copy(generated, tmp_path, "seed = -1\n")
+    assert cli.main(["probe-suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -279,3 +284,114 @@ def test_cli_fid_mixed_sample_counts_matches_brute_force(tmp_path, capsys):
     for args in (paths, paths[::-1]):
         assert cli.main(["fid", *args]) == 0
         assert capsys.readouterr().out.strip() == f"{brute:.9g}"
+
+
+# --- the exit-code contract under mutated config lines and numeric flags ------------
+
+#: A small roster keeps every command fast: the README's random encoder at
+#: d = 512 makes probe-suite's lasso take seconds on this world.
+FUZZ_MODELS = ["orthA=orthogonal:seed=1,d=64,dpix=64", "lossy=lossy:seed=3,d=16,dpix=64,r=4",
+               "rand=random:seed=4,d=32", "noise=noising:seed=5,d=64,dpix=64,t=25"]
+FUZZ_KEYS = ["seed", "pixels", "attributes", "lpips", "attributes.subset", "split.train",
+             "split.holdout", "plateau.eps", "alpha.orthA.noise", "alpha.orthA.gone",
+             "probe_alpha.orthA", "model.orthA.latents", "model.extra.latents",
+             "model.noise.synth", "model.lossy.decoder_only", "model..latents", "unknown"]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["", "0", "1", "-1", "2.5", "nan", "inf", "-inf", "1e308", "1e-320",
+                     "99999", "true", "maybe", "orthA.lsf", "missing.lsf", "experiment.cfg",
+                     "attributes.txt", "pixels.lsf", ".", "factor_00,nosuch",
+                     "orthogonal:seed=2,d=64,dpix=64", "noising:seed=2,d=64,dpix=64,t=99",
+                     "lossy:seed=1,d=4,dpix=64,r=9", "random:seed=1,d=0", "bogus:d=3"]),
+    st.text(max_size=10),
+)
+CONFIG_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("dup"), st.integers(0, 99)),
+    st.tuples(st.just("value"), st.integers(0, 99), FUZZ_VALUES),
+    st.tuples(st.just("key"), st.integers(0, 99), st.sampled_from(FUZZ_KEYS)),
+    st.tuples(st.just("add"), st.sampled_from(FUZZ_KEYS), FUZZ_VALUES),
+    st.tuples(st.just("line"), st.integers(0, 99), st.text(max_size=20)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    models = [arg for spec in FUZZ_MODELS for arg in ("--model", spec)]
+    assert cli.main(["synth-gen", "--out", str(out), "--seed", "4", "--n", "300",
+                     "--dpix", "64", *models]) == 0
+    return out
+
+
+def _fuzz_args(world, command, out):
+    args = [command, "--config", str(world / "fuzzed.cfg"), "--out", str(out)]
+    if command == "fit-map":
+        args += ["--src", "orthA", "--dst", "noise"]
+    elif command == "train-probe":
+        args += ["--model", "orthA", "--attribute", "factor_00"]
+    elif command == "dynamics":
+        args += ["--checkpoints", str(world / "noise.lsf"), str(world / "orthA.lsf")]
+    return args
+
+
+def _mutate_lines(lines, mutations):
+    lines = list(lines)
+    for kind, *arg in mutations:
+        at = arg[0] % len(lines) if lines and isinstance(arg[0], int) else None
+        if kind == "drop" and at is not None:
+            del lines[at]
+        elif kind == "dup" and at is not None:
+            lines.insert(at, lines[at])
+        elif kind == "value" and at is not None:
+            lines[at] = lines[at].partition("=")[0] + "= " + arg[1]
+        elif kind == "key" and at is not None:
+            lines[at] = arg[1] + " =" + lines[at].partition("=")[2]
+        elif kind == "add":
+            lines.append(f"{arg[0]} = {arg[1]}")
+        elif kind == "line" and at is not None:
+            lines[at] = arg[1]
+    return lines
+
+
+COMMANDS = ["stitch-grid", "probe-suite", "fit-map", "train-probe", "dynamics"]
+
+
+@given(st.sampled_from(COMMANDS), st.lists(CONFIG_MUTATION, min_size=1, max_size=3))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_mutated_config_ends_in_a_documented_exit_code(fuzz_world, command, mutations):
+    lines = (fuzz_world / "experiment.cfg").read_text(encoding="utf-8").splitlines()
+    text = "\n".join(_mutate_lines(lines, mutations)) + "\n"
+    (fuzz_world / "fuzzed.cfg").write_text(text, encoding="utf-8")
+    assert cli.main(_fuzz_args(fuzz_world, command, fuzz_world / "out")) in (0, 1, 2, 3)
+
+
+INTS = st.integers(-3, 1 << 40)
+FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-320, 1e308, 1e-3, 50000.0]))
+#: command -> numeric flag -> values. Sizes and counts stay small so that no
+#: value asks for a large world, many threads or a long lasso run.
+NUMERIC_FLAGS = {
+    "synth-gen": {"--seed": INTS, "--n": st.integers(-2, 400), "--k": st.integers(-2, 12),
+                  "--dpix": st.integers(-2, 96), "--noise-t": st.integers(-3, 60),
+                  "--probe-alpha": FLOATS},
+    "fit-map": {"--seed": INTS, "--threads": st.integers(-2, 3), "--alpha": FLOATS},
+    "train-probe": {"--seed": INTS, "--alpha": FLOATS, "--tol": FLOATS,
+                    "--max-iter": st.integers(-2, 50)},
+    "stitch-grid": {"--seed": INTS, "--threads": st.integers(-2, 3)},
+    "probe-suite": {"--seed": INTS, "--threads": st.integers(-2, 3)},
+    "dynamics": {"--seed": INTS, "--threads": st.integers(-2, 3)},
+}
+
+
+@given(st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_numeric_flags_end_in_a_documented_exit_code(fuzz_world, data):
+    command = data.draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    flags = NUMERIC_FLAGS[command]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, unique=True))
+    numbers = [f"{flag}={data.draw(flags[flag])!r}" for flag in chosen]
+    if command == "synth-gen":
+        args = ["synth-gen", "--out", str(fuzz_world / "gen"), *numbers]
+    else:
+        (fuzz_world / "fuzzed.cfg").write_bytes((fuzz_world / "experiment.cfg").read_bytes())
+        args = _fuzz_args(fuzz_world, command, fuzz_world / "out") + numbers
+    assert cli.main(args) in (0, 1, 2, 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,34 @@ def test_spd_solve_not_spd(a):
 def test_spd_solve_rejects_asymmetric():
     with pytest.raises(ValueError):
         linalg.spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+
+
+@pytest.mark.parametrize("d", [1, 7, 1500])
+def test_symmetry_check_matches_full_size_formula(d):
+    # d = 1500 spans three row blocks
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    a = a + a.T
+    a[d // 2, d - 1] += 3e-6 * np.abs(a).max()
+    assert linalg.max_abs_and_skew(a) == (np.abs(a).max(), np.abs(a - a.T).max())
+    if d > 1:
+        skew = np.abs(a - a.T).max() / np.abs(a).max()
+        with pytest.raises(ValueError, match=f"^A is not symmetric: relative skew {skew:.3e}$"):
+            linalg.spd_solve(a, np.ones(d))
+    a[d - 1, 0] = np.nan
+    assert all(np.isnan(linalg.max_abs_and_skew(a)))
+
+
+def test_symmetry_check_makes_no_full_size_temporary():
+    a = np.random.default_rng(3).standard_normal((2048, 2048))
+    a = a + a.T  # 32 MB; a - a.T and its absolute value would add 64 MB
+    tracemalloc.start()
+    try:
+        linalg._require_symmetric(a, "A")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -139,6 +169,9 @@ def test_nuclear_norm_matches_svd(shape):
     m = np.random.default_rng(sum(shape)).standard_normal(shape)
     expected = np.linalg.svd(m, compute_uv=False).sum()
     assert abs(linalg.nuclear_norm(m) - expected) <= 1e-12 * expected
+    # given as two factors, m = a b^T, the product is formed inside
+    a, b = m[:, :5], np.random.default_rng(9).standard_normal((shape[1], 5))
+    assert linalg.nuclear_norm(a, b) == linalg.nuclear_norm(a @ b.T)
 
 
 def test_cov_factor_is_cholesky_for_spd_input():

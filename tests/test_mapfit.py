@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,3 +460,103 @@ def test_shared_dual_factor_is_built_once_for_every_target_and_alpha(monkeypatch
             got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
             assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
     assert len(factors) == 1 + 9  # the shared one, then one per unshared fit
+
+
+# --- fits by row index, and blocked scoring ------------------------------------
+
+
+def _pooled(a, seed, extra):
+    """a's rows scattered among ``extra`` other rows: (pool, rows) with
+    pool[rows] equal to a."""
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(len(a) + extra)[:len(a)]
+    pool = rng.standard_normal((len(a) + extra, a.shape[1])).astype(a.dtype)
+    pool[rows] = a
+    return pool, rows
+
+
+def _same_map(got, want):
+    assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
+    assert (got.solver, got.path) == (want.solver, want.path)
+
+
+@pytest.mark.parametrize("x, k, how", [
+    pytest.param(np.random.default_rng(60).standard_normal((30, 50)), 6, ("eigh", "dual"),
+                 id="dual"),
+    pytest.param(np.random.default_rng(61).standard_normal((80, 12)).astype(np.float32), 6,
+                 ("cholesky", "direct"), id="cholesky"),
+    pytest.param(_singular_design(40, 12, seed=62), 6, ("lstsq", "direct"), id="lstsq-direct"),
+    pytest.param(_singular_design(16, 12, seed=63), 20, ("lstsq", "operator"),
+                 id="lstsq-operator"),
+])
+@pytest.mark.parametrize("alpha", [0.0, 2.5])
+def test_rows_fit_is_byte_identical_to_gathered_fit(x, k, how, alpha):
+    x_pool, ix = _pooled(x, 64, 7)
+    shared, gathered_shared = mapfit.SharedFit(x_pool, k, rows=ix), mapfit.SharedFit(x, k)
+    for seed, y in enumerate(_targets(x, 2, k, seed=65)):
+        y_pool, iy = _pooled(y, 66 + seed, 5)
+        want = mapfit.fit_ridge(x, y, alpha)
+        _same_map(mapfit.fit_ridge(x_pool, y_pool, alpha, rows=(ix, iy)), want)
+        _same_map(mapfit.fit_ridge(x_pool, y_pool, alpha, shared=shared, rows=(ix, iy)),
+                  mapfit.fit_ridge(x, y, alpha, shared=gathered_shared))
+        if alpha == 0:
+            assert (want.solver, want.path) == how
+
+
+def test_shared_fit_serves_one_set_of_rows():
+    x = np.random.default_rng(66).standard_normal((30, 8))
+    y = _targets(x, 1, 3, seed=67)[0]
+    ix = np.arange(20)
+    shared = mapfit.SharedFit(x, rows=ix)
+    mapfit.fit_ridge(x, y, 1.0, shared=shared, rows=(ix, ix))
+    for rows in ((ix.copy(), ix), None):
+        with pytest.raises(ValueError):
+            mapfit.fit_ridge(x, y, 1.0, shared=shared, rows=rows)
+    with pytest.raises(DimensionMismatch):
+        mapfit.fit_ridge(x, y, 1.0, rows=(ix, ix[:-1]))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("alpha", [0.0, 10.0])
+def test_rows_fit_holds_one_float64_design(alpha):
+    # 3000 x 1024 float32 pools: the design is 24.6 MB in float64, d x d 8.4 MB.
+    # np.linalg.solve holds the Gram, Xc^T Yc, its copies of both and its
+    # result. Gathered float32 copies, a design held through the solve, or
+    # full-size symmetry temporaries would each add at least another 8.4 MB.
+    rng = np.random.default_rng(68)
+    n, d = 3000, 1024
+    x = rng.standard_normal((n + 100, d), dtype=np.float32)
+    y = rng.standard_normal((n + 100, d), dtype=np.float32)
+    rows = rng.permutation(n + 100)[:n], rng.permutation(n + 100)[:n]
+    m, peak = _traced_peak(lambda: mapfit.fit_ridge(x, y, alpha, rows=rows))
+    assert (m.solver, m.path) == ("cholesky", "direct")
+    assert peak < n * d * 8 + 4 * d * d * 8
+
+
+def test_mapped_mse_equals_whole_score_and_holds_row_blocks():
+    rng = np.random.default_rng(69)
+    n, d_in, d_out = 3000, 1024, 768
+    x = rng.standard_normal((n + 50, d_in), dtype=np.float32)
+    y = rng.standard_normal((n + 50, d_out), dtype=np.float32)
+    m = mapfit.LinearMap("a", "b", W=rng.standard_normal((d_out, d_in)) / 30,
+                         b=rng.standard_normal(d_out))
+    rows = rng.permutation(n + 50)[:n], rng.permutation(n + 50)[:n]
+    want = mapfit.latent_mse(mapfit.apply_map(m, x[rows[0]]), y[rows[1]])
+    got, peak = _traced_peak(lambda: mapfit.mapped_mse(m, x, y, rows))
+    assert got == want
+    # about four 8 MB blocks; the whole mapped set alone is 18 MB
+    assert peak < 5 * 8 * 2**20
+    head = rows[0][:7], rows[1][:7]
+    assert mapfit.mapped_mse(m, x, y, head) == mapfit.latent_mse(
+        mapfit.apply_map(m, x[head[0]]), y[head[1]])
+    with pytest.raises(DimensionMismatch):
+        mapfit.mapped_mse(m, x, y[:, :5], rows)

@@ -268,6 +268,33 @@ def test_fid_cross_path_allocates_no_d_by_d_matrix():
     assert peak < 16 * 2**20  # one 3072 x 3072 float64 matrix is 75 MB
 
 
+@pytest.mark.parametrize("d", [512, 1024])
+def test_summarize_holds_one_float64_copy_and_two_covariances(d):
+    # full rank, so sigma is Cholesky-factored; the copy goes before sigma is
+    # symmetrized and factored, and the symmetry check works in row blocks
+    x = np.random.default_rng(d).standard_normal((3000, d), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        s = metrics.summarize(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.factor.shape == (d, d)
+    assert peak < x.size * 8 + 2 * d * d * 8
+
+
+def test_fid_frees_the_cross_product_before_its_gram_is_factored():
+    rng = np.random.default_rng(13)
+    p, q = (metrics.summarize(rng.standard_normal((2000, 1024)) + shift) for shift in (0, 0.1))
+    tracemalloc.start()
+    try:
+        metrics.fid(p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 1024 * 1024 * 8  # Fp Fq^T and its Gram are 8 MB each
+
+
 def test_fid_cross_path_matches_svd_oracle_on_low_rank_samples():
     # near-exact stitches: both sample sets span one rank-3 subspace, so the
     # cross matrix has 37 zero singular values that must not count as noise

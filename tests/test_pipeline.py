@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +204,27 @@ def test_identity_stitch_cell(tmp_path):
     result = pipeline.run_stitch_grid(cfg, tmp_path / "out")
     assert result.grids["latent_mse"].get("dupA", "dupB") <= 1e-10
     assert result.grids["latent_mse"].get("dupB", "dupA") <= 1e-10
+
+
+def test_stitch_grid_drops_each_map_before_decoding(monkeypatch, roster, tmp_path):
+    # a d_out x d_in map is not needed to decode its mapped holdout
+    maps, decoded = [], []
+    fit, decode = pipeline.fit_ridge, pipeline.decode
+
+    def fitting(*args, **kwargs):
+        m = fit(*args, **kwargs)
+        maps.append(weakref.ref(m))
+        return m
+
+    def decoding(*args, **kwargs):
+        decoded.append([ref() for ref in maps if ref() is not None])
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_ridge", fitting)
+    monkeypatch.setattr(pipeline, "decode", decoding)
+    cfg = pipeline.load_config(roster["config"])
+    assert pipeline.run_stitch_grid(cfg, tmp_path).errors == []
+    assert len(decoded) == 5 * 4 and not any(decoded)  # every target but rand decodes
 
 
 def test_stitch_grid_cell_counts(roster):
@@ -791,9 +813,9 @@ def test_each_narrow_source_is_factored_once(monkeypatch, roster, wide_source, t
     factored = []
     original = mapfit._dual_factor
 
-    def counting(X):
-        factored.append(X.shape)
-        return original(X)
+    def counting(X, rows):
+        factored.append((len(rows), X.shape[1]))
+        return original(X, rows)
 
     monkeypatch.setattr(mapfit, "_dual_factor", counting)
     run = {"stitch-grid": pipeline.run_stitch_grid, "probe-suite": pipeline.run_probe_suite}

@@ -2,6 +2,7 @@
 before any allocation, empty arrays rejected, long strings refused, invalid
 UTF-8 a data error; and the exit-code contract of commands reading LSF files."""
 
+import dataclasses
 import math
 import struct
 
@@ -114,6 +115,53 @@ def test_loaded_arrays_are_aligned(tmp_path):
     mapfit.save_map(m, tmp_path / "odd.lmap")
     back = mapfit.load_map(tmp_path / "odd.lmap")
     assert back.W.flags.aligned and back.b.flags.aligned
+
+
+# --- bytes after the last field ---------------------------------------------------
+
+IMAGES = data.ImageDataset(ids=["a", "b"], pixels=np.full((2, 12), 0.5), height=2, width=2,
+                           channels=3)
+#: record -> (writer, loader, value)
+WHOLE_RECORDS = {
+    "lsf": (data.write_latents, data.read_latents, data.LatentDataset(
+        model_id="m", ids=["a", "b"], X=np.ones((2, 3)))),
+    "pixel-lsf": (data.write_images, data.read_images, IMAGES),
+    "lmap": (mapfit.save_map, mapfit.load_map, mapfit.LinearMap(
+        source_model="a", target_model="b", W=np.eye(2), b=np.zeros(2))),
+    "lprb": (probes.save_probe, probes.load_probe, probes.Probe(
+        attribute="attr", model_id="m", w=np.ones(3), b=0.5, alpha=0.1)),
+}
+
+
+@pytest.mark.parametrize("record", sorted(WHOLE_RECORDS))
+@pytest.mark.parametrize("tail", [b"\0", b"garbage", b"\0" * 8])
+def test_bytes_after_the_record_are_a_data_error(tmp_path, record, tail):
+    save, load, value = WHOLE_RECORDS[record]
+    path = tmp_path / f"one.{record}"
+    save(value, path)
+    load(path)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(DataError, match=f"{len(tail)} bytes after the end of the record"):
+        load(path)
+
+
+def test_concatenated_lmap_files_are_a_data_error(tmp_path):
+    save, load, value = WHOLE_RECORDS["lmap"]
+    save(value, tmp_path / "a.lmap")
+    save(dataclasses.replace(value, source_model="c", W=2 * np.eye(2)), tmp_path / "b.lmap")
+    path = tmp_path / "both.lmap"
+    path.write_bytes((tmp_path / "a.lmap").read_bytes() + (tmp_path / "b.lmap").read_bytes())
+    with pytest.raises(DataError):
+        load(path)
+
+
+def test_cli_on_lsf_with_bytes_appended_exits_data_error(tmp_path, capsys):
+    path = tmp_path / "tail.lsf"
+    data.write_latents(TINY, path)
+    assert cli.main(["fid", str(path), str(path)]) == 0
+    path.write_bytes(path.read_bytes() + b"garbage")
+    assert cli.main(["fid", str(path), str(path)]) == 2
+    assert "bytes after the end of the record" in capsys.readouterr().err
 
 
 # --- invalid UTF-8 ------------------------------------------------------------------
