@@ -8,7 +8,7 @@ The fit minimizes ``||Y - X W^T - 1 b^T||_F^2 + alpha ||W||_F^2`` with an
 unpenalized intercept and no 1/n factor, on column-centered data. A design
 with no more train rows than dimensions (n <= d) is fitted through one
 eigendecomposition of its n x n dual Gram Xc Xc^T, which serves every alpha
-and every target; one with more rows through a Cholesky-checked solve of
+and every target; one with more rows through the Cholesky factor of
 (Xc^T Xc + alpha I), or the min-norm least-squares solution when that Gram
 is singular at alpha = 0. A SharedFit lets the fits of many targets on one
 source share what they can: the dual factor, or the min-norm pseudo-inverse.
@@ -204,8 +204,9 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         return affine(W, f.x_mean, "eigh", "dual")
 
     # The centered float64 design is the one whole-set copy held at a time: it
-    # is freed once the Gram and Xc^T Yc exist, as the solve copies both, and
-    # built again only for the min-norm fit.
+    # is freed once the Gram and Xc^T Yc exist, before the solve adds the
+    # Gram's Cholesky factor and a copy of Xc^T Yc, and built again only for
+    # the min-norm fit.
     if alpha > 0 or not shared.singular:
         Xc, x_mean = _centered_rows(X, ix)
         rhs = np.empty((d, k))
@@ -256,8 +257,9 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     (a SharedFit of this X and ix) the factor is built by the first fit and
     reused, so each map equals its fit without ``shared`` to the byte.
 
-    A design with n > d rows solves the Cholesky-checked normal equations for
-    all of Y's columns at once; an unregularized fit whose Gram is singular
+    A design with n > d rows Cholesky-factors its normal equations and solves
+    them for all of Y's columns at once by block substitution on that factor
+    (linalg.spd_solve); an unregularized fit whose Gram is singular
     takes the min-norm least-squares solution instead. The map's ``solver``
     records which ("cholesky" or "lstsq"). A min-norm fit with more target
     columns k than train rows n forms the d x n pseudo-inverse of the centered

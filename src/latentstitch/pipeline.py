@@ -836,7 +836,8 @@ def run_probe_suite(
         "grid_layout": "rows=source->target pair, columns=attributes",
         "noising_schedule": _noising_metadata(cfg),
         "probe_lasso": {
-            f"{mid}/{attr}": {"sweeps": probe.sweeps, "nnz": int(np.count_nonzero(probe.w))}
+            f"{mid}/{attr}": {"sweeps": probe.sweeps, "nnz": int(np.count_nonzero(probe.w)),
+                              "kkt": probe.kkt}
             for (mid, attr), (probe, _) in fitted.items()
         },
         "map_solver": map_solver,

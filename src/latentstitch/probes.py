@@ -48,6 +48,9 @@ class Probe:
     threshold: float = 0.5
     #: Lasso sweeps of the fit that produced the probe; not stored in LPRB files.
     sweeps: int = field(default=0, compare=False)
+    #: The fit's final max KKT violation, from a fresh residual (NaN when
+    #: unknown); not stored in LPRB files.
+    kkt: float = field(default=math.nan, compare=False)
 
     def __post_init__(self) -> None:
         self.w = np.ascontiguousarray(self.w, dtype=np.float64)
@@ -266,6 +269,25 @@ def lasso_cd(
     )
 
 
+def _max_kkt_violation(X, y, w: np.ndarray, b: float, alpha: float) -> float:
+    """The largest lasso KKT violation of (w, b) on X and y, from the residual
+    r = y - X w - b computed afresh one block of about 2^16 entries of X at a
+    time, so no float64 copy of X is made; Xc^T r = X^T r - x_mean sum(r)."""
+    X = np.asarray(X)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n, d = X.shape
+    xtr, xsum, rsum = np.zeros(d), np.zeros(d), 0.0
+    step = max(1, (1 << 16) // d)
+    for start in range(0, n, step):
+        xb = np.asarray(X[start:start + step], dtype=np.float64)
+        rb = y[start:start + step] - (xb @ w + b)
+        xtr += xb.T @ rb
+        xsum += xb.sum(axis=0)
+        rsum += rb.sum()
+    corr = (xtr - xsum / n * rsum) / n
+    return float(_kkt_violations(corr, w, alpha).max(initial=0.0))
+
+
 def fit_lasso(
     X,
     y,
@@ -281,18 +303,20 @@ def fit_lasso(
     With standardize=True the fit runs on unit-variance columns and the
     weights are mapped back to raw feature scale, so predict() always
     consumes raw latents; the stored alpha then refers to the standardized
-    design.
+    design. The probe's ``kkt`` is the fit's max KKT violation on the design
+    it ran on, at most 10*tol on convergence.
     """
     if standardize:
         X = np.asarray(X, dtype=np.float64)
         sd = X.std(axis=0)
         sd[sd == 0.0] = 1.0
-        w_s, b, sweeps, _ = lasso_cd(X / sd, y, alpha, tol=tol, max_iter=max_iter)
-        w = w_s / sd
-    else:
-        w, b, sweeps, _ = lasso_cd(X, y, alpha, tol=tol, max_iter=max_iter)
+        X = X / sd
+    w, b, sweeps, _ = lasso_cd(X, y, alpha, tol=tol, max_iter=max_iter)
+    kkt = _max_kkt_violation(X, y, w, b, alpha)
+    if standardize:
+        w = w / sd
     return Probe(attribute=attribute, model_id=model_id, w=w, b=b, alpha=float(alpha),
-                 sweeps=sweeps)
+                 sweeps=sweeps, kkt=kkt)
 
 
 def predict(probe: Probe, X) -> np.ndarray:

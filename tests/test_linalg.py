@@ -45,6 +45,52 @@ def test_spd_solve_rejects_asymmetric():
         linalg.spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
 
 
+# d = 128 is one substitution block, 129 two, 1100 nine; B is a vector, one
+# column, fewer columns than d, d columns and 3d columns
+@pytest.mark.parametrize("d", [1, 2, 127, 128, 129, 300, 1100])
+@pytest.mark.parametrize("k", [None, 1, "d/2", "d", "3d"])
+def test_spd_solve_matches_lu_solve(d, k):
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((3 * d, d))
+    a = m.T @ m / (3 * d) + np.eye(d)  # condition number below 10
+    cols = {None: None, 1: 1, "d/2": max(1, d // 2), "d": d, "3d": 3 * d}[k]
+    b = rng.standard_normal(d if cols is None else (d, cols))
+    b_before = b.copy()
+    x = linalg.spd_solve(a, b)
+    expected = np.linalg.solve(a, b)
+    assert x.shape == expected.shape and x.dtype == np.float64
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert b.tobytes() == b_before.tobytes()
+
+
+def test_spd_solve_holds_its_factor_and_one_copy_of_b(monkeypatch):
+    d = 2048
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((d + 64, d))
+    a = m.T @ m
+    b = rng.standard_normal((d, d))
+    del m
+    # np.linalg.cholesky's working copy of A is not traced, so the copy of B
+    # must not exist yet when it runs
+    traced_at_factor = []
+    cholesky = np.linalg.cholesky
+
+    def traced_cholesky(s):
+        traced_at_factor.append(tracemalloc.get_traced_memory()[0])
+        return cholesky(s)
+
+    monkeypatch.setattr(np.linalg, "cholesky", traced_cholesky)
+    tracemalloc.start()
+    try:
+        linalg.spd_solve(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # L and X are 32 MB each; LU would add a copy of A
+    assert peak < 2.2 * 8 * d * d
+    assert traced_at_factor[0] < 2**20
+
+
 @pytest.mark.parametrize("d", [1, 7, 1500])
 def test_symmetry_check_matches_full_size_formula(d):
     # d = 1500 spans three row blocks
@@ -104,8 +150,8 @@ def test_sym_eig_reconstruction_oracle():
     s = rng.standard_normal((6, 6))
     s = (s + s.T) / 2
     eig = linalg.sym_eig(s)
-    scale = np.abs(s).max()
-    assert np.abs(eig.reconstruct() - s).max() <= 1e-8 * scale
+    v, scale = eig.eigenvectors, np.abs(s).max()
+    assert np.abs((v * eig.eigenvalues) @ v.T - s).max() <= 1e-8 * scale
     assert np.all(np.diff(eig.eigenvalues) >= 0)
 
 

@@ -50,9 +50,9 @@ def test_fit_ols_rank_deficient_takes_min_norm_lstsq():
     np.testing.assert_allclose(mapfit.apply_map(m, x), y, atol=1e-8)
 
 
-def _reference_unregularized_fit(X, Y):
-    """The alpha = 0 fit as a separate branch: centered normal equations with
-    a Cholesky check and then an LU solve, else the min-norm lstsq solution."""
+def _reference_unregularized_fit(X, Y, solve=linalg.spd_solve):
+    """The alpha = 0 fit as a separate branch: the centered normal equations
+    solved by ``solve`` when the Gram is SPD, else the min-norm lstsq solution."""
     Xc, Yc = np.array(X, dtype=np.float64), np.array(Y, dtype=np.float64)
     x_mean, y_mean = Xc.mean(axis=0), Yc.mean(axis=0)
     Xc -= x_mean
@@ -63,7 +63,7 @@ def _reference_unregularized_fit(X, Y):
     except np.linalg.LinAlgError:
         wt, solver = np.linalg.lstsq(Xc, Yc, rcond=None)[0], "lstsq"
     else:
-        wt, solver = np.linalg.solve(gram, rhs), "cholesky"
+        wt, solver = solve(gram, rhs), "cholesky"
     W = np.ascontiguousarray(wt.T)
     return W, y_mean - W @ x_mean, solver
 
@@ -97,6 +97,19 @@ def test_unregularized_fit_matches_reference_branch_bytes(design, fit):
     assert m.solver == solver
     if x.dtype == np.float64:
         assert solver == "cholesky"
+
+
+@pytest.mark.parametrize("shape", [(200, 8, 5), (900, 300, 40)], ids=["d8", "d300"])
+def test_unregularized_cholesky_fit_matches_lu_solve(shape):
+    # spd_solve's block substitution against the LU solve it replaced; d = 300
+    # spans three substitution blocks
+    n, d_in, d_out = shape
+    x, y = planted_problem(seed=19, n=n, d_in=d_in, d_out=d_out)[:2]
+    W, b, solver = _reference_unregularized_fit(x, y, solve=np.linalg.solve)
+    m = mapfit.fit_ols(x, y)
+    assert solver == m.solver == "cholesky"
+    want = np.column_stack([W, b])
+    assert np.abs(np.column_stack([m.W, m.b]) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("fit", [

@@ -427,6 +427,40 @@ def test_probe_suite_records_lasso_counters(suite_result):
         probe = probes.load_probe(out / "probes" / f"{mid}__{attr}.lprb")
         assert entry["nnz"] == np.count_nonzero(probe.w)
         assert entry["sweeps"] >= 1
+        assert 0.0 <= entry["kkt"] <= 10 * 1e-6  # train_probe's default tol
+
+
+def test_probe_suite_grids_replay_from_written_files(roster, suite_result, tmp_path):
+    # every match_grid and delta_grid cell is what the written probes give on
+    # the holdout mapped through stitch-grid's written map. probe-suite fits
+    # the composed probe directly; every roster map takes the direct Cholesky
+    # path, on which that fit equals the map's composition, so cells agree
+    # exactly (a min-norm "operator" map would agree within a holdout sample)
+    _, suite_out = suite_result
+    cfg = pipeline.load_config(roster["config"])
+    grid_out = tmp_path / "grid"
+    pipeline.run_stitch_grid(cfg, grid_out)
+    latents = {m.model_id: data.read_latents(m.latents_path) for m in cfg.models}
+    table = data.read_attribute_table(cfg.attributes_path)
+    split = data.split_ids(latents[cfg.model_ids()[0]], cfg.split)
+    match = pipeline.read_csv_grid(suite_out / "match_grid.csv")
+    delta = pipeline.read_csv_grid(suite_out / "delta_grid.csv")
+    replayed = 0
+    for pair in match.row_ids:
+        src, dst = pair.split("->")
+        m = mapfit.load_map(grid_out / "maps" / f"{src}__{dst}.lmap")
+        for attr in match.col_ids:
+            probe = probes.load_probe(suite_out / "probes" / f"{dst}__{attr}.lprb")
+            hold = pipeline.draw_subsets(table, attr, split, cfg.seed)[1]
+            x_native = latents[dst].X[data.rows_of(latents[dst], hold.ids)]
+            mapped = mapfit.apply_map(m, latents[src].X[data.rows_of(latents[src], hold.ids)])
+            acc_native = probes.accuracy(probe, x_native, hold.labels())
+            acc_mapped = probes.accuracy(probe, mapped, hold.labels())
+            for grid, replay in ((match, probes.match_percent(probe, x_native, mapped)),
+                                 (delta, probes.accuracy_delta(acc_native, acc_mapped))):
+                assert grid.get(pair, attr) == float(format(replay, ".9g")), (grid.name, pair, attr)
+                replayed += 1
+    assert replayed == 2 * 25 * 3
 
 
 def test_probe_suite_delta_zero_on_diagonal(suite_result):

@@ -330,6 +330,25 @@ def test_fit_lasso_standardize_smoke():
     assert probes.accuracy(probe, x, y) >= 0.9
 
 
+# 9000 rows of 10 columns span two of the KKT check's row blocks
+@pytest.mark.parametrize("n", [80, 9000])
+@pytest.mark.parametrize("standardize", [False, True])
+def test_fit_lasso_records_the_kkt_violation_of_its_design(standardize, n):
+    rng = np.random.default_rng(6)
+    x = (rng.standard_normal((n, 10)) * np.linspace(0.2, 5.0, 10)).astype(np.float32)
+    y = (x[:, 1] + 0.3 * rng.standard_normal(n) > 0).astype(float)
+    probe = probes.fit_lasso(x, y, alpha=0.02, tol=1e-6, standardize=standardize)
+    design = np.asarray(x, dtype=np.float64)
+    w = probe.w
+    if standardize:
+        sd = design.std(axis=0)
+        design, w = design / sd, w * sd
+    assert probe.kkt == pytest.approx(kkt_violation_raw(design, y, w, probe.b, 0.02),
+                                      rel=1e-6, abs=1e-12)
+    assert probe.kkt <= 10 * 1e-6
+    assert np.isnan(probes.Probe(attribute="a", model_id="m", w=w, b=0.0, alpha=0.0).kkt)
+
+
 # --- prediction and scoring ------------------------------------------------------
 
 
