@@ -9,9 +9,10 @@ unpenalized intercept and no 1/n factor, on column-centered data. A design
 with no more train rows than dimensions (n <= d) is fitted through one
 eigendecomposition of its n x n dual Gram Xc Xc^T, which serves every alpha
 and every target; one with more rows through the Cholesky factor of
-(Xc^T Xc + alpha I), or the min-norm least-squares solution when that Gram
-is singular at alpha = 0. A SharedFit lets the fits of many targets on one
-source share what they can: the dual factor, or the min-norm pseudo-inverse.
+(Xc^T Xc + alpha I), or, when that Gram is singular at alpha = 0, through its
+pseudo-inverse. Both min-norm fits drop the Gram eigenvalues at or below
+linalg.eig_cutoff. A SharedFit lets the fits of many targets on one source
+share the dual factor or the pseudo-inverse.
 Fits and scores read their rows by index (``rows=``), so neither makes a
 gathered copy of a latent set.
 """
@@ -46,11 +47,6 @@ class LinearMap:
     #: factor of an n <= d design, else "cholesky", or "lstsq" for the min-norm
     #: fallback; "" when unknown. Not stored in LMAP files.
     solver: str = field(default="", compare=False)
-    #: How the fit formed W: "dual" (the eigh factor's products), "direct" (one
-    #: solve with Y's columns as right-hand sides), "operator" (the min-norm
-    #: fit's d x n pseudo-inverse, then pinv(Xc) Yc); "" when unknown. Not
-    #: stored in LMAP files.
-    path: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         self.W = np.ascontiguousarray(self.W, dtype=np.float64)
@@ -154,17 +150,18 @@ class SharedFit:
     train rows, or None for all of X), at any alpha. With n <= d train rows
     the first fit builds the source's DualFactor, kept as ``dual``, and every
     later fit only multiplies it with its centered Y. With n > d rows, a
-    Cholesky attempt that fails at alpha = 0 is made once; and when those
-    min-norm fits' targets add up to more columns ``k`` than the n rows, the
-    d x n pseudo-inverse of the centered X is formed once for them all. Not
-    thread-safe: one per task.
+    Cholesky attempt that fails at alpha = 0 is made once. It keeps the d x d
+    pseudo-inverse of the centered Gram as ``pinv``, with the ``rank`` of the
+    singular values above its ``cutoff`` (d eps max(s)), and every later
+    alpha = 0 fit multiplies pinv with its Xc^T Yc. Not thread-safe: one per
+    task.
     """
 
-    def __init__(self, X, k: int = 0, rows=None):
-        self.X, self.k, self.rows = X, int(k), rows
+    def __init__(self, X, rows=None):
+        self.X, self.rows = X, rows
         self.dual: DualFactor | None = None
-        self.singular = False  # n > d, alpha = 0 and the Gram failed Cholesky
         self.pinv: np.ndarray | None = None
+        self.rank, self.cutoff = 0, 0.0
 
 
 def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
@@ -185,9 +182,9 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
     (n, d), k = (len(ix), X.shape[1]), Y.shape[1]
     y_mean = np.empty(k)  # Y's column means, written by _centered_blocks
 
-    def affine(W, x_mean, solver, path):
+    def affine(W, x_mean, solver):
         return LinearMap(source_model=source_model, target_model=target_model, W=W,
-                         b=y_mean - W @ x_mean, alpha=alpha, solver=solver, path=path)
+                         b=y_mean - W @ x_mean, alpha=alpha, solver=solver)
 
     if n <= d:
         if shared.dual is None:
@@ -201,44 +198,33 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
             g = U.T @ block
             g *= scale[:, None]
             np.matmul(g.T, P.T, out=W[cols])
-        return affine(W, f.x_mean, "eigh", "dual")
+        return affine(W, f.x_mean, "eigh")
 
     # The centered float64 design is the one whole-set copy held at a time: it
     # is freed once the Gram and Xc^T Yc exist, before the solve adds the
-    # Gram's Cholesky factor and a copy of Xc^T Yc, and built again only for
-    # the min-norm fit.
-    if alpha > 0 or not shared.singular:
-        Xc, x_mean = _centered_rows(X, ix)
-        rhs = np.empty((d, k))
-        for cols, block in _centered_blocks(Y, iy, y_mean):
-            rhs[:, cols] = Xc.T @ block
-        gram = Xc.T @ Xc
-        del Xc
+    # Gram's Cholesky factor and a copy of Xc^T Yc.
+    Xc, x_mean = _centered_rows(X, ix)
+    rhs = np.empty((d, k))
+    for cols, block in _centered_blocks(Y, iy, y_mean):
+        rhs[:, cols] = Xc.T @ block
+    gram = Xc.T @ Xc if alpha > 0 or shared.pinv is None else None
+    del Xc
+    if gram is not None:
         gram[np.diag_indices_from(gram)] += alpha
         try:
             wt = linalg.spd_solve(gram, rhs)
         except NotSPD:
             if alpha > 0:
                 raise
-            shared.singular = True
+            # rcond=None drops the Gram's singular values at or below
+            # d eps max(s), linalg.eig_cutoff: the dual factor's rank rule
+            shared.pinv, _, rank, s = np.linalg.lstsq(gram, np.eye(d), rcond=None)
+            shared.rank, shared.cutoff = int(rank), linalg.eig_cutoff(s[::-1])
         else:
-            return affine(np.ascontiguousarray(wt.T), x_mean, "cholesky", "direct")
-        del rhs, gram
-    Xc, x_mean = _centered_rows(X, ix)
-    # The min-norm least-squares solution, W^T = pinv(Xc) Yc. With more target
-    # columns than train rows, pinv(Xc) = lstsq(Xc, I_n) costs less than
-    # lstsq(Xc, Yc); the break-even is k = n.
-    if max(shared.k, k) > n:
-        if shared.pinv is None:
-            shared.pinv, *_ = np.linalg.lstsq(Xc, np.eye(n), rcond=None)
-        del Xc
-        W = np.empty((k, d))
-        for cols, block in _centered_blocks(Y, iy, y_mean):
-            np.matmul(block.T, shared.pinv.T, out=W[cols])
-        return affine(W, x_mean, "lstsq", "operator")
-    Yc, y_mean = _centered_rows(Y, iy)
-    wt, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
-    return affine(np.ascontiguousarray(wt.T), x_mean, "lstsq", "direct")
+            return affine(np.ascontiguousarray(wt.T), x_mean, "cholesky")
+        del gram
+    # the min-norm fit, W^T = pinv(Xc^T Xc) Xc^T Yc
+    return affine(rhs.T @ shared.pinv.T, x_mean, "lstsq")
 
 
 def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "",
@@ -251,7 +237,7 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     gathered copy. Without ``rows`` X and Y pair row by row.
 
     A design with n <= d train rows is fitted through its DualFactor (solver
-    "eigh", path "dual"): W^T = P diag(f(lam)) U^T Yc, with f = 1/(lam + alpha),
+    "eigh"): W^T = P diag(f(lam)) U^T Yc, with f = 1/(lam + alpha),
     or for alpha = 0 f = 1/lam on the eigenvalues above the factor's cutoff
     and 0 on the rest, which is the rank-aware min-norm fit. With ``shared``
     (a SharedFit of this X and ix) the factor is built by the first fit and
@@ -259,22 +245,17 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
 
     A design with n > d rows Cholesky-factors its normal equations and solves
     them for all of Y's columns at once by block substitution on that factor
-    (linalg.spd_solve); an unregularized fit whose Gram is singular
-    takes the min-norm least-squares solution instead. The map's ``solver``
-    records which ("cholesky" or "lstsq"). A min-norm fit with more target
-    columns k than train rows n forms the d x n pseudo-inverse of the centered
-    X, np.linalg.lstsq against the n x n identity, and multiplies it with the
-    centered Y; the map's ``path`` is then "operator", else "direct". With
-    ``shared``, k is at least the SharedFit's k, the total of the alpha = 0
-    targets it serves, and they share one pseudo-inverse. Each map then equals
-    its fit without ``shared`` to the byte on the Cholesky path, and within
-    rounding on the min-norm path.
+    (linalg.spd_solve). An unregularized fit whose Gram is singular takes the
+    min-norm solution of those same normal equations instead: the Gram's
+    pseudo-inverse, np.linalg.lstsq against the d x d identity, times Xc^T Yc.
+    Its singular values at or below linalg.eig_cutoff count as 0, the dual
+    factor's rule. The map's ``solver`` records which ("cholesky" or "lstsq").
+    With ``shared`` the Cholesky attempt and the pseudo-inverse are made once
+    per source. Every map equals its fit without ``shared`` to the byte.
 
     Memory: the centered float64 design is the one whole-set copy of X a fit
-    holds. The Cholesky path frees it before the solve and builds it again
-    only when the Gram fails Cholesky at alpha = 0. The dual, Cholesky and
-    operator paths read Y in float64 column blocks; the direct min-norm path
-    makes a float64 copy of all of Y's rows for np.linalg.lstsq.
+    holds, freed before the solve. Every path reads Y in float64 column
+    blocks.
     """
     return _fit_affine(X, Y, float(alpha), source_model, target_model, shared, rows)
 

@@ -56,7 +56,14 @@ from .probes import (
     save_probe,
     write_probe_report,
 )
-from .synth import NOISING_SCHEDULE, SynthModelSpec, decode, spec_from_string, spec_to_string
+from .synth import (
+    NOISING_SCHEDULE,
+    SynthModelSpec,
+    check_model_id,
+    decode,
+    spec_from_string,
+    spec_to_string,
+)
 
 log = logging.getLogger(__name__)
 
@@ -127,16 +134,6 @@ def _parse_float(key: str, value: str) -> float:
     return out
 
 
-def _check_model_id(model_id: str) -> str:
-    # ids appear in config keys, pair labels, and file names
-    if not model_id or any(ch in model_id for ch in ".,->/\\ \t"):
-        raise ConfigError(
-            f"model id {model_id!r} may not be empty or contain '.', ',', '-', '>', "
-            "path separators or whitespace"
-        )
-    return model_id
-
-
 def parse_config(text: str, base_dir=None) -> ExperimentConfig:
     """Parse line-oriented key=value config text.
 
@@ -199,7 +196,7 @@ def parse_config(text: str, base_dir=None) -> ExperimentConfig:
                 raise ConfigError(
                     f"line {lineno}: expected model.<id>.latents|decoder_only|synth, got {key!r}"
                 )
-            mid = _check_model_id(parts[1])
+            mid = check_model_id(parts[1])
             fields = model_fields.setdefault(mid, {})
             if parts[2] == "latents":
                 fields["latents"] = base / value
@@ -514,13 +511,13 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
 
     Sources run as tasks, each fitting its targets one at a time. All targets
     of one source share a mapfit.SharedFit: a source with no more train rows
-    than dimensions is factored once for every target and alpha, and one
-    pseudo-inverse of a singular wider source serves its min-norm maps when
-    their dimensions add up to more than the train rows. metadata.json lists
-    each (source, alpha) group's solver and path under map_fits, with the
-    source's kept rank and eigenvalue cutoff for a dual fit. Fits read the
-    train rows of each latent set by index, and each cell's map is dropped
-    once it is written, before the decoder runs."""
+    than dimensions is factored once for every target and alpha, and a
+    singular wider source's Gram is pseudo-inverted once for its min-norm
+    maps. metadata.json lists each (source, alpha) group's solver under
+    map_fits, with the kept rank and cutoff of the source's factor for an
+    "eigh" or "lstsq" fit. Fits read the train rows of each latent set by
+    index, and each cell's map is dropped once it is written, before the
+    decoder runs."""
     validate_paths(cfg)
     out = Path(out_dir)
     maps_dir = out / "maps"
@@ -578,7 +575,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         X, ix = latents[src].X, rows_of(latents[src], train_ids)
         groups, train_rows, errors = _alpha_groups(cfg, latents, src, train_ids)
         outcomes = {dst: (None, err) for dst, err in errors.items()}
-        shared = SharedFit(X, sum(latents[dst].d for dst in groups.get(0.0, [])), rows=ix)
+        shared = SharedFit(X, rows=ix)
         fits = []
         for alpha, dsts in groups.items():
             fitted = []
@@ -588,9 +585,10 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
                     m = fit_ridge(X, latents[dst].X, alpha, source_model=src, target_model=dst,
                                   shared=shared, rows=(ix, train_rows[dst]))
                     fitted.append(dst)
-                    how = {"solver": m.solver, "path": m.path}
-                    if m.path == "dual":
-                        how.update(rank=shared.dual.rank, cutoff=shared.dual.cutoff)
+                    how = {"solver": m.solver}
+                    if m.solver != "cholesky":  # the dual factor's or the pseudo-inverse's
+                        kept = shared.dual or shared
+                        how.update(rank=kept.rank, cutoff=kept.cutoff)
                     result, mapped_ds = write_cell(src, dst, m)
                     m = None  # decoding needs only the mapped holdout, not the d_out x d_in map
                     outcomes[dst] = score_decoded(dst, mapped_ds, result), None

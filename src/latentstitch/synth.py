@@ -74,6 +74,17 @@ class NoisingSchedule:
 NOISING_SCHEDULE = NoisingSchedule()
 
 
+def check_model_id(model_id: str) -> str:
+    """model_id, if it may name a model: ids appear in config keys, pair
+    labels and file names."""
+    if not model_id or any(ch in model_id for ch in ".,->/\\ \t"):
+        raise ConfigError(
+            f"model id {model_id!r} may not be empty or contain '.', ',', '-', '>', "
+            "path separators or whitespace"
+        )
+    return model_id
+
+
 @dataclass
 class SynthModelSpec:
     """One synthetic model: an encoder kind plus the knobs it needs."""
@@ -90,10 +101,8 @@ class SynthModelSpec:
         if self.kind not in KINDS:
             raise BadDims(f"unknown model kind {self.kind!r}")
         # model ids become file names (<id>.lsf) and the "pixels" id is reserved
-        if not self.model_id or self.model_id == "pixels" or any(
-            ch in self.model_id for ch in "/\\ \t"
-        ):
-            raise BadDims(f"bad synth model id {self.model_id!r}")
+        if check_model_id(self.model_id) == "pixels":
+            raise ConfigError("model id 'pixels' is reserved for the image file")
         if self.d < 1:
             raise BadDims("latent dimension must be >= 1")
         if self.kind == "lossy" and (self.rank is None or self.rank < 1):

@@ -127,6 +127,16 @@ def test_cli_bad_numeric_flag_is_a_config_error(generated, tmp_path, capsys, arg
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model_id", ["a-b", "a.b", "a,b", "a>b", "", "pixels"])
+def test_synth_gen_rejects_a_model_id_its_config_would(tmp_path, capsys, model_id):
+    # the written config could not be loaded, so nothing is written
+    out = tmp_path / "out"
+    assert cli.main(["synth-gen", "--out", str(out), "--n", "40", "--k", "2", "--dpix", "8",
+                     "--model", f"{model_id}=orthogonal:seed=1,d=8,dpix=8"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, code", [("latents", 2), ("attributes", 2), ("config", 1)])
 def test_cli_invalid_utf8_exits_with_its_code(generated, tmp_path, capsys, kind, code):
     cfg = _config_copy(generated, tmp_path, "")

@@ -45,14 +45,15 @@ def test_fit_ols_rank_deficient_takes_min_norm_lstsq():
     x = rng.standard_normal((5, 8))  # n < d_in
     y = rng.standard_normal((5, 3))
     m = mapfit.fit_ols(x, y)
-    assert (m.solver, m.path) == ("eigh", "dual")
+    assert m.solver == "eigh"
     # minimum-norm solution interpolates the training rows
     np.testing.assert_allclose(mapfit.apply_map(m, x), y, atol=1e-8)
 
 
 def _reference_unregularized_fit(X, Y, solve=linalg.spd_solve):
     """The alpha = 0 fit as a separate branch: the centered normal equations
-    solved by ``solve`` when the Gram is SPD, else the min-norm lstsq solution."""
+    solved by ``solve`` when the Gram is SPD, else multiplied by the Gram's
+    pseudo-inverse, lstsq against the identity."""
     Xc, Yc = np.array(X, dtype=np.float64), np.array(Y, dtype=np.float64)
     x_mean, y_mean = Xc.mean(axis=0), Yc.mean(axis=0)
     Xc -= x_mean
@@ -61,10 +62,10 @@ def _reference_unregularized_fit(X, Y, solve=linalg.spd_solve):
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        wt, solver = np.linalg.lstsq(Xc, Yc, rcond=None)[0], "lstsq"
+        pinv = np.linalg.lstsq(gram, np.eye(len(gram)), rcond=None)[0]
+        W, solver = rhs.T @ pinv.T, "lstsq"
     else:
-        wt, solver = solve(gram, rhs), "cholesky"
-    W = np.ascontiguousarray(wt.T)
+        W, solver = np.ascontiguousarray(solve(gram, rhs).T), "cholesky"
     return W, y_mean - W @ x_mean, solver
 
 
@@ -89,7 +90,7 @@ def test_unregularized_fit_matches_reference_branch_bytes(design, fit):
     m = fit(x, y)
     if x.shape[0] <= x.shape[1]:
         # n <= d takes the dual factor: the same min-norm fit, within rounding
-        assert solver == "lstsq" and (m.solver, m.path) == ("eigh", "dual")
+        assert (solver, m.solver) == ("lstsq", "eigh")
         want = np.column_stack([W, b])
         assert np.abs(np.column_stack([m.W, m.b]) - want).max() <= 1e-9 * np.abs(want).max()
         return
@@ -306,11 +307,6 @@ def _singular_design(n, d, seed):
     return x
 
 
-def _max_rel_diff(got, want):
-    got, want = (np.column_stack([m.W, m.b]) for m in (got, want))
-    return np.abs(got - want).max() / np.abs(want).max()
-
-
 def _count_calls(monkeypatch, module, name):
     calls, original = [], getattr(module, name)
 
@@ -322,25 +318,22 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("x, calls, how", [
+@pytest.mark.parametrize("x, calls, solver", [
     # n <= d shares the dual factor instead, and takes no lstsq and no Cholesky
-    pytest.param(np.random.default_rng(30).standard_normal((12, 20)), (0, 0),
-                 ("eigh", "dual", "eigh", "dual"), id="n<d"),
-    pytest.param(_singular_design(40, 8, seed=30), (1, 1),
-                 ("lstsq", "operator", "lstsq", "direct"), id="singular-n>d"),
+    pytest.param(np.random.default_rng(30).standard_normal((12, 20)), (0, 0), "eigh", id="n<d"),
+    pytest.param(_singular_design(40, 8, seed=30), (1, 1), "lstsq", id="singular-n>d"),
 ])
-def test_shared_pseudo_inverse_matches_per_target_min_norm_fits(monkeypatch, x, calls, how):
-    n = x.shape[0]
-    ys = _targets(x, 5, n // 2, seed=31)  # 5n/2 columns in total, more than n rows
-    shared = mapfit.SharedFit(x, sum(y.shape[1] for y in ys))
+def test_shared_pseudo_inverse_matches_per_target_min_norm_fits(monkeypatch, x, calls, solver):
+    ys = _targets(x, 5, x.shape[0] // 2, seed=31)
+    shared = mapfit.SharedFit(x)
     lstsq = _count_calls(monkeypatch, np.linalg, "lstsq")
     spd = _count_calls(monkeypatch, linalg, "spd_solve")
     got = [mapfit.fit_ridge(x, y, 0.0, shared=shared) for y in ys]
     assert (len(lstsq), len(spd)) == calls
     for m, y in zip(got, ys):
         want = mapfit.fit_ridge(x, y, 0.0)
-        assert (m.solver, m.path, want.solver, want.path) == how
-        assert _max_rel_diff(m, want) <= 1e-10
+        assert m.solver == want.solver == solver
+        assert m.W.tobytes() == want.W.tobytes() and m.b.tobytes() == want.b.tobytes()
 
 
 @pytest.mark.parametrize("n, d_in, alpha", [
@@ -351,25 +344,18 @@ def test_shared_pseudo_inverse_matches_per_target_min_norm_fits(monkeypatch, x, 
 def test_cholesky_fits_stay_direct_and_sharing_changes_no_byte(n, d_in, alpha):
     x = np.random.default_rng(32).standard_normal((n, d_in))
     ys = _targets(x, 5, n // 2, seed=33)
-    how = ("eigh", "dual") if n <= d_in else ("cholesky", "direct")
-    stacked = mapfit.fit_ridge(x, np.hstack(ys), alpha)
-    assert (stacked.solver, stacked.path) == how
-    shared = mapfit.SharedFit(x, stacked.d_out)
+    solver = "eigh" if n <= d_in else "cholesky"
+    assert mapfit.fit_ridge(x, np.hstack(ys), alpha).solver == solver
+    shared = mapfit.SharedFit(x)
     for y in ys:
         got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
-        assert (got.solver, got.path) == how
+        assert got.solver == solver
         assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
-
-
-def test_operator_break_even_is_one_column_per_train_row():
-    x = _singular_design(12, 10, seed=34)
-    assert mapfit.fit_ols(x, np.hstack(_targets(x, 2, 6, seed=35))).path == "direct"
-    assert mapfit.fit_ols(x, _targets(x, 1, 13, seed=35)[0]).path == "operator"
 
 
 def test_shared_fit_serves_one_design():
     x = np.random.default_rng(36).standard_normal((10, 12))
-    shared = mapfit.SharedFit(x, 20)
+    shared = mapfit.SharedFit(x)
     y = _targets(x, 1, 4, seed=37)[0]
     with pytest.raises(ValueError):
         mapfit.fit_ridge(x.copy(), y, 0.0, shared=shared)
@@ -377,6 +363,21 @@ def test_shared_fit_serves_one_design():
     for alpha in (1.0, 0.0):
         got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
         assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
+
+
+@pytest.mark.parametrize("column", ["zeroed", "duplicated"])
+def test_min_norm_fit_matches_lstsq_of_the_centered_design(column):
+    # an exactly rank-deficient float64 design: the Gram's pseudo-inverse
+    # keeps all its nonzero singular values, so the fit is lstsq's on Xc
+    x = _singular_design(50, 9, seed=45)
+    if column == "duplicated":
+        x[:, 0] = x[:, 1]
+    rng = np.random.default_rng(46)
+    y = x @ rng.standard_normal((9, 4)) + rng.standard_normal(4) + rng.standard_normal((50, 4))
+    m = mapfit.fit_ols(x, y)
+    assert m.solver == "lstsq"
+    want = _reference_wb(x, y, 0.0)
+    assert np.abs(np.column_stack([m.W, m.b]) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n, alpha, attempts", [
@@ -397,17 +398,23 @@ def test_unregularized_fit_with_n_at_most_d_skips_the_cholesky_attempt(
 
 def test_fit_reads_targets_in_column_blocks(monkeypatch):
     # blocks of 256 columns: results equal the single-block fit to the byte on
-    # the Cholesky path, and within rounding on the dual path
+    # the Cholesky and min-norm lstsq paths, and within rounding on the dual path
     x = np.random.default_rng(40).standard_normal((300, 6))
     y = np.hstack(_targets(x, 3, 200, seed=41))
+    x_singular = _singular_design(300, 6, seed=44)
     x_wide = np.random.default_rng(42).standard_normal((100, 120))
     y_wide = np.hstack(_targets(x_wide, 3, 200, seed=43))
-    direct, dual = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
+
+    def fits():
+        return [mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_singular, y[:, :280]),
+                mapfit.fit_ols(x_wide, y_wide)]
+
+    direct, singular, dual = fits()
     monkeypatch.setattr(mapfit, "Y_BLOCK_BYTES", 1)
-    direct_blocked, dual_blocked = mapfit.fit_ols(x, y[:, :280]), mapfit.fit_ols(x_wide, y_wide)
-    assert direct_blocked.W.tobytes() == direct.W.tobytes()
-    assert direct_blocked.b.tobytes() == direct.b.tobytes()
-    assert (direct.path, dual.path) == ("direct", "dual")
+    direct_blocked, singular_blocked, dual_blocked = fits()
+    assert (direct.solver, singular.solver, dual.solver) == ("cholesky", "lstsq", "eigh")
+    for got, want in ((direct_blocked, direct), (singular_blocked, singular)):
+        assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
     np.testing.assert_allclose(dual_blocked.W, dual.W, rtol=0, atol=1e-12)
 
 
@@ -440,24 +447,37 @@ def test_dual_fit_matches_cholesky_ridge_and_full_row_rank_lstsq(n, d, dtype, al
     x = (3.0 * rng.standard_normal((n, d)) + 1.5).astype(dtype)
     y = (rng.standard_normal((n, 7)) - 2.0).astype(dtype)
     m = mapfit.fit_ridge(x, y, alpha)
-    assert (m.solver, m.path) == ("eigh", "dual")
+    assert m.solver == "eigh"
     want = _reference_wb(x, y, alpha)
     assert np.abs(np.column_stack([m.W, m.b]) - want).max() <= 1e-9 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("r", [1, 4, 16])
-def test_dual_factor_keeps_the_planted_rank(dtype, r):
+@pytest.mark.parametrize("n, d, offset, r, dtype", [
+    # n > d: the Gram fails Cholesky and its pseudo-inverse keeps the same
+    # rank. Without an offset: the float32 rounding of an offset design can
+    # pass Cholesky, which then fits that rounding.
+    pytest.param(n, d, offset, r, dtype, id=("n>d-" if n > d else "") + f"{r}-{dtype.__name__}")
+    for n, d, offset in ((60, 150, 4.0), (300, 40, 0.0)) for r in (1, 4, 16)
+    for dtype in (np.float32, np.float64)
+])
+def test_dual_factor_keeps_the_planted_rank(n, d, offset, r, dtype):
     rng = np.random.default_rng(51 + r)
-    x = (rng.standard_normal((60, r)) @ rng.standard_normal((r, 150)) + 4.0).astype(dtype)
-    y = rng.standard_normal((60, 5))
+    x = (rng.standard_normal((n, r)) @ rng.standard_normal((r, d)) + offset).astype(dtype)
+    y = rng.standard_normal((n, 5))
     shared = mapfit.SharedFit(x)
     m = mapfit.fit_ridge(x, y, 0.0, shared=shared)
-    assert shared.dual.rank == r
-    assert shared.dual.cutoff == 60 * np.finfo(np.float64).eps * shared.dual.lam[-1]
-    assert (shared.dual.lam[:-r] == 0).all() and (shared.dual.lam[-r:] > shared.dual.cutoff).all()
-    # the min-norm fit lies in the row space of the centered design
     xc = np.asarray(x, dtype=np.float64) - np.asarray(x, dtype=np.float64).mean(axis=0)
+    if n > d:
+        # the pseudo-inverse's rank and cutoff are those of eigh on the same Gram
+        lam = np.linalg.eigvalsh(xc.T @ xc)
+        assert m.solver == "lstsq" and shared.rank == r == (lam > linalg.eig_cutoff(lam)).sum()
+        assert shared.cutoff == pytest.approx(linalg.eig_cutoff(lam), rel=1e-12)
+    else:
+        assert m.solver == "eigh" and shared.dual.rank == r
+        assert shared.dual.cutoff == n * np.finfo(np.float64).eps * shared.dual.lam[-1]
+        assert (shared.dual.lam[:-r] == 0).all()
+        assert (shared.dual.lam[-r:] > shared.dual.cutoff).all()
+    # the min-norm fit lies in the row space of the centered design
     _, _, vt = np.linalg.svd(xc, full_matrices=False)
     outside = m.W - (m.W @ vt[:r].T) @ vt[:r]
     assert np.abs(outside).max() <= 1e-9 * np.abs(m.W).max()
@@ -490,30 +510,27 @@ def _pooled(a, seed, extra):
 
 def _same_map(got, want):
     assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
-    assert (got.solver, got.path) == (want.solver, want.path)
+    assert got.solver == want.solver
 
 
-@pytest.mark.parametrize("x, k, how", [
-    pytest.param(np.random.default_rng(60).standard_normal((30, 50)), 6, ("eigh", "dual"),
-                 id="dual"),
-    pytest.param(np.random.default_rng(61).standard_normal((80, 12)).astype(np.float32), 6,
-                 ("cholesky", "direct"), id="cholesky"),
-    pytest.param(_singular_design(40, 12, seed=62), 6, ("lstsq", "direct"), id="lstsq-direct"),
-    pytest.param(_singular_design(16, 12, seed=63), 20, ("lstsq", "operator"),
-                 id="lstsq-operator"),
+@pytest.mark.parametrize("x, solver", [
+    pytest.param(np.random.default_rng(60).standard_normal((30, 50)), "eigh", id="dual"),
+    pytest.param(np.random.default_rng(61).standard_normal((80, 12)).astype(np.float32),
+                 "cholesky", id="cholesky"),
+    pytest.param(_singular_design(40, 12, seed=62), "lstsq", id="lstsq"),
 ])
 @pytest.mark.parametrize("alpha", [0.0, 2.5])
-def test_rows_fit_is_byte_identical_to_gathered_fit(x, k, how, alpha):
+def test_rows_fit_is_byte_identical_to_gathered_fit(x, solver, alpha):
     x_pool, ix = _pooled(x, 64, 7)
-    shared, gathered_shared = mapfit.SharedFit(x_pool, k, rows=ix), mapfit.SharedFit(x, k)
-    for seed, y in enumerate(_targets(x, 2, k, seed=65)):
+    shared, gathered_shared = mapfit.SharedFit(x_pool, rows=ix), mapfit.SharedFit(x)
+    for seed, y in enumerate(_targets(x, 2, 6, seed=65)):
         y_pool, iy = _pooled(y, 66 + seed, 5)
         want = mapfit.fit_ridge(x, y, alpha)
         _same_map(mapfit.fit_ridge(x_pool, y_pool, alpha, rows=(ix, iy)), want)
         _same_map(mapfit.fit_ridge(x_pool, y_pool, alpha, shared=shared, rows=(ix, iy)),
                   mapfit.fit_ridge(x, y, alpha, shared=gathered_shared))
         if alpha == 0:
-            assert (want.solver, want.path) == how
+            assert want.solver == solver
 
 
 def test_shared_fit_serves_one_set_of_rows():
@@ -551,7 +568,7 @@ def test_rows_fit_holds_one_float64_design(alpha):
     y = rng.standard_normal((n + 100, d), dtype=np.float32)
     rows = rng.permutation(n + 100)[:n], rng.permutation(n + 100)[:n]
     m, peak = _traced_peak(lambda: mapfit.fit_ridge(x, y, alpha, rows=rows))
-    assert (m.solver, m.path) == ("cholesky", "direct")
+    assert m.solver == "cholesky"
     assert peak < n * d * 8 + 4 * d * d * 8
 
 

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from latentstitch import cli, data, mapfit, pipeline, probes, synth
+from latentstitch import cli, data, linalg, mapfit, pipeline, probes, synth
 from latentstitch import metrics
 from latentstitch.errors import ConfigError, InconsistentIds, IoError
 
@@ -433,9 +433,8 @@ def test_probe_suite_records_lasso_counters(suite_result):
 def test_probe_suite_grids_replay_from_written_files(roster, suite_result, tmp_path):
     # every match_grid and delta_grid cell is what the written probes give on
     # the holdout mapped through stitch-grid's written map. probe-suite fits
-    # the composed probe directly; every roster map takes the direct Cholesky
-    # path, on which that fit equals the map's composition, so cells agree
-    # exactly (a min-norm "operator" map would agree within a holdout sample)
+    # the composed probe directly; every roster map takes the Cholesky path,
+    # on which that fit equals the map's composition, so cells agree exactly
     _, suite_out = suite_result
     cfg = pipeline.load_config(roster["config"])
     grid_out = tmp_path / "grid"
@@ -721,6 +720,18 @@ def wide_source(roster):
     return "model.wide.latents = wide.lsf\nprobe_alpha.wide = 0.001\n"
 
 
+@pytest.fixture(scope="module")
+def singular_source(roster):
+    """Model `flat`: orthA's latents plus a zero column, so its 200 train rows
+    outnumber its 37 dimensions but its Gram is singular: every unregularized
+    map from it takes the min-norm lstsq fallback."""
+    orth_a = data.read_latents(roster["dir"] / "orthA.lsf")
+    flat = data.LatentDataset(model_id="flat", ids=orth_a.ids,
+                              X=np.hstack([orth_a.X, np.zeros((orth_a.n, 1), np.float32)]))
+    data.write_latents(flat, roster["dir"] / "flat.lsf")
+    return "model.flat.latents = flat.lsf\nprobe_alpha.flat = 0.001\n"
+
+
 # noise's targets split into a ridge group (orthA, orthB) and an OLS group (the rest)
 RIDGE_OVERRIDES = "alpha.noise.orthA = 100000\nalpha.noise.orthB = 100000\n"
 
@@ -814,8 +825,8 @@ def test_stitch_grid_maps_match_per_cell_fits(roster, wide_source, tmp_path):
     meta = json.loads((tmp_path / "metadata.json").read_text())
     fits = meta["map_fits"]
     assert [(f["source"], f["alpha"], f["targets"]) for f in fits] == [(s, 0.0, ids) for s in ids]
-    assert {f["source"]: f["path"] for f in fits} == {
-        s: "dual" if s == "wide" else "direct" for s in ids}
+    assert {f["source"]: f["solver"] for f in fits} == {
+        s: "eigh" if s == "wide" else "cholesky" for s in ids}
     assert all(meta["map_solver"][f"{f['source']}->{t}"] == f["solver"]
                for f in fits for t in f["targets"])
 
@@ -829,9 +840,8 @@ def test_stitch_grid_map_fits_split_by_alpha(roster, wide_source, tmp_path):
     assert len(cutoffs) == 1 and cutoffs.pop() > 0  # one factor for both groups
     assert wide == [
         {"source": "wide", "alpha": 0.0, "targets": ["orthA", "lossy", "rand", "noise", "wide"],
-         "solver": "eigh", "path": "dual", "rank": 199},
-        {"source": "wide", "alpha": 10.0, "targets": ["orthB"], "solver": "eigh",
-         "path": "dual", "rank": 199},
+         "solver": "eigh", "rank": 199},
+        {"source": "wide", "alpha": 10.0, "targets": ["orthB"], "solver": "eigh", "rank": 199},
     ]
     assert len(fits) == 7
 
@@ -861,16 +871,34 @@ def test_each_narrow_source_is_factored_once(monkeypatch, roster, wide_source, t
 
 
 @pytest.mark.parametrize("dst, alpha", [("orthA", 0.0), ("orthB", 10.0)])
-def test_fit_map_writes_stitch_grid_bytes_for_a_narrow_source(roster, wide_source, tmp_path,
+def test_fit_map_writes_stitch_grid_bytes_for_a_narrow_source(roster, wide_source,
+                                                             singular_source, tmp_path,
                                                              dst, alpha):
+    # also from a singular n > d source, whose maps to orthA and orthB are
+    # both min-norm: one shared pseudo-inverse gives the bytes of fit-map's own
     cfg_path = roster["dir"] / "three_wide_groups.cfg"
-    cfg_path.write_text(roster["config"].read_text() + wide_source + THREE_WIDE_GROUPS)
+    cfg_path.write_text(roster["config"].read_text() + wide_source + singular_source
+                        + THREE_WIDE_GROUPS)
     assert cli.main(["stitch-grid", "--config", str(cfg_path), "--out", str(tmp_path / "grid")]) == 0
-    assert cli.main(["fit-map", "--config", str(cfg_path), "--src", "wide", "--dst", dst,
-                     "--out", str(tmp_path / "map")]) == 0
-    name = f"wide__{dst}.lmap"
-    assert mapfit.load_map(tmp_path / "map" / name).alpha == alpha
-    assert (tmp_path / "map" / name).read_bytes() == (tmp_path / "grid" / "maps" / name).read_bytes()
+    for src, src_alpha in (("wide", alpha), ("flat", 0.0)):
+        assert cli.main(["fit-map", "--config", str(cfg_path), "--src", src, "--dst", dst,
+                         "--out", str(tmp_path / "map")]) == 0
+        name = f"{src}__{dst}.lmap"
+        assert mapfit.load_map(tmp_path / "map" / name).alpha == src_alpha
+        assert ((tmp_path / "map" / name).read_bytes()
+                == (tmp_path / "grid" / "maps" / name).read_bytes())
+    # the flat group records the rank and cutoff of eigh on the same Gram
+    cfg = pipeline.load_config(cfg_path)
+    flat = data.read_latents(roster["dir"] / "flat.lsf")
+    rows = data.rows_of(flat, data.split_ids(data.read_latents(roster["dir"] / "orthA.lsf"),
+                                             cfg.split)[0])
+    xc = flat.X[rows].astype(np.float64)
+    xc -= xc.mean(axis=0)
+    lam = np.linalg.eigvalsh(xc.T @ xc)
+    fits = json.loads((tmp_path / "grid" / "metadata.json").read_text())["map_fits"]
+    (group,) = [f for f in fits if f["source"] == "flat"]
+    assert (group["solver"], group["rank"]) == ("lstsq", (lam > linalg.eig_cutoff(lam)).sum())
+    assert group["cutoff"] == pytest.approx(linalg.eig_cutoff(lam), rel=1e-12)
 
 
 def test_stitch_grid_model_missing_train_ids_fails_only_its_cells(roster, wide_source, tmp_path):

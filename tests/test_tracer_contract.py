@@ -36,7 +36,8 @@ def test_every_wrapped_function_exists():
 
 def test_traced_stitch_grid_calls_every_map_solver(tmp_path):
     # A small paper-like world: a full-rank source (Cholesky), ridge maps from
-    # NF, and 63 train rows below NF's 64 dimensions (min-norm lstsq).
+    # NF, whose 63 train rows below its 64 dimensions take the dual factor,
+    # and the lossy VAE, rank 2 of 16 (min-norm lstsq).
     assert cli.main(["synth-gen", "--out", str(tmp_path), "--seed", "1", "--n", "70",
                      "--k", "4", "--dpix", "64",
                      "--model", "GAN=random:seed=2,d=16",
