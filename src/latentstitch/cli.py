@@ -36,6 +36,7 @@ from .probes import save_probe
 from .synth import (
     NOISING_SCHEDULE,
     SynthModelSpec,
+    check_emit,
     emit_datasets,
     gen_world,
     spec_from_string,
@@ -111,6 +112,10 @@ def _cmd_synth_gen(args) -> int:
             SynthModelSpec(model_id="noise", kind="noising", d=args.dpix,
                            seed=seed + 5, t=args.noise_t, d_pix=args.dpix),
         ]
+    try:  # every spec and the image shape come from flags, so a misfit is a config error
+        check_emit(world, specs)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     paths = emit_datasets(world, specs, args.out)
     n_holdout = min(200, max(1, world.n // 10))
     n_train = world.n - n_holdout

@@ -1,9 +1,10 @@
 """Dataset containers and ingestion.
 
 Covers the record reader shared by the LSF, LMAP and LPRB binary formats,
-the LSF format, CelebA-style attribute tables, pixel tensors stored as
-flattened LSF files, alignment by row index, the head split, and the
-id-seeded random-encoder baseline.
+the LSF format, CelebA-style attribute tables, alignment by row index, the
+head split, and the id-seeded random-encoder baseline. A pixel file is an
+LSF file of flattened images: it reads as a LatentDataset with model_id
+'pixels' once its (H, W, C) triple and [0, 1] range are checked.
 
 Datasets are immutable, and rows are selected by index arrays: `align(a, b)`
 gives the rows (ia, ib) of the ids both share, `rows_of` the rows of given
@@ -136,45 +137,6 @@ class AttributeTable(_RowIndexed):
 
 
 @dataclass
-class ImageDataset(_RowIndexed):
-    """Flattened pixel tensors, values in [0, 1], row layout H*W*C."""
-
-    ids: list[str]
-    pixels: np.ndarray
-    height: int = 64
-    width: int = 64
-    channels: int = 3
-
-    def __post_init__(self) -> None:
-        self.ids = _check_ids(self.ids)
-        self.pixels = np.ascontiguousarray(self.pixels, dtype=np.float32)
-        d = self.height * self.width * self.channels
-        if self.pixels.ndim != 2 or self.pixels.shape[1] != d:
-            raise DimensionMismatch(
-                f"pixels shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}x{self.channels}"
-            )
-        if self.pixels.shape[0] != len(self.ids):
-            raise CountMismatch(f"{len(self.ids)} ids but {self.pixels.shape[0]} pixel rows")
-        if not np.all(np.isfinite(self.pixels)):
-            raise NonFiniteValue("pixels contain NaN or Inf")
-        if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
-            raise UnknownValue("pixels must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
-    def d(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.height, self.width, self.channels)
-
-
-@dataclass
 class SplitSpec:
     """Head split: first n_train rows for fitting, next n_holdout for eval."""
 
@@ -186,7 +148,7 @@ class SplitSpec:
             raise InsufficientRows("split sizes must be non-negative")
 
 
-Dataset = Union[LatentDataset, AttributeTable, ImageDataset]
+Dataset = Union[LatentDataset, AttributeTable]
 
 
 # --- binary records (LSF, LMAP, LPRB) ---------------------------------------
@@ -265,9 +227,7 @@ def _write_lsf(
         f.write(LSF_MAGIC)
         f.write(struct.pack("<III", LSF_VERSION, n, d))
         write_str(f, model_id)
-        if model_id == PIXEL_MODEL_ID:
-            if image_shape is None:
-                raise ValueError("pixel LSF files need an (H, W, C) triple")
+        if image_shape is not None:  # only pixel files carry the triple
             f.write(struct.pack("<HHH", *image_shape))
         for sid in ids:
             write_str(f, sid)
@@ -300,16 +260,33 @@ def read_latents(path) -> LatentDataset:
     return LatentDataset(model_id=model_id, ids=ids, X=values)
 
 
-def write_images(ds: ImageDataset, path) -> None:
-    _write_lsf(path, PIXEL_MODEL_ID, ds.ids, ds.pixels, image_shape=ds.shape)
+def check_pixels(values: np.ndarray, shape: tuple[int, int, int], path) -> None:
+    """Raise a DataError unless values (n x d) are pixel rows in [0, 1] that
+    flatten H x W x C images, each side fitting a u16 header field. Pixel
+    LSF files pass this on read and on write."""
+    if math.prod(shape) != values.shape[1]:
+        raise DimensionMismatch(f"{path}: {values.shape[1]} pixels per row do not flatten {shape}")
+    if not all(0 < side <= 0xFFFF for side in shape):
+        raise BadDims(f"{path}: image shape {shape} does not fit u16 (H, W, C) fields")
+    if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        raise UnknownValue(f"{path}: pixels must lie in [0, 1]")
 
 
-def read_images(path) -> ImageDataset:
+def write_images(ds: LatentDataset, path, shape: tuple[int, int, int]) -> None:
+    """Write pixel rows as a pixel LSF file with the given (H, W, C) triple;
+    the rows are checked before the file is opened."""
+    check_pixels(ds.X, shape, path)
+    _write_lsf(path, PIXEL_MODEL_ID, ds.ids, ds.X, image_shape=shape)
+
+
+def read_images(path) -> LatentDataset:
+    """Read a pixel LSF file as a LatentDataset with model_id 'pixels'. Its
+    (H, W, C) triple is checked against the rows, then dropped."""
     model_id, ids, values, image_shape = _read_lsf(path)
     if image_shape is None:
         raise DataError(f"{path}: not a pixel dataset (model_id={model_id!r})")
-    h, w, c = image_shape
-    return ImageDataset(ids=ids, pixels=values, height=h, width=w, channels=c)
+    check_pixels(values, image_shape, path)
+    return LatentDataset(model_id=model_id, ids=ids, X=values)
 
 
 # --- CelebA-style attribute text ------------------------------------------
@@ -374,18 +351,10 @@ def write_attribute_table(table: AttributeTable, path) -> None:
 # --- alignment and splits --------------------------------------------------
 
 
-def take(ds: Dataset, indices) -> Dataset:
-    """Latent or image dataset over the given rows, copied in index order."""
+def take(ds: LatentDataset, indices) -> LatentDataset:
+    """The dataset over the given rows, copied in index order."""
     rows = np.asarray(indices, dtype=np.intp)
-    ids = [ds.ids[i] for i in rows]
-    if isinstance(ds, LatentDataset):
-        return LatentDataset(model_id=ds.model_id, ids=ids, X=ds.X[rows])
-    if isinstance(ds, ImageDataset):
-        return ImageDataset(
-            ids=ids, pixels=ds.pixels[rows],
-            height=ds.height, width=ds.width, channels=ds.channels,
-        )
-    raise TypeError(f"cannot take rows from {type(ds).__name__}")
+    return LatentDataset(model_id=ds.model_id, ids=[ds.ids[i] for i in rows], X=ds.X[rows])
 
 
 def align(a: Dataset, b: Dataset) -> tuple[np.ndarray, np.ndarray]:

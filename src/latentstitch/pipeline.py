@@ -537,7 +537,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         real = take(images, [images.row_index[sid] for sid in hold_ids if sid in images.row_index])
         decodes = any(m.synth is not None and m.synth.kind != "random" for m in cfg.models)
         if decodes and real.n >= 2:
-            real_summary = summarize(real.pixels)
+            real_summary = summarize(real.X)
 
     def write_cell(src, dst, m):
         """A cell's latent MSE and its files: the map and the mapped holdout."""
@@ -560,10 +560,10 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
         synth_spec = entry_by_id[dst].synth
         if synth_spec is not None and synth_spec.kind != "random" and images is not None:
             try:
-                decoded = decode(synth_spec, mapped_ds, image_shape=images.shape)
+                decoded = decode(synth_spec, mapped_ds)
                 ia, ib = align(decoded, real)
-                result["pixel_rmse"] = pixel_rmse(decoded.pixels[ia], real.pixels[ib])
-                result["fid"] = fid(summarize(decoded.pixels[ia]), real_summary)
+                result["pixel_rmse"] = pixel_rmse(decoded.X[ia], real.X[ib])
+                result["fid"] = fid(summarize(decoded.X[ia]), real_summary)
                 result["fid_n"] = len(ia)
             except LatentStitchError as exc:
                 result["errors"].append(_error_text(exc))

@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    PIXEL_MODEL_ID,
     AttributeTable,
-    ImageDataset,
     LatentDataset,
+    check_pixels,
     per_id_rng,
     random_encoder,
     write_attribute_table,
@@ -144,23 +145,13 @@ class FactorWorld:
     def attribute_table(self) -> AttributeTable:
         return AttributeTable(names=self.attribute_names, ids=list(self.ids), values=self.attributes)
 
-    def image_dataset(self) -> ImageDataset:
-        return ImageDataset(
-            ids=list(self.ids), pixels=self.pixels,
-            height=self.height, width=self.width, channels=self.channels,
-        )
+    def image_dataset(self) -> LatentDataset:
+        return LatentDataset(model_id=PIXEL_MODEL_ID, ids=list(self.ids), X=self.pixels)
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
     return q * np.sign(np.diag(r))  # sign fix makes QR deterministic
-
-
-def default_image_shape(d_pix: int) -> tuple[int, int, int]:
-    side = math.isqrt(d_pix)
-    if side * side == d_pix:
-        return (side, side, 1)
-    return (d_pix, 1, 1)
 
 
 def gen_world(
@@ -177,7 +168,10 @@ def gen_world(
         raise BadDims(f"need n >= 1, k >= 1, d_pix >= k; got n={n}, k={k}, d_pix={d_pix}")
     if squash not in ("affine", "sigmoid"):
         raise BadDims(f"unknown squash {squash!r}")
-    shape = image_shape or default_image_shape(d_pix)
+    shape = image_shape
+    if shape is None:  # square grey images where d_pix is a square, else a column
+        side = math.isqrt(d_pix)
+        shape = (side, side, 1) if side * side == d_pix else (d_pix, 1, 1)
     if shape[0] * shape[1] * shape[2] != d_pix:
         raise BadDims(f"image shape {shape} does not flatten to {d_pix}")
     factors = np.random.default_rng([_FACTOR_STREAM, seed]).standard_normal((n, k))
@@ -230,26 +224,31 @@ def _lossy_maps(seed: int, d_pix: int, rank: int, d: int) -> tuple[np.ndarray, n
     return basis, embed
 
 
-def encode(spec: SynthModelSpec, images: ImageDataset) -> LatentDataset:
-    """Encode pixel rows into the model's latent space."""
-    x = images.pixels.astype(np.float64)
-    d_pix = x.shape[1]
+def check_encoder(spec: SynthModelSpec, d_pix: int) -> None:
+    """Raise BadDims unless spec can encode pixel rows of width d_pix."""
     if spec.d_pix is not None and spec.d_pix != d_pix:
         raise BadDims(f"{spec.model_id}: spec expects d_pix={spec.d_pix}, images have {d_pix}")
+    if spec.kind in ("orthogonal", "noising") and spec.d != d_pix:
+        raise BadDims(f"{spec.model_id}: {spec.kind} encoders need d == d_pix ({d_pix})")
+    if spec.kind == "lossy" and spec.rank > min(spec.d, d_pix):
+        raise BadDims(f"{spec.model_id}: rank {spec.rank} exceeds min(d, d_pix)")
+    if spec.kind == "noising":
+        NOISING_SCHEDULE.alpha_bar(spec.t)  # t within the schedule
+
+
+def encode(spec: SynthModelSpec, images: LatentDataset) -> LatentDataset:
+    """Encode pixel rows into the model's latent space."""
+    x = images.X.astype(np.float64)
+    d_pix = x.shape[1]
+    check_encoder(spec, d_pix)
     if spec.kind == "orthogonal":
-        if spec.d != d_pix:
-            raise BadDims(f"{spec.model_id}: orthogonal encoders need d == d_pix ({d_pix})")
         latents = x @ _rotation(spec.seed, d_pix).T
     elif spec.kind == "lossy":
-        if spec.rank > min(spec.d, d_pix):
-            raise BadDims(f"{spec.model_id}: rank {spec.rank} exceeds min(d, d_pix)")
         basis, embed = _lossy_maps(spec.seed, d_pix, spec.rank, spec.d)
         latents = x @ basis @ embed.T
     elif spec.kind == "random":
         return random_encoder(images.ids, d=spec.d, seed=spec.seed, model_id=spec.model_id)
     else:  # noising
-        if spec.d != d_pix:
-            raise BadDims(f"{spec.model_id}: noising encoders need d == d_pix ({d_pix})")
         ab = NOISING_SCHEDULE.alpha_bar(spec.t)
         noise = np.empty_like(x)
         for row, sid in enumerate(images.ids):
@@ -258,12 +257,9 @@ def encode(spec: SynthModelSpec, images: ImageDataset) -> LatentDataset:
     return LatentDataset(model_id=spec.model_id, ids=list(images.ids), X=latents.astype(np.float32))
 
 
-def decode(
-    spec: SynthModelSpec,
-    latents: LatentDataset,
-    image_shape: tuple[int, int, int] | None = None,
-) -> ImageDataset:
-    """Invert the encoder as far as the kind allows, clamped into [0, 1].
+def decode(spec: SynthModelSpec, latents: LatentDataset) -> LatentDataset:
+    """Invert the encoder as far as the kind allows: pixel rows clamped into
+    [0, 1], with model_id 'pixels'.
 
     orthogonal inverts exactly, lossy reconstructs through the pseudo-inverse
     (a rank-r projection of the original pixels), noising rescales by
@@ -276,24 +272,33 @@ def decode(
         raise BadDims(f"{spec.model_id}: latents have d={lat.shape[1]}, spec says {spec.d}")
     if spec.kind == "orthogonal":
         x = lat @ _rotation(spec.seed, spec.d)
-        d_pix = spec.d
     elif spec.kind == "lossy":
         if spec.d_pix is None:
             raise BadDims(f"{spec.model_id}: lossy decode needs d_pix on the spec")
         basis, embed = _lossy_maps(spec.seed, spec.d_pix, spec.rank, spec.d)
         x = lat @ embed @ basis.T
-        d_pix = spec.d_pix
     else:  # noising
         x = lat / math.sqrt(NOISING_SCHEDULE.alpha_bar(spec.t))
-        d_pix = spec.d
     x = np.clip(x, 0.0, 1.0)
-    h, w, c = image_shape or default_image_shape(d_pix)
-    return ImageDataset(ids=list(latents.ids), pixels=x.astype(np.float32), height=h, width=w, channels=c)
+    return LatentDataset(model_id=PIXEL_MODEL_ID, ids=list(latents.ids), X=x.astype(np.float32))
+
+
+def check_emit(world: FactorWorld, specs) -> None:
+    """Raise a DataError unless emit_datasets can write the world's pixels and
+    encode them with every spec: each spec passes check_encoder, a lossy
+    rank stays below k, and the image shape fits a pixel file."""
+    check_pixels(world.pixels, (world.height, world.width, world.channels), "pixels")
+    for spec in specs:
+        check_encoder(spec, world.d_pix)
+        if spec.kind == "lossy" and spec.rank >= world.k:
+            raise BadDims(f"{spec.model_id}: lossy rank must be < k={world.k}")
 
 
 def emit_datasets(world: FactorWorld, specs, out_dir) -> dict[str, Path]:
     """Write the world's pixels, attributes and one latent file per spec,
-    plus a manifest; all byte-compatible with the data-module parsers."""
+    plus a manifest; all byte-compatible with the data-module parsers.
+    check_emit runs first, so a spec the world cannot serve writes nothing."""
+    check_emit(world, specs)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -302,7 +307,7 @@ def emit_datasets(world: FactorWorld, specs, out_dir) -> dict[str, Path]:
             "pixels": out / "pixels.lsf",
             "attributes": out / "attributes.txt",
         }
-        write_images(images, paths["pixels"])
+        write_images(images, paths["pixels"], (world.height, world.width, world.channels))
         write_attribute_table(world.attribute_table(), paths["attributes"])
         manifest = [
             f"world seed={world.seed} n={world.n} k={world.k} d_pix={world.d_pix} squash={world.squash}",
@@ -310,8 +315,6 @@ def emit_datasets(world: FactorWorld, specs, out_dir) -> dict[str, Path]:
             f"attributes {paths['attributes'].name}",
         ]
         for spec in specs:
-            if spec.kind == "lossy" and spec.rank >= world.k:
-                raise BadDims(f"{spec.model_id}: lossy rank must be < k={world.k}")
             ds = encode(spec, images)
             path = out / f"{spec.model_id}.lsf"
             write_latents(ds, path)

@@ -137,6 +137,19 @@ def test_synth_gen_rejects_a_model_id_its_config_would(tmp_path, capsys, model_i
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    # the default roster's lossy model keeps rank max(1, k // 2), which must be < k
+    ["--n", "50", "--k", "1", "--dpix", "16"],
+    # a non-square dpix is stored as an (dpix, 1, 1) image, and H is a u16 field
+    ["--n", "3", "--k", "1", "--dpix", "70001", "--model", "a=random:seed=1,d=4"],
+], ids=["default-roster-k1", "dpix-beyond-u16"])
+def test_synth_gen_that_cannot_finish_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert cli.main(["synth-gen", "--out", str(out), *flags]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, code", [("latents", 2), ("attributes", 2), ("config", 1)])
 def test_cli_invalid_utf8_exits_with_its_code(generated, tmp_path, capsys, kind, code):
     cfg = _config_copy(generated, tmp_path, "")
@@ -171,12 +184,12 @@ def test_cli_rmse_on_reordered_export_scores_aligned_rows(tmp_path, capsys):
     # scoring through align's row index arrays equals scoring aligned copies
     rng = np.random.default_rng(6)
     ids = [f"{i:06d}" for i in range(1100)]
-    images = data.ImageDataset(ids=ids, pixels=rng.random((1100, 1024), dtype=np.float32),
-                               height=32, width=32, channels=1)
+    images = LatentDataset(model_id=data.PIXEL_MODEL_ID, ids=ids,
+                           X=rng.random((1100, 1024), dtype=np.float32))
     keep = rng.permutation(1100)[:1045]
-    noisy = images.pixels[keep] + rng.normal(0, 0.1, (1045, 1024)).astype(np.float32)
+    noisy = images.X[keep] + rng.normal(0, 0.1, (1045, 1024)).astype(np.float32)
     export = LatentDataset(model_id="export", ids=[ids[i] for i in keep], X=noisy)
-    data.write_images(images, tmp_path / "pixels.lsf")
+    data.write_images(images, tmp_path / "pixels.lsf", (32, 32, 1))
     write_latents(export, tmp_path / "export.lsf")
     pixels = read_latents(tmp_path / "pixels.lsf")
     ia, ib = data.align(export, pixels)
@@ -251,6 +264,53 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0]", proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_fit_map_resident_memory(tmp_path):
+    """fit-map's peak resident growth over its post-import baseline, which
+    tracemalloc cannot see: LAPACK's working copies are malloc'd outside it.
+    The child reads its peak as VmHWM, the ru_maxrss of its own address space:
+    ru_maxrss itself keeps the forking test process's peak across exec.
+
+    Two 6,000 x 1,024 float32 sets with split 5,500/500 and one BLAS thread
+    hold, in MB: both sets as read 49.2, the float64 centered train rows 45.1,
+    and about five d x d float64 arrays at 8.4 each (Gram, Cholesky factor,
+    XcT Yc, W and a solve's working copy): about 136 MB. The bound adds 10 MB,
+    so a gathered copy of the train rows (+22.5 MB as float32, +45 MB as
+    float64) fails it; one more or one fewer 8.4 MB d x d array would not.
+    """
+    rng = np.random.default_rng(21)
+    ids = [f"{i:06d}" for i in range(6000)]
+    for name in ("a", "b"):
+        X = rng.standard_normal((6000, 1024), dtype=np.float32)
+        write_latents(LatentDataset(model_id=name, ids=ids, X=X), tmp_path / f"{name}.lsf")
+    (tmp_path / "experiment.cfg").write_text(
+        "model.a.latents = a.lsf\nmodel.b.latents = b.lsf\n"
+        "split.train = 5500\nsplit.holdout = 500\n"
+    )
+    script = textwrap.dedent("""
+        import sys
+        from latentstitch import cli
+        def peak_mb():
+            with open("/proc/self/status") as f:
+                return next(int(ln.split()[1]) for ln in f if ln.startswith("VmHWM:")) / 1024
+        base = peak_mb()
+        code = cli.main(sys.argv[1:])
+        print(code, peak_mb() - base)
+    """)
+    src = str(Path(latentstitch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "fit-map", "--config", str(tmp_path / "experiment.cfg"),
+         "--out", str(tmp_path / "fit"), "--src", "a", "--dst", "b", "--alpha", "0"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **one_thread),
+    )
+    code, growth_mb = proc.stdout.split()[-2:]
+    assert code == "0", proc.stdout + proc.stderr
+    assert float(growth_mb) <= 136 + 10, proc.stdout
 
 
 def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):

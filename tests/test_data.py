@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from latentstitch import data
 from latentstitch.errors import (
+    BadDims,
     BadMagic,
     CountMismatch,
+    DataError,
+    DimensionMismatch,
     DuplicateId,
     EmptyIntersection,
     InsufficientRows,
@@ -96,25 +99,42 @@ def test_lsf_non_finite(tmp_path):
         data.read_latents(path)
 
 
+def pixel_rows(values):
+    ids = [f"s{i}" for i in range(len(values))]
+    return data.LatentDataset(model_id=data.PIXEL_MODEL_ID, ids=ids, X=values)
+
+
 def test_image_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    img = data.ImageDataset(
-        ids=["a", "b"],
-        pixels=rng.random((2, 12), dtype=np.float32),
-        height=2,
-        width=2,
-        channels=3,
-    )
+    img = pixel_rows(rng.random((2, 12), dtype=np.float32))
     path = tmp_path / "pix.lsf"
-    data.write_images(img, path)
+    data.write_images(img, path, (2, 2, 3))
     back = data.read_images(path)
-    assert back.shape == (2, 2, 3)
+    assert back.model_id == data.PIXEL_MODEL_ID
     assert back.ids == img.ids
-    np.testing.assert_array_equal(back.pixels, img.pixels)
+    np.testing.assert_array_equal(back.X, img.X)
+    # the (H, W, C) triple sits after the model id, then the ids follow
+    raw = path.read_bytes()
+    assert raw[24:30] == np.array([2, 2, 3], dtype="<u2").tobytes()
     # pixel files read back as flattened latents too
     flat = data.read_latents(path)
     assert flat.model_id == data.PIXEL_MODEL_ID
     assert flat.d == 12
+
+
+@pytest.mark.parametrize("d, shape, value, error", [
+    (12, (2, 2, 2), 0.5, DimensionMismatch),
+    (12, (-1, -1, 12), 0.5, BadDims),
+    (70001, (70001, 1, 1), 0.5, BadDims),
+    (3, (3, 1, 1), 1.5, UnknownValue),
+    (3, (3, 1, 1), -0.5, UnknownValue),
+], ids=["product", "negative-side", "u16-overflow", "above-one", "below-zero"])
+def test_write_images_refuses_a_file_read_images_would(tmp_path, d, shape, value, error):
+    # checked before the file is opened, so nothing is left behind
+    path = tmp_path / "pix.lsf"
+    with pytest.raises(error):
+        data.write_images(pixel_rows(np.full((2, d), value)), path, shape)
+    assert not path.exists()
 
 
 def test_write_latents_rejects_reserved_model_id(tmp_path):
@@ -123,7 +143,7 @@ def test_write_latents_rejects_reserved_model_id(tmp_path):
         data.write_latents(ds, tmp_path / "x.lsf")
 
 
-def test_dataset_validation():
+def test_dataset_validation(tmp_path):
     with pytest.raises(DuplicateId):
         data.LatentDataset(model_id="m", ids=["a", "a"], X=np.zeros((2, 2)))
     with pytest.raises(NonFiniteValue):
@@ -132,8 +152,18 @@ def test_dataset_validation():
         data.LatentDataset(model_id="m", ids=["a"], X=np.zeros((2, 2)))
     with pytest.raises(UnknownValue):
         data.AttributeTable(names=["x"], ids=["a"], values=np.array([[0]]))
-    with pytest.raises(UnknownValue):
-        data.ImageDataset(ids=["a"], pixels=np.full((1, 3), 1.5), height=3, width=1, channels=1)
+    # a pixel file is checked on read: its range, its triple, and that it is one
+    cases = [
+        ("pixels", np.full((1, 3), 1.5), (3, 1, 1), UnknownValue),
+        ("pixels", np.full((1, 3), 0.5), (2, 2, 1), DimensionMismatch),
+        ("m", np.full((1, 3), 0.5), None, DataError),
+    ]
+    for k, (model_id, values, shape, error) in enumerate(cases):
+        path = tmp_path / f"case{k}.lsf"
+        data._write_lsf(path, model_id, ["a"], values, image_shape=shape)
+        with pytest.raises(error) as raised:
+            data.read_images(path)
+        assert raised.type is error
 
 
 # --- attribute table ----------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentstitch import linalg, mapfit, metrics
-from latentstitch.data import ImageDataset
 from latentstitch.errors import DimensionMismatch, EmptySet, NotPSD, TooFewSamples
 from latentstitch.linalg import psd_sqrt, sym_eig
 
@@ -43,17 +42,6 @@ def test_pixel_rmse_brute_force_oracle():
         for j in range(2):
             total += (a[i, j] - b[i, j]) ** 2
     assert metrics.pixel_rmse(a, b) == pytest.approx(np.sqrt(total / 4.0))
-
-
-def test_pixel_rmse_accepts_image_datasets():
-    rng = np.random.default_rng(1)
-    img_a = ImageDataset(ids=["x"], pixels=rng.random((1, 4), dtype=np.float32),
-                         height=2, width=2, channels=1)
-    img_b = ImageDataset(ids=["x"], pixels=rng.random((1, 4), dtype=np.float32),
-                         height=2, width=2, channels=1)
-    assert metrics.pixel_rmse(img_a.pixels, img_b.pixels) >= 0.0
-    with pytest.raises(DimensionMismatch):
-        metrics.pixel_rmse(img_a.pixels, np.zeros((1, 5)))
 
 
 def test_pixel_rmse_sums_float32_rows_in_blocks():

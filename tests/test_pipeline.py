@@ -284,9 +284,11 @@ def test_stitch_grid_pixel_cells_replay_from_written_files(roster, tmp_path, cap
     cfg = pipeline.load_config(roster["config"])
     pipeline.run_stitch_grid(cfg, out)
     images = data.read_images(cfg.pixels_path)
+    world = roster["world"]
+    shape = (world.height, world.width, world.channels)
     _, hold_ids = data.split_ids(data.read_latents(cfg.models[0].latents_path), cfg.split)
     real = tmp_path / "real.lsf"
-    data.write_images(data.take(images, [images.row_index[sid] for sid in hold_ids]), real)
+    data.write_images(data.take(images, [images.row_index[sid] for sid in hold_ids]), real, shape)
     cells = {name: list(csv.reader((out / f"{name}.csv").read_text().splitlines()))
              for name in ("pixel_rmse", "fid")}
     assert [row[0] for row in cells["fid"][1:]] == cells["fid"][0][1:] == cfg.model_ids()
@@ -298,12 +300,34 @@ def test_stitch_grid_pixel_cells_replay_from_written_files(roster, tmp_path, cap
                 continue
             mapped = data.read_latents(out / "mapped" / f"{src}__{entry.model_id}.lsf")
             decoded = tmp_path / "decoded.lsf"
-            data.write_images(synth.decode(entry.synth, mapped, image_shape=images.shape), decoded)
+            data.write_images(synth.decode(entry.synth, mapped), decoded, shape)
             for name, command in (("pixel_rmse", "rmse"), ("fid", "fid")):
                 assert cli.main([command, str(decoded), str(real)]) == 0
                 assert capsys.readouterr().out == cells[name][i][j] + "\n", (src, entry.model_id)
                 replayed += 1
     assert replayed == 2 * 5 * 4
+
+
+def test_stitch_grid_decoder_of_another_pixel_width_is_a_cell_error(roster, tmp_path):
+    # a decoder of 16-wide pixels cannot be scored against the 36-wide pixel
+    # file: its pixel cells are NaN, and each one's error names the mismatch
+    spec = synth.SynthModelSpec(model_id="narrow", kind="orthogonal", d=16, seed=23)
+    narrow = synth.encode(spec, synth.gen_world(260, 3, 16, seed=17).image_dataset())
+    data.write_latents(narrow, tmp_path / "narrow.lsf")
+    text = roster["config"].read_text() + (
+        f"model.narrow.latents = {tmp_path / 'narrow.lsf'}\n"
+        f"model.narrow.synth = {synth.spec_to_string(spec)}\n"
+    )
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    result = pipeline.run_stitch_grid(cfg, tmp_path / "out")
+    col = cfg.model_ids().index("narrow")
+    assert np.isfinite(result.grids["latent_mse"].values[:, col]).all()
+    for name in ("pixel_rmse", "fid"):
+        assert np.isnan(result.grids[name].values[:, col]).all()
+    lines = (tmp_path / "out" / "cell_errors.txt").read_text().splitlines()
+    assert [line.split(": ")[:2] for line in lines] == [
+        [f"{src}->narrow", "DimensionMismatch"] for src in cfg.model_ids()
+    ]
 
 
 def test_stitch_grid_cell_failure_isolation(roster, tmp_path):

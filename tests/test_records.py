@@ -119,13 +119,13 @@ def test_loaded_arrays_are_aligned(tmp_path):
 
 # --- bytes after the last field ---------------------------------------------------
 
-IMAGES = data.ImageDataset(ids=["a", "b"], pixels=np.full((2, 12), 0.5), height=2, width=2,
-                           channels=3)
+IMAGES = data.LatentDataset(model_id=data.PIXEL_MODEL_ID, ids=["a", "b"], X=np.full((2, 12), 0.5))
 #: record -> (writer, loader, value)
 WHOLE_RECORDS = {
     "lsf": (data.write_latents, data.read_latents, data.LatentDataset(
         model_id="m", ids=["a", "b"], X=np.ones((2, 3)))),
-    "pixel-lsf": (data.write_images, data.read_images, IMAGES),
+    "pixel-lsf": (lambda ds, path: data.write_images(ds, path, (2, 2, 3)), data.read_images,
+                  IMAGES),
     "lmap": (mapfit.save_map, mapfit.load_map, mapfit.LinearMap(
         source_model="a", target_model="b", W=np.eye(2), b=np.zeros(2))),
     "lprb": (probes.save_probe, probes.load_probe, probes.Probe(

@@ -58,7 +58,7 @@ def test_noising_t0_is_exact_identity():
     world, img = world_and_images()
     spec = synth.SynthModelSpec(model_id="n", kind="noising", d=64, seed=7, t=0)
     lat = synth.encode(spec, img)
-    np.testing.assert_array_equal(lat.X, img.pixels)
+    np.testing.assert_array_equal(lat.X, img.X)
 
 
 def test_orthogonal_round_trip():
@@ -69,7 +69,7 @@ def test_orthogonal_round_trip():
     # rotation itself is orthonormal to 1e-10
     rot = synth._rotation(8, 64)
     assert np.abs(rot @ rot.T - np.eye(64)).max() <= 1e-10
-    assert np.abs(decoded.pixels.astype(np.float64) - img.pixels.astype(np.float64)).max() <= 1e-6
+    assert np.abs(decoded.X.astype(np.float64) - img.X.astype(np.float64)).max() <= 1e-6
 
 
 def test_orthogonal_needs_matching_dims():
@@ -99,7 +99,7 @@ def test_lossy_round_trip_is_rank_r_projection():
     world, img = world_and_images()
     spec = synth.SynthModelSpec(model_id="l", kind="lossy", d=16, seed=11, rank=2, d_pix=64)
     basis, embed = synth._lossy_maps(11, 64, 2, 16)
-    x = img.pixels.astype(np.float64)
+    x = img.X.astype(np.float64)
     # pseudo-inverse oracle at full precision: encode-then-decode algebra is
     # exactly the rank-r projection
     algebra = (x @ basis @ embed.T) @ embed @ basis.T
@@ -108,16 +108,16 @@ def test_lossy_round_trip_is_rank_r_projection():
     # end-to-end through the float32 latent container sits at the f32 floor
     decoded = synth.decode(spec, synth.encode(spec, img))
     clipped = np.clip(projected, 0.0, 1.0)
-    assert np.abs(decoded.pixels.astype(np.float64) - clipped).max() <= 1e-6
+    assert np.abs(decoded.X.astype(np.float64) - clipped).max() <= 1e-6
 
 
 def test_lossy_reconstruction_worse_than_orthogonal():
     world, img = world_and_images()
     orth = synth.SynthModelSpec(model_id="o", kind="orthogonal", d=64, seed=12)
     lossy = synth.SynthModelSpec(model_id="l", kind="lossy", d=16, seed=12, rank=2, d_pix=64)
-    rmse_orth = metrics.pixel_rmse(synth.decode(orth, synth.encode(orth, img)).pixels, img.pixels)
-    rmse_lossy = metrics.pixel_rmse(synth.decode(lossy, synth.encode(lossy, img)).pixels,
-                                    img.pixels)
+    rmse_orth = metrics.pixel_rmse(synth.decode(orth, synth.encode(orth, img)).X, img.X)
+    rmse_lossy = metrics.pixel_rmse(synth.decode(lossy, synth.encode(lossy, img)).X,
+                                    img.X)
     assert rmse_lossy > rmse_orth
 
 
@@ -134,7 +134,7 @@ def test_emit_datasets_round_trip(tmp_path):
     back = data.read_latents(paths["enc"])
     np.testing.assert_array_equal(back.X, synth.encode(specs[0], img).X)
     pixels = data.read_images(paths["pixels"])
-    np.testing.assert_array_equal(pixels.pixels, world.pixels)
+    np.testing.assert_array_equal(pixels.X, world.pixels)
     assert paths["manifest"].is_file()
     assert "model enc orthogonal:" in paths["manifest"].read_text()
 
@@ -143,7 +143,8 @@ def test_emit_datasets_rejects_rank_at_least_k(tmp_path):
     world, _ = world_and_images(n=20, k=3, d_pix=16)
     bad = synth.SynthModelSpec(model_id="l", kind="lossy", d=8, seed=1, rank=3, d_pix=16)
     with pytest.raises(BadDims):
-        synth.emit_datasets(world, [bad], tmp_path)
+        synth.emit_datasets(world, [bad], tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # checked before the first write
 
 
 def test_exact_linear_stitch_smoke():
