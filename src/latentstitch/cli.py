@@ -74,7 +74,7 @@ def _check_common(args) -> None:
             raise ConfigError(f"--{name} must be >= 1")
     if getattr(args, "dpix", 1) < getattr(args, "k", 1):
         raise ConfigError("--dpix must be >= --k")
-    steps = NOISING_SCHEDULE.steps_used
+    steps = NOISING_SCHEDULE["steps_used"]
     if not 0 <= getattr(args, "noise_t", 0) <= steps:
         raise ConfigError(f"--noise-t must be in [0, {steps}]")
 

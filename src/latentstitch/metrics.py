@@ -5,8 +5,8 @@ feature sets, on arrays. The Frechet computation consumes generic feature
 vectors; flattened raw pixels are a legitimate degenerate choice
 ("pixel-FID") when no embedding network is in play.
 
-A summary is its mean, a covariance factor F with F^T F = Sigma, built when
-the summary is, and its sample count. FID has one formula: tr Sigma =
+A summary is its mean, a covariance factor F with F^T F = Sigma and its
+sample count; summarize builds it from samples. FID has one formula: tr Sigma =
 ||F||_F^2, and tr (Sp^1/2 Sq Sp^1/2)^1/2 is the nuclear norm of Fp Fq^T
 (Dowson & Landau 1982; Mathiasen & Hvilshoej, arXiv:2009.14075). A summary
 of fewer samples than dimensions takes its scaled centered rows as F, so FID
@@ -15,55 +15,36 @@ between two of them forms no d x d matrix. No ridge is added.
 
 from __future__ import annotations
 
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import take
 from .errors import DimensionMismatch, EmptySet, NotPSD, TooFewSamples
-from .linalg import cov_factor, max_abs_and_skew, nuclear_norm
+from .linalg import cov_factor, nuclear_norm
 
 #: Results above this negative floor are treated as numerical zero.
 NEGATIVE_FLOOR = -1e-6
 
 
+@dataclass(eq=False)
 class GaussianSummary:
-    """Mean ``mu``, covariance factor ``factor`` (F.T @ F == sigma) and sample
-    count ``n`` (None when unknown) of one feature set.
-
-    Give exactly one of ``sigma`` (d x d) and ``factor`` (r x d, e.g. the
-    scaled centered rows). A sigma is checked for shape, symmetry and a
-    non-negative diagonal, then factored by linalg.cov_factor (Cholesky, else
-    the PSD square root), so an indefinite sigma raises NotPSD here.
-    ``sigma`` is formed from F on first read.
+    """Mean ``mu`` (d), covariance factor ``factor`` (r x d, F.T @ F == sigma)
+    and sample count ``n`` (None when unknown) of one feature set. Both arrays
+    are held as contiguous float64; sigma itself is never kept.
     """
 
-    def __init__(self, mu, sigma=None, n: int | None = None, factor=None) -> None:
-        if (sigma is None) == (factor is None):
-            raise ValueError("give exactly one of sigma and factor")
-        self.mu = np.ascontiguousarray(mu, dtype=np.float64)
-        self.n = n
-        held = np.ascontiguousarray(sigma if factor is None else factor, dtype=np.float64)
-        d = self.mu.shape[0]
-        if self.mu.ndim != 1 or held.shape != (d if factor is None else len(held), d):
-            name = "sigma" if factor is None else "factor"
-            raise DimensionMismatch(
-                f"mu shape {self.mu.shape} incompatible with {name} shape {held.shape}"
-            )
-        if factor is not None:
-            self.factor = held
-            return
-        scale, skew = max_abs_and_skew(held)
-        if scale > 0 and skew > 1e-10 * scale:
-            raise DimensionMismatch("sigma must be symmetric within 1e-10 relative")
-        if np.any(np.diag(held) < 0):
-            raise DimensionMismatch("sigma diagonal must be non-negative")
-        self.factor = cov_factor(held)
+    mu: np.ndarray
+    factor: np.ndarray
+    n: int | None = None
 
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        sigma = self.factor.T @ self.factor
-        return (sigma + sigma.T) / 2.0
+    def __post_init__(self) -> None:
+        self.mu = np.ascontiguousarray(self.mu, dtype=np.float64)
+        self.factor = np.ascontiguousarray(self.factor, dtype=np.float64)
+        if self.mu.ndim != 1 or self.factor.shape[1:] != self.mu.shape:
+            raise DimensionMismatch(
+                f"mu shape {self.mu.shape} incompatible with factor shape {self.factor.shape}"
+            )
 
     @property
     def d(self) -> int:
@@ -125,7 +106,8 @@ def summarize(features) -> GaussianSummary:
     set. One float64 copy of the samples is taken and centered in place, so
     the input is left unchanged. With fewer samples than dimensions the
     scaled centered rows (n x d) are the factor; otherwise the covariance
-    (d x d) is formed and factored.
+    (d x d) is formed, symmetrized and factored by linalg.cov_factor
+    (Cholesky, else the PSD square root, so an indefinite one raises NotPSD).
     """
     f = np.array(features, dtype=np.float64)
     if f.ndim != 2:
@@ -144,7 +126,7 @@ def summarize(features) -> GaussianSummary:
     sigma = gram + gram.T
     del gram
     sigma /= 2.0
-    return GaussianSummary(mu=mu, sigma=sigma, n=n)
+    return GaussianSummary(mu=mu, factor=cov_factor(sigma), n=n)
 
 
 def fid(p: GaussianSummary, q: GaussianSummary) -> float:

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -469,7 +469,7 @@ def train_probe(
 
 def _noising_metadata(cfg: ExperimentConfig) -> dict | None:
     if any(m.synth is not None and m.synth.kind == "noising" for m in cfg.models):
-        return asdict(NOISING_SCHEDULE)
+        return dict(NOISING_SCHEDULE)
     return None
 
 

@@ -8,7 +8,8 @@ into [0, 1]. Four encoder kinds cover the regimes of interest:
 - orthogonal: an exact rotation of pixel space (losslessly stitchable)
 - lossy:      a rank-r pixel projection (information provably destroyed)
 - random:     id-seeded Gaussian vectors carrying no pixel information
-- noising:    forward-diffusion corruption sqrt(ab_t) x + sqrt(1 - ab_t) eps
+- noising:    forward-diffusion corruption sqrt(ab_t) x + sqrt(1 - ab_t) eps,
+              ab_t = alpha_bar(t) on the fixed NOISING_SCHEDULE table
 
 Every encoder/decoder is a pure function of (spec, seed), so end-to-end
 pipeline runs have known ground truth.
@@ -45,34 +46,24 @@ _ROTATION_STREAM = 13
 _LOSSY_STREAM = 14
 
 
-@dataclass
-class NoisingSchedule:
-    """Linear-beta forward process; alpha_bar(t) is the kept signal fraction
-    after t of steps_used noising steps, with alpha_bar(0) = 1."""
-
-    total_steps: int = 1000
-    steps_used: int = 50
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.total_steps < 1 or not 1 <= self.steps_used <= self.total_steps:
-            raise BadDims("invalid schedule step counts")
-        if not 0 < self.beta_start <= self.beta_end < 1:
-            raise BadDims("betas must satisfy 0 < beta_start <= beta_end < 1")
-
-    def alpha_bar(self, t: int) -> float:
-        if not 0 <= t <= self.steps_used:
-            raise BadDims(f"t must be in [0, {self.steps_used}], got {t}")
-        if t == 0:
-            return 1.0
-        tau = round(t * self.total_steps / self.steps_used)
-        betas = np.linspace(self.beta_start, self.beta_end, self.total_steps)
-        return float(np.cumprod(1.0 - betas)[tau - 1])
+#: The linear-beta forward process every noising encoder and decoder uses:
+#: total_steps betas from beta_start to beta_end, of which t in [0, steps_used]
+#: noising steps stand for t * total_steps / steps_used.
+NOISING_SCHEDULE = {"total_steps": 1000, "steps_used": 50, "beta_start": 1e-4, "beta_end": 0.02}
 
 
-#: The forward process every noising encoder and decoder uses.
-NOISING_SCHEDULE = NoisingSchedule()
+def alpha_bar(t: int) -> float:
+    """The kept signal fraction after t of NOISING_SCHEDULE's steps_used
+    noising steps, with alpha_bar(0) = 1; BadDims for t outside
+    [0, steps_used]."""
+    steps, total = NOISING_SCHEDULE["steps_used"], NOISING_SCHEDULE["total_steps"]
+    if not 0 <= t <= steps:
+        raise BadDims(f"t must be in [0, {steps}], got {t}")
+    if t == 0:
+        return 1.0
+    tau = round(t * total / steps)
+    betas = np.linspace(NOISING_SCHEDULE["beta_start"], NOISING_SCHEDULE["beta_end"], total)
+    return float(np.cumprod(1.0 - betas)[tau - 1])
 
 
 def check_model_id(model_id: str) -> str:
@@ -121,9 +112,7 @@ class FactorWorld:
     attribute_names: list[str]
     attributes: np.ndarray      # (n, k) int8, sign of factors
     mixing: np.ndarray          # (d_pix, k), orthonormal columns
-    pixel_scale: float          # pixels = pixel_scale * (factors @ mixing.T) + pixel_offset
-    pixel_offset: float
-    pixels: np.ndarray          # (n, d_pix) float32 in [0, 1]
+    pixels: np.ndarray          # (n, d_pix) float32 in [0, 1], squashed factors @ mixing.T
     ids: list[str]
     height: int
     width: int
@@ -160,20 +149,16 @@ def gen_world(
     d_pix: int,
     seed: int,
     squash: str = "affine",
-    image_shape: tuple[int, int, int] | None = None,
 ) -> FactorWorld:
     """Deterministic factor world; attributes are the factor signs, so base
-    rates concentrate near 0.5."""
+    rates concentrate near 0.5. Images are square and grey where d_pix is a
+    square, else one column of d_pix pixels."""
     if n < 1 or k < 1 or d_pix < k:
         raise BadDims(f"need n >= 1, k >= 1, d_pix >= k; got n={n}, k={k}, d_pix={d_pix}")
     if squash not in ("affine", "sigmoid"):
         raise BadDims(f"unknown squash {squash!r}")
-    shape = image_shape
-    if shape is None:  # square grey images where d_pix is a square, else a column
-        side = math.isqrt(d_pix)
-        shape = (side, side, 1) if side * side == d_pix else (d_pix, 1, 1)
-    if shape[0] * shape[1] * shape[2] != d_pix:
-        raise BadDims(f"image shape {shape} does not flatten to {d_pix}")
+    side = math.isqrt(d_pix)
+    shape = (side, side, 1) if side * side == d_pix else (d_pix, 1, 1)
     factors = np.random.default_rng([_FACTOR_STREAM, seed]).standard_normal((n, k))
     mixing = _orthonormal_columns(np.random.default_rng([_MIXING_STREAM, seed]), d_pix, k)
     attributes = np.where(factors >= 0, 1, -1).astype(np.int8)
@@ -188,7 +173,6 @@ def gen_world(
             scale, offset = 1.0, 0.5 - lo
         pixels = scale * mixed + offset
     else:
-        scale = offset = math.nan  # sigmoid squash is not linearly invertible
         pixels = 1.0 / (1.0 + np.exp(-mixed))
     return FactorWorld(
         seed=seed,
@@ -196,8 +180,6 @@ def gen_world(
         attribute_names=[f"factor_{j:02d}" for j in range(k)],
         attributes=attributes,
         mixing=mixing,
-        pixel_scale=scale,
-        pixel_offset=offset,
         pixels=pixels.astype(np.float32),
         ids=[f"{i:06d}" for i in range(n)],
         height=shape[0],
@@ -233,7 +215,7 @@ def check_encoder(spec: SynthModelSpec, d_pix: int) -> None:
     if spec.kind == "lossy" and spec.rank > min(spec.d, d_pix):
         raise BadDims(f"{spec.model_id}: rank {spec.rank} exceeds min(d, d_pix)")
     if spec.kind == "noising":
-        NOISING_SCHEDULE.alpha_bar(spec.t)  # t within the schedule
+        alpha_bar(spec.t)  # t within the schedule
 
 
 def encode(spec: SynthModelSpec, images: LatentDataset) -> LatentDataset:
@@ -249,7 +231,7 @@ def encode(spec: SynthModelSpec, images: LatentDataset) -> LatentDataset:
     elif spec.kind == "random":
         return random_encoder(images.ids, d=spec.d, seed=spec.seed, model_id=spec.model_id)
     else:  # noising
-        ab = NOISING_SCHEDULE.alpha_bar(spec.t)
+        ab = alpha_bar(spec.t)
         noise = np.empty_like(x)
         for row, sid in enumerate(images.ids):
             noise[row] = per_id_rng(spec.seed, sid).standard_normal(d_pix)
@@ -278,7 +260,7 @@ def decode(spec: SynthModelSpec, latents: LatentDataset) -> LatentDataset:
         basis, embed = _lossy_maps(spec.seed, spec.d_pix, spec.rank, spec.d)
         x = lat @ embed @ basis.T
     else:  # noising
-        x = lat / math.sqrt(NOISING_SCHEDULE.alpha_bar(spec.t))
+        x = lat / math.sqrt(alpha_bar(spec.t))
     x = np.clip(x, 0.0, 1.0)
     return LatentDataset(model_id=PIXEL_MODEL_ID, ids=list(latents.ids), X=x.astype(np.float32))
 

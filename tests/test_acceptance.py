@@ -13,6 +13,8 @@ import pytest
 
 from latentstitch import cli, data, mapfit, metrics, pipeline, probes, synth
 
+from test_metrics import _summary
+
 
 def _announce(number, text):
     print(f"ACCEPTANCE {number} PASS: {text}")
@@ -85,15 +87,15 @@ def test_criterion_03_fid_analytic_suite():
     rng = np.random.default_rng(303)
     s = metrics.summarize(rng.standard_normal((80, 5)))
     assert metrics.fid(s, s) <= 1e-8
-    one_a = metrics.GaussianSummary(mu=np.array([0.0]), sigma=np.array([[1.0]]))
-    one_b = metrics.GaussianSummary(mu=np.array([1.0]), sigma=np.array([[1.0]]))
+    one_a = _summary(np.array([0.0]), np.array([[1.0]]))
+    one_b = _summary(np.array([1.0]), np.array([[1.0]]))
     assert abs(metrics.fid(one_a, one_b) - 1.0) <= 1e-6
     cov = rng.standard_normal((6, 6))
     cov = cov @ cov.T + np.eye(6)
     delta = rng.standard_normal(6)
     shift = metrics.fid(
-        metrics.GaussianSummary(mu=np.zeros(6), sigma=cov),
-        metrics.GaussianSummary(mu=delta, sigma=cov.copy()),
+        _summary(np.zeros(6), cov),
+        _summary(delta, cov.copy()),
     )
     assert abs(shift - float(delta @ delta)) <= 1e-8
     a = rng.standard_normal((300, 6))

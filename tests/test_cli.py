@@ -266,12 +266,38 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0]", proc.stdout + proc.stderr
 
 
+def _resident_growth_mb(*argv) -> float:
+    """Run cli.main(argv) in a child process with one BLAS thread, require
+    exit 0, and return the growth of the child's peak resident set over its
+    post-import baseline, in MB. tracemalloc cannot see that peak: LAPACK's
+    working copies are malloc'd outside it. The child reads its peak as
+    VmHWM, the ru_maxrss of its own address space: ru_maxrss itself keeps the
+    forking test process's peak across exec."""
+    script = textwrap.dedent("""
+        import sys
+        from latentstitch import cli
+        def peak_mb():
+            with open("/proc/self/status") as f:
+                return next(int(ln.split()[1]) for ln in f if ln.startswith("VmHWM:")) / 1024
+        base = peak_mb()
+        code = cli.main(sys.argv[1:])
+        print(code, peak_mb() - base)
+    """)
+    src = str(Path(latentstitch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **one_thread),
+    )
+    code, growth_mb = proc.stdout.split()[-2:]
+    assert code == "0", proc.stdout + proc.stderr
+    return float(growth_mb)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_fit_map_resident_memory(tmp_path):
-    """fit-map's peak resident growth over its post-import baseline, which
-    tracemalloc cannot see: LAPACK's working copies are malloc'd outside it.
-    The child reads its peak as VmHWM, the ru_maxrss of its own address space:
-    ru_maxrss itself keeps the forking test process's peak across exec.
+    """fit-map's peak resident growth over its post-import baseline.
 
     Two 6,000 x 1,024 float32 sets with split 5,500/500 and one BLAS thread
     hold, in MB: both sets as read 49.2, the float64 centered train rows 45.1,
@@ -289,28 +315,31 @@ def test_fit_map_resident_memory(tmp_path):
         "model.a.latents = a.lsf\nmodel.b.latents = b.lsf\n"
         "split.train = 5500\nsplit.holdout = 500\n"
     )
-    script = textwrap.dedent("""
-        import sys
-        from latentstitch import cli
-        def peak_mb():
-            with open("/proc/self/status") as f:
-                return next(int(ln.split()[1]) for ln in f if ln.startswith("VmHWM:")) / 1024
-        base = peak_mb()
-        code = cli.main(sys.argv[1:])
-        print(code, peak_mb() - base)
-    """)
-    src = str(Path(latentstitch.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "fit-map", "--config", str(tmp_path / "experiment.cfg"),
-         "--out", str(tmp_path / "fit"), "--src", "a", "--dst", "b", "--alpha", "0"],
-        capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=pythonpath, **one_thread),
-    )
-    code, growth_mb = proc.stdout.split()[-2:]
-    assert code == "0", proc.stdout + proc.stderr
-    assert float(growth_mb) <= 136 + 10, proc.stdout
+    growth_mb = _resident_growth_mb(
+        "fit-map", "--config", str(tmp_path / "experiment.cfg"), "--out", str(tmp_path / "fit"),
+        "--src", "a", "--dst", "b", "--alpha", "0")
+    assert growth_mb <= 136 + 10
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_fid_resident_memory(tmp_path):
+    """fid's peak resident growth over its post-import baseline.
+
+    Two 6,000 x 1,024 float32 sets with one BLAS thread peak while the
+    second set's Gram forms, holding, in MB: that set as read 24.6, its
+    float64 copy 49.2, and two d x d float64 arrays at 8.4 each (the first
+    summary's factor and the Gram): 90.6, 91.0 measured. Sigma and its factor
+    come after the copy is freed. The bound adds 10 MB, so reading both sets
+    before summarizing either (+24.6 MB, 114.7 measured) fails it.
+    """
+    rng = np.random.default_rng(22)
+    ids = [f"{i:06d}" for i in range(6000)]
+    paths = []
+    for name in ("a", "b"):
+        X = rng.standard_normal((6000, 1024), dtype=np.float32)
+        write_latents(LatentDataset(model_id=name, ids=ids, X=X), tmp_path / f"{name}.lsf")
+        paths.append(str(tmp_path / f"{name}.lsf"))
+    assert _resident_growth_mb("fid", *paths) <= 91 + 10
 
 
 def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +8,11 @@ from hypothesis import strategies as st
 from latentstitch import linalg, mapfit, metrics
 from latentstitch.errors import DimensionMismatch, EmptySet, NotPSD, TooFewSamples
 from latentstitch.linalg import psd_sqrt, sym_eig
+
+
+def _summary(mu, sigma, n=None):
+    """A summary of a given covariance, factored as summarize factors its own."""
+    return metrics.GaussianSummary(mu, linalg.cov_factor(sigma), n)
 
 
 def test_pixel_rmse_trivials():
@@ -71,14 +74,14 @@ def test_pixel_rmse_triangle_bound(seed):
 
 def test_summarize_identical_rows():
     s = metrics.summarize(np.ones((2, 3)))
-    np.testing.assert_array_equal(s.sigma, np.zeros((3, 3)))
+    np.testing.assert_array_equal(s.factor.T @ s.factor, np.zeros((3, 3)))
 
 
 def test_summarize_two_point_variance():
     # rows (0,0) and (2,2): per-column mean 1, per-column variance 2 (n-1 divisor)
     s = metrics.summarize(np.array([[0.0, 0.0], [2.0, 2.0]]))
     np.testing.assert_allclose(s.mu, [1.0, 1.0])
-    np.testing.assert_allclose(np.diag(s.sigma), [2.0, 2.0])
+    np.testing.assert_allclose(np.diag(s.factor.T @ s.factor), [2.0, 2.0])
 
 
 def test_summarize_brute_force_covariance_oracle():
@@ -91,7 +94,7 @@ def test_summarize_brute_force_covariance_oracle():
         diff = f[i] - mu
         expected += np.outer(diff, diff)
     expected /= 99
-    assert np.abs(s.sigma - expected).max() <= 1e-12
+    assert np.abs(s.factor.T @ s.factor - expected).max() <= 1e-12
     assert s.n == 100
 
 
@@ -115,12 +118,12 @@ def test_fid_self_distance_zero():
 
 
 def test_fid_one_dimensional_closed_form():
-    p = metrics.GaussianSummary(mu=np.array([0.0]), sigma=np.array([[1.0]]))
-    q = metrics.GaussianSummary(mu=np.array([1.0]), sigma=np.array([[1.0]]))
+    p = _summary(np.array([0.0]), np.array([[1.0]]))
+    q = _summary(np.array([1.0]), np.array([[1.0]]))
     assert metrics.fid(p, q) == pytest.approx(1.0, abs=1e-6)
     # general 1-D closed form: (mu1 - mu2)^2 + (s1 - s2)^2
-    p2 = metrics.GaussianSummary(mu=np.array([0.5]), sigma=np.array([[4.0]]))
-    q2 = metrics.GaussianSummary(mu=np.array([-1.0]), sigma=np.array([[9.0]]))
+    p2 = _summary(np.array([0.5]), np.array([[4.0]]))
+    q2 = _summary(np.array([-1.0]), np.array([[9.0]]))
     assert metrics.fid(p2, q2) == pytest.approx(1.5**2 + 1.0**2, abs=1e-8)
 
 
@@ -129,8 +132,8 @@ def test_fid_mean_shift_only():
     sigma = rng.standard_normal((5, 5))
     sigma = sigma @ sigma.T + np.eye(5)
     delta = rng.standard_normal(5)
-    p = metrics.GaussianSummary(mu=np.zeros(5), sigma=sigma)
-    q = metrics.GaussianSummary(mu=delta, sigma=sigma.copy())
+    p = _summary(np.zeros(5), sigma)
+    q = _summary(delta, sigma.copy())
     assert metrics.fid(p, q) == pytest.approx(float(delta @ delta), abs=1e-8)
 
 
@@ -164,13 +167,21 @@ def test_fid_rank_deficient_ridge_path():
     assert metrics.fid(s, other) >= 0.0
 
 
+@pytest.mark.parametrize("mu,factor", [(np.zeros((1, 3)), np.eye(3)),
+                                       (np.zeros(3), np.zeros(3)),
+                                       (np.zeros(3), np.zeros((3, 2)))])
+def test_summary_needs_a_vector_mean_and_r_by_d_factor(mu, factor):
+    with pytest.raises(DimensionMismatch):
+        metrics.GaussianSummary(mu, factor)
+
+
 def test_fid_dimension_mismatch_and_not_psd():
-    p = metrics.GaussianSummary(mu=np.zeros(2), sigma=np.eye(2))
-    q = metrics.GaussianSummary(mu=np.zeros(3), sigma=np.eye(3))
+    p = _summary(np.zeros(2), np.eye(2))
+    q = _summary(np.zeros(3), np.eye(3))
     with pytest.raises(DimensionMismatch):
         metrics.fid(p, q)
     with pytest.raises(NotPSD):
-        metrics.GaussianSummary(mu=np.zeros(2), sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        _summary(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def _brute_force_fid(x, y):
@@ -209,8 +220,8 @@ def test_fid_cross_path_matches_covariance_path(n, m, d):
     # counts: sigma (rank n - 1 < d) is factored and no ridge is added, so the
     # value is the rows summaries' one
     for n_p, n_q in ((None, None), (n, m)):
-        bare = metrics.fid(metrics.GaussianSummary(mu=p.mu, sigma=p.sigma, n=n_p),
-                           metrics.GaussianSummary(mu=q.mu, sigma=q.sigma, n=n_q))
+        bare = metrics.fid(_summary(p.mu, p.factor.T @ p.factor, n_p),
+                           _summary(q.mu, q.factor.T @ q.factor, n_q))
         assert abs(bare - cross) <= 1e-9 * cross
 
 
@@ -238,8 +249,9 @@ def test_summarize_keeps_rows_below_d_and_forms_sigma_on_read():
     f = rng.standard_normal((7, 20))
     s = metrics.summarize(f)
     assert s.factor.shape == (7, 20) and s.n == 7
-    np.testing.assert_allclose(s.sigma, np.cov(f, rowvar=False), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(s.sigma, s.sigma.T)
+    sigma = s.factor.T @ s.factor
+    np.testing.assert_allclose(sigma, np.cov(f, rowvar=False), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(sigma, sigma.T)
 
 
 def test_fid_cross_path_allocates_no_d_by_d_matrix():
@@ -294,7 +306,7 @@ def test_fid_cross_path_matches_svd_oracle_on_low_rank_samples():
     p, q = metrics.summarize(x), metrics.summarize(y)
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-9 * abs(expected)
-    assert metrics.fid(p, p) <= 1e-10 * np.trace(p.sigma)
+    assert metrics.fid(p, p) <= 1e-10 * np.trace(p.factor.T @ p.factor)
 
 
 @pytest.mark.parametrize("n,m,d", [(60, 80, 12), (300, 500, 64)])
@@ -334,38 +346,10 @@ def test_fid_exactly_singular_sigma_takes_the_psd_square_root(monkeypatch):
         return psd_sqrt(s)
 
     monkeypatch.setattr(linalg, "psd_sqrt", counting_psd_sqrt)
-    p = metrics.GaussianSummary(mu=x.mean(axis=0), sigma=sigma_x)
+    p = _summary(x.mean(axis=0), sigma_x)
     q = metrics.summarize(y)
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
     assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
     assert roots == [12]  # sigma_x once, when p is built; sigma_y by Cholesky
 
-
-def test_summary_shared_by_threads_is_factored_once(monkeypatch):
-    # stitch-grid cells on several threads read one true-image summary
-    sigma = np.cov(np.random.default_rng(15).standard_normal((40, 8)), rowvar=False)
-    calls = []
-
-    def slow_cov_factor(s):
-        calls.append(1)
-        threading.Event().wait(0.01)
-        return linalg.cov_factor(s)
-
-    monkeypatch.setattr(metrics, "cov_factor", slow_cov_factor)
-    summary = metrics.GaussianSummary(mu=np.zeros(8), sigma=sigma)
-    factors = []
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda: factors.append(summary.factor))
-                   for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1 and len(factors) == 8
-    assert all(f is factors[0] for f in factors)

@@ -391,6 +391,20 @@ def test_stitch_grid_decoder_only_model(roster, tmp_path):
     assert '"decoder_only": true' in meta
 
 
+@pytest.mark.parametrize("noising", [True, False])
+def test_metadata_records_the_noising_schedule_with_a_noising_model(roster, tmp_path, noising):
+    lines = roster["config"].read_text().splitlines()
+    if not noising:
+        lines = [ln for ln in lines if ".noise." not in ln]
+    cfg = pipeline.parse_config("\n".join(lines) + "\n", base_dir=roster["dir"])
+    pipeline.run_stitch_grid(cfg, tmp_path / "grid")
+    pipeline.run_probe_suite(cfg, tmp_path / "suite")
+    expected = {"beta_end": 0.02, "beta_start": 0.0001, "steps_used": 50, "total_steps": 1000}
+    for out in ("grid", "suite"):
+        meta = json.loads((tmp_path / out / "metadata.json").read_text())
+        assert meta["noising_schedule"] == (expected if noising else None)
+
+
 def test_default_latent_dims_roster():
     assert data.DEFAULT_LATENT_DIMS == {
         "GAN": 512, "VAE": 512, "VQVAE": 768, "NF": 12288, "DM": 12288,

@@ -47,11 +47,15 @@ def test_gen_world_bad_dims():
 
 
 def test_schedule_alpha_bar():
-    sched = synth.NoisingSchedule()
-    assert sched.alpha_bar(0) == 1.0
-    values = [sched.alpha_bar(t) for t in range(0, 51, 5)]
+    assert synth.alpha_bar(0) == 1.0
+    values = [synth.alpha_bar(t) for t in range(0, 51, 5)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-3  # near-total corruption at t = steps_used
+    # the kept signal fraction at the default noising timestep, to the last bit
+    assert synth.alpha_bar(25) == 0.07858724288177824
+    for t in (-1, 51):
+        with pytest.raises(BadDims):
+            synth.alpha_bar(t)
 
 
 def test_noising_t0_is_exact_identity():
