@@ -4,7 +4,9 @@ norms, on NumPy alone. An SPD solve substitutes on the Cholesky factor it
 checks with, by block matrix products, as NumPy has no triangular solve.
 
 All routines compute in float64 regardless of input dtype and are pure
-functions of their inputs. Failures surface as NotSPD / NotPSD /
+functions of their inputs. Symmetric inputs are not checked: callers pass
+Grams (A^T A, A A^T), which matmul returns exactly symmetric, and LAPACK
+reads the lower triangle only. Failures surface as NotSPD / NotPSD /
 NoConvergence instead of raw LAPACK errors, so callers can react (mapfit
 falls back to least squares on NotSPD).
 """
@@ -16,9 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotPSD, NotSPD
-
-# Inputs are required to be symmetric to this relative (max-abs) tolerance.
-SYMMETRY_RTOL = 1e-9
 
 # spd_solve substitutes over row blocks of this many rows: each diagonal
 # block is applied through its inverse and each off-diagonal update is one
@@ -52,28 +51,6 @@ def _as_square(a, name: str) -> np.ndarray:
     return a
 
 
-def max_abs_and_skew(a: np.ndarray) -> tuple[float, float]:
-    """max |a| and max |a - a^T| of a square matrix (NaN if a holds one),
-    compared one block of about 2^20 entries at a time, so no full-size
-    temporary is made."""
-    step = max(1, (1 << 20) // max(1, a.shape[0]))
-    scale = skew = np.float64(0.0)
-    for start in range(0, a.shape[0], step):
-        rows = a[start:start + step]
-        scale = np.maximum(scale, np.abs(rows).max())
-        diff = rows - a[:, start:start + step].T
-        skew = np.maximum(skew, np.abs(diff, out=diff).max())
-    return float(scale), float(skew)
-
-
-def _require_symmetric(a: np.ndarray, name: str) -> None:
-    scale, skew = max_abs_and_skew(a)
-    if scale == 0.0:
-        return
-    if skew > SYMMETRY_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric: relative skew {skew / scale:.3e}")
-
-
 def _substitute(low: np.ndarray, x: np.ndarray) -> None:
     """Overwrite x (d rows, a vector or k columns) with the solution of
     L L^T X = x for the lower-triangular d x d L ``low``: forward, then back
@@ -98,7 +75,7 @@ def _substitute(low: np.ndarray, x: np.ndarray) -> None:
 
 
 def spd_solve(a, b) -> np.ndarray:
-    """Solve ``A @ X = B`` for symmetric positive-definite A.
+    """Solve ``A @ X = B`` for symmetric positive-definite A (lower triangle read).
 
     A Cholesky factorization A = L L^T raises NotSPD on a non-positive pivot
     (the signal to regularize or fall back to least squares); block forward
@@ -106,7 +83,6 @@ def spd_solve(a, b) -> np.ndarray:
     copy of B, which becomes X.
     """
     a = _as_square(a, "A")
-    _require_symmetric(a, "A")
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"A is {a.shape[0]}x{a.shape[0]} but B has {b.shape[0]} rows")
@@ -121,10 +97,10 @@ def spd_solve(a, b) -> np.ndarray:
 
 
 def sym_eig(s, vectors: bool = True) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending; with
-    ``vectors=False`` the eigenvalues alone (eigvalsh), which is cheaper."""
+    """Eigendecomposition of a symmetric matrix (its lower triangle is
+    read), eigenvalues ascending; with ``vectors=False`` the eigenvalues
+    alone (eigvalsh), which is cheaper."""
     s = _as_square(s, "S")
-    _require_symmetric(s, "S")
     try:
         w, v = np.linalg.eigh(s) if vectors else (np.linalg.eigvalsh(s), None)
     except np.linalg.LinAlgError as exc:
@@ -176,16 +152,14 @@ def eig_cutoff(w: np.ndarray) -> float:
 def nuclear_norm(m, b=None) -> float:
     """Sum of the singular values of m, or of m @ b.T when b is given (formed
     here and freed as soon as its Gram exists): the square roots of the
-    eigenvalues of the smaller Gram (m m^T or m^T m), with psd_sqrt's clamp
-    rule. Gram eigenvalues at or below eig_cutoff count as zero; each would
-    otherwise add about sqrt(k * eps) of the top singular value.
+    eigenvalues of the smaller Gram (m m^T or m^T m, which matmul returns
+    exactly symmetric), with psd_sqrt's clamp rule. Gram eigenvalues at or
+    below eig_cutoff count as zero; each would otherwise add about
+    sqrt(k * eps) of the top singular value.
     """
     m = np.asarray(m, dtype=np.float64) if b is None else m @ b.T
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
     del m
-    sym = gram + gram.T
-    del gram
-    sym /= 2.0
-    w = _psd_eigenvalues(sym_eig(sym, vectors=False).eigenvalues)
+    w = _psd_eigenvalues(sym_eig(gram, vectors=False).eigenvalues)
     w[w <= eig_cutoff(w)] = 0.0
     return float(np.sqrt(w).sum())

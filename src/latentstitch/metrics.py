@@ -106,8 +106,8 @@ def summarize(features) -> GaussianSummary:
     set. One float64 copy of the samples is taken and centered in place, so
     the input is left unchanged. With fewer samples than dimensions the
     scaled centered rows (n x d) are the factor; otherwise the covariance
-    (d x d) is formed, symmetrized and factored by linalg.cov_factor
-    (Cholesky, else the PSD square root, so an indefinite one raises NotPSD).
+    (d x d), a Gram that matmul returns exactly symmetric, is factored by
+    linalg.cov_factor (Cholesky, else the PSD square root; NotPSD if indefinite).
     """
     f = np.array(features, dtype=np.float64)
     if f.ndim != 2:
@@ -120,12 +120,9 @@ def summarize(features) -> GaussianSummary:
     if n < d:
         f /= np.sqrt(n - 1)
         return GaussianSummary(mu=mu, factor=f, n=n)
-    gram = f.T @ f
-    del f  # the copy goes before sigma is symmetrized and factored
-    gram /= n - 1
-    sigma = gram + gram.T
-    del gram
-    sigma /= 2.0
+    sigma = f.T @ f
+    del f  # the copy goes before sigma is factored
+    sigma /= n - 1
     return GaussianSummary(mu=mu, factor=cov_factor(sigma), n=n)
 
 

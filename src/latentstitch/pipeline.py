@@ -428,11 +428,14 @@ def _alpha_groups(cfg: ExperimentConfig, latents: dict[str, LatentDataset], src:
 def select_attributes(table: AttributeTable, names: list[str] | None,
                       source: str = "attributes.subset") -> list[str]:
     """The named attributes, or every attribute of the table when names is
-    empty; a name the table lacks is a config error."""
+    empty; a name the table lacks, or one named twice, is a config error."""
     attributes = names or list(table.names)
     unknown = [a for a in attributes if a not in table.names]
     if unknown:
         raise ConfigError(f"{source} names not in table: {unknown}")
+    repeated = sorted({a for a in attributes if attributes.count(a) > 1})
+    if repeated:
+        raise ConfigError(f"{source} names an attribute more than once: {repeated}")
     return attributes
 
 
@@ -490,14 +493,16 @@ def _read_lpips_pairs(path, model_ids: list[str]) -> dict[tuple[str, str], float
             rows = list(csv.reader(f))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"lpips file {path}: {exc}") from None
-    for row in rows:
-        if not row or (len(row) == 3 and row[0] == "encoder"):
-            continue
+    if rows and [cell.strip() for cell in rows[0]] == ["encoder", "decoder", "value"]:
+        del rows[0]  # the header, which only the first row may be
+    for row in filter(None, rows):  # blank lines are skipped
         if len(row) != 3:
             raise ConfigError(f"lpips file {path}: expected encoder,decoder,value rows")
         src, dst, value = row[0].strip(), row[1].strip(), row[2].strip()
         if src not in known or dst not in known:
             raise ConfigError(f"lpips file {path}: unknown model pair {src!r} -> {dst!r}")
+        if (src, dst) in out:
+            raise ConfigError(f"lpips file {path}: model pair {src!r} -> {dst!r} listed twice")
         out[(src, dst)] = _parse_float("lpips value", value)
     return out
 

@@ -48,8 +48,7 @@ class Probe:
     threshold: float = 0.5
     #: Lasso sweeps of the fit that produced the probe; not stored in LPRB files.
     sweeps: int = field(default=0, compare=False)
-    #: The fit's final max KKT violation, from a fresh residual (NaN when
-    #: unknown); not stored in LPRB files.
+    #: lasso_cd's final max KKT violation (NaN when unknown); not stored in LPRB files.
     kkt: float = field(default=math.nan, compare=False)
 
     def __post_init__(self) -> None:
@@ -151,26 +150,13 @@ def _kkt_violations(corr: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray
     )
 
 
-def _duality_gap(Xc: np.ndarray, yc: np.ndarray, w: np.ndarray, alpha: float) -> float:
-    n = len(yc)
-    r = yc - Xc @ w
-    primal = 0.5 * (r @ r) / n + alpha * np.abs(w).sum()
-    if alpha == 0.0:
-        return primal
-    dual_inf = np.abs(Xc.T @ r).max() / n
-    scale = 1.0 if dual_inf <= alpha else alpha / dual_inf
-    theta = scale * r / n
-    dual = yc @ theta - 0.5 * n * (theta @ theta)
-    return float(primal - dual)
-
-
 def lasso_cd(
     X,
     y,
     alpha: float,
     tol: float = 1e-6,
     max_iter: int = 10000,
-    record_objective: bool = False,
+    objectives: list | None = None,
 ):
     """Working-set coordinate descent for (1/2n)||y - Xw - b1||^2 + alpha ||w||_1.
 
@@ -194,9 +180,10 @@ def lasso_cd(
     probes run here but not for d > n at the paper's scale (d = 12288);
     there the sweeps would need residual updates instead.
 
-    Returns (w, b, n_sweeps, objectives) where objectives is the per-sweep
-    objective trace when record_objective is set. n_sweeps is 0 when w = 0
-    already meets the KKT conditions.
+    Returns (w, b, n_sweeps, kkt): kkt is the worst KKT violation of the
+    fresh-residual test the fit stopped on (at most 10*tol; NoConvergence
+    gives its last value instead), and n_sweeps is 0 when w = 0 already
+    meets it. A caller-passed ``objectives`` list gets each sweep's objective.
     """
     Xc = np.array(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -215,17 +202,16 @@ def lasso_cd(
     n_usable = int(usable.sum())
     w = np.zeros(d)
     sweeps = 0
-    max_step = math.inf
-    objectives: list[float] = []
     while True:
         # KKT is the binding exit condition: on ill-conditioned designs the
         # fit settles long before the weights stop sloshing between
-        # near-collinear columns, so a small max_step neither implies nor is
-        # implied by optimality.
+        # near-collinear columns, so a small weight step neither implies nor
+        # is implied by optimality.
         corr = Xc.T @ (yc - Xc @ w) / n
         viol = _kkt_violations(corr, w, alpha)
-        if viol.max(initial=0.0) <= 10.0 * tol:
-            return w, float(y_mean - x_mean @ w), sweeps, objectives
+        kkt = float(viol.max(initial=0.0))
+        if kkt <= 10.0 * tol:
+            return w, float(y_mean - x_mean @ w), sweeps, kkt
         if sweeps >= max_iter:
             break
         active = w != 0.0
@@ -254,38 +240,17 @@ def lasso_cd(
                 if wj_new != wj:
                     g -= rows[j] * (wj_new - wj)
                     ws[j] = wj_new
-            w_prev, wW = wW, np.array(ws)
-            max_step = float(np.abs(wW - w_prev).max())
-            if record_objective:
+            wW = np.array(ws)
+            if objectives is not None:
                 r = yc - XW @ wW
                 objectives.append(0.5 * (r @ r) / n + alpha * float(np.abs(wW).sum()))
             if _kkt_violations(g, wW, alpha).max() <= 10.0 * tol:
                 break
         w[W] = wW
-    gap = _duality_gap(Xc, yc, w, alpha)
     raise NoConvergence(
         f"lasso did not converge in {max_iter} sweeps "
-        f"(duality gap {gap:.6e}, last max step {max_step:.3e})"
+        f"(max KKT violation {kkt:.6e} > 10*tol = {10.0 * tol:.1e})"
     )
-
-
-def _max_kkt_violation(X, y, w: np.ndarray, b: float, alpha: float) -> float:
-    """The largest lasso KKT violation of (w, b) on X and y, from the residual
-    r = y - X w - b computed afresh one block of about 2^16 entries of X at a
-    time, so no float64 copy of X is made; Xc^T r = X^T r - x_mean sum(r)."""
-    X = np.asarray(X)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n, d = X.shape
-    xtr, xsum, rsum = np.zeros(d), np.zeros(d), 0.0
-    step = max(1, (1 << 16) // d)
-    for start in range(0, n, step):
-        xb = np.asarray(X[start:start + step], dtype=np.float64)
-        rb = y[start:start + step] - (xb @ w + b)
-        xtr += xb.T @ rb
-        xsum += xb.sum(axis=0)
-        rsum += rb.sum()
-    corr = (xtr - xsum / n * rsum) / n
-    return float(_kkt_violations(corr, w, alpha).max(initial=0.0))
 
 
 def fit_lasso(
@@ -303,16 +268,15 @@ def fit_lasso(
     With standardize=True the fit runs on unit-variance columns and the
     weights are mapped back to raw feature scale, so predict() always
     consumes raw latents; the stored alpha then refers to the standardized
-    design. The probe's ``kkt`` is the fit's max KKT violation on the design
-    it ran on, at most 10*tol on convergence.
+    design. The probe's ``kkt`` is lasso_cd's: the max KKT violation of its
+    final stop test on the design it ran on, at most 10*tol.
     """
     if standardize:
         X = np.asarray(X, dtype=np.float64)
         sd = X.std(axis=0)
         sd[sd == 0.0] = 1.0
         X = X / sd
-    w, b, sweeps, _ = lasso_cd(X, y, alpha, tol=tol, max_iter=max_iter)
-    kkt = _max_kkt_violation(X, y, w, b, alpha)
+    w, b, sweeps, kkt = lasso_cd(X, y, alpha, tol=tol, max_iter=max_iter)
     if standardize:
         w = w / sd
     return Probe(attribute=attribute, model_id=model_id, w=w, b=b, alpha=float(alpha),

@@ -94,6 +94,19 @@ def test_cli_unknown_attribute_is_a_config_error(generated, tmp_path, capsys, co
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["probe-suite", "dynamics"])
+def test_cli_repeated_attribute_is_a_config_error(generated, tmp_path, capsys, command):
+    cfg = _config_copy(generated, tmp_path, "attributes.subset = factor_00,factor_01,factor_00\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "dynamics":
+        args += ["--checkpoints", str(generated / "noise.lsf"), str(generated / "noise.lsf")]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "config error: attributes.subset names an attribute more than once: ['factor_00']" in err
+    assert not (tmp_path / "out" / "probe_accuracy_grid.csv").exists()
+    assert not (tmp_path / "out" / "dynamics.csv").exists()
+
+
 FIT_MAP = ["fit-map", "--src", "orthA", "--dst", "orthB"]
 TRAIN_PROBE = ["train-probe", "--model", "orthA", "--attribute", "factor_00"]
 
@@ -340,6 +353,28 @@ def test_fid_resident_memory(tmp_path):
         write_latents(LatentDataset(model_id=name, ids=ids, X=X), tmp_path / f"{name}.lsf")
         paths.append(str(tmp_path / f"{name}.lsf"))
     assert _resident_growth_mb("fid", *paths) <= 91 + 10
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_rmse_resident_memory(tmp_path):
+    """rmse's peak resident growth over its post-import baseline.
+
+    Two 6,000 x 1,024 float32 sets, the second in reversed id order, with one
+    BLAS thread. Both are read whole (24.6 MB each); the finiteness check of
+    the second adds a 6.3 MB boolean mask while it is read, and scoring adds
+    one block of each set's aligned rows (4.2 MB each) and their float64
+    difference (8.4 MB): about 66 MB, 65.3 measured. The bound adds 10 MB, so
+    gathering both aligned sets before scoring (+49.2 MB, 109.0 measured)
+    fails it.
+    """
+    rng = np.random.default_rng(23)
+    ids = [f"{i:06d}" for i in range(6000)]
+    paths = []
+    for name, order in (("a", ids), ("b", ids[::-1])):
+        X = rng.uniform(size=(6000, 1024)).astype(np.float32)
+        write_latents(LatentDataset(model_id=name, ids=order, X=X), tmp_path / f"{name}.lsf")
+        paths.append(str(tmp_path / f"{name}.lsf"))
+    assert _resident_growth_mb("rmse", *paths) <= 66 + 10
 
 
 def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):

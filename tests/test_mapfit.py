@@ -560,8 +560,8 @@ def _traced_peak(fn):
 def test_rows_fit_holds_one_float64_design(alpha):
     # 3000 x 1024 float32 pools: the design is 24.6 MB in float64, d x d 8.4 MB.
     # np.linalg.solve holds the Gram, Xc^T Yc, its copies of both and its
-    # result. Gathered float32 copies, a design held through the solve, or
-    # full-size symmetry temporaries would each add at least another 8.4 MB.
+    # result. Gathered float32 copies or a design held through the solve
+    # would each add at least another 8.4 MB.
     rng = np.random.default_rng(68)
     n, d = 3000, 1024
     x = rng.standard_normal((n + 100, d), dtype=np.float32)

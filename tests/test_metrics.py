@@ -271,7 +271,7 @@ def test_fid_cross_path_allocates_no_d_by_d_matrix():
 @pytest.mark.parametrize("d", [512, 1024])
 def test_summarize_holds_one_float64_copy_and_two_covariances(d):
     # full rank, so sigma is Cholesky-factored; the copy goes before sigma is
-    # symmetrized and factored, and the symmetry check works in row blocks
+    # factored
     x = np.random.default_rng(d).standard_normal((3000, d), dtype=np.float32)
     tracemalloc.start()
     try:
@@ -281,6 +281,29 @@ def test_summarize_holds_one_float64_copy_and_two_covariances(d):
         tracemalloc.stop()
     assert s.factor.shape == (d, d)
     assert peak < x.size * 8 + 2 * d * d * 8
+
+
+# full rank (Cholesky factor), and a zero column, which makes sigma singular
+# on every BLAS (psd_sqrt factor)
+@pytest.mark.parametrize("singular", [False, True])
+def test_summarize_factor_equals_that_of_the_symmetrized_covariance(singular):
+    # the Gram matmul returns is symmetric to the bit, so factoring it as
+    # formed gives the bytes that factoring (G + G^T) / 2 gave
+    n, d = 1500, 256
+    x = np.random.default_rng(14).standard_normal((n, d)).astype(np.float32)
+    if singular:
+        x[:, 0] = 0.0
+    f = np.array(x, dtype=np.float64)
+    f -= f.mean(axis=0)
+    gram = f.T @ f
+    gram /= n - 1
+    sigma = gram + gram.T
+    sigma /= 2.0
+    expected = linalg.cov_factor(sigma)
+    if singular:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+    assert metrics.summarize(x).factor.tobytes() == expected.tobytes()
 
 
 def test_fid_frees_the_cross_product_before_its_gram_is_factored():

@@ -368,6 +368,31 @@ def test_stitch_grid_lpips_file_with_invalid_utf8_is_a_config_error(roster, tmp_
         pipeline.run_stitch_grid(cfg, tmp_path / "out")
 
 
+def test_lpips_row_of_a_model_named_encoder_is_kept(tmp_path):
+    # only the first row may be the header: a later row whose encoder is the
+    # model "encoder" is data
+    path = tmp_path / "lpips.csv"
+    path.write_text("encoder,decoder,value\nencoder,dec,0.25\n\ndec,encoder,0.5\n")
+    pairs = pipeline._read_lpips_pairs(path, ["encoder", "dec"])
+    assert pairs == {("encoder", "dec"): 0.25, ("dec", "encoder"): 0.5}
+    path.write_text("encoder,dec,0.25\n")
+    assert pipeline._read_lpips_pairs(path, ["encoder", "dec"]) == {("encoder", "dec"): 0.25}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("encoder,decoder,value\ndec,encoder,0.5\ndec,encoder,0.75\n",
+     "model pair 'dec' -> 'encoder' listed twice"),
+    ("dec,encoder,0.5\nencoder,decoder,value\n",
+     "unknown model pair 'encoder' -> 'decoder'"),
+], ids=["repeated_pair", "header_after_data"])
+def test_lpips_file_with_a_repeated_pair_or_late_header_is_a_config_error(tmp_path, text,
+                                                                          message):
+    path = tmp_path / "lpips.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        pipeline._read_lpips_pairs(path, ["encoder", "dec"])
+
+
 def test_stitch_grid_threads_match_serial(roster, tmp_path):
     cfg = pipeline.load_config(roster["config"])
     serial = pipeline.run_stitch_grid(cfg, tmp_path / "serial")

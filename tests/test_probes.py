@@ -132,8 +132,12 @@ def test_lasso_kkt_conditions(seed):
     y = x @ beta + 0.2 * rng.standard_normal(n)
     alpha = 0.05
     tol = 1e-6
-    w, b, _, _ = probes.lasso_cd(x, y, alpha=alpha, tol=tol)
-    assert kkt_violation_raw(x, y, w, b, alpha) <= 10 * tol
+    w, b, _, kkt = probes.lasso_cd(x, y, alpha=alpha, tol=tol)
+    raw = kkt_violation_raw(x, y, w, b, alpha)
+    assert raw <= 10 * tol
+    # the returned kkt is the value of the stop test the fit passed; the abs
+    # floor covers fits that end within rounding of exact (kkt about 1e-17)
+    assert kkt == pytest.approx(raw, rel=1e-6, abs=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=80, max_value=160))
@@ -145,15 +149,18 @@ def test_lasso_kkt_conditions_partial_working_set(seed, d):
     beta = np.zeros(d)
     beta[rng.choice(d, size=4, replace=False)] = rng.standard_normal(4)
     y = x @ beta + 0.2 * rng.standard_normal(n)
-    w, b, _, _ = probes.lasso_cd(x, y, alpha=0.05, tol=1e-6)
-    assert kkt_violation_raw(x, y, w, b, 0.05) <= 1e-5
+    w, b, _, kkt = probes.lasso_cd(x, y, alpha=0.05, tol=1e-6)
+    raw = kkt_violation_raw(x, y, w, b, 0.05)
+    assert raw <= 1e-5
+    assert kkt == pytest.approx(raw, rel=1e-6)
 
 
 def test_lasso_objective_non_increasing():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((80, 20))
     y = x @ rng.standard_normal(20) + rng.standard_normal(80)
-    _, _, _, objectives = probes.lasso_cd(x, y, alpha=0.02, record_objective=True)
+    objectives = []
+    probes.lasso_cd(x, y, alpha=0.02, objectives=objectives)
     assert len(objectives) >= 1
     assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
@@ -162,7 +169,8 @@ def test_lasso_no_convergence_reports_gap():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((30, 10))
     y = rng.standard_normal(30)
-    with pytest.raises(NoConvergence, match="duality gap"):
+    with pytest.raises(NoConvergence,
+                       match=r"in 2 sweeps \(max KKT violation \S+ > 10\*tol = 1\.0e-13\)$"):
         probes.lasso_cd(x, y, alpha=1e-4, tol=1e-14, max_iter=2)
 
 
@@ -170,7 +178,8 @@ def test_lasso_single_sweep_cap_reports_gap():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((30, 40))
     y = rng.standard_normal(30)
-    with pytest.raises(NoConvergence, match="duality gap"):
+    with pytest.raises(NoConvergence,
+                       match=r"in 1 sweeps \(max KKT violation \S+ > 10\*tol = 1\.0e-05\)$"):
         probes.lasso_cd(x, y, alpha=1e-3, max_iter=1)
 
 
@@ -296,7 +305,8 @@ def test_lasso_objective_non_increasing_as_the_working_set_grows(monkeypatch):
     real = probes._kkt_violations
     monkeypatch.setattr(probes, "_kkt_violations",
                         lambda corr, w, alpha: checked.append(len(w)) or real(corr, w, alpha))
-    _, _, _, objectives = probes.lasso_cd(x, y, alpha=0.05, record_objective=True)
+    objectives = []
+    probes.lasso_cd(x, y, alpha=0.05, objectives=objectives)
     sizes = [size for size, _ in itertools.groupby(checked) if size < d]
     assert len(sizes) >= 3 and sizes[0] < sizes[1] < sizes[2], sizes
     assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
