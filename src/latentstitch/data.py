@@ -25,21 +25,7 @@ from typing import BinaryIO, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BadDims,
-    BadMagic,
-    CountMismatch,
-    DataError,
-    DimensionMismatch,
-    DuplicateId,
-    EmptyIntersection,
-    InsufficientRows,
-    NonFiniteValue,
-    RaggedRow,
-    TruncatedFile,
-    UnknownValue,
-    VersionUnsupported,
-)
+from .errors import DataError
 
 LSF_MAGIC = b"LSF1"
 LSF_VERSION = 1
@@ -60,7 +46,7 @@ DEFAULT_LATENT_DIMS = {
 def _check_ids(ids: Sequence[str]) -> list[str]:
     out = [str(i) for i in ids]
     if len(set(out)) != len(out):
-        raise DuplicateId("sample ids must be unique")
+        raise DataError("sample ids must be unique")
     return out
 
 
@@ -87,11 +73,11 @@ class LatentDataset(_RowIndexed):
         self.ids = _check_ids(self.ids)
         self.X = np.ascontiguousarray(self.X, dtype=np.float32)
         if self.X.ndim != 2 or self.X.shape[1] < 1:
-            raise DimensionMismatch(f"latents must be a non-degenerate 2-D array, got {self.X.shape}")
+            raise DataError(f"latents must be a non-degenerate 2-D array, got {self.X.shape}")
         if self.X.shape[0] != len(self.ids):
-            raise CountMismatch(f"{len(self.ids)} ids but {self.X.shape[0]} latent rows")
+            raise DataError(f"{len(self.ids)} ids but {self.X.shape[0]} latent rows")
         if not np.all(np.isfinite(self.X)):
-            raise NonFiniteValue(f"latents for {self.model_id!r} contain NaN or Inf")
+            raise DataError(f"latents for {self.model_id!r} contain NaN or Inf")
 
     @property
     def n(self) -> int:
@@ -113,16 +99,16 @@ class AttributeTable(_RowIndexed):
     def __post_init__(self) -> None:
         self.names = [str(n) for n in self.names]
         if len(set(self.names)) != len(self.names):
-            raise DuplicateId("attribute names must be unique")
+            raise DataError("attribute names must be unique")
         self.ids = _check_ids(self.ids)
         self.values = np.ascontiguousarray(self.values, dtype=np.int8)
         if self.values.shape != (len(self.ids), len(self.names)):
-            raise DimensionMismatch(
+            raise DataError(
                 f"values shape {self.values.shape} does not match "
                 f"{len(self.ids)} ids x {len(self.names)} attributes"
             )
         if not np.all(np.abs(self.values) == 1):
-            raise UnknownValue("attribute values must be exactly -1 or +1")
+            raise DataError("attribute values must be exactly -1 or +1")
 
     @property
     def n(self) -> int:
@@ -132,7 +118,7 @@ class AttributeTable(_RowIndexed):
         try:
             j = self.names.index(name)
         except ValueError:
-            raise UnknownValue(f"no attribute named {name!r}") from None
+            raise DataError(f"no attribute named {name!r}") from None
         return self.values[:, j]
 
 
@@ -145,7 +131,7 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if self.n_train < 0 or self.n_holdout < 0:
-            raise InsufficientRows("split sizes must be non-negative")
+            raise DataError("split sizes must be non-negative")
 
 
 Dataset = Union[LatentDataset, AttributeTable]
@@ -169,7 +155,7 @@ class RecordReader:
     Construction checks the magic and the u32 version that follow it. Every
     read is checked against the bytes left in the file before anything is
     allocated, so a header that declares more payload than the file holds
-    raises TruncatedFile rather than attempting the allocation. No format
+    raises DataError rather than attempting the allocation. No format
     stores an empty array, so a zero size in a header is rejected too, and
     `end` rejects bytes after the last field.
     """
@@ -180,14 +166,14 @@ class RecordReader:
         self.left = os.fstat(f.fileno()).st_size - f.tell()
         found = self.read(len(magic))
         if found != magic:
-            raise BadMagic(f"{path}: bad magic {found!r}")
+            raise DataError(f"{path}: bad magic {found!r}")
         (found,) = self.unpack("<I")
         if found != version:
-            raise VersionUnsupported(f"{path}: {magic.decode()} version {found} not supported")
+            raise DataError(f"{path}: {magic.decode()} version {found} not supported")
 
     def read(self, size: int) -> bytes:
         if size > self.left:
-            raise TruncatedFile(f"{self.path}: expected {size} bytes, {self.left} left")
+            raise DataError(f"{self.path}: expected {size} bytes, {self.left} left")
         self.left -= size
         return self.f.read(size)
 
@@ -209,7 +195,7 @@ class RecordReader:
     def array(self, dtype: str, *shape: int) -> np.ndarray:
         """A fresh buffer per array keeps the values aligned for BLAS."""
         if 0 in shape:
-            raise BadDims(f"{self.path}: header declares an empty {shape} array")
+            raise DataError(f"{self.path}: header declares an empty {shape} array")
         raw = self.read(math.prod(shape) * np.dtype(dtype).itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
@@ -235,6 +221,8 @@ def _write_lsf(
 
 
 def _read_lsf(path):
+    """The dataset an LSF file holds and its (H, W, C) triple, None unless it
+    is a pixel file. Every data error names the file."""
     with open(path, "rb") as f:
         r = RecordReader(f, path, LSF_MAGIC, LSF_VERSION)
         n, d = r.unpack("<II")
@@ -243,9 +231,11 @@ def _read_lsf(path):
         ids = [r.string() for _ in range(n)]
         values = r.array("<f4", n, d)
         r.end()
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"{path}: data contains NaN or Inf")
-    return model_id, ids, values, image_shape
+    try:
+        ds = LatentDataset(model_id=model_id, ids=ids, X=values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return ds, image_shape
 
 
 def write_latents(ds: LatentDataset, path) -> None:
@@ -256,8 +246,7 @@ def write_latents(ds: LatentDataset, path) -> None:
 
 def read_latents(path) -> LatentDataset:
     """Read any LSF file as a latent dataset (pixel files come back flattened)."""
-    model_id, ids, values, _ = _read_lsf(path)
-    return LatentDataset(model_id=model_id, ids=ids, X=values)
+    return _read_lsf(path)[0]
 
 
 def check_pixels(values: np.ndarray, shape: tuple[int, int, int], path) -> None:
@@ -265,11 +254,11 @@ def check_pixels(values: np.ndarray, shape: tuple[int, int, int], path) -> None:
     flatten H x W x C images, each side fitting a u16 header field. Pixel
     LSF files pass this on read and on write."""
     if math.prod(shape) != values.shape[1]:
-        raise DimensionMismatch(f"{path}: {values.shape[1]} pixels per row do not flatten {shape}")
+        raise DataError(f"{path}: {values.shape[1]} pixels per row do not flatten {shape}")
     if not all(0 < side <= 0xFFFF for side in shape):
-        raise BadDims(f"{path}: image shape {shape} does not fit u16 (H, W, C) fields")
+        raise DataError(f"{path}: image shape {shape} does not fit u16 (H, W, C) fields")
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
-        raise UnknownValue(f"{path}: pixels must lie in [0, 1]")
+        raise DataError(f"{path}: pixels must lie in [0, 1]")
 
 
 def write_images(ds: LatentDataset, path, shape: tuple[int, int, int]) -> None:
@@ -282,11 +271,11 @@ def write_images(ds: LatentDataset, path, shape: tuple[int, int, int]) -> None:
 def read_images(path) -> LatentDataset:
     """Read a pixel LSF file as a LatentDataset with model_id 'pixels'. Its
     (H, W, C) triple is checked against the rows, then dropped."""
-    model_id, ids, values, image_shape = _read_lsf(path)
+    ds, image_shape = _read_lsf(path)
     if image_shape is None:
-        raise DataError(f"{path}: not a pixel dataset (model_id={model_id!r})")
-    check_pixels(values, image_shape, path)
-    return LatentDataset(model_id=model_id, ids=ids, X=values)
+        raise DataError(f"{path}: not a pixel dataset (model_id={ds.model_id!r})")
+    check_pixels(ds.X, image_shape, path)
+    return ds
 
 
 # --- CelebA-style attribute text ------------------------------------------
@@ -300,24 +289,24 @@ def parse_attribute_table(text: str) -> AttributeTable:
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise CountMismatch("empty attribute text")
+        raise DataError("empty attribute text")
     try:
         declared = int(lines[0].strip())
     except ValueError:
-        raise CountMismatch(f"first line must be the sample count, got {lines[0]!r}") from None
+        raise DataError(f"first line must be the sample count, got {lines[0]!r}") from None
     if len(lines) < 2:
-        raise CountMismatch("missing attribute-name line")
+        raise DataError("missing attribute-name line")
     names = lines[1].split()
     rows = lines[2:]
     if len(rows) != declared:
-        raise CountMismatch(f"declared {declared} samples but found {len(rows)} rows")
+        raise DataError(f"declared {declared} samples but found {len(rows)} rows")
     k = len(names)
     ids: list[str] = []
     values = np.empty((declared, k), dtype=np.int8)
     for r, line in enumerate(rows):
         parts = line.split()
         if len(parts) != k + 1:
-            raise RaggedRow(f"row {r}: expected id + {k} values, got {len(parts)} fields")
+            raise DataError(f"row {r}: expected id + {k} values, got {len(parts)} fields")
         ids.append(parts[0])
         for c, tok in enumerate(parts[1:]):
             if tok == "1":
@@ -325,7 +314,7 @@ def parse_attribute_table(text: str) -> AttributeTable:
             elif tok == "-1":
                 values[r, c] = -1
             else:
-                raise UnknownValue(f"row {r}: value {tok!r} is not -1 or 1")
+                raise DataError(f"row {r}: value {tok!r} is not -1 or 1")
     return AttributeTable(names=names, ids=ids, values=values)
 
 
@@ -363,17 +352,17 @@ def align(a: Dataset, b: Dataset) -> tuple[np.ndarray, np.ndarray]:
     hold the same sample. No row is copied."""
     ia = [i for i, sid in enumerate(a.ids) if sid in b.row_index]
     if not ia:
-        raise EmptyIntersection("datasets share no sample ids")
+        raise DataError("datasets share no sample ids")
     ib = [b.row_index[a.ids[i]] for i in ia]
     return np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
 
 
 def rows_of(ds: LatentDataset, ids: Sequence[str]) -> np.ndarray:
     """Row positions of the given ids in ds, in the given order; raises
-    InsufficientRows naming how many of them ds lacks."""
+    DataError naming how many of them ds lacks."""
     rows = np.fromiter((ds.row_index.get(sid, -1) for sid in ids), dtype=np.intp, count=len(ids))
     if (rows < 0).any():
-        raise InsufficientRows(f"{ds.model_id!r} lacks {np.sum(rows < 0)} of {len(ids)} split ids")
+        raise DataError(f"{ds.model_id!r} lacks {np.sum(rows < 0)} of {len(ids)} split ids")
     return rows
 
 
@@ -381,7 +370,7 @@ def split_ids(ds: LatentDataset, spec: SplitSpec) -> tuple[list[str], list[str]]
     """A run's (train ids, holdout ids): the head split of ds in stored order."""
     n_train, n_hold = spec.n_train, spec.n_holdout
     if n_train + n_hold > ds.n:
-        raise InsufficientRows(f"need {n_train}+{n_hold} rows, dataset has {ds.n}")
+        raise DataError(f"need {n_train}+{n_hold} rows, dataset has {ds.n}")
     return ds.ids[:n_train], ds.ids[n_train:n_train + n_hold]
 
 

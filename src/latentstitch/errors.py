@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps the three branches onto exit codes: ConfigError -> 1,
-DataError -> 2, NumericalError -> 3.
+DataError -> 2, NumericalError -> 3. A failure's kind is its branch and its
+message; NotSPD is the one leaf, because mapfit catches it by name.
 """
 
 
@@ -21,98 +22,5 @@ class NumericalError(LatentStitchError):
     """A numerical routine could not produce a reliable result."""
 
 
-# file formats / parsing
-
-
-class BadMagic(DataError):
-    pass
-
-
-class VersionUnsupported(DataError):
-    pass
-
-
-class TruncatedFile(DataError):
-    pass
-
-
-class NonFiniteValue(DataError):
-    pass
-
-
-class CountMismatch(DataError):
-    pass
-
-
-class UnknownValue(DataError):
-    pass
-
-
-class RaggedRow(DataError):
-    pass
-
-
-class DuplicateId(DataError):
-    pass
-
-
-class IoError(DataError):
-    pass
-
-
-# dataset combination
-
-
-class EmptyIntersection(DataError):
-    pass
-
-
-class InsufficientRows(DataError):
-    pass
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
-class EmptySet(DataError):
-    pass
-
-
-class TooFewSamples(DataError):
-    pass
-
-
-class SingleClassPool(DataError):
-    """Probe training pool contains only one label class."""
-
-
-class InconsistentIds(DataError):
-    pass
-
-
-class BadDims(DataError):
-    pass
-
-
-class Undecodable(DataError):
-    """The model kind has no decoder (e.g. the random-encoder baseline)."""
-
-
-# numerics
-
-
 class NotSPD(NumericalError):
     """Cholesky hit a non-positive pivot; caller should add a ridge term."""
-
-
-class NotPSD(NumericalError):
-    pass
-
-
-class NoConvergence(NumericalError):
-    pass
-
-
-class ZeroBaseline(NumericalError):
-    pass

@@ -6,9 +6,9 @@ checks with, by block matrix products, as NumPy has no triangular solve.
 All routines compute in float64 regardless of input dtype and are pure
 functions of their inputs. Symmetric inputs are not checked: callers pass
 Grams (A^T A, A A^T), which matmul returns exactly symmetric, and LAPACK
-reads the lower triangle only. Failures surface as NotSPD / NotPSD /
-NoConvergence instead of raw LAPACK errors, so callers can react (mapfit
-falls back to least squares on NotSPD).
+reads the lower triangle only. Failures surface as NotSPD or NumericalError
+instead of raw LAPACK errors, so callers can react (mapfit falls back to
+least squares on NotSPD).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotPSD, NotSPD
+from .errors import DataError, NotSPD, NumericalError
 
 # spd_solve substitutes over row blocks of this many rows: each diagonal
 # block is applied through its inverse and each off-diagonal update is one
@@ -27,7 +27,7 @@ SOLVE_BLOCK = 128
 
 # Eigenvalues of a nominally-PSD matrix may be negative up to this fraction
 # of the largest eigenvalue; such values are clamped to zero, anything more
-# negative raises NotPSD.
+# negative raises NumericalError.
 NEG_EIG_RTOL = 1e-6
 
 
@@ -47,7 +47,7 @@ class SymEig:
 def _as_square(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatch(f"{name} must be square and non-empty, got shape {a.shape}")
+        raise DataError(f"{name} must be square and non-empty, got shape {a.shape}")
     return a
 
 
@@ -85,7 +85,7 @@ def spd_solve(a, b) -> np.ndarray:
     a = _as_square(a, "A")
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"A is {a.shape[0]}x{a.shape[0]} but B has {b.shape[0]} rows")
+        raise DataError(f"A is {a.shape[0]}x{a.shape[0]} but B has {b.shape[0]} rows")
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -104,16 +104,16 @@ def sym_eig(s, vectors: bool = True) -> SymEig:
     try:
         w, v = np.linalg.eigh(s) if vectors else (np.linalg.eigvalsh(s), None)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return SymEig(eigenvalues=w, eigenvectors=v)
 
 
 def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a nominally-PSD matrix with small negatives
-    clamped to zero; raises NotPSD on a larger negative one."""
+    clamped to zero; raises NumericalError on a larger negative one."""
     lam_max = max(float(w[-1]), 0.0)
     if w[0] < -NEG_EIG_RTOL * lam_max:
-        raise NotPSD(
+        raise NumericalError(
             f"eigenvalue {w[0]:.6e} is below -{NEG_EIG_RTOL:.0e} * max eigenvalue {lam_max:.6e}"
         )
     return np.clip(w, 0.0, None)
@@ -124,7 +124,7 @@ def psd_sqrt(s) -> np.ndarray:
 
     Small negative eigenvalues (within NEG_EIG_RTOL of the top eigenvalue)
     are clamped to zero: empirical covariance products are only numerically
-    PSD. Larger negative eigenvalues raise NotPSD.
+    PSD. Larger negative eigenvalues raise NumericalError.
     """
     eig = sym_eig(s)
     v = eig.eigenvectors
@@ -135,7 +135,7 @@ def psd_sqrt(s) -> np.ndarray:
 def cov_factor(s) -> np.ndarray:
     """A factor F with ``F.T @ F == S`` for a PSD matrix S: the transposed
     Cholesky factor, or psd_sqrt(S) when Cholesky fails (S singular, or
-    indefinite, which psd_sqrt then reports as NotPSD)."""
+    indefinite, which psd_sqrt then reports as NumericalError)."""
     s = _as_square(s, "S")
     try:
         return np.linalg.cholesky(s).T

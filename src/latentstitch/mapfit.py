@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .data import RecordReader, write_str
-from .errors import DataError, DimensionMismatch, NotSPD
+from .errors import DataError, NotSPD
 from .metrics import mean_squared_blocks, mean_squared_difference
 
 LMAP_MAGIC = b"LMAP"
@@ -52,11 +52,11 @@ class LinearMap:
         self.W = np.ascontiguousarray(self.W, dtype=np.float64)
         self.b = np.ascontiguousarray(self.b, dtype=np.float64)
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise DimensionMismatch(
+            raise DataError(
                 f"W shape {self.W.shape} incompatible with b shape {self.b.shape}"
             )
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
-            raise DimensionMismatch("map parameters must be finite")
+            raise DataError("map parameters must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
 
@@ -175,10 +175,10 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         raise ValueError("a SharedFit serves the fits of one X and one set of its rows")
     X, Y = np.asarray(X), np.asarray(Y)
     if X.ndim != 2 or Y.ndim != 2:
-        raise DimensionMismatch("X and Y must be 2-D")
+        raise DataError("X and Y must be 2-D")
     ix, iy = (np.arange(len(X)), np.arange(len(Y))) if rows is None else rows
     if len(ix) != len(iy) or len(ix) < 1:
-        raise DimensionMismatch(f"X has {len(ix)} rows, Y has {len(iy)}")
+        raise DataError(f"X has {len(ix)} rows, Y has {len(iy)}")
     (n, d), k = (len(ix), X.shape[1]), Y.shape[1]
     y_mean = np.empty(k)  # Y's column means, written by _centered_blocks
 
@@ -269,7 +269,7 @@ def apply_map(m: LinearMap, X) -> np.ndarray:
     """Map rows of X through the affine map: X W^T + 1 b^T."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.d_in:
-        raise DimensionMismatch(f"X shape {X.shape} incompatible with map d_in={m.d_in}")
+        raise DataError(f"X shape {X.shape} incompatible with map d_in={m.d_in}")
     out = X @ m.W.T
     out += m.b
     return out
@@ -290,7 +290,7 @@ def mapped_mse(m: LinearMap, X, Y, rows) -> float:
     ix, iy = rows
     X, Y = np.asarray(X), np.asarray(Y)
     if len(ix) != len(iy) or Y.ndim != 2 or Y.shape[1] != m.d_out:
-        raise DimensionMismatch(
+        raise DataError(
             f"{len(ix)} mapped rows of width {m.d_out} against {len(iy)} of shape {Y.shape}"
         )
     return mean_squared_blocks(len(ix), m.d_out,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import take
-from .errors import DimensionMismatch, EmptySet, NotPSD, TooFewSamples
+from .errors import DataError, NumericalError
 from .linalg import cov_factor, nuclear_norm
 
 #: Results above this negative floor are treated as numerical zero.
@@ -42,7 +42,7 @@ class GaussianSummary:
         self.mu = np.ascontiguousarray(self.mu, dtype=np.float64)
         self.factor = np.ascontiguousarray(self.factor, dtype=np.float64)
         if self.mu.ndim != 1 or self.factor.shape[1:] != self.mu.shape:
-            raise DimensionMismatch(
+            raise DataError(
                 f"mu shape {self.mu.shape} incompatible with factor shape {self.factor.shape}"
             )
 
@@ -69,12 +69,12 @@ def mean_squared_difference(a, b, rows=None) -> float:
     if rows is None:
         x, y = _rows(a), _rows(b)
         if x.shape != y.shape:
-            raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
+            raise DataError(f"shape mismatch: {x.shape} vs {y.shape}")
         n, d = x.shape
         return mean_squared_blocks(n, d, lambda blk: (x[blk], y[blk]))
     ia, ib = rows
     if (len(ia), a.d) != (len(ib), b.d):
-        raise DimensionMismatch(f"shape mismatch: {(len(ia), a.d)} vs {(len(ib), b.d)}")
+        raise DataError(f"shape mismatch: {(len(ia), a.d)} vs {(len(ib), b.d)}")
     return mean_squared_blocks(len(ia), a.d,
                                lambda blk: (take(a, ia[blk]).X, take(b, ib[blk]).X))
 
@@ -85,7 +85,7 @@ def mean_squared_blocks(n: int, d: int, pair) -> float:
     are summed in float64, one block of about 2^20 entries at a time, in row
     order; each block is freed before the next is made."""
     if n * d == 0:
-        raise EmptySet("no entries to average")
+        raise DataError("no entries to average")
     step = max(1, (1 << 20) // d)
     total = np.float64(0.0)
     for start in range(0, n, step):
@@ -107,14 +107,15 @@ def summarize(features) -> GaussianSummary:
     the input is left unchanged. With fewer samples than dimensions the
     scaled centered rows (n x d) are the factor; otherwise the covariance
     (d x d), a Gram that matmul returns exactly symmetric, is factored by
-    linalg.cov_factor (Cholesky, else the PSD square root; NotPSD if indefinite).
+    linalg.cov_factor (Cholesky, else the PSD square root; NumericalError if
+    indefinite).
     """
     f = np.array(features, dtype=np.float64)
     if f.ndim != 2:
-        raise DimensionMismatch(f"features must be 2-D, got shape {f.shape}")
+        raise DataError(f"features must be 2-D, got shape {f.shape}")
     n, d = f.shape
     if n < 2:
-        raise TooFewSamples(f"need at least 2 samples for a covariance, got {n}")
+        raise DataError(f"need at least 2 samples for a covariance, got {n}")
     mu = f.mean(axis=0)
     f -= mu
     if n < d:
@@ -136,7 +137,7 @@ def fid(p: GaussianSummary, q: GaussianSummary) -> float:
     that r_p x r_q matrix (r the factor's row count) does the work.
     """
     if p.d != q.d:
-        raise DimensionMismatch(f"dimension mismatch: {p.d} vs {q.d}")
+        raise DataError(f"dimension mismatch: {p.d} vs {q.d}")
     fp, fq = p.factor, q.factor
     tr_p = float(np.vdot(fp, fp))
     tr_q = float(np.vdot(fq, fq))
@@ -145,5 +146,5 @@ def fid(p: GaussianSummary, q: GaussianSummary) -> float:
     value = float(diff @ diff + tr_p + tr_q - 2.0 * cross)
     scale = max(1.0, abs(tr_p) + abs(tr_q) + float(diff @ diff))
     if value < NEGATIVE_FLOOR * scale:
-        raise NotPSD(f"Frechet distance came out at {value:.6e}, beyond the numerical floor")
+        raise NumericalError(f"Frechet distance came out at {value:.6e}, beyond the numerical floor")
     return max(value, 0.0)

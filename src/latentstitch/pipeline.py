@@ -32,7 +32,7 @@ from .data import (
     take,
     write_latents,
 )
-from .errors import ConfigError, InconsistentIds, IoError, LatentStitchError
+from .errors import ConfigError, DataError, LatentStitchError
 from .mapfit import (
     DEFAULT_MAP_ALPHAS,
     LinearMap,
@@ -346,7 +346,7 @@ def emit_csv(obj, path) -> None:
             else:
                 raise TypeError(f"cannot emit {type(obj).__name__} as CSV")
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def read_csv_grid(path) -> MetricGrid:
@@ -589,12 +589,12 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
                 try:
                     m = fit_ridge(X, latents[dst].X, alpha, source_model=src, target_model=dst,
                                   shared=shared, rows=(ix, train_rows[dst]))
-                    fitted.append(dst)
                     how = {"solver": m.solver}
                     if m.solver != "cholesky":  # the dual factor's or the pseudo-inverse's
                         kept = shared.dual or shared
                         how.update(rank=kept.rank, cutoff=kept.cutoff)
                     result, mapped_ds = write_cell(src, dst, m)
+                    fitted.append(dst)
                     m = None  # decoding needs only the mapped holdout, not the d_out x d_in map
                     outcomes[dst] = score_decoded(dst, mapped_ds, result), None
                 except LatentStitchError as exc:
@@ -694,15 +694,14 @@ def run_probe_suite(
     probes' train scores."""
     validate_paths(cfg, need_attributes=True)
     out = Path(out_dir)
-    probes_dir = out / "probes"
-    probes_dir.mkdir(parents=True, exist_ok=True)
-
     table = read_attribute_table(cfg.attributes_path)
     attributes = select_attributes(table, cfg.attribute_subset)
     latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
     model_ids = cfg.model_ids()
     split = split_ids(latents[model_ids[0]], cfg.split)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
+    probes_dir = out / "probes"  # made once every input is read and checked
+    probes_dir.mkdir(parents=True, exist_ok=True)
     errors: list[str] = []
 
     # probes per (model, attribute), on subsets drawn once per attribute
@@ -804,7 +803,7 @@ def run_probe_suite(
                 acc_mapped = accuracy(stitched, x_source, hold.labels())
                 delta_values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
             except LatentStitchError as exc:
-                match_errors.append(f"match {src}->{dst}/{attr}: {type(exc).__name__}: {exc}")
+                match_errors.append(f"match {src}->{dst}/{attr}: {_error_text(exc)}")
     errors.extend(match_errors)
 
     accuracy_grid = MetricGrid(
@@ -888,7 +887,7 @@ def run_dynamics(
     datasets = [read_latents(p) for p in paths]
     for ds, p in zip(datasets[1:], paths[1:]):
         if ds.ids != datasets[0].ids:
-            raise InconsistentIds(f"{p}: sample ids differ from the first checkpoint")
+            raise DataError(f"{p}: sample ids differ from the first checkpoint")
 
     split = split_ids(datasets[0], cfg.split)
     spaces = dict.fromkeys(ds.model_id for ds in datasets)

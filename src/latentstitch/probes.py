@@ -17,14 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import AttributeTable, RecordReader, stable_id_hash, write_str
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    EmptySet,
-    NoConvergence,
-    SingleClassPool,
-    ZeroBaseline,
-)
+from .errors import DataError, NumericalError
 
 LPRB_MAGIC = b"LPRB"
 LPRB_VERSION = 1
@@ -55,9 +48,9 @@ class Probe:
         self.w = np.ascontiguousarray(self.w, dtype=np.float64)
         self.b = float(self.b)
         if self.w.ndim != 1:
-            raise DimensionMismatch(f"w must be 1-D, got shape {self.w.shape}")
+            raise DataError(f"w must be 1-D, got shape {self.w.shape}")
         if not (np.all(np.isfinite(self.w)) and np.isfinite(self.b)):
-            raise DimensionMismatch("probe parameters must be finite")
+            raise DataError("probe parameters must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
 
@@ -76,9 +69,9 @@ class BalancedSubset:
 
     def __post_init__(self) -> None:
         if len(self.pos_ids) != self.per_class or len(self.neg_ids) != self.per_class:
-            raise DimensionMismatch("pos/neg id lists must both have per_class entries")
+            raise DataError("pos/neg id lists must both have per_class entries")
         if set(self.pos_ids) & set(self.neg_ids):
-            raise DimensionMismatch("positive and negative ids must be disjoint")
+            raise DataError("positive and negative ids must be disjoint")
 
     @property
     def ids(self) -> list[str]:
@@ -110,14 +103,14 @@ def balanced_subset(
     pos = sorted(sid for sid, v in zip(pool, values) if v == 1)
     neg = sorted(sid for sid, v in zip(pool, values) if v == -1)
     if not pos or not neg:
-        raise SingleClassPool(
+        raise DataError(
             f"attribute {attribute!r}: pool has {len(pos)} positive / {len(neg)} negative"
         )
     smaller = min(len(pos), len(neg))
     if per_class is None:
         per_class = 4 * smaller // 5
         if per_class < 1:
-            raise SingleClassPool(
+            raise DataError(
                 f"attribute {attribute!r}: 80% rule leaves no training examples"
             )
     else:
@@ -174,21 +167,21 @@ def lasso_cd(
     (Friedman, Hastie & Tibshirani 2010, JSS 33(1)) until the set's KKT
     conditions hold within 10*tol. A sweep is one pass over the working set,
     not over all d columns; max_iter caps the sweeps over all rounds, after
-    which NoConvergence is raised.
+    which NumericalError is raised.
 
     A set covering every column forms a d x d Gram, which is cheap for the
     probes run here but not for d > n at the paper's scale (d = 12288);
     there the sweeps would need residual updates instead.
 
     Returns (w, b, n_sweeps, kkt): kkt is the worst KKT violation of the
-    fresh-residual test the fit stopped on (at most 10*tol; NoConvergence
+    fresh-residual test the fit stopped on (at most 10*tol; NumericalError
     gives its last value instead), and n_sweeps is 0 when w = 0 already
     meets it. A caller-passed ``objectives`` list gets each sweep's objective.
     """
     Xc = np.array(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if Xc.ndim != 2 or Xc.shape[0] != y.shape[0] or Xc.shape[0] < 1:
-        raise DimensionMismatch(f"X shape {Xc.shape} incompatible with y length {y.shape}")
+        raise DataError(f"X shape {Xc.shape} incompatible with y length {y.shape}")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if max_iter < 1:
@@ -247,7 +240,7 @@ def lasso_cd(
             if _kkt_violations(g, wW, alpha).max() <= 10.0 * tol:
                 break
         w[W] = wW
-    raise NoConvergence(
+    raise NumericalError(
         f"lasso did not converge in {max_iter} sweeps "
         f"(max KKT violation {kkt:.6e} > 10*tol = {10.0 * tol:.1e})"
     )
@@ -287,7 +280,7 @@ def predict(probe: Probe, X) -> np.ndarray:
     """{0,1} labels; 1 iff the probe score reaches the threshold."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != probe.d:
-        raise DimensionMismatch(f"X shape {X.shape} incompatible with probe d={probe.d}")
+        raise DataError(f"X shape {X.shape} incompatible with probe d={probe.d}")
     scores = X @ probe.w + probe.b
     return (scores >= probe.threshold).astype(np.int8)
 
@@ -296,9 +289,9 @@ def accuracy(probe: Probe, X, y) -> float:
     y = np.asarray(y).ravel()
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"{X.shape[0]} rows but {y.shape[0]} labels")
+        raise DataError(f"{X.shape[0]} rows but {y.shape[0]} labels")
     if y.size == 0:
-        raise EmptySet("no samples to score")
+        raise DataError("no samples to score")
     return float(np.mean(predict(probe, X) == y))
 
 
@@ -310,16 +303,16 @@ def match_percent(probe: Probe, X_native, X_mapped, stitched: Probe | None = Non
     a = predict(probe, X_native)
     b = predict(probe if stitched is None else stitched, X_mapped)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape[0]} native rows vs {b.shape[0]} mapped rows")
+        raise DataError(f"{a.shape[0]} native rows vs {b.shape[0]} mapped rows")
     if a.size == 0:
-        raise EmptySet("no samples to compare")
+        raise DataError("no samples to compare")
     return float(100.0 * np.mean(a == b))
 
 
 def accuracy_delta(acc_native: float, acc_mapped: float) -> float:
     """Signed percent change in accuracy relative to the native baseline."""
     if acc_native <= 0.0:
-        raise ZeroBaseline("native accuracy must be positive")
+        raise NumericalError("native accuracy must be positive")
     return float(100.0 * (acc_mapped - acc_native) / acc_native)
 
 

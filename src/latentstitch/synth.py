@@ -35,7 +35,7 @@ from .data import (
     write_images,
     write_latents,
 )
-from .errors import BadDims, ConfigError, IoError, Undecodable
+from .errors import ConfigError, DataError
 
 KINDS = ("orthogonal", "lossy", "random", "noising")
 
@@ -54,11 +54,11 @@ NOISING_SCHEDULE = {"total_steps": 1000, "steps_used": 50, "beta_start": 1e-4, "
 
 def alpha_bar(t: int) -> float:
     """The kept signal fraction after t of NOISING_SCHEDULE's steps_used
-    noising steps, with alpha_bar(0) = 1; BadDims for t outside
+    noising steps, with alpha_bar(0) = 1; DataError for t outside
     [0, steps_used]."""
     steps, total = NOISING_SCHEDULE["steps_used"], NOISING_SCHEDULE["total_steps"]
     if not 0 <= t <= steps:
-        raise BadDims(f"t must be in [0, {steps}], got {t}")
+        raise DataError(f"t must be in [0, {steps}], got {t}")
     if t == 0:
         return 1.0
     tau = round(t * total / steps)
@@ -91,16 +91,16 @@ class SynthModelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise BadDims(f"unknown model kind {self.kind!r}")
+            raise DataError(f"unknown model kind {self.kind!r}")
         # model ids become file names (<id>.lsf) and the "pixels" id is reserved
         if check_model_id(self.model_id) == "pixels":
             raise ConfigError("model id 'pixels' is reserved for the image file")
         if self.d < 1:
-            raise BadDims("latent dimension must be >= 1")
+            raise DataError("latent dimension must be >= 1")
         if self.kind == "lossy" and (self.rank is None or self.rank < 1):
-            raise BadDims("lossy models need rank >= 1")
+            raise DataError("lossy models need rank >= 1")
         if self.kind == "noising" and self.t is None:
-            raise BadDims("noising models need a timestep t")
+            raise DataError("noising models need a timestep t")
 
 
 @dataclass
@@ -154,9 +154,9 @@ def gen_world(
     rates concentrate near 0.5. Images are square and grey where d_pix is a
     square, else one column of d_pix pixels."""
     if n < 1 or k < 1 or d_pix < k:
-        raise BadDims(f"need n >= 1, k >= 1, d_pix >= k; got n={n}, k={k}, d_pix={d_pix}")
+        raise DataError(f"need n >= 1, k >= 1, d_pix >= k; got n={n}, k={k}, d_pix={d_pix}")
     if squash not in ("affine", "sigmoid"):
-        raise BadDims(f"unknown squash {squash!r}")
+        raise DataError(f"unknown squash {squash!r}")
     side = math.isqrt(d_pix)
     shape = (side, side, 1) if side * side == d_pix else (d_pix, 1, 1)
     factors = np.random.default_rng([_FACTOR_STREAM, seed]).standard_normal((n, k))
@@ -207,13 +207,13 @@ def _lossy_maps(seed: int, d_pix: int, rank: int, d: int) -> tuple[np.ndarray, n
 
 
 def check_encoder(spec: SynthModelSpec, d_pix: int) -> None:
-    """Raise BadDims unless spec can encode pixel rows of width d_pix."""
+    """Raise DataError unless spec can encode pixel rows of width d_pix."""
     if spec.d_pix is not None and spec.d_pix != d_pix:
-        raise BadDims(f"{spec.model_id}: spec expects d_pix={spec.d_pix}, images have {d_pix}")
+        raise DataError(f"{spec.model_id}: spec expects d_pix={spec.d_pix}, images have {d_pix}")
     if spec.kind in ("orthogonal", "noising") and spec.d != d_pix:
-        raise BadDims(f"{spec.model_id}: {spec.kind} encoders need d == d_pix ({d_pix})")
+        raise DataError(f"{spec.model_id}: {spec.kind} encoders need d == d_pix ({d_pix})")
     if spec.kind == "lossy" and spec.rank > min(spec.d, d_pix):
-        raise BadDims(f"{spec.model_id}: rank {spec.rank} exceeds min(d, d_pix)")
+        raise DataError(f"{spec.model_id}: rank {spec.rank} exceeds min(d, d_pix)")
     if spec.kind == "noising":
         alpha_bar(spec.t)  # t within the schedule
 
@@ -245,18 +245,18 @@ def decode(spec: SynthModelSpec, latents: LatentDataset) -> LatentDataset:
 
     orthogonal inverts exactly, lossy reconstructs through the pseudo-inverse
     (a rank-r projection of the original pixels), noising rescales by
-    1/sqrt(alpha_bar); random raises Undecodable.
+    1/sqrt(alpha_bar); random raises DataError.
     """
     if spec.kind == "random":
-        raise Undecodable(f"{spec.model_id}: the random encoder has no decoder")
+        raise DataError(f"{spec.model_id}: the random encoder has no decoder")
     lat = latents.X.astype(np.float64)
     if lat.shape[1] != spec.d:
-        raise BadDims(f"{spec.model_id}: latents have d={lat.shape[1]}, spec says {spec.d}")
+        raise DataError(f"{spec.model_id}: latents have d={lat.shape[1]}, spec says {spec.d}")
     if spec.kind == "orthogonal":
         x = lat @ _rotation(spec.seed, spec.d)
     elif spec.kind == "lossy":
         if spec.d_pix is None:
-            raise BadDims(f"{spec.model_id}: lossy decode needs d_pix on the spec")
+            raise DataError(f"{spec.model_id}: lossy decode needs d_pix on the spec")
         basis, embed = _lossy_maps(spec.seed, spec.d_pix, spec.rank, spec.d)
         x = lat @ embed @ basis.T
     else:  # noising
@@ -273,7 +273,7 @@ def check_emit(world: FactorWorld, specs) -> None:
     for spec in specs:
         check_encoder(spec, world.d_pix)
         if spec.kind == "lossy" and spec.rank >= world.k:
-            raise BadDims(f"{spec.model_id}: lossy rank must be < k={world.k}")
+            raise DataError(f"{spec.model_id}: lossy rank must be < k={world.k}")
 
 
 def emit_datasets(world: FactorWorld, specs, out_dir) -> dict[str, Path]:
@@ -305,7 +305,7 @@ def emit_datasets(world: FactorWorld, specs, out_dir) -> dict[str, Path]:
         (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
         paths["manifest"] = out / "manifest.txt"
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise DataError(str(exc)) from exc
     return paths
 
 
@@ -354,5 +354,5 @@ def spec_from_string(model_id: str, text: str) -> SynthModelSpec:
             t=fields.get("t"),
             d_pix=fields.get("dpix"),
         )
-    except BadDims as exc:
+    except DataError as exc:
         raise ConfigError(str(exc)) from exc

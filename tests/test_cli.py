@@ -107,6 +107,14 @@ def test_cli_repeated_attribute_is_a_config_error(generated, tmp_path, capsys, c
     assert not (tmp_path / "out" / "dynamics.csv").exists()
 
 
+@pytest.mark.parametrize("subset", ["factor_00,nosuch", "factor_00,factor_00"],
+                         ids=["unknown", "repeated"])
+def test_probe_suite_config_error_makes_no_probes_dir(generated, tmp_path, subset):
+    cfg = _config_copy(generated, tmp_path, f"attributes.subset = {subset}\n")
+    assert cli.main(["probe-suite", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out" / "probes").exists()
+
+
 FIT_MAP = ["fit-map", "--src", "orthA", "--dst", "orthB"]
 TRAIN_PROBE = ["train-probe", "--model", "orthA", "--attribute", "factor_00"]
 
@@ -224,7 +232,7 @@ def test_cli_exit_code_data_error(tmp_path):
 
 
 def test_cli_exit_code_numerical_error(generated, tmp_path):
-    # starved iteration budget forces NoConvergence
+    # a starved iteration budget stops the lasso short of convergence
     code = cli.main([
         "train-probe", "--config", str(generated / "experiment.cfg"),
         "--out", str(tmp_path), "--model", "rand", "--attribute", "factor_00",

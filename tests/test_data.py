@@ -6,21 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentstitch import data
-from latentstitch.errors import (
-    BadDims,
-    BadMagic,
-    CountMismatch,
-    DataError,
-    DimensionMismatch,
-    DuplicateId,
-    EmptyIntersection,
-    InsufficientRows,
-    NonFiniteValue,
-    RaggedRow,
-    TruncatedFile,
-    UnknownValue,
-    VersionUnsupported,
-)
+from latentstitch.errors import DataError
 
 
 def small_latents(model_id="toy"):
@@ -66,7 +52,7 @@ def test_lsf_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0] = ord(b"X")
     path.write_bytes(bytes(raw))
-    with pytest.raises(BadMagic):
+    with pytest.raises(DataError, match="bad magic b'XSF1'"):
         data.read_latents(path)
 
 
@@ -76,7 +62,7 @@ def test_lsf_unsupported_version(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 9  # little-endian u32 version field
     path.write_bytes(bytes(raw))
-    with pytest.raises(VersionUnsupported):
+    with pytest.raises(DataError, match="LSF1 version 9 not supported"):
         data.read_latents(path)
 
 
@@ -84,7 +70,7 @@ def test_lsf_truncated(tmp_path):
     path = tmp_path / "toy.lsf"
     data.write_latents(small_latents(), path)
     path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(DataError, match="expected 48 bytes, 43 left"):
         data.read_latents(path)
 
 
@@ -95,7 +81,7 @@ def test_lsf_non_finite(tmp_path):
     nan = np.array([np.nan], dtype="<f4").tobytes()
     raw[-4:] = nan
     path.write_bytes(bytes(raw))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(DataError, match="latents for 'toy' contain NaN or Inf"):
         data.read_latents(path)
 
 
@@ -122,17 +108,17 @@ def test_image_round_trip(tmp_path):
     assert flat.d == 12
 
 
-@pytest.mark.parametrize("d, shape, value, error", [
-    (12, (2, 2, 2), 0.5, DimensionMismatch),
-    (12, (-1, -1, 12), 0.5, BadDims),
-    (70001, (70001, 1, 1), 0.5, BadDims),
-    (3, (3, 1, 1), 1.5, UnknownValue),
-    (3, (3, 1, 1), -0.5, UnknownValue),
+@pytest.mark.parametrize("d, shape, value, match", [
+    (12, (2, 2, 2), 0.5, "12 pixels per row do not flatten"),
+    (12, (-1, -1, 12), 0.5, "does not fit u16"),
+    (70001, (70001, 1, 1), 0.5, "does not fit u16"),
+    (3, (3, 1, 1), 1.5, r"pixels must lie in \[0, 1\]"),
+    (3, (3, 1, 1), -0.5, r"pixels must lie in \[0, 1\]"),
 ], ids=["product", "negative-side", "u16-overflow", "above-one", "below-zero"])
-def test_write_images_refuses_a_file_read_images_would(tmp_path, d, shape, value, error):
+def test_write_images_refuses_a_file_read_images_would(tmp_path, d, shape, value, match):
     # checked before the file is opened, so nothing is left behind
     path = tmp_path / "pix.lsf"
-    with pytest.raises(error):
+    with pytest.raises(DataError, match=match):
         data.write_images(pixel_rows(np.full((2, d), value)), path, shape)
     assert not path.exists()
 
@@ -144,26 +130,40 @@ def test_write_latents_rejects_reserved_model_id(tmp_path):
 
 
 def test_dataset_validation(tmp_path):
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DataError, match="sample ids must be unique"):
         data.LatentDataset(model_id="m", ids=["a", "a"], X=np.zeros((2, 2)))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(DataError, match="latents for 'm' contain NaN or Inf"):
         data.LatentDataset(model_id="m", ids=["a"], X=np.array([[np.inf, 0.0]]))
-    with pytest.raises(CountMismatch):
+    with pytest.raises(DataError, match="1 ids but 2 latent rows"):
         data.LatentDataset(model_id="m", ids=["a"], X=np.zeros((2, 2)))
-    with pytest.raises(UnknownValue):
+    with pytest.raises(DataError, match="attribute values must be exactly -1 or \\+1"):
         data.AttributeTable(names=["x"], ids=["a"], values=np.array([[0]]))
     # a pixel file is checked on read: its range, its triple, and that it is one
     cases = [
-        ("pixels", np.full((1, 3), 1.5), (3, 1, 1), UnknownValue),
-        ("pixels", np.full((1, 3), 0.5), (2, 2, 1), DimensionMismatch),
-        ("m", np.full((1, 3), 0.5), None, DataError),
+        ("pixels", np.full((1, 3), 1.5), (3, 1, 1), r"pixels must lie in \[0, 1\]"),
+        ("pixels", np.full((1, 3), 0.5), (2, 2, 1), r"3 pixels per row do not flatten \(2, 2, 1\)"),
+        ("m", np.full((1, 3), 0.5), None, r"not a pixel dataset \(model_id='m'\)"),
     ]
-    for k, (model_id, values, shape, error) in enumerate(cases):
+    for k, (model_id, values, shape, match) in enumerate(cases):
         path = tmp_path / f"case{k}.lsf"
         data._write_lsf(path, model_id, ["a"], values, image_shape=shape)
-        with pytest.raises(error) as raised:
+        with pytest.raises(DataError, match=match):
             data.read_images(path)
-        assert raised.type is error
+
+
+@pytest.mark.parametrize("reader", [data.read_latents, data.read_images])
+@pytest.mark.parametrize("ids, value, message", [
+    (["a", "a"], 0.5, "sample ids must be unique"),
+    (["a", "b"], np.nan, "latents for 'pixels' contain NaN or Inf"),
+], ids=["repeated-id", "nan"])
+def test_lsf_read_error_starts_with_the_path(tmp_path, reader, ids, value, message):
+    path = tmp_path / "bad.lsf"
+    values = np.full((2, 3), 0.5)
+    values[1, 2] = value
+    data._write_lsf(path, data.PIXEL_MODEL_ID, ids, values, image_shape=(3, 1, 1))
+    with pytest.raises(DataError) as raised:
+        reader(path)
+    assert str(raised.value) == f"{path}: {message}"
 
 
 # --- attribute table ----------------------------------------------------------
@@ -185,19 +185,19 @@ def test_parse_attribute_table():
 
 def test_parse_attribute_table_count_mismatch():
     bad = "3\nSmiling Male\n000001.jpg -1 1\n000002.jpg 1 1\n"
-    with pytest.raises(CountMismatch):
+    with pytest.raises(DataError, match="declared 3 samples but found 2 rows"):
         data.parse_attribute_table(bad)
 
 
 def test_parse_attribute_table_unknown_value():
     bad = "1\nSmiling Male\n000001.jpg 0 1\n"
-    with pytest.raises(UnknownValue):
+    with pytest.raises(DataError, match="row 0: value '0' is not -1 or 1"):
         data.parse_attribute_table(bad)
 
 
 def test_parse_attribute_table_ragged_row():
     bad = "1\nSmiling Male\n000001.jpg -1\n"
-    with pytest.raises(RaggedRow):
+    with pytest.raises(DataError, match="row 0: expected id \\+ 2 values, got 2 fields"):
         data.parse_attribute_table(bad)
 
 
@@ -230,7 +230,7 @@ def test_align_permutation():
 def test_align_disjoint():
     ds = small_latents()
     other = data.LatentDataset(model_id="o", ids=["x", "y"], X=np.zeros((2, 4)))
-    with pytest.raises(EmptyIntersection):
+    with pytest.raises(DataError, match="datasets share no sample ids"):
         data.align(ds, other)
 
 
@@ -269,7 +269,7 @@ def test_split_default_sizes():
 
 def test_split_insufficient_rows():
     ds = small_latents()
-    with pytest.raises(InsufficientRows):
+    with pytest.raises(DataError, match=r"need 9000\+100 rows, dataset has 3"):
         data.split_ids(ds, data.SplitSpec(n_train=9000, n_holdout=100))
 
 
@@ -307,12 +307,12 @@ def test_random_encoder_law_of_large_numbers():
 def test_rows_of_follows_the_given_ids_and_counts_missing():
     ds = small_latents()
     assert data.rows_of(ds, ["s2", "s0"]).tolist() == [2, 0]
-    with pytest.raises(InsufficientRows, match="lacks 2 of 3"):
+    with pytest.raises(DataError, match="'toy' lacks 2 of 3 split ids"):
         data.rows_of(ds, ["s1", "x", "y"])
 
 
 def test_split_ids_is_the_head_split_in_stored_order():
     ds = data.take(small_latents(), [2, 0, 1])
     assert data.split_ids(ds, data.SplitSpec(n_train=2, n_holdout=1)) == (["s2", "s0"], ["s1"])
-    with pytest.raises(InsufficientRows):
+    with pytest.raises(DataError, match=r"need 3\+1 rows, dataset has 3"):
         data.split_ids(ds, data.SplitSpec(n_train=3, n_holdout=1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentstitch import linalg, mapfit
-from latentstitch.errors import BadMagic, DimensionMismatch
+from latentstitch.errors import DataError
 
 
 def planted_problem(seed=0, n=200, d_in=8, d_out=5):
@@ -240,7 +240,7 @@ def test_latent_mse_trivials_and_brute_force():
 
 
 def test_latent_mse_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match=r"shape mismatch: \(2, 2\) vs \(2, 3\)"):
         mapfit.latent_mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
@@ -286,7 +286,7 @@ def test_fits_record_solver_path_outside_lmap(tmp_path):
 def test_lmap_bad_magic(tmp_path):
     path = tmp_path / "m.lmap"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(BadMagic):
+    with pytest.raises(DataError, match="bad magic b'NOPE'"):
         mapfit.load_map(path)
 
 
@@ -542,7 +542,7 @@ def test_shared_fit_serves_one_set_of_rows():
     for rows in ((ix.copy(), ix), None):
         with pytest.raises(ValueError):
             mapfit.fit_ridge(x, y, 1.0, shared=shared, rows=rows)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="X has 20 rows, Y has 19"):
         mapfit.fit_ridge(x, y, 1.0, rows=(ix, ix[:-1]))
 
 
@@ -588,5 +588,5 @@ def test_mapped_mse_equals_whole_score_and_holds_row_blocks():
     head = rows[0][:7], rows[1][:7]
     assert mapfit.mapped_mse(m, x, y, head) == mapfit.latent_mse(
         mapfit.apply_map(m, x[head[0]]), y[head[1]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="3000 mapped rows of width 768 against 3000 of shape"):
         mapfit.mapped_mse(m, x, y[:, :5], rows)

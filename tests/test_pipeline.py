@@ -8,7 +8,7 @@ import pytest
 
 from latentstitch import cli, data, linalg, mapfit, pipeline, probes, synth
 from latentstitch import metrics
-from latentstitch.errors import ConfigError, InconsistentIds, IoError
+from latentstitch.errors import ConfigError, DataError
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ def test_emit_csv_byte_deterministic(tmp_path):
 
 def test_emit_csv_unwritable_path(tmp_path):
     grid = pipeline.MetricGrid(name="m", row_ids=[], col_ids=[], values=np.zeros((0, 0)))
-    with pytest.raises(IoError):
+    with pytest.raises(DataError, match="cannot write .*x.csv"):
         pipeline.emit_csv(grid, tmp_path / "missing_dir" / "x.csv")
 
 
@@ -325,8 +325,8 @@ def test_stitch_grid_decoder_of_another_pixel_width_is_a_cell_error(roster, tmp_
     for name in ("pixel_rmse", "fid"):
         assert np.isnan(result.grids[name].values[:, col]).all()
     lines = (tmp_path / "out" / "cell_errors.txt").read_text().splitlines()
-    assert [line.split(": ")[:2] for line in lines] == [
-        [f"{src}->narrow", "DimensionMismatch"] for src in cfg.model_ids()
+    assert [line.split(": ")[:3] for line in lines] == [
+        [f"{src}->narrow", "DataError", "shape mismatch"] for src in cfg.model_ids()
     ]
 
 
@@ -345,7 +345,7 @@ def test_stitch_grid_cell_failure_isolation(roster, tmp_path):
     tiny_row = mse.row_ids.index("tiny")
     assert not np.isfinite(mse.values[tiny_row]).any()
     assert np.isfinite(mse.values[:5, :5]).sum() == 25
-    assert any("tiny" in e and "InsufficientRows" in e for e in result.errors)
+    assert any(e.startswith("tiny->") and ": DataError: 'tiny' lacks " in e for e in result.errors)
     assert (tmp_path / "out" / "cell_errors.txt").is_file()
 
 
@@ -570,7 +570,7 @@ def test_dynamics_inconsistent_ids(roster, tmp_path):
     renamed = data.LatentDataset(model_id="nf", ids=[f"x{i}" for i in range(other.n)], X=other.X)
     data.write_latents(renamed, ckpts[1])
     cfg = pipeline.load_config(roster["config"])
-    with pytest.raises(InconsistentIds):
+    with pytest.raises(DataError, match="sample ids differ from the first checkpoint"):
         pipeline.run_dynamics(cfg, ckpts)
 
 
@@ -669,7 +669,7 @@ def test_stitch_grid_scores_every_cell_on_the_first_models_holdout(roster, reord
         assert data.read_latents(path).ids == expected, path.name
     copy_cells = {f"{a}->{b}" for a in cfg.model_ids() for b in cfg.model_ids() if "noiseP" in (a, b)}
     assert {e.split(":")[0] for e in result.errors} == copy_cells
-    assert all(": InsufficientRows: 'noiseP' lacks " in e for e in result.errors)
+    assert all(": DataError: 'noiseP' lacks " in e for e in result.errors)
     split = json.loads((tmp_path / "metadata.json").read_text())["split"]
     assert split == {"train": 180, "holdout": 60, "from": "orthA"}
 
@@ -688,7 +688,7 @@ def test_probe_suite_isolates_a_model_missing_split_ids(roster, reordered_copy, 
     assert len(map_errors) == 11
     assert all("noiseP" in e.split(":")[0] for e in map_errors)
     assert len(probe_errors) + len(map_errors) == len(result.errors)
-    assert all("InsufficientRows" in e for e in result.errors)
+    assert all(": DataError: 'noiseP' lacks " in e for e in result.errors)
     acc = result.accuracy_grid.values
     assert not np.isfinite(acc[result.accuracy_grid.row_ids.index("noiseP")]).any()
     assert np.isfinite(acc[:5]).all()
@@ -731,11 +731,13 @@ def test_probe_subsets_are_drawn_once_per_attribute(roster, reordered_copy, tmp_
     result = pipeline.run_probe_suite(cfg, tmp_path)
     assert sorted(calls) == ["factor_00", "factor_01", "factor_01", "factor_02", "factor_02"]
     # the error is still reported per probe, after a model's own missing-split-ids error
-    probe_errors = [e.split(": ")[:2] for e in result.errors if e.startswith("probe ")]
+    probe_errors = [e.split(": ")[:3] for e in result.errors if e.startswith("probe ")]
     assert probe_errors == (
-        [[f"probe {mid}/factor_00", "SingleClassPool"] for mid in cfg.model_ids()[:5]]
-        + [[f"probe noiseP/{a}", "InsufficientRows"] for a in ("factor_00", "factor_01", "factor_02")]
+        [[f"probe {mid}/factor_00", "DataError", "attribute 'factor_00'"] for mid in cfg.model_ids()[:5]]
+        + [[f"probe noiseP/{a}", "DataError", "'noiseP' lacks 13 of 260 split ids"]
+           for a in ("factor_00", "factor_01", "factor_02")]
     )
+    assert all(e.endswith(" positive / 0 negative") for e in result.errors if ": attribute " in e)
 
     calls.clear()
     ckpts = make_checkpoints(tmp_path, roster["world"], [50, 20, 0])
@@ -964,9 +966,11 @@ def test_fit_map_writes_stitch_grid_bytes_for_a_narrow_source(roster, wide_sourc
     assert group["cutoff"] == pytest.approx(linalg.eig_cutoff(lam), rel=1e-12)
 
 
-def test_stitch_grid_model_missing_train_ids_fails_only_its_cells(roster, wide_source, tmp_path):
+def _check_gappy_model_fails_only_its_cells(roster, wide_source, tmp_path, gone):
+    """A copy of noise without the rows `gone`, as model `gappy`, fails each of
+    its cells and leaves every other cell's map and map_fits entry as it is."""
     noise = data.read_latents(roster["dir"] / "noise.lsf")
-    keep = [i for i in range(noise.n) if i not in (3, 150)]  # two train ids gone
+    keep = [i for i in range(noise.n) if i not in gone]
     gappy = data.LatentDataset(model_id="gappy", ids=[noise.ids[i] for i in keep], X=noise.X[keep])
     data.write_latents(gappy, tmp_path / "gappy.lsf")
     without = _wide_roster_config(roster, wide_source)
@@ -977,11 +981,22 @@ def test_stitch_grid_model_missing_train_ids_fails_only_its_cells(roster, wide_s
     ids = with_gappy.model_ids()
     assert [e.split(":")[0] for e in result.errors] == [
         f"{s}->{t}" for s in ids for t in ids if "gappy" in (s, t)]
-    assert all(": InsufficientRows: 'gappy' lacks " in e for e in result.errors)
+    assert all(": DataError: 'gappy' lacks " in e for e in result.errors)
     # the other targets of each group fit exactly as without the model
     maps = sorted((tmp_path / "without" / "maps").glob("*.lmap"))
     assert len(maps) == 36
     for path in maps:
         assert path.read_bytes() == (tmp_path / "with" / "maps" / path.name).read_bytes()
+    assert not list((tmp_path / "with" / "maps").glob("*gappy*.lmap"))
     fits = json.loads((tmp_path / "with" / "metadata.json").read_text())["map_fits"]
     assert all(f["source"] != "gappy" and "gappy" not in f["targets"] for f in fits)
+
+
+def test_stitch_grid_model_missing_train_ids_fails_only_its_cells(roster, wide_source, tmp_path):
+    _check_gappy_model_fails_only_its_cells(roster, wide_source, tmp_path, gone=(3, 150))
+
+
+def test_stitch_grid_model_missing_holdout_ids_fails_only_its_cells(roster, wide_source, tmp_path):
+    # gappy's maps fit, but no cell of it maps or scores the holdout: none is
+    # written, so none may be listed as fitted
+    _check_gappy_model_fails_only_its_cells(roster, wide_source, tmp_path, gone=(205, 250))

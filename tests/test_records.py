@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentstitch import cli, data, mapfit, probes
-from latentstitch.errors import DataError, TruncatedFile
+from latentstitch.errors import DataError
 
 U32_MAX = 0xFFFFFFFF
 
@@ -43,21 +43,21 @@ def lprb_bytes(d: int, tail: bytes = b"") -> bytes:
 def test_lmap_huge_header_is_truncated_not_memory_error(tmp_path):
     path = tmp_path / "huge.lmap"
     path.write_bytes(lmap_bytes(U32_MAX, U32_MAX, b"\0" * 64))
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(DataError, match=r"expected \d+ bytes, \d+ left"):
         mapfit.load_map(path)
 
 
 def test_lprb_huge_header_is_truncated_not_memory_error(tmp_path):
     path = tmp_path / "huge.lprb"
     path.write_bytes(lprb_bytes(U32_MAX, b"\0" * 64))
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(DataError, match=r"expected \d+ bytes, \d+ left"):
         probes.load_probe(path)
 
 
 def test_lsf_huge_header_is_truncated_not_memory_error(tmp_path):
     path = tmp_path / "huge.lsf"
     path.write_bytes(lsf_bytes(1, U32_MAX, b"\0" * 64))
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(DataError, match=r"expected \d+ bytes, \d+ left"):
         data.read_latents(path)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latentstitch import data, mapfit, metrics, probes, synth
-from latentstitch.errors import BadDims, Undecodable
+from latentstitch.errors import DataError
 
 
 def world_and_images(n=300, k=4, d_pix=64, seed=3, **kwargs):
@@ -42,7 +42,7 @@ def test_gen_world_pixels_in_unit_interval():
 
 
 def test_gen_world_bad_dims():
-    with pytest.raises(BadDims):
+    with pytest.raises(DataError, match="need n >= 1, k >= 1, d_pix >= k; got n=10, k=5, d_pix=3"):
         synth.gen_world(10, 5, 3, seed=0)  # d_pix < k
 
 
@@ -54,7 +54,7 @@ def test_schedule_alpha_bar():
     # the kept signal fraction at the default noising timestep, to the last bit
     assert synth.alpha_bar(25) == 0.07858724288177824
     for t in (-1, 51):
-        with pytest.raises(BadDims):
+        with pytest.raises(DataError, match=rf"t must be in \[0, 50\], got {t}"):
             synth.alpha_bar(t)
 
 
@@ -79,7 +79,7 @@ def test_orthogonal_round_trip():
 def test_orthogonal_needs_matching_dims():
     world, img = world_and_images()
     spec = synth.SynthModelSpec(model_id="o", kind="orthogonal", d=32, seed=8)
-    with pytest.raises(BadDims):
+    with pytest.raises(DataError, match=r"o: orthogonal encoders need d == d_pix \(64\)"):
         synth.encode(spec, img)
 
 
@@ -87,7 +87,7 @@ def test_random_kind_is_undecodable():
     world, img = world_and_images()
     spec = synth.SynthModelSpec(model_id="r", kind="random", d=32, seed=9)
     lat = synth.encode(spec, img)
-    with pytest.raises(Undecodable):
+    with pytest.raises(DataError, match="r: the random encoder has no decoder"):
         synth.decode(spec, lat)
 
 
@@ -146,7 +146,7 @@ def test_emit_datasets_round_trip(tmp_path):
 def test_emit_datasets_rejects_rank_at_least_k(tmp_path):
     world, _ = world_and_images(n=20, k=3, d_pix=16)
     bad = synth.SynthModelSpec(model_id="l", kind="lossy", d=8, seed=1, rank=3, d_pix=16)
-    with pytest.raises(BadDims):
+    with pytest.raises(DataError, match="l: lossy rank must be < k=3"):
         synth.emit_datasets(world, [bad], tmp_path / "out")
     assert not (tmp_path / "out").exists()  # checked before the first write
 
