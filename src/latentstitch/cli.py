@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth-gen, fit-map, stitch-grid, train-probe, probe-suite,
-dynamics, fid, rmse. Exit codes: 0 success, 1 config error, 2 data error,
-3 numerical failure.
+dynamics, fid, rmse. Exit codes: 0 success, 1 config error (a usage error
+too), 2 data error (running out of memory too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -227,8 +227,16 @@ def _cmd_rmse(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are config errors, exit code 1; its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latentstitch",
         description="Latent-space stitching maps, attribute probes and similarity metrics.",
     )
@@ -298,14 +306,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -374,7 +374,10 @@ def _write_errors(errors: list[str], path) -> None:
         Path(path).unlink(missing_ok=True)
 
 
-def _error_text(exc: LatentStitchError) -> str:
+def _error_text(exc: LatentStitchError | MemoryError) -> str:
+    """A cell's error line; running out of memory is a data error."""
+    if isinstance(exc, MemoryError):
+        return f"DataError: out of memory: {exc}"
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -385,7 +388,7 @@ def _run_cells(fn, items, threads: int):
     def guarded(item):
         try:
             return fn(item), None
-        except LatentStitchError as exc:
+        except (LatentStitchError, MemoryError) as exc:
             return None, _error_text(exc)
 
     if threads > 1:
@@ -407,22 +410,61 @@ def fit_pair_map(src: LatentDataset, dst: LatentDataset, alpha: float,
                      rows=rows)
 
 
-def _alpha_groups(cfg: ExperimentConfig, latents: dict[str, LatentDataset], src: str,
-                  ids: list[str]) -> tuple[dict, dict, dict]:
-    """One source's targets grouped by map alpha, in config order: the groups,
-    each grouped target's rows of ids, and an error for each target that lacks
-    one of ids (it joins no group)."""
-    groups: dict[float, list[str]] = {}
-    rows: dict[str, np.ndarray] = {}
-    errors: dict[str, str] = {}
-    for dst in cfg.model_ids():
-        try:
-            rows[dst] = rows_of(latents[dst], ids)
-        except LatentStitchError as exc:
-            errors[dst] = _error_text(exc)
-            continue
-        groups.setdefault(resolve_map_alpha(cfg, src, dst), []).append(dst)
-    return groups, rows, errors
+def fit_sources(cfg: ExperimentConfig, latents: dict[str, LatentDataset], train_ids: list[str],
+                threads: int, fit_group) -> tuple[dict, dict, list]:
+    """The map step of stitch-grid and probe-suite, one source per task.
+
+    A source's targets are grouped by map alpha in config order (one lacking a
+    train id joins no group: that is its pair's error) and share one
+    mapfit.SharedFit. fit_group(src, alpha, {dst: train rows}, fit) returns a
+    (value, error) outcome per target, and an error it raises is each target's;
+    fit(Y, iy, dst) is fit_ridge of the source's train rows to Y's rows iy.
+    Returns each pair's outcome in pair order, each fitted pair's solver, and
+    map_fits: {source, alpha, targets, solver} per group with a fitted target,
+    plus the source factor's rank and cutoff for an "eigh" or "lstsq" fit."""
+    model_ids = cfg.model_ids()
+
+    def fit_row(src):
+        X, ix = latents[src].X, rows_of(latents[src], train_ids)
+        outcomes, groups = {}, {}
+        for dst in model_ids:
+            try:
+                rows = rows_of(latents[dst], train_ids)
+            except LatentStitchError as exc:
+                outcomes[dst] = None, _error_text(exc)
+                continue
+            groups.setdefault(resolve_map_alpha(cfg, src, dst), {})[dst] = rows
+        shared = SharedFit(X, rows=ix)
+        fits = []
+        for alpha, rows in groups.items():
+            how = {}  # the group's solver record; the step keeps no map
+
+            def fit(Y, iy, dst):
+                m = fit_ridge(X, Y, alpha, source_model=src, target_model=dst, shared=shared,
+                              rows=(ix, iy))
+                how["solver"] = m.solver
+                if m.solver != "cholesky":  # the dual factor's or the pseudo-inverse's
+                    kept = shared.dual or shared
+                    how.update(rank=kept.rank, cutoff=kept.cutoff)
+                return m
+
+            try:
+                group = fit_group(src, alpha, rows, fit)
+            except (LatentStitchError, MemoryError) as exc:
+                group = dict.fromkeys(rows, (None, _error_text(exc)))
+            outcomes.update(group)
+            fitted = [dst for dst, (_, err) in group.items() if err is None]
+            if fitted:
+                fits.append({"source": src, "alpha": alpha, "targets": fitted, **how})
+        return outcomes, fits
+
+    pairs, map_fits = {}, []
+    for src, (row, row_err) in zip(model_ids, _run_cells(fit_row, model_ids, threads)):
+        outcomes, fits = row if row_err is None else (dict.fromkeys(model_ids, (None, row_err)), [])
+        map_fits.extend(fits)
+        pairs.update(((src, dst), outcomes[dst]) for dst in model_ids)
+    map_solver = {f"{f['source']}->{dst}": f["solver"] for f in map_fits for dst in f["targets"]}
+    return pairs, map_solver, map_fits
 
 
 def select_attributes(table: AttributeTable, names: list[str] | None,
@@ -514,15 +556,9 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     images. Maps and mapped holdout latents are serialized per cell so every
     reported number can be recomputed offline.
 
-    Sources run as tasks, each fitting its targets one at a time. All targets
-    of one source share a mapfit.SharedFit: a source with no more train rows
-    than dimensions is factored once for every target and alpha, and a
-    singular wider source's Gram is pseudo-inverted once for its min-norm
-    maps. metadata.json lists each (source, alpha) group's solver under
-    map_fits, with the kept rank and cutoff of the source's factor for an
-    "eigh" or "lstsq" fit. Fits read the train rows of each latent set by
-    index, and each cell's map is dropped once it is written, before the
-    decoder runs."""
+    The maps come from fit_sources, which fits each source's targets one at a
+    time here; metadata.json records its map_solver and map_fits. Each cell's
+    map is dropped once it is written, before the decoder runs."""
     validate_paths(cfg)
     out = Path(out_dir)
     maps_dir = out / "maps"
@@ -552,7 +588,6 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             "pixel_rmse": math.nan,
             "fid": math.nan,
             "fid_n": None,
-            "solver": m.solver,
             "errors": [],
         }
         save_map(m, maps_dir / f"{src}__{dst}.lmap")
@@ -574,36 +609,18 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
                 result["errors"].append(_error_text(exc))
         return result
 
-    def source_row(src):
-        """One source's cells, fitted per alpha group with one SharedFit for
-        them all, and the groups' map_fits entries."""
-        X, ix = latents[src].X, rows_of(latents[src], train_ids)
-        groups, train_rows, errors = _alpha_groups(cfg, latents, src, train_ids)
-        outcomes = {dst: (None, err) for dst, err in errors.items()}
-        shared = SharedFit(X, rows=ix)
-        fits = []
-        for alpha, dsts in groups.items():
-            fitted = []
-            for dst in dsts:
-                m = None  # frees the previous target's map before this fit
-                try:
-                    m = fit_ridge(X, latents[dst].X, alpha, source_model=src, target_model=dst,
-                                  shared=shared, rows=(ix, train_rows[dst]))
-                    how = {"solver": m.solver}
-                    if m.solver != "cholesky":  # the dual factor's or the pseudo-inverse's
-                        kept = shared.dual or shared
-                        how.update(rank=kept.rank, cutoff=kept.cutoff)
-                    result, mapped_ds = write_cell(src, dst, m)
-                    fitted.append(dst)
-                    m = None  # decoding needs only the mapped holdout, not the d_out x d_in map
-                    outcomes[dst] = score_decoded(dst, mapped_ds, result), None
-                except LatentStitchError as exc:
-                    outcomes[dst] = None, _error_text(exc)
-            if fitted:
-                fits.append({"source": src, "alpha": alpha, "targets": fitted, **how})
-        return outcomes, fits
+    def fit_group(src, alpha, rows, fit):
+        """Fit, write and score the group's cells one target at a time."""
 
-    row_outcomes = _run_cells(source_row, model_ids, threads)
+        def cell(dst):
+            m = fit(latents[dst].X, rows[dst], dst)
+            result, mapped_ds = write_cell(src, dst, m)
+            m = None  # decoding needs only the mapped holdout, not the d_out x d_in map
+            return score_decoded(dst, mapped_ds, result)
+
+        return dict(zip(rows, _run_cells(cell, rows, 1)))
+
+    pairs, map_solver, map_fits = fit_sources(cfg, latents, train_ids, threads, fit_group)
 
     n = len(model_ids)
     grids = {
@@ -613,23 +630,16 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     }
     errors: list[str] = []
     fid_n: dict[str, int] = {}
-    map_solver: dict[str, str] = {}
-    map_fits: list[dict] = []
-    for i, (src, (row, row_err)) in enumerate(zip(model_ids, row_outcomes)):
-        cells, fits = row if row_err is None else ({}, [])
-        map_fits.extend(fits)
-        for j, dst in enumerate(model_ids):
-            result, err = cells[dst] if row_err is None else (None, row_err)
-            if err is not None:
-                errors.append(f"{src}->{dst}: {err}")
-                continue
-            map_solver[f"{src}->{dst}"] = result["solver"]
-            grids["latent_mse"].values[i, j] = result["latent_mse"]
-            grids["pixel_rmse"].values[i, j] = result["pixel_rmse"]
-            grids["fid"].values[i, j] = result["fid"]
-            if result["fid_n"] is not None:
-                fid_n[f"{src}->{dst}"] = result["fid_n"]
-            errors.extend(f"{src}->{dst}: {msg}" for msg in result["errors"])
+    for (src, dst), (result, err) in pairs.items():
+        if err is not None:
+            errors.append(f"{src}->{dst}: {err}")
+            continue
+        i, j = model_ids.index(src), model_ids.index(dst)
+        for name in ("latent_mse", "pixel_rmse", "fid"):
+            grids[name].values[i, j] = result[name]
+        if result["fid_n"] is not None:
+            fid_n[f"{src}->{dst}"] = result["fid_n"]
+        errors.extend(f"{src}->{dst}: {msg}" for msg in result["errors"])
 
     if cfg.lpips_path is not None:
         lpips_pairs = _read_lpips_pairs(cfg.lpips_path, model_ids)
@@ -690,8 +700,9 @@ def run_probe_suite(
     balanced holdouts, then measure cross-space prediction agreement (match
     percentage) and signed accuracy change through the stitching maps for
     every ordered model pair. Each target probe is composed with its map by
-    one fit per (source, alpha) of the source's train rows to the target
-    probes' train scores."""
+    fit_sources, with one fit per (source, alpha) of the source's train rows to
+    the target probes' train scores; metadata.json records its map_solver and
+    map_fits."""
     validate_paths(cfg, need_attributes=True)
     out = Path(out_dir)
     table = read_attribute_table(cfg.attributes_path)
@@ -740,62 +751,46 @@ def run_probe_suite(
         )
         acc_values[model_ids.index(mid), attributes.index(attr)] = acc
 
-    # Stitched probes, one fit per (source, alpha), all of a source's fits
-    # sharing one SharedFit. fit_ridge fits each output column alone with one
-    # factor of the source (dual eigh, Cholesky, or min-norm lstsq), so fitting
-    # the source's train rows to a target probe's train scores Y w gives that probe
-    # composed with the src->dst map, x -> (W^T w).x + (c.w + b), without the
-    # d_out x d_in map or any mapped holdout.
-    pair_list = [(src, dst) for src in model_ids for dst in model_ids]
+    # Stitched probes, from fit_sources: one fit per (source, alpha) group.
+    # fit_ridge fits each output column alone with one factor of the source,
+    # so fitting the source's train rows to a target probe's train scores Y w
+    # gives that probe composed with the src->dst map,
+    # x -> (W^T w).x + (c.w + b), without the d_out x d_in map or any mapped
+    # holdout.
     probe_attrs = {mid: [a for a in attributes if (mid, a) in fitted] for mid in model_ids}
     probe_weights = {  # (attributes with a probe) x d, the rows of the probe weights
         mid: np.array([fitted[(mid, a)][0].w for a in probe_attrs[mid]]).reshape(-1, latents[mid].d)
         for mid in model_ids
     }
 
-    def stitch_source(src):
-        X, ix = latents[src].X, rows_of(latents[src], split[0])
-        groups, train_rows, pair_errors = _alpha_groups(cfg, latents, src, split[0])
-        by_target: dict[tuple[str, str], Probe] = {}
-        solvers: dict[str, str] = {}
-        shared = SharedFit(X, rows=ix)
-        for alpha, dsts in groups.items():
-            Y = np.hstack([latents[dst].X[train_rows[dst]] @ probe_weights[dst].T
-                           for dst in dsts])
-            try:
-                m = fit_ridge(X, Y, alpha, shared=shared, rows=(ix, np.arange(len(ix))))
-            except LatentStitchError as exc:
-                pair_errors.update(dict.fromkeys(dsts, _error_text(exc)))
-                continue
-            solvers.update(dict.fromkeys(dsts, m.solver))
-            columns = [(dst, attr) for dst in dsts for attr in probe_attrs[dst]]
-            for (dst, attr), u, c in zip(columns, m.W, m.b):
-                probe = fitted[(dst, attr)][0]
-                by_target[(dst, attr)] = Probe(attribute=attr, model_id=src, w=u, b=c + probe.b,
-                                               alpha=probe.alpha, threshold=probe.threshold)
-        return by_target, solvers, pair_errors
+    def stitch_group(src, alpha, rows, fit):
+        """{attribute: stitched Probe} per target, from one fit of the
+        stacked train scores of the group's target probes."""
+        Y = np.hstack([latents[dst].X[iy] @ probe_weights[dst].T for dst, iy in rows.items()])
+        m = fit(Y, np.arange(len(Y)), "")
+        stitched = {dst: {} for dst in rows}
+        columns = [(dst, attr) for dst in rows for attr in probe_attrs[dst]]
+        for (dst, attr), u, c in zip(columns, m.W, m.b):
+            probe = fitted[(dst, attr)][0]
+            stitched[dst][attr] = Probe(attribute=attr, model_id=src, w=u, b=c + probe.b,
+                                        alpha=probe.alpha, threshold=probe.threshold)
+        return {dst: (by_attr, None) for dst, by_attr in stitched.items()}
 
     # match / delta per (pair, attribute), evaluated on the target's balanced
     # holdout: the native probe on the target's rows, the stitched probe on the
     # source's rows. Map errors come first, in pair order, then match errors.
-    source_outcomes = dict(zip(model_ids, _run_cells(stitch_source, model_ids, threads)))
-    pair_labels = [f"{src}->{dst}" for src, dst in pair_list]
-    match_values = np.full((len(pair_list), len(attributes)), np.nan)
-    delta_values = np.full((len(pair_list), len(attributes)), np.nan)
-    map_solver: dict[str, str] = {}
+    pairs, map_solver, map_fits = fit_sources(cfg, latents, split[0], threads, stitch_group)
+    pair_labels = [f"{src}->{dst}" for src, dst in pairs]
+    match_values = np.full((len(pairs), len(attributes)), np.nan)
+    delta_values = np.full((len(pairs), len(attributes)), np.nan)
     match_errors: list[str] = []
-    for pi, (src, dst) in enumerate(pair_list):
-        result, err = source_outcomes[src]
-        if err is None:
-            by_target, solvers, pair_errors = result
-            err = pair_errors.get(dst)
+    for pi, ((src, dst), (by_attr, err)) in enumerate(pairs.items()):
         if err is not None:
             errors.append(f"map {src}->{dst}: {err}")
             continue
-        map_solver[f"{src}->{dst}"] = solvers[dst]
         for attr in probe_attrs[dst]:
             probe, acc_native = fitted[(dst, attr)]
-            stitched, hold, ai = by_target[(dst, attr)], subsets[attr][1], attributes.index(attr)
+            stitched, hold, ai = by_attr[attr], subsets[attr][1], attributes.index(attr)
             try:
                 x_native = latents[dst].X[rows_of(latents[dst], hold.ids)]
                 x_source = latents[src].X[rows_of(latents[src], hold.ids)]
@@ -843,6 +838,7 @@ def run_probe_suite(
             for (mid, attr), (probe, _) in fitted.items()
         },
         "map_solver": map_solver,
+        "map_fits": map_fits,
         "stitched_probes": "each target probe (w, b) composed with its src->dst map: the map's "
                            "fit (same alpha and solver) run on the target probes' train scores "
                            "Y w gives (W^T w, c.w + b) on the source space, scored on the "
@@ -883,6 +879,8 @@ def run_dynamics(
         labels = [str(i) for i in range(len(paths))]
     if len(labels) != len(paths):
         raise ConfigError(f"{len(labels)} labels for {len(paths)} checkpoints")
+    if "" in labels or len(set(labels)) < len(labels):
+        raise ConfigError(f"checkpoint labels must be non-empty and distinct, got {labels}")
 
     datasets = [read_latents(p) for p in paths]
     for ds, p in zip(datasets[1:], paths[1:]):

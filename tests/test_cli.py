@@ -225,6 +225,70 @@ def test_cli_exit_code_config_error(tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stitch-grid", "--out", "x"],
+     "latentstitch stitch-grid: the following arguments are required: --config"),
+    (["fit-map", "--config", "c", "--out", "x", "--src", "a", "--dst", "b", "--alpha", "abc"],
+     "latentstitch fit-map: argument --alpha: invalid float value: 'abc'"),
+    (["nosuch"], "latentstitch: argument command: invalid choice: 'nosuch'"),
+], ids=["missing-flag", "non-numeric", "unknown-subcommand"])
+def test_cli_usage_error_is_a_config_error(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        cli.main(["stitch-grid", "-h"])
+    assert stopped.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+def test_cli_out_of_memory_is_a_data_error(tmp_path):
+    """fit-map of 10 train rows at d = 60,000 asks for a 60,000 x 60,000
+    float64 map (28.8 GB); under a 4 GiB address-space limit that request
+    fails at once, so the child allocates nothing large."""
+    rng = np.random.default_rng(2)
+    ids = [f"{i:02d}" for i in range(12)]
+    for name in ("a", "b"):
+        write_latents(LatentDataset(model_id=name, ids=ids,
+                                    X=rng.standard_normal((12, 60_000), dtype=np.float32)),
+                      tmp_path / f"{name}.lsf")
+    (tmp_path / "experiment.cfg").write_text(
+        "split.train = 10\nsplit.holdout = 2\n"
+        "model.a.latents = a.lsf\nmodel.b.latents = b.lsf\n")
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        from latentstitch import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    src = str(Path(latentstitch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "fit-map", "--config", str(tmp_path / "experiment.cfg"),
+         "--out", str(tmp_path / "fit"), "--src", "a", "--dst", "b"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=pythonpath, **one_thread),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error: out of memory: "), proc.stderr
+    assert "(60000, 60000)" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("labels", ["a,a", "a,"])
+def test_cli_dynamics_rejects_empty_or_repeated_labels(generated, tmp_path, capsys, labels):
+    ckpts = [str(generated / "noise.lsf"), str(generated / "noise.lsf")]
+    assert cli.main(["dynamics", "--config", str(generated / "experiment.cfg"),
+                     "--out", str(tmp_path / "dyn"), "--checkpoints", *ckpts,
+                     "--labels", labels]) == 1
+    assert "config error: checkpoint labels must be non-empty and distinct" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "dyn" / "dynamics.csv").exists()
+
+
 def test_cli_exit_code_data_error(tmp_path):
     bad = tmp_path / "bad.lsf"
     bad.write_bytes(b"not an lsf file at all")

@@ -930,9 +930,8 @@ def test_each_narrow_source_is_factored_once(monkeypatch, roster, wide_source, t
     run = {"stitch-grid": pipeline.run_stitch_grid, "probe-suite": pipeline.run_probe_suite}
     assert run[command](cfg, tmp_path).errors == []
     assert factored == [(200, 240)]  # wide, the one source with n <= d
-    if command == "stitch-grid":
-        fits = json.loads((tmp_path / "metadata.json").read_text())["map_fits"]
-        assert [f["alpha"] for f in fits if f["source"] == "wide"] == [0.0, 10.0, 3.0]
+    fits = json.loads((tmp_path / "metadata.json").read_text())["map_fits"]
+    assert [f["alpha"] for f in fits if f["source"] == "wide"] == [0.0, 10.0, 3.0]
 
 
 @pytest.mark.parametrize("dst, alpha", [("orthA", 0.0), ("orthB", 10.0)])
@@ -964,6 +963,43 @@ def test_fit_map_writes_stitch_grid_bytes_for_a_narrow_source(roster, wide_sourc
     (group,) = [f for f in fits if f["source"] == "flat"]
     assert (group["solver"], group["rank"]) == ("lstsq", (lam > linalg.eig_cutoff(lam)).sum())
     assert group["cutoff"] == pytest.approx(linalg.eig_cutoff(lam), rel=1e-12)
+
+
+def test_probe_suite_map_fits_equal_stitch_grid_map_fits(roster, wide_source, singular_source,
+                                                        tmp_path):
+    # both commands take their maps from one step, so they record the same
+    # fits: wide's eigh groups at three alphas, the full-rank sources'
+    # cholesky groups and flat's lstsq group, with rank and cutoff
+    cfg = _wide_roster_config(roster, wide_source, singular_source + THREE_WIDE_GROUPS)
+    assert pipeline.run_stitch_grid(cfg, tmp_path / "grid").errors == []
+    assert pipeline.run_probe_suite(cfg, tmp_path / "suite").errors == []
+    grid, suite = (json.loads((tmp_path / command / "metadata.json").read_text())
+                   for command in ("grid", "suite"))
+    assert [f["solver"] for f in grid["map_fits"]] == ["cholesky"] * 5 + ["eigh"] * 3 + ["lstsq"]
+    assert all("rank" in f and "cutoff" in f for f in grid["map_fits"] if f["solver"] != "cholesky")
+    assert suite["map_fits"] == grid["map_fits"]
+    assert suite["map_solver"] == grid["map_solver"]
+
+
+@pytest.mark.parametrize("command, cell", [("stitch-grid", "wide->orthB"),
+                                           ("probe-suite", "map wide->orthB")])
+def test_out_of_memory_fails_only_its_pairs(monkeypatch, roster, wide_source, tmp_path,
+                                            command, cell):
+    # wide's alpha = 10 group holds orthB alone; its fit runs out of memory
+    cfg = _wide_roster_config(roster, wide_source, THREE_WIDE_GROUPS)
+    original = pipeline.fit_ridge
+
+    def starved(X, Y, alpha, **kwargs):
+        if kwargs["source_model"] == "wide" and alpha == 10.0:
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return original(X, Y, alpha, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_ridge", starved)
+    run = {"stitch-grid": pipeline.run_stitch_grid, "probe-suite": pipeline.run_probe_suite}
+    result = run[command](cfg, tmp_path)
+    assert result.errors == [f"{cell}: DataError: out of memory: Unable to allocate 1.00 TiB"]
+    fits = json.loads((tmp_path / "metadata.json").read_text())["map_fits"]
+    assert [f["alpha"] for f in fits if f["source"] == "wide"] == [0.0, 3.0]
 
 
 def _check_gappy_model_fails_only_its_cells(roster, wide_source, tmp_path, gone):
