@@ -178,7 +178,7 @@ def _cmd_train_probe(args) -> int:
     alpha = args.alpha if args.alpha is not None else resolve_probe_alpha(cfg, args.model)
     split = split_ids(ds, cfg.split)
     subsets = draw_subsets(table, args.attribute, split, cfg.seed)
-    probe, acc = train_probe(ds, split, subsets, args.attribute, alpha, args.model,
+    probe, acc = train_probe(ds, subsets, args.attribute, alpha, args.model,
                              standardize=args.standardize, tol=args.tol, max_iter=args.max_iter)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.model}__{args.attribute}.lprb"

@@ -217,7 +217,7 @@ def _write_lsf(
             f.write(struct.pack("<HHH", *image_shape))
         for sid in ids:
             write_str(f, sid)
-        f.write(values.tobytes())
+        values.tofile(f)
 
 
 def _read_lsf(path):

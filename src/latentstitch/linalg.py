@@ -1,12 +1,14 @@
-"""Dense symmetric linear-algebra kernels: SPD solves, symmetric
-eigendecomposition, PSD matrix square roots, covariance factors and nuclear
-norms, on NumPy alone. An SPD solve substitutes on the Cholesky factor it
-checks with, by block matrix products, as NumPy has no triangular solve.
+"""Dense symmetric linear-algebra kernels: centered Grams, SPD solves,
+symmetric eigendecomposition, PSD matrix square roots, covariance factors and
+nuclear norms, on NumPy alone. An SPD solve factors its matrix in place and
+substitutes on that factor by block matrix products, as NumPy has no
+triangular solve.
 
-All routines compute in float64 regardless of input dtype and are pure
-functions of their inputs. Symmetric inputs are not checked: callers pass
-Grams (A^T A, A A^T), which matmul returns exactly symmetric, and LAPACK
-reads the lower triangle only. Failures surface as NotSPD or NumericalError
+All routines compute in float64 regardless of input dtype. Symmetric inputs
+are not checked: callers pass Grams (centered_products', or A^T A and A A^T,
+which matmul returns exactly symmetric), and the factorizations read the
+lower triangle only. spd_solve overwrites its arguments; the others are pure
+functions of their inputs. Failures surface as NotSPD or NumericalError
 instead of raw LAPACK errors, so callers can react (mapfit falls back to
 least squares on NotSPD).
 """
@@ -24,6 +26,25 @@ from .errors import DataError, NotSPD, NumericalError
 # matrix product. 128 measured: on one BLAS thread, 64 and 256 were no faster
 # at d = 512 and 2048. d <= 128 is one block.
 SOLVE_BLOCK = 128
+
+#: Column panels of spd_solve's factorization and of centered_products'
+#: sums, a multiple of SOLVE_BLOCK. A d <= PANEL Gram is factored by one
+#: LAPACK call and summed by one product per row block, as whole-matrix code
+#: would. Measured on one BLAS thread, at offline-score's normal equations
+#: (5,000 rows, d = k = 2048): 2.2 s with 128-column panels and 256-row
+#: blocks, 1.3 s with 512 and blocks of ROW_BLOCK_ENTRIES (a float64 copy of
+#: the rows and two whole products took 1.1 s). A narrow panel makes each
+#: product re-pack its wide left operand.
+PANEL = 512
+
+#: centered_products centers X in float64 blocks of rows of about this many
+#: entries.
+ROW_BLOCK_ENTRIES = 1 << 20
+
+#: Y is centered in float64 column blocks (of a block's rows, by
+#: centered_products) of about this many bytes, each a multiple of 256
+#: columns wide, so that a blocked product keeps the bytes of the whole one.
+Y_BLOCK_BYTES = 4 << 20
 
 # Eigenvalues of a nominally-PSD matrix may be negative up to this fraction
 # of the largest eigenvalue; such values are clamped to zero, anything more
@@ -51,49 +72,150 @@ def _as_square(a, name: str) -> np.ndarray:
     return a
 
 
-def _substitute(low: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite x (d rows, a vector or k columns) with the solution of
-    L L^T X = x for the lower-triangular d x d L ``low``: forward, then back
-    substitution over row blocks of SOLVE_BLOCK rows. Each diagonal block is
-    applied through its inverse and each off-diagonal update is one matrix
-    product, the level-3 scheme of Du Croz & Higham (1992, IMA J. Numer.
-    Anal. 12:1-19), so the work runs at matrix-product speed."""
-    d = low.shape[0]
-    starts = range(0, d, SOLVE_BLOCK)
-    inverses = []
-    for i in starts:
-        e = min(i + SOLVE_BLOCK, d)
-        inverses.append(np.linalg.inv(low[i:e, i:e]))
+def _rows(A, rows, blk: slice, cols: slice = slice(None)) -> np.ndarray:
+    """A[rows[blk], cols], or A[blk, cols] when rows is None."""
+    return A[blk, cols] if rows is None else A[rows[blk], cols]
+
+
+def _panels(width: int, size: int = PANEL) -> list[tuple[int, int]]:
+    return [(j, min(j + size, width)) for j in range(0, width, size)]
+
+
+def y_block_width(n: int) -> int:
+    """Columns of a float64 block of n rows of Y: about Y_BLOCK_BYTES, and a
+    multiple of 256."""
+    return max(1, Y_BLOCK_BYTES // (8 * n * 256)) * 256
+
+
+def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
+    """(x_mean, Xc^T Xc, y_mean, Xc^T Yc) of the float64 values of X's rows
+    ``rows`` and Y's rows ``y_rows`` (index arrays paired in order; all rows
+    when None), where Xc and Yc are those rows minus their column means. The
+    Gram is None when ``gram`` is False, and y_mean and Xc^T Yc are None
+    without Y.
+
+    Two passes over blocks of ROW_BLOCK_ENTRIES // d rows: the first sums
+    the means; the second centers each block of X in float64 and adds its
+    products one column panel at a time, Xc^T Yc in panels of Y's columns
+    (y_block_width of the block's rows, at most PANEL, read from Y panel by
+    panel) and then the Gram's lower triangle in panels of PANEL columns. A
+    Y of no columns gives a d x 0 Xc^T Yc. So no float64 copy
+    of a whole set exists, and the temporaries are one row block of X, one
+    panel of Y and one product of at most d x PANEL: past d = PANEL none is
+    d x d. For at most ROW_BLOCK_ENTRIES // d rows and d <= PANEL the
+    products are those of whole-copy code, one call each. The Gram's
+    diagonal blocks are symmetric products and its upper triangle is
+    mirrored from the lower one, so it is exactly symmetric.
+    """
+    X = np.asarray(X)
+    n = X.shape[0] if rows is None else len(rows)
+    d = X.shape[1]
+    step = max(1, ROW_BLOCK_ENTRIES // d)
+    blocks = [slice(s, s + step) for s in range(0, n, step)]
+    x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
+    g = y_mean = cross = None
+    if Y is not None:
+        y_width = min(PANEL, y_block_width(min(step, n)))
+        y_mean = np.empty(Y.shape[1])
+        for j, e in _panels(Y.shape[1], y_width):
+            y_mean[j:e] = sum(_rows(Y, y_rows, blk, slice(j, e)).sum(axis=0, dtype=np.float64)
+                              for blk in blocks) / n
+        cross = np.zeros((d, Y.shape[1]))
+    for blk in blocks:
+        xb = np.subtract(_rows(X, rows, blk), x_mean, dtype=np.float64)
+        if cross is not None:
+            for j, e in _panels(Y.shape[1], y_width):
+                yb = np.subtract(_rows(Y, y_rows, blk, slice(j, e)), y_mean[j:e],
+                                 dtype=np.float64)
+                cross[:, j:e] += xb.T @ yb
+            yb = None  # also when Y has no columns
+        if gram:
+            if g is None:  # made once the first block's Y panels are freed
+                g = np.zeros((d, d))
+            for j, e in _panels(d):
+                g[j:e, j:e] += xb[:, j:e].T @ xb[:, j:e]
+                g[e:, j:e] += xb[:, e:].T @ xb[:, j:e]
+        del xb
+    if g is not None:
+        for j, e in _panels(d):
+            g[j:e, e:] = g[e:, j:e].T
+    return x_mean, g, y_mean, cross
+
+
+def _forward(low: np.ndarray, inverses: list[np.ndarray], x: np.ndarray) -> None:
+    """Overwrite x (as many rows as the lower-triangular ``low``) with
+    L^-1 x, by forward substitution over row blocks of SOLVE_BLOCK rows,
+    given the inverses of L's diagonal blocks. Each block is applied through
+    its inverse and each off-diagonal update is one matrix product, the
+    level-3 scheme of Du Croz & Higham (1992, IMA J. Numer. Anal. 12:1-19),
+    so the work runs at matrix-product speed."""
+    for i, inv in zip(range(0, len(low), SOLVE_BLOCK), inverses):
+        e = min(i + SOLVE_BLOCK, len(low))
         if i:
             x[i:e] -= low[i:e, :i] @ x[:i]
-        x[i:e] = inverses[-1] @ x[i:e]
-    for i, inv in zip(reversed(starts), reversed(inverses)):
+        x[i:e] = inv @ x[i:e]
+
+
+def _backward(low: np.ndarray, inverses: list[np.ndarray], x: np.ndarray) -> None:
+    """Overwrite x with L^-T x, the back substitution matching _forward."""
+    d = len(low)
+    for i, inv in zip(reversed(range(0, d, SOLVE_BLOCK)), reversed(inverses)):
         e = min(i + SOLVE_BLOCK, d)
         if e < d:
             x[i:e] -= low[e:, i:e].T @ x[e:]
         x[i:e] = inv.T @ x[i:e]
 
 
-def spd_solve(a, b) -> np.ndarray:
-    """Solve ``A @ X = B`` for symmetric positive-definite A (lower triangle read).
+def _factor(a: np.ndarray) -> list[np.ndarray]:
+    """Overwrite the lower triangle of a with the Cholesky factor L of the
+    SPD matrix whose lower triangle it holds (A = L L^T), and return the
+    inverses of L's SOLVE_BLOCK diagonal blocks; raises NotSPD on a
+    non-positive pivot.
 
-    A Cholesky factorization A = L L^T raises NotSPD on a non-positive pivot
-    (the signal to regularize or fall back to least squares); block forward
-    and back substitution on L then solves. The solve holds L and one float64
-    copy of B, which becomes X.
+    Left-looking over column panels of PANEL columns: one product with the
+    columns already factored updates a panel, np.linalg.cholesky factors
+    its diagonal block, and forward substitution on that block gives the
+    rows below it. Every temporary is at most d x PANEL. The upper triangle
+    outside the diagonal blocks is left as it was."""
+    d = a.shape[0]
+    inverses = []
+    for j, e in _panels(d):
+        if j:
+            a[j:, j:e] -= a[j:, :j] @ a[j:e, :j].T
+        try:
+            a[j:e, j:e] = np.linalg.cholesky(a[j:e, j:e])
+        except np.linalg.LinAlgError as exc:
+            raise NotSPD(str(exc)) from exc
+        block = [np.linalg.inv(a[i:i + SOLVE_BLOCK, i:i + SOLVE_BLOCK])
+                 for i in range(j, e, SOLVE_BLOCK)]
+        if e < d:
+            _forward(a[j:e, j:e], block, a[e:, j:e].T)
+        inverses += block
+    return inverses
+
+
+def spd_solve(a, b) -> np.ndarray:
+    """Solve ``A @ X = B`` for symmetric positive-definite A (lower triangle
+    read), in place: A's lower triangle is overwritten with its Cholesky
+    factor L, and B with X, which is returned. An A or B that is not a
+    float64 array is converted first, and the conversion is what gets
+    overwritten.
+
+    The blocked factorization raises NotSPD on a non-positive pivot (the
+    signal to regularize or fall back to least squares) before B is touched;
+    block forward and back substitution on L then solve. Nothing the size
+    of A or B is allocated: past d = PANEL every temporary is at most one
+    panel, d x PANEL or SOLVE_BLOCK rows of B. A d <= PANEL matrix is
+    factored by one LAPACK call, as np.linalg.cholesky would.
     """
     a = _as_square(a, "A")
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != a.shape[0]:
         raise DataError(f"A is {a.shape[0]}x{a.shape[0]} but B has {b.shape[0]} rows")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD(str(exc)) from exc
-    # B is copied only now: np.linalg.cholesky holds a working copy of A next to L
-    x = b.copy()
-    _substitute(low, x)
-    return x
+    inverses = _factor(a)
+    _forward(a, inverses, b)
+    _backward(a, inverses, b)
+    return b
 
 
 def sym_eig(s, vectors: bool = True) -> SymEig:

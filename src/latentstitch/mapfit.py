@@ -14,7 +14,9 @@ pseudo-inverse. Both min-norm fits drop the Gram eigenvalues at or below
 linalg.eig_cutoff. A SharedFit lets the fits of many targets on one source
 share the dual factor or the pseudo-inverse.
 Fits and scores read their rows by index (``rows=``), so neither makes a
-gathered copy of a latent set.
+gathered copy of a latent set. An n > d fit makes no float64 copy of one
+either: linalg.centered_products accumulates its normal equations from row
+blocks, and linalg.spd_solve solves them in place.
 """
 
 from __future__ import annotations
@@ -84,12 +86,6 @@ DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
 }
 
 
-#: Y is centered in float64 column blocks of about this many bytes, each a
-#: multiple of 256 columns wide so that a blocked product keeps the bytes of
-#: the whole one.
-Y_BLOCK_BYTES = 4 << 20
-
-
 def _centered_rows(A, rows) -> tuple[np.ndarray, np.ndarray]:
     """A float64 copy of A's rows ``rows``, minus its column means, and those
     means. The copy is filled one block of about 2^20 entries at a time, so no
@@ -106,9 +102,9 @@ def _centered_rows(A, rows) -> tuple[np.ndarray, np.ndarray]:
 
 def _centered_blocks(Y: np.ndarray, rows: np.ndarray, y_mean: np.ndarray):
     """(column slice, float64 block of Y's rows ``rows`` minus its column
-    means) over Y's columns; each block's means are written into y_mean."""
-    n = len(rows)
-    step = max(1, Y_BLOCK_BYTES // (8 * n * 256)) * 256
+    means) over Y's columns, blocks of linalg.y_block_width columns; each
+    block's means are written into y_mean."""
+    step = linalg.y_block_width(len(rows))
     for j in range(0, Y.shape[1], step):
         cols = slice(j, min(j + step, Y.shape[1]))
         block = np.ascontiguousarray(Y[rows, cols], dtype=np.float64)
@@ -180,9 +176,8 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
     if len(ix) != len(iy) or len(ix) < 1:
         raise DataError(f"X has {len(ix)} rows, Y has {len(iy)}")
     (n, d), k = (len(ix), X.shape[1]), Y.shape[1]
-    y_mean = np.empty(k)  # Y's column means, written by _centered_blocks
 
-    def affine(W, x_mean, solver):
+    def affine(W, x_mean, y_mean, solver):
         return LinearMap(source_model=source_model, target_model=target_model, W=W,
                          b=y_mean - W @ x_mean, alpha=alpha, solver=solver)
 
@@ -193,38 +188,38 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         # alpha = 0 keeps the nonzero eigenvalues only: the last rank of them
         first = 0 if alpha > 0 else n - f.rank
         U, P, scale = f.U[:, first:], f.P[:, first:], 1.0 / (f.lam[first:] + alpha)
-        W = np.empty((k, d))
+        W, y_mean = np.empty((k, d)), np.empty(k)
         for cols, block in _centered_blocks(Y, iy, y_mean):
             g = U.T @ block
             g *= scale[:, None]
             np.matmul(g.T, P.T, out=W[cols])
-        return affine(W, f.x_mean, "eigh")
+        return affine(W, f.x_mean, y_mean, "eigh")
 
-    # The centered float64 design is the one whole-set copy held at a time: it
-    # is freed once the Gram and Xc^T Yc exist, before the solve adds the
-    # Gram's Cholesky factor and a copy of Xc^T Yc.
-    Xc, x_mean = _centered_rows(X, ix)
-    rhs = np.empty((d, k))
-    for cols, block in _centered_blocks(Y, iy, y_mean):
-        rhs[:, cols] = Xc.T @ block
-    gram = Xc.T @ Xc if alpha > 0 or shared.pinv is None else None
-    del Xc
+    # The normal equations are accumulated from row blocks of X and Y, and
+    # the solve overwrites the Gram with its factor and Xc^T Yc with W^T.
+    x_mean, gram, y_mean, rhs = linalg.centered_products(
+        X, ix, Y, iy, gram=alpha > 0 or shared.pinv is None)
     if gram is not None:
         gram[np.diag_indices_from(gram)] += alpha
         try:
-            wt = linalg.spd_solve(gram, rhs)
+            linalg.spd_solve(gram, rhs)
         except NotSPD:
             if alpha > 0:
                 raise
-            # rcond=None drops the Gram's singular values at or below
-            # d eps max(s), linalg.eig_cutoff: the dual factor's rank rule
-            shared.pinv, _, rank, s = np.linalg.lstsq(gram, np.eye(d), rcond=None)
-            shared.rank, shared.cutoff = int(rank), linalg.eig_cutoff(s[::-1])
         else:
-            return affine(np.ascontiguousarray(wt.T), x_mean, "cholesky")
+            del gram  # the factor goes before W is copied out of W^T
+            return affine(np.ascontiguousarray(rhs.T), x_mean, y_mean, "cholesky")
+        # The failed factor overwrote the Gram: rebuild it, outside the except
+        # block, whose traceback would keep the factor alive. rcond=None drops
+        # its singular values at or below d eps max(s), linalg.eig_cutoff: the
+        # dual factor's rank rule.
+        del gram
+        gram = linalg.centered_products(X, ix)[1]
+        shared.pinv, _, rank, s = np.linalg.lstsq(gram, np.eye(d), rcond=None)
+        shared.rank, shared.cutoff = int(rank), linalg.eig_cutoff(s[::-1])
         del gram
     # the min-norm fit, W^T = pinv(Xc^T Xc) Xc^T Yc
-    return affine(rhs.T @ shared.pinv.T, x_mean, "lstsq")
+    return affine(rhs.T @ shared.pinv.T, x_mean, y_mean, "lstsq")
 
 
 def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "",
@@ -253,9 +248,14 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     With ``shared`` the Cholesky attempt and the pseudo-inverse are made once
     per source. Every map equals its fit without ``shared`` to the byte.
 
-    Memory: the centered float64 design is the one whole-set copy of X a fit
-    holds, freed before the solve. Every path reads Y in float64 column
-    blocks.
+    Memory: an n > d fit holds no copy of X or Y. Its Gram and Xc^T Yc are
+    accumulated from float64 row blocks by linalg.centered_products, and the
+    solve overwrites them with the Cholesky factor and W^T. W is copied out
+    of W^T once the factor is freed, so the fit holds two of the d x d Gram,
+    the d x k Xc^T Yc and W at a time, never three. The min-norm fallback
+    rebuilds the Gram the failed factor overwrote, then holds its
+    pseudo-inverse. An n <= d fit holds the centered float64 design and its
+    dual factor, and reads Y in float64 column blocks.
     """
     return _fit_affine(X, Y, float(alpha), source_model, target_model, shared, rows)
 
@@ -307,8 +307,8 @@ def save_map(m: LinearMap, path) -> None:
         write_str(f, m.source_model)
         write_str(f, m.target_model)
         f.write(struct.pack("<dII", m.alpha, m.d_in, m.d_out))
-        f.write(m.b.astype("<f8").tobytes())
-        f.write(np.ascontiguousarray(m.W, dtype="<f8").tobytes())
+        np.ascontiguousarray(m.b, dtype="<f8").tofile(f)
+        np.ascontiguousarray(m.W, dtype="<f8").tofile(f)
 
 
 def load_map(path) -> LinearMap:

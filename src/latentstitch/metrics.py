@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import take
 from .errors import DataError, NumericalError
-from .linalg import cov_factor, nuclear_norm
+from .linalg import centered_products, cov_factor, nuclear_norm
 
 #: Results above this negative floor are treated as numerical zero.
 NEGATIVE_FLOOR = -1e-6
@@ -103,26 +103,26 @@ def pixel_rmse(a, b, rows=None) -> float:
 
 def summarize(features) -> GaussianSummary:
     """Column means and unbiased (n-1 divisor) covariance factor of a feature
-    set. One float64 copy of the samples is taken and centered in place, so
-    the input is left unchanged. With fewer samples than dimensions the
-    scaled centered rows (n x d) are the factor; otherwise the covariance
-    (d x d), a Gram that matmul returns exactly symmetric, is factored by
-    linalg.cov_factor (Cholesky, else the PSD square root; NumericalError if
-    indefinite).
+    set; the input is left unchanged. With fewer samples than dimensions the
+    scaled centered rows (n x d), a float64 copy of the samples, are the
+    factor. Otherwise the covariance (d x d) is accumulated from row blocks
+    by linalg.centered_products, so no copy of the samples is made, and its
+    factor is linalg.cov_factor's (Cholesky, else the PSD square root;
+    NumericalError if indefinite).
     """
-    f = np.array(features, dtype=np.float64)
+    f = np.asarray(features)
     if f.ndim != 2:
         raise DataError(f"features must be 2-D, got shape {f.shape}")
     n, d = f.shape
     if n < 2:
         raise DataError(f"need at least 2 samples for a covariance, got {n}")
-    mu = f.mean(axis=0)
-    f -= mu
     if n < d:
+        f = np.array(f, dtype=np.float64)
+        mu = f.mean(axis=0)
+        f -= mu
         f /= np.sqrt(n - 1)
         return GaussianSummary(mu=mu, factor=f, n=n)
-    sigma = f.T @ f
-    del f  # the copy goes before sigma is factored
+    mu, sigma, _, _ = centered_products(f)
     sigma /= n - 1
     return GaussianSummary(mu=mu, factor=cov_factor(sigma), n=n)
 

@@ -491,7 +491,6 @@ def draw_subsets(table: AttributeTable, attribute: str, split: tuple[list[str], 
 
 def train_probe(
     ds: LatentDataset,
-    split: tuple[list[str], list[str]],
     subsets: tuple[BalancedSubset, BalancedSubset] | LatentStitchError,
     attribute: str,
     alpha: float,
@@ -501,8 +500,8 @@ def train_probe(
     max_iter: int = 10000,
 ) -> tuple[Probe, float]:
     """Fit a lasso probe on an attribute's balanced train subset; return it and its
-    holdout accuracy. A failed draw, passed as its error, is raised after ds's split check."""
-    rows_of(ds, split[0] + split[1])
+    holdout accuracy. ``subsets`` may be the error that stands in for the draw
+    (a failed draw, or ds lacking split ids), which is raised."""
     if isinstance(subsets, LatentStitchError):
         raise subsets
     train, hold = subsets
@@ -722,11 +721,19 @@ def run_probe_suite(
             subsets[attr] = draw_subsets(table, attr, split, cfg.seed)
         except LatentStitchError as exc:
             subsets[attr] = exc
+    # each model's split ids are checked once; a model lacking some fails
+    # every probe of its row with that error
+    lacks: dict[str, LatentStitchError | None] = dict.fromkeys(model_ids)
+    for mid in model_ids:
+        try:
+            rows_of(latents[mid], split[0] + split[1])
+        except LatentStitchError as exc:
+            lacks[mid] = exc
     probe_tasks = [(mid, attr) for mid in model_ids for attr in attributes]
 
     def train_one(task):
         mid, attr = task
-        return train_probe(latents[mid], split, subsets[attr], attr, alphas[mid], mid,
+        return train_probe(latents[mid], lacks[mid] or subsets[attr], attr, alphas[mid], mid,
                            standardize=standardize)
 
     outcomes = _run_cells(train_one, probe_tasks, threads)
@@ -892,9 +899,10 @@ def run_dynamics(
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in spaces}
     subsets = {attr: draw_subsets(table, attr, split, cfg.seed) for attr in attributes}
     acc = np.full((len(attributes), len(datasets)), np.nan)
+    # every checkpoint holds the first one's ids, so holds every split id
     for ci, ds in enumerate(datasets):
         for ai, attr in enumerate(attributes):
-            _, acc[ai, ci] = train_probe(ds, split, subsets[attr], attr, alphas[ds.model_id],
+            _, acc[ai, ci] = train_probe(ds, subsets[attr], attr, alphas[ds.model_id],
                                          ds.model_id, standardize=standardize)
 
     plateaus = [plateau_index(acc[ai], cfg.plateau_eps) for ai in range(len(attributes))]

@@ -327,7 +327,7 @@ def save_probe(probe: Probe, path) -> None:
         write_str(f, probe.model_id)
         f.write(struct.pack("<ddI", probe.alpha, probe.threshold, probe.d))
         f.write(struct.pack("<d", probe.b))
-        f.write(probe.w.astype("<f8").tobytes())
+        np.ascontiguousarray(probe.w, dtype="<f8").tofile(f)
 
 
 def load_probe(path) -> Probe:

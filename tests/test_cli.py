@@ -385,11 +385,13 @@ def test_fit_map_resident_memory(tmp_path):
     """fit-map's peak resident growth over its post-import baseline.
 
     Two 6,000 x 1,024 float32 sets with split 5,500/500 and one BLAS thread
-    hold, in MB: both sets as read 49.2, the float64 centered train rows 45.1,
-    and about five d x d float64 arrays at 8.4 each (Gram, Cholesky factor,
-    XcT Yc, W and a solve's working copy): about 136 MB. The bound adds 10 MB,
-    so a gathered copy of the train rows (+22.5 MB as float32, +45 MB as
-    float64) fails it; one more or one fewer 8.4 MB d x d array would not.
+    hold, in MB: both sets as read 49.2, and while the normal equations
+    accumulate, the Gram and XcT Yc at 8.4 each, a float64 row block of the
+    source 8.4, a panel of the target's rows 6.3 with its float32 gather, and
+    one product 4.2: 84.9, 88.6 measured. The solve overwrites the Gram with
+    its factor and XcT Yc with the solution. The bound adds 10 MB, so a copy
+    of the train rows (+22.5 MB as float32, +45 MB as float64) fails it; one
+    more 8.4 MB d x d array would not.
     """
     rng = np.random.default_rng(21)
     ids = [f"{i:06d}" for i in range(6000)]
@@ -403,19 +405,20 @@ def test_fit_map_resident_memory(tmp_path):
     growth_mb = _resident_growth_mb(
         "fit-map", "--config", str(tmp_path / "experiment.cfg"), "--out", str(tmp_path / "fit"),
         "--src", "a", "--dst", "b", "--alpha", "0")
-    assert growth_mb <= 136 + 10
+    assert growth_mb <= 89 + 10
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_fid_resident_memory(tmp_path):
     """fid's peak resident growth over its post-import baseline.
 
-    Two 6,000 x 1,024 float32 sets with one BLAS thread peak while the
-    second set's Gram forms, holding, in MB: that set as read 24.6, its
-    float64 copy 49.2, and two d x d float64 arrays at 8.4 each (the first
-    summary's factor and the Gram): 90.6, 91.0 measured. Sigma and its factor
-    come after the copy is freed. The bound adds 10 MB, so reading both sets
-    before summarizing either (+24.6 MB, 114.7 measured) fails it.
+    Two 6,000 x 1,024 float32 sets with one BLAS thread. No summary copies
+    its samples: Sigma is accumulated from row blocks. The peak comes while
+    the second summary's Sigma is factored, holding, in MB: that set as read
+    24.6, the first summary's factor 8.4, Sigma 8.4, and np.linalg.cholesky's
+    working copy and factor 16.8: 58.2, 61.0 measured. The bound adds 10 MB,
+    so reading both sets before summarizing either (+24.6 MB) or a float64
+    copy of a set (+49.2 MB) fails it.
     """
     rng = np.random.default_rng(22)
     ids = [f"{i:06d}" for i in range(6000)]
@@ -424,7 +427,7 @@ def test_fid_resident_memory(tmp_path):
         X = rng.standard_normal((6000, 1024), dtype=np.float32)
         write_latents(LatentDataset(model_id=name, ids=ids, X=X), tmp_path / f"{name}.lsf")
         paths.append(str(tmp_path / f"{name}.lsf"))
-    assert _resident_growth_mb("fid", *paths) <= 91 + 10
+    assert _resident_growth_mb("fid", *paths) <= 61 + 10
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

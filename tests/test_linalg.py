@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentstitch import linalg
+from latentstitch import linalg, metrics
 from latentstitch.errors import NotSPD, NumericalError
 
 
 def test_spd_solve_identity():
     b = np.arange(6.0).reshape(3, 2)
-    x = linalg.spd_solve(np.eye(3), b)
+    x = linalg.spd_solve(np.eye(3), b.copy())
     np.testing.assert_allclose(x, b, atol=1e-14)
 
 
@@ -26,7 +26,7 @@ def test_spd_solve_random_residual_oracle():
     m = rng.standard_normal((8, 8))
     a = m.T @ m + np.eye(8)
     b = rng.standard_normal((8, 3))
-    x = linalg.spd_solve(a, b)
+    x = linalg.spd_solve(a.copy(), b.copy())
     residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert residual <= 1e-8
 
@@ -50,40 +50,149 @@ def test_spd_solve_matches_lu_solve(d, k):
     a = m.T @ m / (3 * d) + np.eye(d)  # condition number below 10
     cols = {None: None, 1: 1, "d/2": max(1, d // 2), "d": d, "3d": 3 * d}[k]
     b = rng.standard_normal(d if cols is None else (d, cols))
-    b_before = b.copy()
-    x = linalg.spd_solve(a, b)
     expected = np.linalg.solve(a, b)
+    low = np.linalg.cholesky(a)
+    x = linalg.spd_solve(a, b)
     assert x.shape == expected.shape and x.dtype == np.float64
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert b.tobytes() == b_before.tobytes()
+    # in place: B holds X, and A's lower triangle holds its Cholesky factor
+    assert x is b
+    assert np.abs(np.tril(a) - low).max() <= 1e-13 * np.abs(low).max()
 
 
-def test_spd_solve_holds_its_factor_and_one_copy_of_b(monkeypatch):
+def test_spd_solve_holds_no_copy():
+    # the factor overwrites A and the substitution B. At d = 2048 the largest
+    # temporary is one (d - PANEL) x PANEL panel update, 6 MiB, next to the
+    # 2 MiB of the diagonal blocks' inverses: 6.6 MiB measured, against
+    # 32 MiB for A, B or a copy of either
     d = 2048
     rng = np.random.default_rng(5)
     m = rng.standard_normal((d + 64, d))
     a = m.T @ m
     b = rng.standard_normal((d, d))
     del m
-    # np.linalg.cholesky's working copy of A is not traced, so the copy of B
-    # must not exist yet when it runs
-    traced_at_factor = []
-    cholesky = np.linalg.cholesky
-
-    def traced_cholesky(s):
-        traced_at_factor.append(tracemalloc.get_traced_memory()[0])
-        return cholesky(s)
-
-    monkeypatch.setattr(np.linalg, "cholesky", traced_cholesky)
     tracemalloc.start()
     try:
         linalg.spd_solve(a, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # L and X are 32 MB each; LU would add a copy of A
-    assert peak < 2.2 * 8 * d * d
-    assert traced_at_factor[0] < 2**20
+    assert peak < 8 * d * d / 4
+
+
+def _cholesky_solve(a, b):
+    low = np.linalg.cholesky(a)
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
+
+
+# d <= 512 is one factor panel, 513 two and 1100 three; the substitution
+# splits them into 128-row blocks
+@pytest.mark.parametrize("d", [1, 127, 300, 512, 513, 1100])
+def test_blocked_spd_solve_matches_whole_cholesky(d):
+    rng = np.random.default_rng(d + 1)
+    m = rng.standard_normal((2 * d + 5, d))
+    a = m.T @ m / (2 * d + 5) + 0.5 * np.eye(d)
+    b = rng.standard_normal((d, 5))
+    expected = _cholesky_solve(a, b)
+    x = linalg.spd_solve(a.copy(), b.copy())
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+# the same NotSPD decision as np.linalg.cholesky of the whole matrix: an
+# indefinite matrix with one small negative eigenvalue, and a Gram with an
+# exactly zero column in the first, second or last factor panel, whose pivot
+# there is exactly 0
+@pytest.mark.parametrize("d", [100, 600, 1100])
+@pytest.mark.parametrize("kind", ["indefinite", "zero column"])
+def test_blocked_spd_solve_makes_the_whole_cholesky_decision(d, kind):
+    rng = np.random.default_rng(d)
+    if kind == "indefinite":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        w = rng.uniform(1.0, 2.0, size=d)
+        w[0] = -1e-3
+        a = (q * w) @ q.T
+        a = (a + a.T) / 2
+        grams = [a]
+    else:
+        grams = []
+        for col in (3, min(520, d - 1), d - 1):
+            x = rng.standard_normal((d + 20, d))
+            x[:, col] = 0.0
+            grams.append(x.T @ x)
+    for a in grams:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        b = rng.standard_normal((d, 2))
+        b_before = b.copy()
+        with pytest.raises(NotSPD):
+            linalg.spd_solve(a.copy(), b)
+        assert b.tobytes() == b_before.tobytes()  # B is untouched on NotSPD
+
+
+def _whole_copy_products(x, rows, y, y_rows):
+    xc = np.array(x[rows], dtype=np.float64)
+    yc = np.array(y[y_rows], dtype=np.float64)
+    x_mean, y_mean = xc.mean(axis=0), yc.mean(axis=0)
+    xc -= x_mean
+    yc -= y_mean
+    return x_mean, xc.T @ xc, y_mean, xc.T @ yc
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("n", [2, 257, 1025])
+@pytest.mark.parametrize("d", [1, 255, 257, 300])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_centered_products_match_the_whole_copy_formulas(n, d, dtype):
+    rng = np.random.default_rng(n * d)
+    x = (rng.standard_normal((n + 9, d)) * 3 + 1).astype(dtype)
+    y = (rng.standard_normal((n + 9, d + 3)) - 2).astype(dtype)
+    rows, y_rows = rng.permutation(n + 9)[:n], rng.permutation(n + 9)[:n]  # out of order
+    x_before = x.copy()
+    got = linalg.centered_products(x, rows, y, y_rows)
+    want = _whole_copy_products(x, rows, y, y_rows)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and _relative(g, w) <= 1e-13
+    assert np.array_equal(got[1], got[1].T)
+    assert x.tobytes() == x_before.tobytes()
+    # all rows, and no Y
+    x_mean, gram, y_mean, cross = linalg.centered_products(x[:n])
+    whole = _whole_copy_products(x, np.arange(n), y, np.arange(n))
+    assert y_mean is None and cross is None
+    assert _relative(x_mean, whole[0]) <= 1e-13 and _relative(gram, whole[1]) <= 1e-13
+    assert linalg.centered_products(x, rows, y, y_rows, gram=False)[1] is None
+    # sigma of a summary: its factor's Gram is the whole-copy covariance
+    s = metrics.summarize(x[rows])
+    sigma = s.factor.T @ s.factor
+    assert _relative(s.mu, want[0]) <= 1e-13
+    assert np.abs(sigma - want[1] / (n - 1)).max() <= 1e-13 * np.abs(want[1]).max() / (n - 1)
+
+
+def test_centered_products_of_a_y_without_columns():
+    x = np.random.default_rng(3).standard_normal((40, 5)).astype(np.float32)
+    x_mean, gram, y_mean, cross = linalg.centered_products(x, None, np.empty((40, 0)))
+    assert gram.shape == (5, 5) and y_mean.shape == (0,) and cross.shape == (5, 0)
+
+
+def test_centered_products_hold_no_copy_of_the_set():
+    # 3000 x 1024 float32 sets: a float64 copy of one is 24 MiB, the Gram
+    # and Xc^T Yc 8 MiB each. The temporaries are a float64 row block of X
+    # (8 MiB), a panel of Y's rows (4 MiB and its 2 MiB float32 gather) and
+    # one d x GRAM_PANEL product (4 MiB): 34.1 MiB measured
+    rng = np.random.default_rng(66)
+    n, d = 3000, 1024
+    x = rng.standard_normal((n, d), dtype=np.float32)
+    y = rng.standard_normal((n, d), dtype=np.float32)
+    rows = rng.permutation(n)
+    tracemalloc.start()
+    try:
+        linalg.centered_products(x, rows, y, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * d * d + 20 * 2**20
 
 
 # spd_solve, sym_eig and cov_factor check no symmetry and summarize and

@@ -51,14 +51,11 @@ def test_fit_ols_rank_deficient_takes_min_norm_lstsq():
 
 
 def _reference_unregularized_fit(X, Y, solve=linalg.spd_solve):
-    """The alpha = 0 fit as a separate branch: the centered normal equations
-    solved by ``solve`` when the Gram is SPD, else multiplied by the Gram's
-    pseudo-inverse, lstsq against the identity."""
-    Xc, Yc = np.array(X, dtype=np.float64), np.array(Y, dtype=np.float64)
-    x_mean, y_mean = Xc.mean(axis=0), Yc.mean(axis=0)
-    Xc -= x_mean
-    Yc -= y_mean
-    gram, rhs = Xc.T @ Xc, Xc.T @ Yc
+    """The alpha = 0 fit as a separate branch: the centered normal equations,
+    built by linalg.centered_products as the fit builds them, solved by
+    ``solve`` when np.linalg.cholesky accepts the Gram, else multiplied by the
+    Gram's pseudo-inverse, lstsq against the identity."""
+    x_mean, gram, y_mean, rhs = linalg.centered_products(X, None, Y, None)
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -100,6 +97,25 @@ def test_unregularized_fit_matches_reference_branch_bytes(design, fit):
         assert solver == "cholesky"
 
 
+def test_rank_k_float32_fit_reaches_the_min_norm_fallback(monkeypatch):
+    # its Gram fails the blocked factor, which overwrites it; the fallback
+    # rebuilds it, so the pseudo-inverse is that of the Gram itself
+    x, y = _rank_k_float32_design()
+    lstsq_grams = []
+    lstsq = np.linalg.lstsq
+
+    def recording_lstsq(a, b, rcond=None):
+        lstsq_grams.append(a.copy())
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    shared = mapfit.SharedFit(x)
+    m = mapfit.fit_ridge(x, y, 0.0, shared=shared)
+    assert m.solver == "lstsq" and shared.rank == 3
+    assert len(lstsq_grams) == 1
+    assert lstsq_grams[0].tobytes() == linalg.centered_products(x)[1].tobytes()
+
+
 @pytest.mark.parametrize("shape", [(200, 8, 5), (900, 300, 40)], ids=["d8", "d300"])
 def test_unregularized_cholesky_fit_matches_lu_solve(shape):
     # spd_solve's block substitution against the LU solve it replaced; d = 300
@@ -131,6 +147,18 @@ def test_fit_ridge_zero_alpha_matches_ols_exactly():
     ridge = mapfit.fit_ridge(x, y, 0.0)
     np.testing.assert_array_equal(ridge.W, ols.W)
     np.testing.assert_array_equal(ridge.b, ols.b)
+
+
+# a target with no columns, as probe-suite stacks when none of a group's
+# probes was fitted: every solver returns an empty map
+@pytest.mark.parametrize("n, d, alpha, solver", [
+    (30, 4, 1.0, "cholesky"), (30, 4, 0.0, "cholesky"), (3, 4, 0.0, "eigh")])
+def test_fit_ridge_target_without_columns(n, d, alpha, solver):
+    x = np.random.default_rng(n).standard_normal((n, d))
+    m = mapfit.fit_ridge(x, np.empty((n, 0)), alpha)
+    assert m.W.shape == (0, d) and m.b.shape == (0,) and m.solver == solver
+    flat = np.hstack([x, np.zeros((n, 1))])  # singular Gram: the min-norm fallback
+    assert mapfit.fit_ridge(flat, np.empty((n, 0)), 0.0).W.shape == (0, d + 1)
 
 
 def test_fit_ridge_scalar_closed_form():
@@ -410,7 +438,7 @@ def test_fit_reads_targets_in_column_blocks(monkeypatch):
                 mapfit.fit_ols(x_wide, y_wide)]
 
     direct, singular, dual = fits()
-    monkeypatch.setattr(mapfit, "Y_BLOCK_BYTES", 1)
+    monkeypatch.setattr(linalg, "Y_BLOCK_BYTES", 1)
     direct_blocked, singular_blocked, dual_blocked = fits()
     assert (direct.solver, singular.solver, dual.solver) == ("cholesky", "lstsq", "eigh")
     for got, want in ((direct_blocked, direct), (singular_blocked, singular)):
@@ -558,10 +586,13 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize("alpha", [0.0, 10.0])
 def test_rows_fit_holds_one_float64_design(alpha):
-    # 3000 x 1024 float32 pools: the design is 24.6 MB in float64, d x d 8.4 MB.
-    # np.linalg.solve holds the Gram, Xc^T Yc, its copies of both and its
-    # result. Gathered float32 copies or a design held through the solve
-    # would each add at least another 8.4 MB.
+    # 3000 x 1024 float32 pools: the design is 24 MiB in float64, d x d 8 MiB.
+    # The fit holds at most one float64 row block of the design, never all of
+    # it: the Gram and Xc^T Yc (8 MiB each) are accumulated from row blocks of
+    # 2^20 entries (8 MiB), with a panel of Y's rows and one product (about
+    # 10 MiB together), and the solve overwrites both; 34.1 MiB measured. A
+    # float64 design, a gathered float32 copy (12 MiB) or one more d x d
+    # array would each break the bound.
     rng = np.random.default_rng(68)
     n, d = 3000, 1024
     x = rng.standard_normal((n + 100, d), dtype=np.float32)
@@ -569,7 +600,7 @@ def test_rows_fit_holds_one_float64_design(alpha):
     rows = rng.permutation(n + 100)[:n], rng.permutation(n + 100)[:n]
     m, peak = _traced_peak(lambda: mapfit.fit_ridge(x, y, alpha, rows=rows))
     assert m.solver == "cholesky"
-    assert peak < n * d * 8 + 4 * d * d * 8
+    assert peak < 2 * d * d * 8 + 20 * 2**20
 
 
 def test_mapped_mse_equals_whole_score_and_holds_row_blocks():

@@ -287,15 +287,13 @@ def test_summarize_holds_one_float64_copy_and_two_covariances(d):
 # on every BLAS (psd_sqrt factor)
 @pytest.mark.parametrize("singular", [False, True])
 def test_summarize_factor_equals_that_of_the_symmetrized_covariance(singular):
-    # the Gram matmul returns is symmetric to the bit, so factoring it as
-    # formed gives the bytes that factoring (G + G^T) / 2 gave
+    # the Gram linalg.centered_products returns is symmetric to the bit, so
+    # factoring it as formed gives the bytes that factoring (G + G^T) / 2 gave
     n, d = 1500, 256
     x = np.random.default_rng(14).standard_normal((n, d)).astype(np.float32)
     if singular:
         x[:, 0] = 0.0
-    f = np.array(x, dtype=np.float64)
-    f -= f.mean(axis=0)
-    gram = f.T @ f
+    gram = linalg.centered_products(x)[1]
     gram /= n - 1
     sigma = gram + gram.T
     sigma /= 2.0

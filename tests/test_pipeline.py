@@ -745,6 +745,51 @@ def test_probe_subsets_are_drawn_once_per_attribute(roster, reordered_copy, tmp_
     assert len(calls) == 2 * 3
 
 
+def test_probe_suite_where_every_probe_fails(roster, tmp_path):
+    # every attribute single-class: no probe is fitted, so each map fits a
+    # target of no columns, on the Cholesky path (200 train rows > every d)
+    table = data.read_attribute_table(roster["dir"] / "attributes.txt")
+    single = data.AttributeTable(names=table.names, ids=table.ids,
+                                 values=np.ones_like(table.values))
+    data.write_attribute_table(single, tmp_path / "single.txt")
+    text = roster["config"].read_text() + f"attributes = {tmp_path / 'single.txt'}\n"
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    result = pipeline.run_probe_suite(cfg, tmp_path / "suite")
+    attributes = result.accuracy_grid.col_ids
+    assert [e.split(": ")[0] for e in result.errors] == [
+        f"probe {mid}/{attr}" for mid in cfg.model_ids() for attr in attributes]
+    assert all(": DataError: attribute " in e and e.endswith(" positive / 0 negative")
+               for e in result.errors)
+    assert np.isnan(result.accuracy_grid.values).all()
+    map_fits = json.loads((tmp_path / "suite" / "metadata.json").read_text())["map_fits"]
+    assert {fit["solver"] for fit in map_fits} == {"cholesky"}
+
+
+def test_split_ids_are_checked_once_per_dataset(roster, reordered_copy, tmp_path, monkeypatch):
+    checked = []
+
+    def counted(ds, ids):
+        if len(ids) == n_split:
+            checked.append(ds.model_id)
+        return data.rows_of(ds, ids)
+
+    monkeypatch.setattr(pipeline, "rows_of", counted)
+    cfg = pipeline.load_config(_config_with_copy(roster, 200))
+    n_split = cfg.split.n_train + cfg.split.n_holdout
+    result = pipeline.run_probe_suite(cfg, tmp_path / "suite")
+    assert checked == cfg.model_ids()
+    # noiseP lacks split ids: each of its probes still fails with its own line
+    attributes = data.read_attribute_table(roster["dir"] / "attributes.txt").names
+    assert [e for e in result.errors if e.startswith("probe ")] == [
+        f"probe noiseP/{a}: DataError: 'noiseP' lacks 13 of 260 split ids" for a in attributes]
+
+    checked.clear()
+    cfg = pipeline.load_config(roster["config"])
+    n_split = cfg.split.n_train + cfg.split.n_holdout
+    pipeline.run_dynamics(cfg, make_checkpoints(tmp_path, roster["world"], [50, 20, 0]))
+    assert checked == []  # every checkpoint holds the first one's ids
+
+
 # d_pix is 36: a 60-row holdout's summaries hold covariances, a 30-row one's their
 # rows. The ids name the two FID paths that once existed.
 @pytest.mark.parametrize("holdout", [pytest.param(60, id="60-covariance"),

@@ -5,6 +5,7 @@ UTF-8 a data error; and the exit-code contract of commands reading LSF files."""
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,52 @@ def lmap_bytes(d_in: int, d_out: int, tail: bytes = b"") -> bytes:
 def lprb_bytes(d: int, tail: bytes = b"") -> bytes:
     return (probes.LPRB_MAGIC + struct.pack("<I", 1) + _str("attr") + _str("m")
             + struct.pack("<ddI", 0.1, 0.5, d) + struct.pack("<d", 0.0) + tail)
+
+
+# --- writers -----------------------------------------------------------------------
+
+
+def test_writers_emit_the_documented_layout(tmp_path):
+    rng = np.random.default_rng(30)
+    ids = [f"s{i}" for i in range(5)]
+    id_bytes = b"".join(_str(sid) for sid in ids)
+    x = rng.standard_normal((5, 3))  # float64 in memory, float32 on disk
+    data.write_latents(data.LatentDataset(model_id="m", ids=ids, X=x), tmp_path / "m.lsf")
+    assert (tmp_path / "m.lsf").read_bytes() == (
+        data.LSF_MAGIC + struct.pack("<III", 1, 5, 3) + _str("m") + id_bytes
+        + x.astype("<f4").tobytes())
+    pixels = rng.uniform(size=(5, 12)).astype(np.float32)
+    data.write_images(data.LatentDataset(model_id="pixels", ids=ids, X=pixels),
+                      tmp_path / "p.lsf", (2, 2, 3))
+    assert (tmp_path / "p.lsf").read_bytes() == (
+        data.LSF_MAGIC + struct.pack("<III", 1, 5, 12) + _str("pixels")
+        + struct.pack("<HHH", 2, 2, 3) + id_bytes + pixels.astype("<f4").tobytes())
+    w, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
+    mapfit.save_map(mapfit.LinearMap("a", "b", W=w, b=b, alpha=2.5), tmp_path / "a.lmap")
+    assert (tmp_path / "a.lmap").read_bytes() == (
+        mapfit.LMAP_MAGIC + struct.pack("<I", 1) + _str("a") + _str("b")
+        + struct.pack("<dII", 2.5, 3, 4) + b.astype("<f8").tobytes() + w.astype("<f8").tobytes())
+    pw = rng.standard_normal(6)
+    probes.save_probe(probes.Probe("attr", "m", w=pw, b=0.25, alpha=0.1, threshold=0.4),
+                      tmp_path / "p.lprb")
+    assert (tmp_path / "p.lprb").read_bytes() == (
+        probes.LPRB_MAGIC + struct.pack("<I", 1) + _str("attr") + _str("m")
+        + struct.pack("<ddI", 0.1, 0.4, 6) + struct.pack("<d", 0.25) + pw.astype("<f8").tobytes())
+
+
+def test_save_map_writes_w_without_a_copy(tmp_path):
+    d = 1024
+    rng = np.random.default_rng(31)
+    m = mapfit.LinearMap("a", "b", W=rng.standard_normal((d, d)), b=rng.standard_normal(d))
+    tracemalloc.start()
+    try:
+        mapfit.save_map(m, tmp_path / "a.lmap")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # W is 8 MB
+    loaded = mapfit.load_map(tmp_path / "a.lmap")
+    assert loaded.W.tobytes() == m.W.tobytes() and loaded.b.tobytes() == m.b.tobytes()
 
 
 # --- header sizes larger than the file ------------------------------------------
