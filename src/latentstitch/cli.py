@@ -68,10 +68,11 @@ def _check_common(args) -> None:
         raise ConfigError("--tol must be finite and > 0")
     if not getattr(args, "max_iter", 1) >= 1:
         raise ConfigError("--max-iter must be >= 1")
-    # synth-gen's world size and default noising timestep
-    for name in ("n", "k"):
-        if not getattr(args, name, 1) >= 1:
-            raise ConfigError(f"--{name} must be >= 1")
+    # synth-gen's world size (a train and a holdout row at least), factor
+    # count and default noising timestep
+    for name, low in (("n", 2), ("k", 1)):
+        if not getattr(args, name, low) >= low:
+            raise ConfigError(f"--{name} must be >= {low}")
     if getattr(args, "dpix", 1) < getattr(args, "k", 1):
         raise ConfigError("--dpix must be >= --k")
     steps = NOISING_SCHEDULE["steps_used"]

@@ -130,8 +130,8 @@ class SplitSpec:
     n_holdout: int = 100
 
     def __post_init__(self) -> None:
-        if self.n_train < 0 or self.n_holdout < 0:
-            raise DataError("split sizes must be non-negative")
+        if self.n_train < 1 or self.n_holdout < 1:
+            raise DataError("split sizes must be >= 1")
 
 
 Dataset = Union[LatentDataset, AttributeTable]

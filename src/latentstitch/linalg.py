@@ -41,9 +41,9 @@ PANEL = 512
 #: entries.
 ROW_BLOCK_ENTRIES = 1 << 20
 
-#: Y is centered in float64 column blocks (of a block's rows, by
-#: centered_products) of about this many bytes, each a multiple of 256
-#: columns wide, so that a blocked product keeps the bytes of the whole one.
+#: Y and a dual fit's design are centered in float64 column blocks of about
+#: this many bytes (of a block's rows of Y, in centered_products), each a
+#: multiple of 256 columns wide, so a blocked product with Y keeps its bytes.
 Y_BLOCK_BYTES = 4 << 20
 
 # Eigenvalues of a nominally-PSD matrix may be negative up to this fraction
@@ -82,8 +82,8 @@ def _panels(width: int, size: int = PANEL) -> list[tuple[int, int]]:
 
 
 def y_block_width(n: int) -> int:
-    """Columns of a float64 block of n rows of Y: about Y_BLOCK_BYTES, and a
-    multiple of 256."""
+    """Columns of a float64 column block of n rows: about Y_BLOCK_BYTES, and
+    a multiple of 256."""
     return max(1, Y_BLOCK_BYTES // (8 * n * 256)) * 256
 
 

@@ -14,9 +14,9 @@ pseudo-inverse. Both min-norm fits drop the Gram eigenvalues at or below
 linalg.eig_cutoff. A SharedFit lets the fits of many targets on one source
 share the dual factor or the pseudo-inverse.
 Fits and scores read their rows by index (``rows=``), so neither makes a
-gathered copy of a latent set. An n > d fit makes no float64 copy of one
-either: linalg.centered_products accumulates its normal equations from row
-blocks, and linalg.spd_solve solves them in place.
+gathered copy of a latent set, nor a float64 copy of one: an n > d fit sums
+its normal equations from row blocks (linalg.centered_products) and solves
+them in place (linalg.spd_solve); an n <= d fit reads X and Y in column blocks.
 """
 
 from __future__ import annotations
@@ -86,30 +86,16 @@ DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
 }
 
 
-def _centered_rows(A, rows) -> tuple[np.ndarray, np.ndarray]:
-    """A float64 copy of A's rows ``rows``, minus its column means, and those
-    means. The copy is filled one block of about 2^20 entries at a time, so no
-    gathered copy of A is made; its values, and so its means, are those of
-    np.array(A[rows], dtype=np.float64)."""
-    out = np.empty((len(rows), A.shape[1]))
-    step = max(1, (1 << 20) // A.shape[1])
-    for start in range(0, len(rows), step):
-        out[start:start + step] = A[rows[start:start + step]]
-    mean = out.mean(axis=0)
-    out -= mean
-    return out, mean
-
-
-def _centered_blocks(Y: np.ndarray, rows: np.ndarray, y_mean: np.ndarray):
-    """(column slice, float64 block of Y's rows ``rows`` minus its column
-    means) over Y's columns, blocks of linalg.y_block_width columns; each
-    block's means are written into y_mean."""
+def _centered_blocks(A: np.ndarray, rows: np.ndarray, mean: np.ndarray):
+    """(column slice, float64 block of A's rows ``rows`` minus its column
+    means) over A's columns, blocks of linalg.y_block_width columns; each
+    block's means are written into ``mean``. Both X and Y are centered so."""
     step = linalg.y_block_width(len(rows))
-    for j in range(0, Y.shape[1], step):
-        cols = slice(j, min(j + step, Y.shape[1]))
-        block = np.ascontiguousarray(Y[rows, cols], dtype=np.float64)
-        y_mean[cols] = block.mean(axis=0)
-        block -= y_mean[cols]
+    for j in range(0, A.shape[1], step):
+        cols = slice(j, min(j + step, A.shape[1]))
+        block = np.ascontiguousarray(A[rows, cols], dtype=np.float64)
+        mean[cols] = block.mean(axis=0)
+        block -= mean[cols]
         yield cols, block
 
 
@@ -129,12 +115,20 @@ class DualFactor:
 
 
 def _dual_factor(X, rows) -> DualFactor:
-    Xc, x_mean = _centered_rows(X, rows)
-    eig = linalg.sym_eig(Xc @ Xc.T)
+    # The Gram of the centered design's column blocks is freed once eigh has
+    # U; a second pass over the same blocks fills P = Xc^T U.
+    x_mean, gram = np.empty(X.shape[1]), None
+    for _, block in _centered_blocks(X, rows, x_mean):
+        gram = block @ block.T if gram is None else np.add(gram, block @ block.T, out=gram)
+    eig = linalg.sym_eig(gram)
+    del gram
     lam, U = eig.eigenvalues, eig.eigenvectors
+    P = np.empty((X.shape[1], len(rows)))
+    for cols, block in _centered_blocks(X, rows, x_mean):
+        np.matmul(block.T, U, out=P[cols])
     cutoff = linalg.eig_cutoff(lam)
     keep = lam > cutoff
-    return DualFactor(x_mean=x_mean, lam=np.where(keep, lam, 0.0), U=U, P=Xc.T @ U,
+    return DualFactor(x_mean=x_mean, lam=np.where(keep, lam, 0.0), U=U, P=P,
                       cutoff=cutoff, rank=int(keep.sum()))
 
 
@@ -254,8 +248,9 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     of W^T once the factor is freed, so the fit holds two of the d x d Gram,
     the d x k Xc^T Yc and W at a time, never three. The min-norm fallback
     rebuilds the Gram the failed factor overwrote, then holds its
-    pseudo-inverse. An n <= d fit holds the centered float64 design and its
-    dual factor, and reads Y in float64 column blocks.
+    pseudo-inverse. An n <= d fit sums its dual Gram from float64 column
+    blocks of the centered X, frees it after eigh, and fills P = Xc^T U from
+    a second pass over those blocks; it reads Y in such blocks too.
     """
     return _fit_affine(X, Y, float(alpha), source_model, target_model, shared, rows)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import take
 from .errors import DataError, NumericalError
-from .linalg import centered_products, cov_factor, nuclear_norm
+from .linalg import ROW_BLOCK_ENTRIES, centered_products, cov_factor, nuclear_norm
 
 #: Results above this negative floor are treated as numerical zero.
 NEGATIVE_FLOOR = -1e-6
@@ -82,11 +82,11 @@ def mean_squared_difference(a, b, rows=None) -> float:
 def mean_squared_blocks(n: int, d: int, pair) -> float:
     """Mean over n*d entries of the squared difference x - y, where
     pair(rows) gives the (x, y) blocks of a slice of the n rows. The squares
-    are summed in float64, one block of about 2^20 entries at a time, in row
-    order; each block is freed before the next is made."""
+    are summed in float64, one block of about ROW_BLOCK_ENTRIES entries at a
+    time, in row order; each block is freed before the next is made."""
     if n * d == 0:
         raise DataError("no entries to average")
-    step = max(1, (1 << 20) // d)
+    step = max(1, ROW_BLOCK_ENTRIES // d)
     total = np.float64(0.0)
     for start in range(0, n, step):
         diff = np.subtract(*pair(slice(start, start + step)), dtype=np.float64)

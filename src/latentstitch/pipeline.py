@@ -174,6 +174,8 @@ def parse_config(text: str, base_dir=None) -> ExperimentConfig:
             n_holdout = _parse_int(key, value)
         elif key == "plateau.eps":
             cfg.plateau_eps = _parse_float(key, value)
+            if cfg.plateau_eps <= 0:
+                raise ConfigError(f"{key}: must be > 0")
         elif key.startswith("alpha."):
             parts = key.split(".")
             if len(parts) != 3:

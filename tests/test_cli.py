@@ -115,6 +115,19 @@ def test_probe_suite_config_error_makes_no_probes_dir(generated, tmp_path, subse
     assert not (tmp_path / "out" / "probes").exists()
 
 
+@pytest.mark.parametrize("side", ["train", "holdout"])
+@pytest.mark.parametrize("command", ["fit-map", "stitch-grid", "probe-suite"])
+def test_cli_empty_split_side_is_a_config_error(generated, tmp_path, capsys, command, side):
+    # a later key wins, so this overrides the generated split size
+    cfg = _config_copy(generated, tmp_path, f"split.{side} = 0\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "fit-map":
+        args += ["--src", "orthA", "--dst", "orthB"]
+    assert cli.main(args) == 1
+    assert "config error: split sizes must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 FIT_MAP = ["fit-map", "--src", "orthA", "--dst", "orthB"]
 TRAIN_PROBE = ["train-probe", "--model", "orthA", "--attribute", "factor_00"]
 
@@ -133,6 +146,7 @@ TRAIN_PROBE = ["train-probe", "--model", "orthA", "--attribute", "factor_00"]
     ["synth-gen", "--probe-alpha", "inf"],
     ["synth-gen", "--probe-alpha=-0.5"],
     ["synth-gen", "--n", "0"],
+    ["synth-gen", "--n", "1"],  # its config would have no train rows
     ["synth-gen", "--k", "0"],
     ["synth-gen", "--dpix", "0"],
     ["synth-gen", "--dpix", "4", "--k", "8"],

@@ -483,12 +483,16 @@ def test_dual_fit_matches_cholesky_ridge_and_full_row_rank_lstsq(n, d, dtype, al
 @pytest.mark.parametrize("n, d, offset, r, dtype", [
     # n > d: the Gram fails Cholesky and its pseudo-inverse keeps the same
     # rank. Without an offset: the float32 rounding of an offset design can
-    # pass Cholesky, which then fits that rounding.
-    pytest.param(n, d, offset, r, dtype, id=("n>d-" if n > d else "") + f"{r}-{dtype.__name__}")
-    for n, d, offset in ((60, 150, 4.0), (300, 40, 0.0)) for r in (1, 4, 16)
+    # pass Cholesky, which then fits that rounding. d = 600: the dual design is
+    # centered in three column blocks of at most 256 columns.
+    pytest.param(n, d, offset, r, dtype, id=("n>d-" if n > d else "3-blocks-" if d > 512 else "")
+                 + f"{r}-{dtype.__name__}")
+    for n, d, offset in ((60, 150, 4.0), (60, 600, 4.0), (300, 40, 0.0)) for r in (1, 4, 16)
     for dtype in (np.float32, np.float64)
 ])
-def test_dual_factor_keeps_the_planted_rank(n, d, offset, r, dtype):
+def test_dual_factor_keeps_the_planted_rank(monkeypatch, n, d, offset, r, dtype):
+    if d > 512:
+        monkeypatch.setattr(linalg, "Y_BLOCK_BYTES", 1)  # blocks of 256 columns
     rng = np.random.default_rng(51 + r)
     x = (rng.standard_normal((n, r)) @ rng.standard_normal((r, d)) + offset).astype(dtype)
     y = rng.standard_normal((n, 5))
@@ -505,6 +509,14 @@ def test_dual_factor_keeps_the_planted_rank(n, d, offset, r, dtype):
         assert shared.dual.cutoff == n * np.finfo(np.float64).eps * shared.dual.lam[-1]
         assert (shared.dual.lam[:-r] == 0).all()
         assert (shared.dual.lam[-r:] > shared.dual.cutoff).all()
+        # the oracle: eigh of the whole copy's Gram, and the min-norm W it gives
+        lam, U = np.linalg.eigh(xc @ xc.T)
+        keep = lam > linalg.eig_cutoff(lam)
+        assert keep.sum() == r
+        assert np.abs(shared.dual.lam - np.where(keep, lam, 0.0)).max() <= 1e-12 * lam[-1]
+        Uk, yc = U[:, keep], y - y.mean(axis=0)
+        want = ((Uk.T @ yc) / lam[keep, None]).T @ (xc.T @ Uk).T
+        assert np.abs(m.W - want).max() <= 1e-12 * np.abs(want).max()
     # the min-norm fit lies in the row space of the centered design
     _, _, vt = np.linalg.svd(xc, full_matrices=False)
     outside = m.W - (m.W @ vt[:r].T) @ vt[:r]
@@ -601,6 +613,18 @@ def test_rows_fit_holds_one_float64_design(alpha):
     m, peak = _traced_peak(lambda: mapfit.fit_ridge(x, y, alpha, rows=rows))
     assert m.solver == "cholesky"
     assert peak < 2 * d * d * 8 + 20 * 2**20
+
+
+def test_dual_factor_holds_no_float64_design():
+    # A 300 x 8192 design is 18.75 MiB in float64, as is its factor's P. The
+    # Gram and U are 0.7 MiB each and a column block 3.5 MiB: 1.42 times the
+    # design measured. A whole centered copy next to P read 2.04 times.
+    rng = np.random.default_rng(70)
+    n, d = 300, 8192
+    x = rng.standard_normal((n, d))
+    f, peak = _traced_peak(lambda: mapfit._dual_factor(x, np.arange(n)))
+    assert f.P.shape == (d, n) and f.rank == n - 1  # centering takes one
+    assert peak < 1.6 * n * d * 8
 
 
 def test_mapped_mse_equals_whole_score_and_holds_row_blocks():

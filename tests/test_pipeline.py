@@ -79,6 +79,10 @@ attributes.subset = f1, f2
     [
         "unknown_key = 1",
         "split.train = many",
+        "split.train = 0",
+        "split.holdout = 0",
+        "plateau.eps = 0",
+        "plateau.eps = -1",
         "alpha.only_one = 2",
         "model.bad..latents = x.lsf",
         "model.a.unknown = 1",
