@@ -214,9 +214,9 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_fid(args) -> int:
-    p = summarize(read_latents(args.features_a).X)
-    q = summarize(read_latents(args.features_b).X)
-    value = fid(p, q)
+    # both files are checked before either is summarized; each is read by rows
+    a, b = read_latents(args.features_a), read_latents(args.features_b)
+    value = fid(summarize(a.X), summarize(b.X))
     print(f"{value:.9g}")
     return 0
 

@@ -6,6 +6,18 @@ head split, and the id-seeded random-encoder baseline. A pixel file is an
 LSF file of flattened images: it reads as a LatentDataset with model_id
 'pixels' once its (H, W, C) triple and [0, 1] range are checked.
 
+A latent set read from disk stays on disk. `read_latents` checks an LSF
+file's header, ids, payload size and finiteness in one chunked pass, and
+its dataset's X is a FileRows: each gather (``X[rows]``, ``X[rows, cols]``,
+``X[a:b]``) reads just those rows from the file into a fresh array. The
+kernels that visit rows one block at a time (linalg.centered_products, the
+map fit and its scores, metrics.summarize and the block scores through
+`take`) read such a set block by block, so fit-map, fid and rmse hold
+row blocks, not sets; only an n <= d map fit gathers its train rows, once
+per pass over its column blocks. A caller that revisits rows many times reads the set into
+memory once (``read_latents(path, in_memory=True)``), as stitch-grid,
+probe-suite, dynamics and `read_images` do.
+
 Datasets are immutable, and rows are selected by index arrays: `align(a, b)`
 gives the rows (ia, ib) of the ids both share, `rows_of` the rows of given
 ids. The only positional operation is the head split: a run takes it once,
@@ -18,6 +30,8 @@ import hashlib
 import math
 import os
 import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +40,7 @@ from typing import BinaryIO, Sequence, Union
 import numpy as np
 
 from .errors import DataError
+from .linalg import ROW_BLOCK_ENTRIES
 
 LSF_MAGIC = b"LSF1"
 LSF_VERSION = 1
@@ -57,26 +72,106 @@ class _RowIndexed:
         return {sid: i for i, sid in enumerate(self.ids)}
 
 
+class FileRows:
+    """The n x d float32 rows of an LSF payload, read from the file by index.
+
+    ``X[rows]``, ``X[rows, cols]`` and ``X[a:b]`` take any NumPy row index
+    (an index array in any order and with repeats, a slice or an int) and a
+    column slice, and read just those rows into a fresh, aligned float32
+    array equal to the array's own gather, one seek and read per run of
+    consecutive rows. The columns are copied out of chunks of about
+    ROW_BLOCK_ENTRIES read entries, so only the selected columns are held
+    whole. ``X[:]`` is the whole array, as is np.asarray(X). Gathers from
+    several threads take turns.
+
+    The rows keep the file open, on a descriptor of their own closed with the
+    object, so a file renamed over or removed after the check is still the
+    one read. A read that comes up short, as on a file truncated since it was
+    checked, raises DataError; bytes rewritten in place are read as they now
+    are, unchecked.
+    """
+
+    ndim = 2
+    dtype = np.dtype("<f4")
+
+    def __init__(self, f: BinaryIO, path, offset: int, n: int, d: int) -> None:
+        self.path, self.offset, self.shape = path, offset, (n, d)
+        self._file = open(os.dup(f.fileno()), "rb", buffering=0)
+        self._lock = threading.Lock()
+        weakref.finalize(self, self._file.close)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        n, d = self.shape
+        idx = np.arange(n)[rows]
+        if idx.ndim == 0:
+            return self[idx.reshape(1), cols][0]
+        if not isinstance(cols, slice):
+            raise TypeError(f"columns of a FileRows are taken by a slice, not {cols!r}")
+        if cols == slice(None):
+            return self._read(idx)
+        out = np.empty((len(idx), len(range(d)[cols])), dtype=self.dtype)
+        step = max(1, ROW_BLOCK_ENTRIES // d)
+        for s in range(0, len(idx), step):
+            out[s:s + step] = self._read(idx[s:s + step])[:, cols]
+        return out
+
+    def _read(self, idx: np.ndarray) -> np.ndarray:
+        """Rows idx (in range) of the payload: one seek and read per run of
+        consecutive rows, the runs found by NumPy."""
+        row_bytes = self.shape[1] * 4
+        out = np.empty((len(idx), self.shape[1]), dtype=self.dtype)
+        if not len(idx):
+            return out
+        bounds = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
+        view = memoryview(out).cast("B")
+        with self._lock:
+            for s, e in zip(bounds[:-1], bounds[1:]):
+                self._read_run(view[s * row_bytes:e * row_bytes],
+                               self.offset + int(idx[s]) * row_bytes)
+        return out
+
+    def _read_run(self, buf: memoryview, pos: int) -> None:
+        """Fill buf from the file's bytes at pos on."""
+        self._file.seek(pos)
+        while buf:
+            got = self._file.readinto(buf)
+            if not got:
+                raise DataError(f"{self.path}: {len(buf)} bytes of rows missing; the file "
+                                f"was truncated after it was read")
+            buf = buf[got:]
+
+
 @dataclass
 class LatentDataset(_RowIndexed):
     """Per-sample latent vectors for one model.
 
-    Values are stored as float32 (source-model native precision); solvers
-    upcast to float64 internally.
+    Values are stored as float32 (source-model native precision), in memory
+    or, for a set read from an LSF file, as its FileRows; solvers upcast to
+    float64 internally. Either way every value is checked finite, in row
+    blocks of about ROW_BLOCK_ENTRIES entries.
     """
 
     model_id: str
     ids: list[str]
-    X: np.ndarray
+    X: np.ndarray | FileRows
 
     def __post_init__(self) -> None:
         self.ids = _check_ids(self.ids)
-        self.X = np.ascontiguousarray(self.X, dtype=np.float32)
+        if not isinstance(self.X, FileRows):
+            self.X = np.ascontiguousarray(self.X, dtype=np.float32)
         if self.X.ndim != 2 or self.X.shape[1] < 1:
             raise DataError(f"latents must be a non-degenerate 2-D array, got {self.X.shape}")
         if self.X.shape[0] != len(self.ids):
             raise DataError(f"{len(self.ids)} ids but {self.X.shape[0]} latent rows")
-        if not np.all(np.isfinite(self.X)):
+        step = max(1, ROW_BLOCK_ENTRIES // self.d)
+        if not all(np.isfinite(self.X[s:s + step]).all() for s in range(0, self.n, step)):
             raise DataError(f"latents for {self.model_id!r} contain NaN or Inf")
 
     @property
@@ -171,11 +266,14 @@ class RecordReader:
         if found != version:
             raise DataError(f"{path}: {magic.decode()} version {found} not supported")
 
-    def read(self, size: int) -> bytes:
+    def _claim(self, size: int) -> int:
         if size > self.left:
             raise DataError(f"{self.path}: expected {size} bytes, {self.left} left")
         self.left -= size
-        return self.f.read(size)
+        return size
+
+    def read(self, size: int) -> bytes:
+        return self.f.read(self._claim(size))
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
@@ -192,12 +290,22 @@ class RecordReader:
         if self.left:
             raise DataError(f"{self.path}: {self.left} bytes after the end of the record")
 
-    def array(self, dtype: str, *shape: int) -> np.ndarray:
-        """A fresh buffer per array keeps the values aligned for BLAS."""
+    def _size(self, dtype: str, shape: tuple[int, ...]) -> int:
         if 0 in shape:
             raise DataError(f"{self.path}: header declares an empty {shape} array")
-        raw = self.read(math.prod(shape) * np.dtype(dtype).itemsize)
+        return math.prod(shape) * np.dtype(dtype).itemsize
+
+    def array(self, dtype: str, *shape: int) -> np.ndarray:
+        """A fresh buffer per array keeps the values aligned for BLAS."""
+        raw = self.read(self._size(dtype, shape))
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+    def skip(self, dtype: str, *shape: int) -> int:
+        """Step past an array without reading it, with array's checks; its
+        file offset."""
+        start = self.f.tell()
+        self.f.seek(self._claim(self._size(dtype, shape)), os.SEEK_CUR)
+        return start
 
 
 def _write_lsf(
@@ -220,16 +328,21 @@ def _write_lsf(
         values.tofile(f)
 
 
-def _read_lsf(path):
-    """The dataset an LSF file holds and its (H, W, C) triple, None unless it
-    is a pixel file. Every data error names the file."""
+def _read_lsf(path, in_memory: bool):
+    """The dataset an LSF file holds, its X the payload read whole when
+    ``in_memory`` and the file's FileRows otherwise, and its (H, W, C)
+    triple, None unless it is a pixel file. The header, the ids, the
+    payload's exact size and the finiteness of every value are checked here,
+    so a bad file fails before any command writes. Every data error names
+    the file."""
     with open(path, "rb") as f:
         r = RecordReader(f, path, LSF_MAGIC, LSF_VERSION)
         n, d = r.unpack("<II")
         model_id = r.string()
         image_shape = r.unpack("<HHH") if model_id == PIXEL_MODEL_ID else None
         ids = [r.string() for _ in range(n)]
-        values = r.array("<f4", n, d)
+        values = (r.array("<f4", n, d) if in_memory
+                  else FileRows(f, path, r.skip("<f4", n, d), n, d))
         r.end()
     try:
         ds = LatentDataset(model_id=model_id, ids=ids, X=values)
@@ -244,9 +357,12 @@ def write_latents(ds: LatentDataset, path) -> None:
     _write_lsf(path, ds.model_id, ds.ids, ds.X)
 
 
-def read_latents(path) -> LatentDataset:
-    """Read any LSF file as a latent dataset (pixel files come back flattened)."""
-    return _read_lsf(path)[0]
+def read_latents(path, in_memory: bool = False) -> LatentDataset:
+    """Read any LSF file as a latent dataset (pixel files come back
+    flattened), checked whole. Its X is the file's FileRows, read by rows,
+    or with ``in_memory`` the payload read once into an array: for callers
+    that revisit a set's rows many times."""
+    return _read_lsf(path, in_memory)[0]
 
 
 def check_pixels(values: np.ndarray, shape: tuple[int, int, int], path) -> None:
@@ -269,9 +385,10 @@ def write_images(ds: LatentDataset, path, shape: tuple[int, int, int]) -> None:
 
 
 def read_images(path) -> LatentDataset:
-    """Read a pixel LSF file as a LatentDataset with model_id 'pixels'. Its
-    (H, W, C) triple is checked against the rows, then dropped."""
-    ds, image_shape = _read_lsf(path)
+    """Read a pixel LSF file as a LatentDataset with model_id 'pixels', its
+    rows in memory. Its (H, W, C) triple is checked against the rows, then
+    dropped."""
+    ds, image_shape = _read_lsf(path, in_memory=True)
     if image_shape is None:
         raise DataError(f"{path}: not a pixel dataset (model_id={ds.model_id!r})")
     check_pixels(ds.X, image_shape, path)

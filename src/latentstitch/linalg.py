@@ -92,43 +92,50 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     ``rows`` and Y's rows ``y_rows`` (index arrays paired in order; all rows
     when None), where Xc and Yc are those rows minus their column means. The
     Gram is None when ``gram`` is False, and y_mean and Xc^T Yc are None
-    without Y.
+    without Y. X and Y are float arrays or data.FileRows: either is only
+    indexed by rows, one block at a time.
 
-    Two passes over blocks of ROW_BLOCK_ENTRIES // d rows: the first sums
-    the means; the second centers each block of X in float64 and adds its
-    products one column panel at a time, Xc^T Yc in panels of Y's columns
-    (y_block_width of the block's rows, at most PANEL, read from Y panel by
-    panel) and then the Gram's lower triangle in panels of PANEL columns. A
-    Y of no columns gives a d x 0 Xc^T Yc. So no float64 copy
-    of a whole set exists, and the temporaries are one row block of X, one
-    panel of Y and one product of at most d x PANEL: past d = PANEL none is
-    d x d. For at most ROW_BLOCK_ENTRIES // d rows and d <= PANEL the
-    products are those of whole-copy code, one call each. The Gram's
-    diagonal blocks are symmetric products and its upper triangle is
-    mirrored from the lower one, so it is exactly symmetric.
+    Two passes over blocks of ROW_BLOCK_ENTRIES // d rows, each block of X
+    read once per pass: the first sums the means; the second centers each
+    block of X in float64 and adds its products one column panel at a time,
+    Xc^T Yc in panels of Y's columns (y_block_width of the block's rows, at
+    most PANEL) and then the Gram's lower triangle in panels of PANEL
+    columns. A block's rows of Y are read in groups of whole panels,
+    y_block_width columns (about Y_BLOCK_BYTES / 2 of float32, however wide
+    Y is), and each panel is centered from its group: a Y no wider than
+    y_block_width is read once per pass. A Y of no columns gives a d x 0 Xc^T Yc. So
+    no float64 copy of a whole set exists, and the temporaries are one row
+    block of X, one group of Y's rows, one float64 panel of Y and one
+    product of at most d x PANEL: past d = PANEL none is d x d. For at most
+    ROW_BLOCK_ENTRIES // d rows and d <= PANEL the products are those of
+    whole-copy code, one call each. The Gram's diagonal blocks are symmetric
+    products and its upper triangle is mirrored from the lower one, so it is
+    exactly symmetric.
     """
-    X = np.asarray(X)
     n = X.shape[0] if rows is None else len(rows)
     d = X.shape[1]
     step = max(1, ROW_BLOCK_ENTRIES // d)
     blocks = [slice(s, s + step) for s in range(0, n, step)]
     x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
     g = y_mean = cross = None
+    y_groups = []
     if Y is not None:
-        y_width = min(PANEL, y_block_width(min(step, n)))
+        group = y_block_width(min(step, n))
+        y_width = min(PANEL, group)
+        y_groups = _panels(Y.shape[1], group // y_width * y_width)
         y_mean = np.empty(Y.shape[1])
-        for j, e in _panels(Y.shape[1], y_width):
-            y_mean[j:e] = sum(_rows(Y, y_rows, blk, slice(j, e)).sum(axis=0, dtype=np.float64)
-                              for blk in blocks) / n
+        for g0, g1 in y_groups:
+            y_mean[g0:g1] = sum(_rows(Y, y_rows, blk, slice(g0, g1)).sum(axis=0, dtype=np.float64)
+                                for blk in blocks) / n
         cross = np.zeros((d, Y.shape[1]))
     for blk in blocks:
         xb = np.subtract(_rows(X, rows, blk), x_mean, dtype=np.float64)
-        if cross is not None:
-            for j, e in _panels(Y.shape[1], y_width):
-                yb = np.subtract(_rows(Y, y_rows, blk, slice(j, e)), y_mean[j:e],
-                                 dtype=np.float64)
-                cross[:, j:e] += xb.T @ yb
-            yb = None  # also when Y has no columns
+        for g0, g1 in y_groups:
+            y_group = _rows(Y, y_rows, blk, slice(g0, g1))
+            for j, e in _panels(g1 - g0, y_width):
+                yb = np.subtract(y_group[:, j:e], y_mean[g0 + j:g0 + e], dtype=np.float64)
+                cross[:, g0 + j:g0 + e] += xb.T @ yb
+            y_group = yb = None
         if gram:
             if g is None:  # made once the first block's Y panels are freed
                 g = np.zeros((d, d))

@@ -17,6 +17,9 @@ Fits and scores read their rows by index (``rows=``), so neither makes a
 gathered copy of a latent set, nor a float64 copy of one: an n > d fit sums
 its normal equations from row blocks (linalg.centered_products) and solves
 them in place (linalg.spd_solve); an n <= d fit reads X and Y in column blocks.
+X and Y may be arrays or the data.FileRows of sets read from disk. An n > d
+fit reads those by row blocks and never holds a set whole; an n <= d fit
+gathers the train rows of one once per pass over its column blocks.
 """
 
 from __future__ import annotations
@@ -86,11 +89,15 @@ DEFAULT_MAP_ALPHAS: dict[tuple[str, str], float] = {
 }
 
 
-def _centered_blocks(A: np.ndarray, rows: np.ndarray, mean: np.ndarray):
+def _centered_blocks(A, rows: np.ndarray, mean: np.ndarray):
     """(column slice, float64 block of A's rows ``rows`` minus its column
     means) over A's columns, blocks of linalg.y_block_width columns; each
-    block's means are written into ``mean``. Both X and Y are centered so."""
+    block's means are written into ``mean``. Both X and Y are centered so.
+    The rows of a data.FileRows are gathered once, as float32, so its file
+    is read once per pass and not once per block."""
     step = linalg.y_block_width(len(rows))
+    if not isinstance(A, np.ndarray):
+        A, rows = A[rows], slice(None)
     for j in range(0, A.shape[1], step):
         cols = slice(j, min(j + step, A.shape[1]))
         block = np.ascontiguousarray(A[rows, cols], dtype=np.float64)
@@ -163,7 +170,6 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         shared = SharedFit(X, rows=key)
     elif shared.X is not X or shared.rows is not key:
         raise ValueError("a SharedFit serves the fits of one X and one set of its rows")
-    X, Y = np.asarray(X), np.asarray(Y)
     if X.ndim != 2 or Y.ndim != 2:
         raise DataError("X and Y must be 2-D")
     ix, iy = (np.arange(len(X)), np.arange(len(Y))) if rows is None else rows
@@ -221,9 +227,10 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     """The one map fit: ridge for alpha > 0, least squares for alpha = 0.
 
     With ``rows=(ix, iy)`` the fit pairs X's row ix[j] with Y's row iy[j]
-    (the rows of data.align or data.rows_of), reading both arrays in place:
-    the map equals the fit of X[ix] to Y[iy] to the byte, without either
-    gathered copy. Without ``rows`` X and Y pair row by row.
+    (the rows of data.align or data.rows_of), reading both in place: the map
+    equals the fit of X[ix] to Y[iy] to the byte, without either gathered
+    copy. Without ``rows`` X and Y pair row by row. X and Y are 2-D arrays or
+    data.FileRows; a FileRows gives the map of its array to the byte.
 
     A design with n <= d train rows is fitted through its DualFactor (solver
     "eigh"): W^T = P diag(f(lam)) U^T Yc, with f = 1/(lam + alpha),
@@ -250,7 +257,8 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     rebuilds the Gram the failed factor overwrote, then holds its
     pseudo-inverse. An n <= d fit sums its dual Gram from float64 column
     blocks of the centered X, frees it after eigh, and fills P = Xc^T U from
-    a second pass over those blocks; it reads Y in such blocks too.
+    a second pass over those blocks; it reads Y in such blocks too. A pass
+    over a data.FileRows holds a float32 gather of its train rows.
     """
     return _fit_affine(X, Y, float(alpha), source_model, target_model, shared, rows)
 
@@ -283,7 +291,6 @@ def mapped_mse(m: LinearMap, X, Y, rows) -> float:
     mapped rows nor a gathered copy of X or Y is held whole.
     """
     ix, iy = rows
-    X, Y = np.asarray(X), np.asarray(Y)
     if len(ix) != len(iy) or Y.ndim != 2 or Y.shape[1] != m.d_out:
         raise DataError(
             f"{len(ix)} mapped rows of width {m.d_out} against {len(iy)} of shape {Y.shape}"

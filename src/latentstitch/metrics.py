@@ -31,7 +31,9 @@ NEGATIVE_FLOOR = -1e-6
 class GaussianSummary:
     """Mean ``mu`` (d), covariance factor ``factor`` (r x d, F.T @ F == sigma)
     and sample count ``n`` (None when unknown) of one feature set. Both arrays
-    are held as contiguous float64; sigma itself is never kept.
+    are held as float64, the factor in the layout it came in (a Cholesky
+    factor is the F-ordered transpose of linalg.cov_factor's L), so no copy
+    of it is made; sigma itself is never kept.
     """
 
     mu: np.ndarray
@@ -40,7 +42,7 @@ class GaussianSummary:
 
     def __post_init__(self) -> None:
         self.mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        self.factor = np.ascontiguousarray(self.factor, dtype=np.float64)
+        self.factor = np.asarray(self.factor, dtype=np.float64)
         if self.mu.ndim != 1 or self.factor.shape[1:] != self.mu.shape:
             raise DataError(
                 f"mu shape {self.mu.shape} incompatible with factor shape {self.factor.shape}"
@@ -103,28 +105,38 @@ def pixel_rmse(a, b, rows=None) -> float:
 
 def summarize(features) -> GaussianSummary:
     """Column means and unbiased (n-1 divisor) covariance factor of a feature
-    set; the input is left unchanged. With fewer samples than dimensions the
-    scaled centered rows (n x d), a float64 copy of the samples, are the
-    factor. Otherwise the covariance (d x d) is accumulated from row blocks
-    by linalg.centered_products, so no copy of the samples is made, and its
-    factor is linalg.cov_factor's (Cholesky, else the PSD square root;
-    NumericalError if indefinite).
+    set, a 2-D array or the data.FileRows of a set read from disk; the input
+    is left unchanged. With fewer samples than dimensions the scaled centered
+    rows (n x d), a float64 copy of the samples, are the factor. Otherwise
+    the covariance (d x d) is accumulated from row blocks by
+    linalg.centered_products, so no copy of the samples is made (a FileRows
+    is read block by block), and its factor is linalg.cov_factor's
+    (Cholesky, else the PSD square root; NumericalError if indefinite),
+    kept in the layout it returns. Sigma is dropped before the summary is
+    built.
     """
-    f = np.asarray(features)
-    if f.ndim != 2:
-        raise DataError(f"features must be 2-D, got shape {f.shape}")
-    n, d = f.shape
+    if features.ndim != 2:
+        raise DataError(f"features must be 2-D, got shape {features.shape}")
+    n, d = features.shape
     if n < 2:
         raise DataError(f"need at least 2 samples for a covariance, got {n}")
     if n < d:
-        f = np.array(f, dtype=np.float64)
+        f = np.array(features[:], dtype=np.float64)
         mu = f.mean(axis=0)
         f -= mu
         f /= np.sqrt(n - 1)
         return GaussianSummary(mu=mu, factor=f, n=n)
-    mu, sigma, _, _ = centered_products(f)
+    mu, sigma, _, _ = centered_products(features)
     sigma /= n - 1
-    return GaussianSummary(mu=mu, factor=cov_factor(sigma), n=n)
+    factor = cov_factor(sigma)
+    del sigma
+    return GaussianSummary(mu=mu, factor=factor, n=n)
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """||a||_F^2, summed in a's memory order: a view for a C- or F-ordered a."""
+    flat = a.ravel(order="K")
+    return float(flat @ flat)
 
 
 def fid(p: GaussianSummary, q: GaussianSummary) -> float:
@@ -139,8 +151,7 @@ def fid(p: GaussianSummary, q: GaussianSummary) -> float:
     if p.d != q.d:
         raise DataError(f"dimension mismatch: {p.d} vs {q.d}")
     fp, fq = p.factor, q.factor
-    tr_p = float(np.vdot(fp, fp))
-    tr_q = float(np.vdot(fq, fq))
+    tr_p, tr_q = _sum_squares(fp), _sum_squares(fq)
     cross = nuclear_norm(fp, fq)
     diff = p.mu - q.mu
     value = float(diff @ diff + tr_p + tr_q - 2.0 * cross)

@@ -567,7 +567,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     for p in (out, maps_dir, mapped_dir):
         p.mkdir(parents=True, exist_ok=True)
 
-    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
+    latents = {m.model_id: read_latents(m.latents_path, in_memory=True) for m in cfg.models}
     images = read_images(cfg.pixels_path) if cfg.pixels_path else None
     model_ids = cfg.model_ids()
     entry_by_id = {m.model_id: m for m in cfg.models}
@@ -708,7 +708,7 @@ def run_probe_suite(
     out = Path(out_dir)
     table = read_attribute_table(cfg.attributes_path)
     attributes = select_attributes(table, cfg.attribute_subset)
-    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
+    latents = {m.model_id: read_latents(m.latents_path, in_memory=True) for m in cfg.models}
     model_ids = cfg.model_ids()
     split = split_ids(latents[model_ids[0]], cfg.split)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
@@ -891,7 +891,7 @@ def run_dynamics(
     if "" in labels or len(set(labels)) < len(labels):
         raise ConfigError(f"checkpoint labels must be non-empty and distinct, got {labels}")
 
-    datasets = [read_latents(p) for p in paths]
+    datasets = [read_latents(p, in_memory=True) for p in paths]
     for ds, p in zip(datasets[1:], paths[1:]):
         if ds.ids != datasets[0].ids:
             raise DataError(f"{p}: sample ids differ from the first checkpoint")

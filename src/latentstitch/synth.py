@@ -220,7 +220,7 @@ def check_encoder(spec: SynthModelSpec, d_pix: int) -> None:
 
 def encode(spec: SynthModelSpec, images: LatentDataset) -> LatentDataset:
     """Encode pixel rows into the model's latent space."""
-    x = images.X.astype(np.float64)
+    x = np.asarray(images.X, dtype=np.float64)
     d_pix = x.shape[1]
     check_encoder(spec, d_pix)
     if spec.kind == "orthogonal":
@@ -249,7 +249,7 @@ def decode(spec: SynthModelSpec, latents: LatentDataset) -> LatentDataset:
     """
     if spec.kind == "random":
         raise DataError(f"{spec.model_id}: the random encoder has no decoder")
-    lat = latents.X.astype(np.float64)
+    lat = np.asarray(latents.X, dtype=np.float64)
     if lat.shape[1] != spec.d:
         raise DataError(f"{spec.model_id}: latents have d={lat.shape[1]}, spec says {spec.d}")
     if spec.kind == "orthogonal":

@@ -309,6 +309,44 @@ def test_cli_exit_code_data_error(tmp_path):
     assert cli.main(["fid", str(bad), str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["fit-map", "fid", "rmse"])
+@pytest.mark.parametrize("damage, message", [
+    ("nan-last-row", "latents for 'b' contain NaN or Inf"),
+    ("truncated", r"expected \d+ bytes, \d+ left"),
+    ("trailing", "2 bytes after the end of the record"),
+])
+def test_cli_bad_file_is_a_data_error_before_any_output(tmp_path, capsys, command, damage,
+                                                        message):
+    # 1,100 x 1,024 sets: the payload spans two chunks of the finiteness check.
+    # The damaged file is read second, after a good one.
+    rng = np.random.default_rng(31)
+    ids = [f"{i:06d}" for i in range(1100)]
+    for name in ("a", "b"):
+        write_latents(LatentDataset(model_id=name, ids=ids,
+                                    X=rng.random((1100, 1024), dtype=np.float32)),
+                      tmp_path / f"{name}.lsf")
+    bad = tmp_path / "b.lsf"
+    raw = bytearray(bad.read_bytes())
+    if damage == "nan-last-row":
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    elif damage == "truncated":
+        del raw[-100:]
+    else:
+        raw += b"\0\0"
+    bad.write_bytes(bytes(raw))
+    (tmp_path / "experiment.cfg").write_text(
+        "model.a.latents = a.lsf\nmodel.b.latents = b.lsf\nsplit.train = 1000\nsplit.holdout = 100\n")
+    argv = {"fit-map": ["fit-map", "--config", str(tmp_path / "experiment.cfg"),
+                        "--out", str(tmp_path / "fit"), "--src", "a", "--dst", "b"],
+            "fid": ["fid", str(tmp_path / "a.lsf"), str(bad)],
+            "rmse": ["rmse", str(tmp_path / "a.lsf"), str(bad)]}[command]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.match(f"data error: {re.escape(str(bad))}: {message}", err), err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_cli_exit_code_numerical_error(generated, tmp_path):
     # a starved iteration budget stops the lasso short of convergence
     code = cli.main([
@@ -398,12 +436,15 @@ def _resident_growth_mb(*argv) -> float:
 def test_fit_map_resident_memory(tmp_path):
     """fit-map's peak resident growth over its post-import baseline.
 
-    Two 6,000 x 1,024 float32 sets with split 5,500/500 and one BLAS thread
-    hold, in MB: both sets as read 49.2, and while the normal equations
-    accumulate, the Gram and XcT Yc at 8.4 each, a float64 row block of the
-    source 8.4, a panel of the target's rows 6.3 with its float32 gather, and
-    one product 4.2: 84.9, 88.6 measured. The solve overwrites the Gram with
-    its factor and XcT Yc with the solution. The bound adds 10 MB, so a copy
+    Two 6,000 x 1,024 float32 sets with split 5,500/500 and one BLAS thread.
+    Both are read from their files by rows, so neither is held. While the
+    normal equations accumulate the fit holds, in MB: the Gram and XcT Yc at
+    8.4 each, a float64 row block of the source 8.4, a group of 512 of that
+    block's target columns 2.1 (float32), two float64 panels of them 4.2
+    each, and one product 4.2: about 40, 41.5 measured (88.6 when both sets
+    were held as read). The group is cut from a 4.2 MB chunk of whole rows
+    read from the file, freed before the panels are formed. The solve overwrites the Gram with its factor and XcT Yc with the
+    solution. The bound adds 10 MB, so holding either set (+24.6 MB) or a copy
     of the train rows (+22.5 MB as float32, +45 MB as float64) fails it; one
     more 8.4 MB d x d array would not.
     """
@@ -419,20 +460,22 @@ def test_fit_map_resident_memory(tmp_path):
     growth_mb = _resident_growth_mb(
         "fit-map", "--config", str(tmp_path / "experiment.cfg"), "--out", str(tmp_path / "fit"),
         "--src", "a", "--dst", "b", "--alpha", "0")
-    assert growth_mb <= 89 + 10
+    assert growth_mb <= 42 + 10
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_fid_resident_memory(tmp_path):
     """fid's peak resident growth over its post-import baseline.
 
-    Two 6,000 x 1,024 float32 sets with one BLAS thread. No summary copies
-    its samples: Sigma is accumulated from row blocks. The peak comes while
-    the second summary's Sigma is factored, holding, in MB: that set as read
-    24.6, the first summary's factor 8.4, Sigma 8.4, and np.linalg.cholesky's
-    working copy and factor 16.8: 58.2, 61.0 measured. The bound adds 10 MB,
-    so reading both sets before summarizing either (+24.6 MB) or a float64
-    copy of a set (+49.2 MB) fails it.
+    Two 6,000 x 1,024 float32 sets with one BLAS thread. Each set is read
+    from its file by rows, and no summary copies its samples: Sigma is
+    accumulated from row blocks. Factoring the second Sigma holds, in MB, the
+    first factor, Sigma, np.linalg.cholesky's working copy and its factor,
+    8.4 each, and the cross term holds both factors, Fp FqT and its Gram:
+    33.6. A float64 row block (8.4) and a float32 one (4.2), freed, stay
+    resident in the malloc heap: about 46, 46.0 measured (61.0 when the set
+    being summarized was held as read). The bound adds 10 MB, so holding one
+    set as read (+24.6 MB) or a float64 copy of a set (+49.2 MB) fails it.
     """
     rng = np.random.default_rng(22)
     ids = [f"{i:06d}" for i in range(6000)]
@@ -441,7 +484,7 @@ def test_fid_resident_memory(tmp_path):
         X = rng.standard_normal((6000, 1024), dtype=np.float32)
         write_latents(LatentDataset(model_id=name, ids=ids, X=X), tmp_path / f"{name}.lsf")
         paths.append(str(tmp_path / f"{name}.lsf"))
-    assert _resident_growth_mb("fid", *paths) <= 61 + 10
+    assert _resident_growth_mb("fid", *paths) <= 46 + 10
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -449,12 +492,12 @@ def test_rmse_resident_memory(tmp_path):
     """rmse's peak resident growth over its post-import baseline.
 
     Two 6,000 x 1,024 float32 sets, the second in reversed id order, with one
-    BLAS thread. Both are read whole (24.6 MB each); the finiteness check of
-    the second adds a 6.3 MB boolean mask while it is read, and scoring adds
-    one block of each set's aligned rows (4.2 MB each) and their float64
-    difference (8.4 MB): about 66 MB, 65.3 measured. The bound adds 10 MB, so
-    gathering both aligned sets before scoring (+49.2 MB, 109.0 measured)
-    fails it.
+    BLAS thread. Neither is held: each file is checked in row chunks, and
+    scoring reads one block of each set's aligned rows from the files (4.2 MB
+    each) and forms their float64 difference (8.4 MB): about 17 MB, 18.6
+    measured (65.3 when both sets were read whole). The bound adds 10 MB, so
+    holding either set (+24.6 MB), or gathering both aligned sets before
+    scoring (+49.2 MB), fails it.
     """
     rng = np.random.default_rng(23)
     ids = [f"{i:06d}" for i in range(6000)]
@@ -463,7 +506,7 @@ def test_rmse_resident_memory(tmp_path):
         X = rng.uniform(size=(6000, 1024)).astype(np.float32)
         write_latents(LatentDataset(model_id=name, ids=order, X=X), tmp_path / f"{name}.lsf")
         paths.append(str(tmp_path / f"{name}.lsf"))
-    assert _resident_growth_mb("rmse", *paths) <= 66 + 10
+    assert _resident_growth_mb("rmse", *paths) <= 19 + 10
 
 
 def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):
@@ -475,8 +518,8 @@ def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):
         write_latents(LatentDataset(model_id=name, ids=ids,
                                     X=rng.standard_normal((n, d)).astype(np.float32)), path)
         paths.append(str(path))
-    x = read_latents(paths[0]).X.astype(np.float64)
-    y = read_latents(paths[1]).X.astype(np.float64)
+    x = read_latents(paths[0]).X[:].astype(np.float64)
+    y = read_latents(paths[1]).X[:].astype(np.float64)
     ax = (x - x.mean(axis=0)) / np.sqrt(len(x) - 1)
     ay = (y - y.mean(axis=0)) / np.sqrt(len(y) - 1)
     diff = x.mean(axis=0) - y.mean(axis=0)

@@ -1,11 +1,12 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentstitch import data
+from latentstitch import data, linalg, mapfit, metrics
 from latentstitch.errors import DataError
 
 
@@ -164,6 +165,173 @@ def test_lsf_read_error_starts_with_the_path(tmp_path, reader, ids, value, messa
     with pytest.raises(DataError) as raised:
         reader(path)
     assert str(raised.value) == f"{path}: {message}"
+
+
+# --- a set read from disk: its rows read by index ---------------------------------
+
+
+def _on_disk(tmp_path, X, model_id="m", name="set.lsf"):
+    """Write X (float32) with 5-byte ids; return the set read back."""
+    ids = [f"{i:05d}" for i in range(len(X))]
+    data.write_latents(data.LatentDataset(model_id=model_id, ids=ids, X=X), tmp_path / name)
+    return data.read_latents(tmp_path / name)
+
+
+@pytest.mark.parametrize("n, d, model_id", [(1, 5, "m"), (7, 1, "odd"), (300, 9, "m"),
+                                            (2100, 1024, "odd")],
+                         ids=["n=1", "d=1", "small", "three-chunks-odd-offset"])
+def test_file_rows_gathers_equal_the_array(tmp_path, n, d, model_id):
+    rng = np.random.default_rng(n + d)
+    X = rng.standard_normal((n, d), dtype=np.float32)
+    rows = _on_disk(tmp_path, X, model_id).X
+    assert rows.shape == X.shape and rows.dtype == X.dtype and len(rows) == n
+    if model_id == "odd":
+        assert rows.offset % 4  # the payload starts off a 4-byte boundary
+    row_keys = [slice(None), slice(1, None, 2), slice(n // 3, n // 2), slice(None, None, -1),
+                0, -1, np.arange(n), rng.permutation(n), rng.integers(0, n, 2 * n),
+                np.array([n - 1, 0, n - 1]), np.array([], dtype=np.intp), [0]]
+    col_keys = [slice(0, max(1, d // 2)), slice(d - 1, None), slice(None, None, 2)]
+    keys = row_keys + [(r, c) for r in row_keys for c in col_keys]
+    for key in keys:
+        got, want = rows[key], X[key]
+        assert got.shape == want.shape and got.dtype == want.dtype, key
+        assert got.tobytes() == want.tobytes(), key
+        assert got.flags.c_contiguous and got.flags.aligned, key
+    assert np.asarray(rows).tobytes() == X.tobytes()
+    assert np.asarray(rows, dtype=np.float64).tobytes() == X.astype(np.float64).tobytes()
+
+
+def test_file_rows_reads_one_run_per_consecutive_span(tmp_path, monkeypatch):
+    X = np.arange(60, dtype=np.float32).reshape(20, 3)
+    rows = _on_disk(tmp_path, X).X
+    calls = []
+    read_run = rows._read_run
+    monkeypatch.setattr(rows, "_read_run", lambda buf, pos: calls.append(pos) or read_run(buf, pos))
+    got = rows[[3, 4, 5, 9, 10, 2, 2, 0]]
+    assert got.tobytes() == X[[3, 4, 5, 9, 10, 2, 2, 0]].tobytes()
+    row_bytes = 3 * 4
+    assert calls == [rows.offset + r * row_bytes for r in (3, 9, 2, 2, 0)]
+
+
+def test_file_rows_truncated_after_reading_raises(tmp_path):
+    X = np.random.default_rng(3).standard_normal((50, 8), dtype=np.float32)
+    ds = _on_disk(tmp_path, X)
+    os.truncate(tmp_path / "set.lsf", ds.X.offset + 30 * 8 * 4 + 5)
+    assert ds.X[:30].tobytes() == X[:30].tobytes()  # rows still in the file
+    for key in (slice(None), [29, 30], 49, slice(40, 45)):
+        with pytest.raises(DataError, match=f"^{tmp_path / 'set.lsf'}: .* truncated"):
+            ds.X[key]
+    # the file as it now stands is refused on open
+    with pytest.raises(DataError, match="expected 1600 bytes, 965 left"):
+        data.read_latents(tmp_path / "set.lsf")
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("nan-last-row", "latents for 'm' contain NaN or Inf"),
+    ("inf-first-row", "latents for 'm' contain NaN or Inf"),
+    ("truncated", r"expected \d+ bytes, \d+ left"),
+    ("trailing", "3 bytes after the end of the record"),
+])
+@pytest.mark.parametrize("in_memory", [False, True], ids=["rows", "in-memory"])
+def test_read_latents_checks_the_whole_payload(tmp_path, damage, message, in_memory):
+    # 1,100 x 1,024: the finiteness check reads the payload in two chunks
+    X = np.random.default_rng(4).standard_normal((1100, 1024), dtype=np.float32)
+    path = tmp_path / "set.lsf"
+    offset = _on_disk(tmp_path, X).X.offset
+    raw = bytearray(path.read_bytes())
+    if damage == "nan-last-row":
+        raw[-8:-4] = np.array([np.nan], dtype="<f4").tobytes()
+    elif damage == "inf-first-row":
+        raw[offset + 4:offset + 8] = np.array([-np.inf], dtype="<f4").tobytes()
+    elif damage == "truncated":
+        del raw[-4096:]
+    else:
+        raw += b"abc"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"^{path}: {message}"):
+        data.read_latents(path, in_memory=in_memory)
+
+
+def test_read_latents_in_memory_reads_and_checks_the_payload_once(tmp_path, monkeypatch):
+    X = np.random.default_rng(5).standard_normal((300, 9), dtype=np.float32)
+    _on_disk(tmp_path, X)
+
+    def no_rows(*args):
+        raise AssertionError("an in-memory read made a FileRows")
+
+    monkeypatch.setattr(data.FileRows, "__init__", no_rows)
+    checked, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.shape) or isfinite(a))
+    ds = data.read_latents(tmp_path / "set.lsf", in_memory=True)
+    assert isinstance(ds.X, np.ndarray) and ds.X.flags.aligned
+    assert ds.X.tobytes() == X.tobytes()
+    assert checked == [X.shape]
+
+
+def test_dual_fit_reads_a_file_once_per_pass(tmp_path, monkeypatch):
+    # n = 70 <= d = 600 over three 256-column blocks: X's train rows are
+    # gathered once for the dual Gram and once for P, Y's once, and never
+    # once per block
+    monkeypatch.setattr(linalg, "Y_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((90, 600), dtype=np.float32)
+    Y = rng.standard_normal((90, 530), dtype=np.float32)
+    xs, ys = _on_disk(tmp_path, X, name="x.lsf").X, _on_disk(tmp_path, Y, name="y.lsf").X
+    reads = []
+    for name, rows in (("X", xs), ("Y", ys)):
+        monkeypatch.setattr(rows, "_read", lambda idx, name=name, read=rows._read:
+                            reads.append(name) or read(idx))
+    ix, iy = rng.permutation(90)[:70], rng.permutation(90)[:70]
+    got = mapfit.fit_ridge(xs, ys, 0.5, rows=(ix, iy))
+    want = mapfit.fit_ridge(X, Y, 0.5, rows=(ix, iy))
+    assert got.solver == want.solver == "eigh"
+    assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
+    assert reads == ["X", "X", "Y"]
+
+
+@pytest.mark.parametrize("n, d, alpha, solver", [
+    (400, 30, 0.0, "cholesky"), (400, 30, 2.5, "cholesky"),
+    (400, 30, 0.0, "lstsq"), (60, 300, 0.0, "eigh"), (60, 300, 4.0, "eigh"),
+])
+def test_fits_and_scores_read_from_disk_equal_those_in_memory(tmp_path, n, d, alpha, solver):
+    rng = np.random.default_rng(n + d + int(alpha))
+    X = rng.standard_normal((n + 40, d), dtype=np.float32)
+    if solver == "lstsq":
+        X[:, 1] = 0.0  # a constant column: the centered Gram is singular
+    Y = (X[:, :20] @ rng.standard_normal((20, 24), dtype=np.float32)
+         + 0.1 * rng.standard_normal((n + 40, 24), dtype=np.float32))
+    xs, ys = _on_disk(tmp_path, X, name="x.lsf").X, _on_disk(tmp_path, Y, name="y.lsf").X
+    ix, iy = rng.permutation(n + 40)[:n], rng.permutation(n + 40)[:n]
+    want = mapfit.fit_ridge(X, Y, alpha, rows=(ix, iy))
+    got = mapfit.fit_ridge(xs, ys, alpha, rows=(ix, iy))
+    assert want.solver == got.solver == solver
+    assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
+    hold = rng.permutation(n + 40)[:30], rng.permutation(n + 40)[:30]
+    assert mapfit.mapped_mse(got, xs, ys, hold) == mapfit.mapped_mse(want, X, Y, hold)
+
+
+@pytest.mark.parametrize("n, d", [(500, 40), (30, 50)], ids=["n>=d", "n<d"])
+def test_summary_read_from_disk_equals_the_one_in_memory(tmp_path, n, d):
+    X = np.random.default_rng(n).standard_normal((n, d), dtype=np.float32)
+    got, want = metrics.summarize(_on_disk(tmp_path, X).X), metrics.summarize(X)
+    assert got.mu.tobytes() == want.mu.tobytes()
+    assert got.factor.tobytes() == want.factor.tobytes()
+
+
+def test_pixel_rmse_read_from_disk_equals_the_one_in_memory(tmp_path):
+    # a reordered 95% export spanning three blocks, scored through align's rows
+    rng = np.random.default_rng(9)
+    a = rng.random((2200, 1024), dtype=np.float32)
+    keep = rng.permutation(2200)[:2090]
+    a_disk = _on_disk(tmp_path, a, name="a.lsf")
+    b_mem = data.LatentDataset(model_id="b", ids=[a_disk.ids[i] for i in keep],
+                               X=rng.random((2090, 1024), dtype=np.float32))
+    data.write_latents(b_mem, tmp_path / "b.lsf")
+    b_disk = data.read_latents(tmp_path / "b.lsf")
+    a_mem = data.read_latents(tmp_path / "a.lsf", in_memory=True)
+    want = metrics.pixel_rmse(b_mem, a_mem, rows=data.align(b_mem, a_mem))
+    assert metrics.pixel_rmse(b_disk, a_disk, rows=data.align(b_disk, a_disk)) == want
+    assert isinstance(a_mem.X, np.ndarray) and a_mem.X.tobytes() == a.tobytes()
 
 
 # --- attribute table ----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentstitch import linalg, metrics
+from latentstitch import data, linalg, metrics
 from latentstitch.errors import NotSPD, NumericalError
 
 
@@ -193,6 +193,34 @@ def test_centered_products_hold_no_copy_of_the_set():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * d * d + 20 * 2**20
+
+
+@pytest.mark.parametrize("source", ["array", "file"])
+def test_centered_products_read_a_wide_y_in_bounded_groups(tmp_path, source):
+    # A narrow X (64 columns: blocks of 16,384 rows) and a wide Y (4,096
+    # columns, 32 MiB of float32). Xc^T Yc is 2 MiB; Y's rows are read in
+    # groups of 256 columns (2 MiB as float32) and centered in a float64
+    # panel (4 MiB); a file's rows come through chunks of about 2^20
+    # entries (4 MiB): 9.1 MiB measured either way. A gather of all of a
+    # block's Y columns is 32 MiB.
+    rng = np.random.default_rng(67)
+    n, d_x, d_y = 2000, 64, 4096
+    x = rng.standard_normal((n, d_x), dtype=np.float32)
+    y = rng.standard_normal((n, d_y), dtype=np.float32)
+    rows = rng.permutation(n)
+    want = linalg.centered_products(x, rows, y, rows, gram=False)
+    if source == "file":
+        ids = [str(i) for i in range(n)]
+        data.write_latents(data.LatentDataset(model_id="y", ids=ids, X=y), tmp_path / "y.lsf")
+        y = data.read_latents(tmp_path / "y.lsf").X
+    tracemalloc.start()
+    try:
+        got = linalg.centered_products(x, rows, y, rows, gram=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(got, want) if u is not None)
+    assert peak < 8 * d_x * d_y + 12 * 2**20
 
 
 # spd_solve, sym_eig and cov_factor check no symmetry and summarize and

@@ -283,6 +283,31 @@ def test_summarize_holds_one_float64_copy_and_two_covariances(d):
     assert peak < x.size * 8 + 2 * d * d * 8
 
 
+def test_summarize_makes_no_copy_of_the_cholesky_factor(monkeypatch):
+    # Once Sigma exists (2 MiB at d = 512), factoring it holds Sigma and L;
+    # the summary keeps the factor cov_factor returns, in its layout, with no
+    # third d x d array (a C-ordered copy made next to Sigma and L read 6 MiB).
+    n, d = 2000, 512
+    x = np.random.default_rng(15).standard_normal((n, d), dtype=np.float32)
+    accumulate, factor, factors = metrics.centered_products, metrics.cov_factor, []
+
+    def products_then_reset(*args, **kwargs):
+        out = accumulate(*args, **kwargs)
+        tracemalloc.reset_peak()  # the row blocks are freed; the peak from here on
+        return out
+
+    monkeypatch.setattr(metrics, "centered_products", products_then_reset)
+    monkeypatch.setattr(metrics, "cov_factor", lambda s: factors.append(factor(s)) or factors[-1])
+    tracemalloc.start()
+    try:
+        s = metrics.summarize(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.factor is factors[0]
+    assert peak < 2 * d * d * 8 + 2**16
+
+
 # full rank (Cholesky factor), and a zero column, which makes sigma singular
 # on every BLAS (psd_sqrt factor)
 @pytest.mark.parametrize("singular", [False, True])
