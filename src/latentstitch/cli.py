@@ -214,8 +214,10 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_fid(args) -> int:
-    # both files are checked before either is summarized; each is read by rows
+    # both files and their widths are checked before either is summarized
     a, b = read_latents(args.features_a), read_latents(args.features_b)
+    if a.d != b.d:
+        raise DataError(f"dimension mismatch: {a.d} vs {b.d}")
     value = fid(summarize(a.X), summarize(b.X))
     print(f"{value:.9g}")
     return 0

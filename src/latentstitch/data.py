@@ -6,17 +6,14 @@ head split, and the id-seeded random-encoder baseline. A pixel file is an
 LSF file of flattened images: it reads as a LatentDataset with model_id
 'pixels' once its (H, W, C) triple and [0, 1] range are checked.
 
-A latent set read from disk stays on disk. `read_latents` checks an LSF
-file's header, ids, payload size and finiteness in one chunked pass, and
-its dataset's X is a FileRows: each gather (``X[rows]``, ``X[rows, cols]``,
-``X[a:b]``) reads just those rows from the file into a fresh array. The
-kernels that visit rows one block at a time (linalg.centered_products, the
-map fit and its scores, metrics.summarize and the block scores through
-`take`) read such a set block by block, so fit-map, fid and rmse hold
-row blocks, not sets; only an n <= d map fit gathers its train rows, once
-per pass over its column blocks. A caller that revisits rows many times reads the set into
-memory once (``read_latents(path, in_memory=True)``), as stitch-grid,
-probe-suite, dynamics and `read_images` do.
+Every set read from disk stays on disk. `read_latents` checks an LSF file's
+header, ids, payload size and finiteness in row chunks, and its dataset's X
+is a FileRows: each gather (``X[rows]``, ``X[rows, cols]``, ``X[a:b]``)
+reads just those rows from the file into a fresh array. The block kernels
+(linalg.centered_products, the map fit and its scores, metrics.summarize,
+and the block scores through `take`) read a set block by block. Only
+probe-suite and dynamics, which revisit scattered rows, `take` each set's
+split rows into memory, once.
 
 Datasets are immutable, and rows are selected by index arrays: `align(a, b)`
 gives the rows (ia, ib) of the ids both share, `rows_of` the rows of given
@@ -63,6 +60,12 @@ def _check_ids(ids: Sequence[str]) -> list[str]:
     if len(set(out)) != len(out):
         raise DataError("sample ids must be unique")
     return out
+
+
+def _row_blocks(X):
+    """X's rows, an array's or a FileRows', in blocks of ROW_BLOCK_ENTRIES."""
+    step = max(1, ROW_BLOCK_ENTRIES // X.shape[1])
+    return (X[s:s + step] for s in range(0, len(X), step))
 
 
 class _RowIndexed:
@@ -170,8 +173,7 @@ class LatentDataset(_RowIndexed):
             raise DataError(f"latents must be a non-degenerate 2-D array, got {self.X.shape}")
         if self.X.shape[0] != len(self.ids):
             raise DataError(f"{len(self.ids)} ids but {self.X.shape[0]} latent rows")
-        step = max(1, ROW_BLOCK_ENTRIES // self.d)
-        if not all(np.isfinite(self.X[s:s + step]).all() for s in range(0, self.n, step)):
+        if not all(np.isfinite(block).all() for block in _row_blocks(self.X)):
             raise DataError(f"latents for {self.model_id!r} contain NaN or Inf")
 
     @property
@@ -328,21 +330,18 @@ def _write_lsf(
         values.tofile(f)
 
 
-def _read_lsf(path, in_memory: bool):
-    """The dataset an LSF file holds, its X the payload read whole when
-    ``in_memory`` and the file's FileRows otherwise, and its (H, W, C)
-    triple, None unless it is a pixel file. The header, the ids, the
-    payload's exact size and the finiteness of every value are checked here,
-    so a bad file fails before any command writes. Every data error names
-    the file."""
+def _read_lsf(path):
+    """The dataset an LSF file holds, its X the payload's FileRows, and its
+    (H, W, C) triple, None unless it is a pixel file. The header, ids, exact
+    payload size and finiteness of every value are checked here, so a bad
+    file fails before any command writes; every data error names the file."""
     with open(path, "rb") as f:
         r = RecordReader(f, path, LSF_MAGIC, LSF_VERSION)
         n, d = r.unpack("<II")
         model_id = r.string()
         image_shape = r.unpack("<HHH") if model_id == PIXEL_MODEL_ID else None
         ids = [r.string() for _ in range(n)]
-        values = (r.array("<f4", n, d) if in_memory
-                  else FileRows(f, path, r.skip("<f4", n, d), n, d))
+        values = FileRows(f, path, r.skip("<f4", n, d), n, d)
         r.end()
     try:
         ds = LatentDataset(model_id=model_id, ids=ids, X=values)
@@ -357,23 +356,22 @@ def write_latents(ds: LatentDataset, path) -> None:
     _write_lsf(path, ds.model_id, ds.ids, ds.X)
 
 
-def read_latents(path, in_memory: bool = False) -> LatentDataset:
+def read_latents(path) -> LatentDataset:
     """Read any LSF file as a latent dataset (pixel files come back
-    flattened), checked whole. Its X is the file's FileRows, read by rows,
-    or with ``in_memory`` the payload read once into an array: for callers
-    that revisit a set's rows many times."""
-    return _read_lsf(path, in_memory)[0]
+    flattened), checked whole. Its X is the file's FileRows, read by rows;
+    a caller that revisits scattered rows gathers them once with `take`."""
+    return _read_lsf(path)[0]
 
 
-def check_pixels(values: np.ndarray, shape: tuple[int, int, int], path) -> None:
-    """Raise a DataError unless values (n x d) are pixel rows in [0, 1] that
-    flatten H x W x C images, each side fitting a u16 header field. Pixel
-    LSF files pass this on read and on write."""
+def check_pixels(values, shape: tuple[int, int, int], path) -> None:
+    """Raise a DataError unless values (n x d, an array or a FileRows, read
+    in row blocks) are [0, 1] pixel rows flattening H x W x C images with
+    u16 sides. Pixel LSF files pass this on read and on write."""
     if math.prod(shape) != values.shape[1]:
         raise DataError(f"{path}: {values.shape[1]} pixels per row do not flatten {shape}")
     if not all(0 < side <= 0xFFFF for side in shape):
         raise DataError(f"{path}: image shape {shape} does not fit u16 (H, W, C) fields")
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
+    if any(block.min() < 0.0 or block.max() > 1.0 for block in _row_blocks(values)):
         raise DataError(f"{path}: pixels must lie in [0, 1]")
 
 
@@ -385,10 +383,9 @@ def write_images(ds: LatentDataset, path, shape: tuple[int, int, int]) -> None:
 
 
 def read_images(path) -> LatentDataset:
-    """Read a pixel LSF file as a LatentDataset with model_id 'pixels', its
-    rows in memory. Its (H, W, C) triple is checked against the rows, then
-    dropped."""
-    ds, image_shape = _read_lsf(path, in_memory=True)
+    """Read a pixel LSF file as `read_latents` does, model_id 'pixels'; its
+    (H, W, C) triple is checked against the rows, then dropped."""
+    ds, image_shape = _read_lsf(path)
     if image_shape is None:
         raise DataError(f"{path}: not a pixel dataset (model_id={ds.model_id!r})")
     check_pixels(ds.X, image_shape, path)

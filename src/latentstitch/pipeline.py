@@ -567,7 +567,7 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
     for p in (out, maps_dir, mapped_dir):
         p.mkdir(parents=True, exist_ok=True)
 
-    latents = {m.model_id: read_latents(m.latents_path, in_memory=True) for m in cfg.models}
+    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
     images = read_images(cfg.pixels_path) if cfg.pixels_path else None
     model_ids = cfg.model_ids()
     entry_by_id = {m.model_id: m for m in cfg.models}
@@ -708,7 +708,7 @@ def run_probe_suite(
     out = Path(out_dir)
     table = read_attribute_table(cfg.attributes_path)
     attributes = select_attributes(table, cfg.attribute_subset)
-    latents = {m.model_id: read_latents(m.latents_path, in_memory=True) for m in cfg.models}
+    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
     model_ids = cfg.model_ids()
     split = split_ids(latents[model_ids[0]], cfg.split)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
@@ -723,12 +723,12 @@ def run_probe_suite(
             subsets[attr] = draw_subsets(table, attr, split, cfg.seed)
         except LatentStitchError as exc:
             subsets[attr] = exc
-    # each model's split ids are checked once; a model lacking some fails
-    # every probe of its row with that error
+    # each model's split rows are gathered once, as probes and maps revisit
+    # them; a model lacking split ids fails each probe of its row with that error
     lacks: dict[str, LatentStitchError | None] = dict.fromkeys(model_ids)
     for mid in model_ids:
         try:
-            rows_of(latents[mid], split[0] + split[1])
+            latents[mid] = take(latents[mid], rows_of(latents[mid], split[0] + split[1]))
         except LatentStitchError as exc:
             lacks[mid] = exc
     probe_tasks = [(mid, attr) for mid in model_ids for attr in attributes]
@@ -891,17 +891,18 @@ def run_dynamics(
     if "" in labels or len(set(labels)) < len(labels):
         raise ConfigError(f"checkpoint labels must be non-empty and distinct, got {labels}")
 
-    datasets = [read_latents(p, in_memory=True) for p in paths]
+    datasets = [read_latents(p) for p in paths]
     for ds, p in zip(datasets[1:], paths[1:]):
         if ds.ids != datasets[0].ids:
             raise DataError(f"{p}: sample ids differ from the first checkpoint")
 
     split = split_ids(datasets[0], cfg.split)
+    # every checkpoint holds the first one's ids, so its split rows are its head
+    datasets = [take(ds, np.arange(len(split[0]) + len(split[1]))) for ds in datasets]
     spaces = dict.fromkeys(ds.model_id for ds in datasets)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in spaces}
     subsets = {attr: draw_subsets(table, attr, split, cfg.seed) for attr in attributes}
     acc = np.full((len(attributes), len(datasets)), np.nan)
-    # every checkpoint holds the first one's ids, so holds every split id
     for ci, ds in enumerate(datasets):
         for ai, attr in enumerate(attributes):
             _, acc[ai, ci] = train_probe(ds, subsets[attr], attr, alphas[ds.model_id],

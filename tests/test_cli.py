@@ -509,6 +509,46 @@ def test_rmse_resident_memory(tmp_path):
     assert _resident_growth_mb("rmse", *paths) <= 19 + 10
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_stitch_grid_resident_memory(tmp_path):
+    """stitch-grid's peak resident growth over its post-import baseline.
+
+    Two noising models at d = 1,024 and their pixels, 6,000 rows each (three
+    24.6 MB sets), split 5,800/200, with one BLAS thread. Every set is read
+    from its file by rows. The first fit holds what fit-map's does: the Gram
+    and XcT Yc at 8.4 MB each, a float64 row block of the source 8.4, a group
+    of 512 of that block's target columns 2.1 (float32), two float64 panels
+    of them 4.2 each and one product 4.2: about 40. Next to it sit the true
+    holdout images, gathered once (200 x 1,024 float32, 0.8), and their
+    summary (a 200-row float64 factor, 1.6); a cell's holdout rows, its
+    decode and its scores hold a few 200-row arrays of at most 1.6 each:
+    about 44 MB, 45.9 measured (116.2 when all three sets were held as
+    read). The bound adds 10 MB, so holding any one set (+24.6 MB) fails it.
+    """
+    assert cli.main([
+        "synth-gen", "--out", str(tmp_path), "--seed", "4", "--n", "6000", "--k", "8",
+        "--dpix", "1024", "--model", "a=noising:seed=1,d=1024,dpix=1024,t=20",
+        "--model", "b=noising:seed=2,d=1024,dpix=1024,t=10"]) == 0
+    growth_mb = _resident_growth_mb("stitch-grid", "--config", str(tmp_path / "experiment.cfg"),
+                                    "--out", str(tmp_path / "grid"))
+    assert growth_mb <= 44 + 10
+
+
+def test_cli_fid_checks_widths_before_summarizing(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(14)
+    paths = []
+    for name, d in (("a", 6), ("b", 5)):
+        X = rng.standard_normal((20, d)).astype(np.float32)
+        write_latents(LatentDataset(model_id=name, ids=[f"{i}" for i in range(20)], X=X),
+                      tmp_path / f"{name}.lsf")
+        paths.append(str(tmp_path / f"{name}.lsf"))
+    summarized = []
+    monkeypatch.setattr(cli, "summarize", lambda X: summarized.append(X) or metrics.summarize(X))
+    assert cli.main(["fid", *paths]) == 2
+    assert capsys.readouterr().err.strip() == "data error: dimension mismatch: 6 vs 5"
+    assert summarized == []
+
+
 def test_cli_fid_fewer_samples_than_dims_matches_brute_force(tmp_path, capsys):
     rng = np.random.default_rng(12)
     paths = []

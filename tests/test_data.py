@@ -232,8 +232,7 @@ def test_file_rows_truncated_after_reading_raises(tmp_path):
     ("truncated", r"expected \d+ bytes, \d+ left"),
     ("trailing", "3 bytes after the end of the record"),
 ])
-@pytest.mark.parametrize("in_memory", [False, True], ids=["rows", "in-memory"])
-def test_read_latents_checks_the_whole_payload(tmp_path, damage, message, in_memory):
+def test_read_latents_checks_the_whole_payload(tmp_path, damage, message):
     # 1,100 x 1,024: the finiteness check reads the payload in two chunks
     X = np.random.default_rng(4).standard_normal((1100, 1024), dtype=np.float32)
     path = tmp_path / "set.lsf"
@@ -249,23 +248,26 @@ def test_read_latents_checks_the_whole_payload(tmp_path, damage, message, in_mem
         raw += b"abc"
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match=f"^{path}: {message}"):
-        data.read_latents(path, in_memory=in_memory)
+        data.read_latents(path)
 
 
-def test_read_latents_in_memory_reads_and_checks_the_payload_once(tmp_path, monkeypatch):
-    X = np.random.default_rng(5).standard_normal((300, 9), dtype=np.float32)
-    _on_disk(tmp_path, X)
-
-    def no_rows(*args):
-        raise AssertionError("an in-memory read made a FileRows")
-
-    monkeypatch.setattr(data.FileRows, "__init__", no_rows)
-    checked, isfinite = [], np.isfinite
-    monkeypatch.setattr(np, "isfinite", lambda a: checked.append(a.shape) or isfinite(a))
-    ds = data.read_latents(tmp_path / "set.lsf", in_memory=True)
-    assert isinstance(ds.X, np.ndarray) and ds.X.flags.aligned
-    assert ds.X.tobytes() == X.tobytes()
-    assert checked == [X.shape]
+@pytest.mark.parametrize("bad_row", [None, 0, -1], ids=["in-range", "first-block", "last-block"])
+def test_write_images_round_trips_a_file_backed_set(tmp_path, bad_row):
+    # 3,000 x 400 pixels: the range check reads them in two row blocks
+    img = np.random.default_rng(5).random((3000, 400), dtype=np.float32)
+    if bad_row is not None:
+        img[bad_row, 7] = 1.25
+    path = tmp_path / "pix.lsf"
+    data._write_lsf(path, data.PIXEL_MODEL_ID, [f"{i:05d}" for i in range(3000)], img,
+                    image_shape=(20, 20, 1))
+    if bad_row is not None:
+        with pytest.raises(DataError, match=rf"^{path}: pixels must lie in \[0, 1\]"):
+            data.read_images(path)
+        return
+    back = data.read_images(path)
+    assert isinstance(back.X, data.FileRows)
+    data.write_images(back, tmp_path / "copy.lsf", (20, 20, 1))
+    assert (tmp_path / "copy.lsf").read_bytes() == path.read_bytes()
 
 
 def test_dual_fit_reads_a_file_once_per_pass(tmp_path, monkeypatch):
@@ -328,7 +330,7 @@ def test_pixel_rmse_read_from_disk_equals_the_one_in_memory(tmp_path):
                                X=rng.random((2090, 1024), dtype=np.float32))
     data.write_latents(b_mem, tmp_path / "b.lsf")
     b_disk = data.read_latents(tmp_path / "b.lsf")
-    a_mem = data.read_latents(tmp_path / "a.lsf", in_memory=True)
+    a_mem = data.LatentDataset(model_id="m", ids=a_disk.ids, X=a_disk.X[:])
     want = metrics.pixel_rmse(b_mem, a_mem, rows=data.align(b_mem, a_mem))
     assert metrics.pixel_rmse(b_disk, a_disk, rows=data.align(b_disk, a_disk)) == want
     assert isinstance(a_mem.X, np.ndarray) and a_mem.X.tobytes() == a.tobytes()

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -792,6 +793,31 @@ def test_split_ids_are_checked_once_per_dataset(roster, reordered_copy, tmp_path
     n_split = cfg.split.n_train + cfg.split.n_holdout
     pipeline.run_dynamics(cfg, make_checkpoints(tmp_path, roster["world"], [50, 20, 0]))
     assert checked == []  # every checkpoint holds the first one's ids
+
+
+def test_probe_commands_gather_each_sets_split_rows_once(roster, tmp_path, monkeypatch):
+    # a 150+60 split of 260 rows: each file is read once by its check (one
+    # row block at d = 36), then its split rows are gathered once, and no set
+    # is read whole again
+    gathers = {}
+    getitem = data.FileRows.__getitem__
+
+    def counted(rows, key):
+        out = getitem(rows, key)
+        gathers.setdefault(Path(rows.path).name, []).append(len(out))
+        return out
+
+    monkeypatch.setattr(data.FileRows, "__getitem__", counted)
+    text = roster["config"].read_text().replace("split.train = 200", "split.train = 150")
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    result = pipeline.run_probe_suite(cfg, tmp_path / "suite")
+    assert result.errors == []
+    assert gathers == {f"{mid}.lsf": [260, 210] for mid in cfg.model_ids()}
+
+    gathers.clear()
+    ckpts = make_checkpoints(tmp_path, roster["world"], [50, 20, 0])
+    pipeline.run_dynamics(cfg, ckpts)
+    assert gathers == {p.name: [260, 210] for p in ckpts}
 
 
 # d_pix is 36: a 60-row holdout's summaries hold covariances, a 30-row one's their
