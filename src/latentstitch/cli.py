@@ -218,7 +218,7 @@ def _cmd_fid(args) -> int:
     a, b = read_latents(args.features_a), read_latents(args.features_b)
     if a.d != b.d:
         raise DataError(f"dimension mismatch: {a.d} vs {b.d}")
-    value = fid(summarize(a.X), summarize(b.X))
+    value = fid(summarize(a.X), summarize(b.X), overwrite=True)  # both built for this call
     print(f"{value:.9g}")
     return 0
 

@@ -1,16 +1,16 @@
-"""Dense symmetric linear-algebra kernels: centered Grams, SPD solves,
-symmetric eigendecomposition, PSD matrix square roots, covariance factors and
-nuclear norms, on NumPy alone. An SPD solve factors its matrix in place and
-substitutes on that factor by block matrix products, as NumPy has no
-triangular solve.
+"""Dense symmetric linear-algebra kernels: centered Grams, SPD solves and
+in-place Cholesky factors, symmetric eigendecomposition, PSD matrix square
+roots and their traces, covariance factors and nuclear norms, on NumPy alone.
+An SPD solve factors its matrix in place and substitutes on that factor by
+block matrix products, as NumPy has no triangular solve.
 
 All routines compute in float64 regardless of input dtype. Symmetric inputs
 are not checked: callers pass Grams (centered_products', or A^T A and A A^T,
 which matmul returns exactly symmetric), and the factorizations read the
-lower triangle only. spd_solve overwrites its arguments; the others are pure
-functions of their inputs. Failures surface as NotSPD or NumericalError
-instead of raw LAPACK errors, so callers can react (mapfit falls back to
-least squares on NotSPD).
+lower triangle only. spd_solve and cholesky_in_place overwrite their
+arguments; the others are pure functions of their inputs. Failures surface
+as NotSPD or NumericalError instead of raw LAPACK errors, so callers can
+react (mapfit falls back to least squares on NotSPD).
 """
 
 from __future__ import annotations
@@ -201,6 +201,23 @@ def _factor(a: np.ndarray) -> list[np.ndarray]:
     return inverses
 
 
+def cholesky_in_place(a: np.ndarray) -> bool:
+    """Overwrite the exactly symmetric a with its lower Cholesky factor, zeros
+    above, and return True; or, on NotSPD, restore a from its saved diagonal
+    blocks and the strict upper triangle _factor leaves, and return False."""
+    panels = _panels(len(a))
+    blocks = [a[j:e, j:e].copy() for j, e in panels]
+    try:
+        _factor(a)
+    except NotSPD:
+        for (j, e), block in zip(panels, blocks):
+            a[j:e, j:e], a[e:, j:e] = block, a[j:e, e:].T
+        return False
+    for j, e in panels:
+        a[j:e, e:] = 0.0
+    return True
+
+
 def spd_solve(a, b) -> np.ndarray:
     """Solve ``A @ X = B`` for symmetric positive-definite A (lower triangle
     read), in place: A's lower triangle is overwritten with its Cholesky
@@ -276,6 +293,13 @@ def eig_cutoff(w: np.ndarray) -> float:
     """k * eps * max(w) for the ascending eigenvalues w of a k x k Gram:
     eigenvalues at or below it are eigensolver rounding and count as zero."""
     return len(w) * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
+
+
+def sqrt_trace(s) -> float:
+    """tr S^1/2 of a nominally-PSD S (lower triangle), by nuclear_norm's rule."""
+    w = _psd_eigenvalues(sym_eig(s, vectors=False).eigenvalues)
+    w[w <= eig_cutoff(w)] = 0.0
+    return float(np.sqrt(w).sum())
 
 
 def nuclear_norm(m, b=None) -> float:

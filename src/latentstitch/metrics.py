@@ -5,12 +5,12 @@ feature sets, on arrays. The Frechet computation consumes generic feature
 vectors; flattened raw pixels are a legitimate degenerate choice
 ("pixel-FID") when no embedding network is in play.
 
-A summary is its mean, a covariance factor F with F^T F = Sigma and its
-sample count; summarize builds it from samples. FID has one formula: tr Sigma =
-||F||_F^2, and tr (Sp^1/2 Sq Sp^1/2)^1/2 is the nuclear norm of Fp Fq^T
-(Dowson & Landau 1982; Mathiasen & Hvilshoej, arXiv:2009.14075). A summary
-of fewer samples than dimensions takes its scaled centered rows as F, so FID
-between two of them forms no d x d matrix. No ridge is added.
+A summary is its mean, Sigma and its sample count; summarize builds it from
+samples. Below d samples it keeps the scaled centered rows F (F^T F = Sigma)
+instead, so FID between two of them forms no d x d matrix. FID has one
+formula: tr (Sp^1/2 Sq Sp^1/2)^1/2 sums the square roots of the eigenvalues
+of Sp Sq (Dowson & Landau 1982; Mathiasen & Hvilshoej, arXiv:2009.14075).
+No ridge is added.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .data import take
 from .errors import DataError, NumericalError
-from .linalg import ROW_BLOCK_ENTRIES, centered_products, cov_factor, nuclear_norm
+from .linalg import (PANEL, ROW_BLOCK_ENTRIES, centered_products, cholesky_in_place, cov_factor,
+                     nuclear_norm, sqrt_trace)
 
 #: Results above this negative floor are treated as numerical zero.
 NEGATIVE_FLOOR = -1e-6
@@ -29,24 +30,25 @@ NEGATIVE_FLOOR = -1e-6
 
 @dataclass(eq=False)
 class GaussianSummary:
-    """Mean ``mu`` (d), covariance factor ``factor`` (r x d, F.T @ F == sigma)
-    and sample count ``n`` (None when unknown) of one feature set. Both arrays
-    are held as float64, the factor in the layout it came in (a Cholesky
-    factor is the F-ordered transpose of linalg.cov_factor's L), so no copy
-    of it is made; sigma itself is never kept.
+    """Mean ``mu`` (d), sample count ``n`` (None when unknown) and covariance
+    of one feature set: a factor ``factor`` (r x d, F.T @ F == sigma), or,
+    when it is None, ``sigma`` (d x d) itself. The arrays are held as
+    float64, in the layout they came in, so no copy of either is made.
     """
 
     mu: np.ndarray
-    factor: np.ndarray
+    factor: np.ndarray | None = None
     n: int | None = None
+    sigma: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        self.factor = np.asarray(self.factor, dtype=np.float64)
-        if self.mu.ndim != 1 or self.factor.shape[1:] != self.mu.shape:
-            raise DataError(
-                f"mu shape {self.mu.shape} incompatible with factor shape {self.factor.shape}"
-            )
+        name = "sigma" if self.factor is None else "factor"
+        cov = np.asarray(getattr(self, name), dtype=np.float64)
+        setattr(self, name, cov)
+        rows = cov.shape[:1] if name == "factor" else self.mu.shape
+        if self.mu.ndim != 1 or cov.shape != rows + self.mu.shape:
+            raise DataError(f"mu shape {self.mu.shape} incompatible with {name} shape {cov.shape}")
 
     @property
     def d(self) -> int:
@@ -104,16 +106,13 @@ def pixel_rmse(a, b, rows=None) -> float:
 
 
 def summarize(features) -> GaussianSummary:
-    """Column means and unbiased (n-1 divisor) covariance factor of a feature
-    set, a 2-D array or the data.FileRows of a set read from disk; the input
-    is left unchanged. With fewer samples than dimensions the scaled centered
-    rows (n x d), a float64 copy of the samples, are the factor. Otherwise
-    the covariance (d x d) is accumulated from row blocks by
-    linalg.centered_products, so no copy of the samples is made (a FileRows
-    is read block by block), and its factor is linalg.cov_factor's
-    (Cholesky, else the PSD square root; NumericalError if indefinite),
-    kept in the layout it returns. Sigma is dropped before the summary is
-    built.
+    """Column means and unbiased (n-1 divisor) covariance of a feature set,
+    a 2-D array or the data.FileRows of a set read from disk; the input is
+    left unchanged. With fewer samples than dimensions the scaled centered
+    rows (n x d), a float64 copy of the samples, are the covariance's factor.
+    Otherwise sigma (d x d, exactly symmetric) is accumulated from row blocks
+    by linalg.centered_products, so no copy of the samples is made (a
+    FileRows is read block by block), and kept as it is: fid factors it.
     """
     if features.ndim != 2:
         raise DataError(f"features must be 2-D, got shape {features.shape}")
@@ -128,9 +127,7 @@ def summarize(features) -> GaussianSummary:
         return GaussianSummary(mu=mu, factor=f, n=n)
     mu, sigma, _, _ = centered_products(features)
     sigma /= n - 1
-    factor = cov_factor(sigma)
-    del sigma
-    return GaussianSummary(mu=mu, factor=factor, n=n)
+    return GaussianSummary(mu=mu, sigma=sigma, n=n)
 
 
 def _sum_squares(a: np.ndarray) -> float:
@@ -139,20 +136,44 @@ def _sum_squares(a: np.ndarray) -> float:
     return float(flat @ flat)
 
 
-def fid(p: GaussianSummary, q: GaussianSummary) -> float:
+def _covariance_cross(p: GaussianSummary, q: GaussianSummary, overwrite: bool) -> float:
+    """fid's cross term for two sigmas: sqrt_trace(L^T S L), with L L^T the
+    other sigma, built in L's buffer one column panel at a time."""
+    a, b = p.sigma, q.sigma
+    p.sigma, q.sigma = (None, None) if overwrite else (a, b)  # handed over: freed once read
+    for a, b in ((a, b), (b, a)):  # p's sigma, else q's; a failed one is restored
+        low = a if overwrite and not np.may_share_memory(a, b) else a.copy()
+        if lower := cholesky_in_place(low):
+            break
+    else:
+        low[...] = cov_factor(low).T  # LAPACK, else the PSD square root
+    for j in range(0, len(low), PANEL):
+        k = j if lower else 0  # panel j reads L's columns from j on, a lower L's rows too
+        low[j:, j:j + PANEL] = low[k:, j:].T @ (b[k:, k:] @ low[k:, j:j + PANEL])
+    b = None  # a handed-over sigma goes before the eigensolver copies M
+    return sqrt_trace(low)
+
+
+def fid(p: GaussianSummary, q: GaussianSummary, overwrite: bool = False) -> float:
     """Frechet distance between two Gaussian summaries.
 
     ||mu_p - mu_q||^2 + tr(S_p + S_q - 2 (S_p^{1/2} S_q S_p^{1/2})^{1/2}),
-    through the factors (F^T F = S): tr S = ||F||_F^2, and the cross term is
-    the nuclear norm of F_p F_q^T, whose squared singular values are the
-    eigenvalues of S_p S_q. One eigenvalue-only solve of the smaller Gram of
-    that r_p x r_q matrix (r the factor's row count) does the work.
+    tr S = ||F||_F^2 for a factor (F^T F = S). The cross term is sqrt_trace
+    of a matrix with the eigenvalues of S_p S_q: the smaller Gram of F_p F_q^T
+    (nuclear_norm), F S F^T, or L^T S L for two sigmas. overwrite=True hands
+    both sigmas over to be worked in and freed (sigma is None afterwards).
     """
     if p.d != q.d:
         raise DataError(f"dimension mismatch: {p.d} vs {q.d}")
-    fp, fq = p.factor, q.factor
-    tr_p, tr_q = _sum_squares(fp), _sum_squares(fq)
-    cross = nuclear_norm(fp, fq)
+    tr_p, tr_q = (_sum_squares(s.factor) if s.sigma is None else float(np.trace(s.sigma))
+                  for s in (p, q))
+    if p.sigma is None and q.sigma is None:
+        cross = nuclear_norm(p.factor, q.factor)
+    elif p.sigma is None or q.sigma is None:
+        f, sigma = (p.factor, q.sigma) if p.sigma is None else (q.factor, p.sigma)
+        cross = sqrt_trace(f @ sigma @ f.T)
+    else:
+        cross = _covariance_cross(p, q, overwrite)
     diff = p.mu - q.mu
     value = float(diff @ diff + tr_p + tr_q - 2.0 * cross)
     scale = max(1.0, abs(tr_p) + abs(tr_q) + float(diff @ diff))

@@ -469,13 +469,16 @@ def test_fid_resident_memory(tmp_path):
 
     Two 6,000 x 1,024 float32 sets with one BLAS thread. Each set is read
     from its file by rows, and no summary copies its samples: Sigma is
-    accumulated from row blocks. Factoring the second Sigma holds, in MB, the
-    first factor, Sigma, np.linalg.cholesky's working copy and its factor,
-    8.4 each, and the cross term holds both factors, Fp FqT and its Gram:
-    33.6. A float64 row block (8.4) and a float32 one (4.2), freed, stay
-    resident in the malloc heap: about 46, 46.0 measured (61.0 when the set
-    being summarized was held as read). The bound adds 10 MB, so holding one
-    set as read (+24.6 MB) or a float64 copy of a set (+49.2 MB) fails it.
+    accumulated from row blocks and kept. Summarizing the second set holds,
+    in MB, the first Sigma and the second Gram, 8.4 each, a float64 row
+    block (8.4), a float32 one (4.2) and one Gram panel product (2.1): about
+    32, 33.4 measured. fid then works inside the two Sigmas (16.8) with at
+    most two d x PANEL panels (4.2 each) next to them, and frees one Sigma
+    before the other's eigenvalues are taken: about 25, under the first
+    peak. The bound adds 10 MB, so the four d x d arrays that factoring a
+    second Sigma with LAPACK held next to the first factor (46.0 measured),
+    holding one set as read (+24.6 MB) or a float64 copy of a set (+49.2 MB)
+    fail it.
     """
     rng = np.random.default_rng(22)
     ids = [f"{i:06d}" for i in range(6000)]
@@ -484,7 +487,7 @@ def test_fid_resident_memory(tmp_path):
         X = rng.standard_normal((6000, 1024), dtype=np.float32)
         write_latents(LatentDataset(model_id=name, ids=ids, X=X), tmp_path / f"{name}.lsf")
         paths.append(str(tmp_path / f"{name}.lsf"))
-    assert _resident_growth_mb("fid", *paths) <= 46 + 10
+    assert _resident_growth_mb("fid", *paths) <= 32 + 10
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

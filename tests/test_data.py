@@ -317,7 +317,8 @@ def test_summary_read_from_disk_equals_the_one_in_memory(tmp_path, n, d):
     X = np.random.default_rng(n).standard_normal((n, d), dtype=np.float32)
     got, want = metrics.summarize(_on_disk(tmp_path, X).X), metrics.summarize(X)
     assert got.mu.tobytes() == want.mu.tobytes()
-    assert got.factor.tobytes() == want.factor.tobytes()
+    cov = "factor" if n < d else "sigma"
+    assert getattr(got, cov).tobytes() == getattr(want, cov).tobytes()
 
 
 def test_pixel_rmse_read_from_disk_equals_the_one_in_memory(tmp_path):

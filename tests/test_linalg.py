@@ -163,9 +163,10 @@ def test_centered_products_match_the_whole_copy_formulas(n, d, dtype):
     assert y_mean is None and cross is None
     assert _relative(x_mean, whole[0]) <= 1e-13 and _relative(gram, whole[1]) <= 1e-13
     assert linalg.centered_products(x, rows, y, y_rows, gram=False)[1] is None
-    # sigma of a summary: its factor's Gram is the whole-copy covariance
+    # sigma of a summary (its factor's Gram below d samples) is the
+    # whole-copy covariance
     s = metrics.summarize(x[rows])
-    sigma = s.factor.T @ s.factor
+    sigma = s.factor.T @ s.factor if s.sigma is None else s.sigma
     assert _relative(s.mu, want[0]) <= 1e-13
     assert np.abs(sigma - want[1] / (n - 1)).max() <= 1e-13 * np.abs(want[1]).max() / (n - 1)
 
@@ -336,6 +337,22 @@ def test_nuclear_norm_matches_svd(shape):
     # given as two factors, m = a b^T, the product is formed inside
     a, b = m[:, :5], np.random.default_rng(9).standard_normal((shape[1], 5))
     assert linalg.nuclear_norm(a, b) == linalg.nuclear_norm(a @ b.T)
+
+
+@pytest.mark.parametrize("d", [40, 600])
+def test_cholesky_in_place_is_the_lower_factor_or_restores_its_input(d):
+    # d = 600 spans two panels, the second a partial one
+    g = np.random.default_rng(d).standard_normal((d, d + 5))
+    a = g @ g.T  # exactly symmetric
+    low = a.copy()
+    assert linalg.cholesky_in_place(low)
+    assert _relative(low, np.linalg.cholesky(a)) <= 1e-12
+    assert not np.triu(low, 1).any()
+    singular = a.copy()
+    singular[:, d - 3] = singular[d - 3, :] = 0.0  # a zero pivot in the last panel
+    before = singular.tobytes()
+    assert not linalg.cholesky_in_place(singular)
+    assert singular.tobytes() == before
 
 
 def test_cov_factor_is_cholesky_for_spd_input():

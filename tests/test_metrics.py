@@ -11,8 +11,8 @@ from latentstitch.linalg import psd_sqrt, sym_eig
 
 
 def _summary(mu, sigma, n=None):
-    """A summary of a given covariance, factored as summarize factors its own."""
-    return metrics.GaussianSummary(mu, linalg.cov_factor(sigma), n)
+    """A summary of a given covariance, held as summarize holds its own."""
+    return metrics.GaussianSummary(mu, sigma=sigma, n=n)
 
 
 def test_pixel_rmse_trivials():
@@ -81,7 +81,7 @@ def test_summarize_two_point_variance():
     # rows (0,0) and (2,2): per-column mean 1, per-column variance 2 (n-1 divisor)
     s = metrics.summarize(np.array([[0.0, 0.0], [2.0, 2.0]]))
     np.testing.assert_allclose(s.mu, [1.0, 1.0])
-    np.testing.assert_allclose(np.diag(s.factor.T @ s.factor), [2.0, 2.0])
+    np.testing.assert_allclose(np.diag(s.sigma), [2.0, 2.0])
 
 
 def test_summarize_brute_force_covariance_oracle():
@@ -94,7 +94,7 @@ def test_summarize_brute_force_covariance_oracle():
         diff = f[i] - mu
         expected += np.outer(diff, diff)
     expected /= 99
-    assert np.abs(s.factor.T @ s.factor - expected).max() <= 1e-12
+    assert np.abs(s.sigma - expected).max() <= 1e-12
     assert s.n == 100
 
 
@@ -175,13 +175,23 @@ def test_summary_needs_a_vector_mean_and_r_by_d_factor(mu, factor):
         metrics.GaussianSummary(mu, factor)
 
 
+@pytest.mark.parametrize("sigma", [np.eye(2), np.zeros((2, 3)), np.zeros(3)])
+def test_summary_needs_a_d_by_d_sigma(sigma):
+    with pytest.raises(DataError, match="mu shape .* incompatible with sigma shape"):
+        metrics.GaussianSummary(np.zeros(3), sigma=sigma)
+
+
 def test_fid_dimension_mismatch_and_not_psd():
     p = _summary(np.zeros(2), np.eye(2))
     q = _summary(np.zeros(3), np.eye(3))
     with pytest.raises(DataError, match="dimension mismatch: 2 vs 3"):
         metrics.fid(p, q)
-    with pytest.raises(NumericalError, match="eigenvalue -1.000000e\\+00 is below"):
-        _summary(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # an indefinite sigma is reported by fid: it is read against the other,
+    # whose factor keeps its negative eigenvalue, in either argument order
+    bad = _summary(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for pair in ((bad, _summary(np.zeros(2), np.eye(2))), (_summary(np.zeros(2), np.eye(2)), bad)):
+        with pytest.raises(NumericalError, match="eigenvalue -1.000000e\\+00 is below"):
+            metrics.fid(*pair)
 
 
 def _brute_force_fid(x, y):
@@ -230,7 +240,7 @@ def test_fid_mixed_summaries_match_svd_oracle(monkeypatch):
     x = rng.standard_normal((6, 10))
     y = rng.standard_normal((40, 10))
     few, many = metrics.summarize(x), metrics.summarize(y)
-    assert few.factor.shape == (6, 10) and many.factor.shape == (10, 10)
+    assert few.factor.shape == (6, 10) and many.sigma.shape == (10, 10)
     sizes = []
 
     def recording_sym_eig(s, vectors=True):
@@ -270,8 +280,7 @@ def test_fid_cross_path_allocates_no_d_by_d_matrix():
 
 @pytest.mark.parametrize("d", [512, 1024])
 def test_summarize_holds_one_float64_copy_and_two_covariances(d):
-    # full rank, so sigma is Cholesky-factored; the copy goes before sigma is
-    # factored
+    # full rank; the summary keeps sigma
     x = np.random.default_rng(d).standard_normal((3000, d), dtype=np.float32)
     tracemalloc.start()
     try:
@@ -279,41 +288,57 @@ def test_summarize_holds_one_float64_copy_and_two_covariances(d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s.factor.shape == (d, d)
+    assert s.sigma.shape == (d, d)
     assert peak < x.size * 8 + 2 * d * d * 8
 
 
-def test_summarize_makes_no_copy_of_the_cholesky_factor(monkeypatch):
-    # Once Sigma exists (2 MiB at d = 512), factoring it holds Sigma and L;
-    # the summary keeps the factor cov_factor returns, in its layout, with no
-    # third d x d array (a C-ordered copy made next to Sigma and L read 6 MiB).
+def test_summarize_keeps_sigma_and_fid_factors_it_in_place(monkeypatch):
+    # Once Sigma exists (2 MiB at d = 512), summarize holds nothing more: the
+    # summary keeps the Gram centered_products returns, scaled in place.
     n, d = 2000, 512
     x = np.random.default_rng(15).standard_normal((n, d), dtype=np.float32)
-    accumulate, factor, factors = metrics.centered_products, metrics.cov_factor, []
+    accumulate, grams = metrics.centered_products, []
 
     def products_then_reset(*args, **kwargs):
         out = accumulate(*args, **kwargs)
+        grams.append(out[1])
         tracemalloc.reset_peak()  # the row blocks are freed; the peak from here on
         return out
 
     monkeypatch.setattr(metrics, "centered_products", products_then_reset)
-    monkeypatch.setattr(metrics, "cov_factor", lambda s: factors.append(factor(s)) or factors[-1])
     tracemalloc.start()
     try:
         s = metrics.summarize(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s.factor is factors[0]
-    assert peak < 2 * d * d * 8 + 2**16
+    assert s.sigma is grams[0]
+    assert peak < d * d * 8 + 2**16
+    # Handed both sigmas, fid factors p's in its own buffer and forms L^T S L
+    # there: past d = PANEL (8 MiB at d = 1024) the temporaries are the saved
+    # diagonal blocks and two d x PANEL products, 8 MiB, so a d x d copy
+    # (+8 MiB) fails the bound.
+    d = 1024
+    g = np.random.default_rng(16).standard_normal((2, d, d + 8))
+    p, q = (metrics.GaussianSummary(np.zeros(d), sigma=a @ a.T) for a in g)
+    sigma_p, factor, factored = p.sigma, linalg.cholesky_in_place, []
+    monkeypatch.setattr(metrics, "cholesky_in_place", lambda a: factored.append(a) or factor(a))
+    tracemalloc.start()
+    try:
+        metrics.fid(p, q, overwrite=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(factored) == 1 and factored[0] is sigma_p
+    assert peak < 2 * d * linalg.PANEL * 8 + 2**20
 
 
-# full rank (Cholesky factor), and a zero column, which makes sigma singular
-# on every BLAS (psd_sqrt factor)
+# full rank, and a zero column, which makes sigma singular on every BLAS
 @pytest.mark.parametrize("singular", [False, True])
-def test_summarize_factor_equals_that_of_the_symmetrized_covariance(singular):
+def test_summarize_sigma_equals_the_symmetrized_covariance(singular):
     # the Gram linalg.centered_products returns is symmetric to the bit, so
-    # factoring it as formed gives the bytes that factoring (G + G^T) / 2 gave
+    # the summary's sigma is (G + G^T) / 2 byte for byte: fid restores a
+    # sigma it could not factor from its upper triangle
     n, d = 1500, 256
     x = np.random.default_rng(14).standard_normal((n, d)).astype(np.float32)
     if singular:
@@ -322,14 +347,19 @@ def test_summarize_factor_equals_that_of_the_symmetrized_covariance(singular):
     gram /= n - 1
     sigma = gram + gram.T
     sigma /= 2.0
-    expected = linalg.cov_factor(sigma)
+    got = metrics.summarize(x).sigma
+    assert got.tobytes() == sigma.tobytes()
     if singular:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(sigma)
-    assert metrics.summarize(x).factor.tobytes() == expected.tobytes()
+        assert not linalg.cholesky_in_place(got)
+        assert got.tobytes() == sigma.tobytes()
 
 
-def test_fid_frees_the_cross_product_before_its_gram_is_factored():
+def test_fid_copies_only_the_sigma_it_factors():
+    # read-only summaries: fid factors a copy of one sigma (8 MiB) and forms
+    # L^T S L in it from two d x PANEL products (4 MiB each); a copy of the
+    # other sigma (+8 MiB) fails the bound
     rng = np.random.default_rng(13)
     p, q = (metrics.summarize(rng.standard_normal((2000, 1024)) + shift) for shift in (0, 0.1))
     tracemalloc.start()
@@ -338,7 +368,7 @@ def test_fid_frees_the_cross_product_before_its_gram_is_factored():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 1024 * 1024 * 8  # Fp Fq^T and its Gram are 8 MB each
+    assert peak < 2.5 * 1024 * 1024 * 8
 
 
 def test_fid_cross_path_matches_svd_oracle_on_low_rank_samples():
@@ -359,7 +389,7 @@ def test_fid_cross_path_matches_svd_oracle_on_low_rank_samples():
 def test_fid_many_samples_matches_svd_oracle(n, m, d):
     x, y = _samples(n, m, d)
     p, q = metrics.summarize(x), metrics.summarize(y)
-    assert p.factor.shape == q.factor.shape == (d, d)
+    assert p.sigma.shape == q.sigma.shape == (d, d)
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
     assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
@@ -379,12 +409,13 @@ def test_fid_many_samples_matches_svd_oracle_on_low_rank_samples():
     assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
 
 
-def test_fid_exactly_singular_sigma_takes_the_psd_square_root(monkeypatch):
+def test_fid_of_two_singular_sigmas_takes_the_psd_square_root(monkeypatch):
     x, y = _samples(80, 60, 12)
-    x[:, 5] = 0.0  # a zero row and column in sigma_x: Cholesky has a zero pivot
-    sigma_x = np.cov(x, rowvar=False)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(sigma_x)
+    x[:, 5] = 0.0  # a zero row and column in each sigma: Cholesky has a zero pivot
+    y[:, 7] = 0.0
+    for z in (x, y):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.cov(z, rowvar=False))
     roots = []
 
     def counting_psd_sqrt(s):
@@ -392,10 +423,58 @@ def test_fid_exactly_singular_sigma_takes_the_psd_square_root(monkeypatch):
         return psd_sqrt(s)
 
     monkeypatch.setattr(linalg, "psd_sqrt", counting_psd_sqrt)
-    p = _summary(x.mean(axis=0), sigma_x)
-    q = metrics.summarize(y)
+    p, q = metrics.summarize(x), metrics.summarize(y)
     expected = _brute_force_fid(x, y)
-    assert abs(metrics.fid(p, q) - expected) <= 1e-9 * expected
-    assert abs(metrics.fid(q, p) - expected) <= 1e-9 * expected
-    assert roots == [12]  # sigma_x once, when p is built; sigma_y by Cholesky
+    assert abs(metrics.fid(p, q) - expected) <= 1e-10 * expected
+    assert abs(metrics.fid(q, p) - expected) <= 1e-10 * expected
+    assert roots == [12, 12]  # neither factors in place: cov_factor, once per call
 
+
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("d", [40, 600])
+def test_fid_of_two_sigmas_matches_svd_oracle(d, overwrite):
+    # d = 600 spans two panels of PANEL = 512, the second a partial one
+    x, y = _samples(d + 100, d + 200, d)
+    expected = _brute_force_fid(x, y)
+    for a, b in ((x, y), (y, x)):
+        p, q = metrics.summarize(a), metrics.summarize(b)
+        before = p.sigma.tobytes(), q.sigma.tobytes()
+        assert abs(metrics.fid(p, q, overwrite=overwrite) - expected) <= 1e-10 * expected
+        if overwrite:
+            assert p.sigma is None and q.sigma is None  # handed over and freed
+        else:
+            assert (p.sigma.tobytes(), q.sigma.tobytes()) == before
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_fid_restores_a_singular_sigma_and_factors_the_other(monkeypatch, overwrite):
+    x, y = _samples(700, 800, 600)
+    x[:, 550] = 0.0  # a zero pivot in the second panel, after the first is factored
+    expected = _brute_force_fid(x, y)
+    factor, outcomes = linalg.cholesky_in_place, []
+    monkeypatch.setattr(metrics, "cholesky_in_place",
+                        lambda a: outcomes.append(factor(a)) or outcomes[-1])
+    for singular_first in (True, False):
+        sx, sy = metrics.summarize(x), metrics.summarize(y)
+        sigma_x, original = sx.sigma, sx.sigma.copy()
+        outcomes.clear()
+        value = metrics.fid(*((sx, sy) if singular_first else (sy, sx)), overwrite=overwrite)
+        assert abs(value - expected) <= 1e-10 * expected
+        assert outcomes == ([False, True] if singular_first else [True])
+        assert sigma_x.tobytes() == original.tobytes()
+
+
+def test_fid_of_a_sigma_and_a_row_factor_matches_svd_oracle():
+    x, y = _samples(40, 700, 600)
+    few, many = metrics.summarize(x), metrics.summarize(y)
+    assert few.sigma is None and many.factor is None
+    before = few.factor.tobytes(), many.sigma.tobytes()
+    expected = _brute_force_fid(x, y)
+    assert abs(metrics.fid(few, many, overwrite=True) - expected) <= 1e-10 * expected
+    assert abs(metrics.fid(many, few) - expected) <= 1e-10 * expected
+    assert (few.factor.tobytes(), many.sigma.tobytes()) == before  # no factor is made
+
+
+def test_fid_of_a_summary_handed_over_twice():
+    s = metrics.summarize(_samples(700, 1, 600)[0])
+    assert metrics.fid(s, s, overwrite=True) <= 1e-8
