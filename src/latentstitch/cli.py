@@ -151,9 +151,14 @@ def _cmd_fit_map(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.src}__{args.dst}.lmap"
     save_map(m, path)
-    train_mse, hold_mse = (
-        mapped_mse(m, src.X, dst.X, (rows_of(src, ids), rows_of(dst, ids))) for ids in split
-    )
+
+    def scored(ids):
+        return mapped_mse(m, src.X, dst.X, (rows_of(src, ids), rows_of(dst, ids)))
+
+    # a Cholesky fit's train MSE comes from its normal equations when their
+    # rounding allows; otherwise its train rows are mapped, as the holdout's are
+    train_mse = m.train_mse if m.train_mse is not None else scored(split[0])
+    hold_mse = scored(split[1])
     print(f"map {args.src}->{args.dst} alpha={alpha:.9g} -> {path}")
     print(f"latent mse: train={train_mse:.9g} holdout={hold_mse:.9g}")
     return 0

@@ -29,7 +29,7 @@ import os
 import struct
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Sequence, Union
@@ -45,16 +45,6 @@ LSF_VERSION = 1
 #: model_id reserved for flattened pixel tensors inside LSF files.
 PIXEL_MODEL_ID = "pixels"
 
-#: Latent dimensions of the standard five-model roster.
-DEFAULT_LATENT_DIMS = {
-    "GAN": 512,
-    "VAE": 512,
-    "VQVAE": 768,
-    "NF": 12288,
-    "DM": 12288,
-}
-
-
 def _check_ids(ids: Sequence[str]) -> list[str]:
     out = [str(i) for i in ids]
     if len(set(out)) != len(out):
@@ -66,6 +56,17 @@ def _row_blocks(X):
     """X's rows, an array's or a FileRows', in blocks of ROW_BLOCK_ENTRIES."""
     step = max(1, ROW_BLOCK_ENTRIES // X.shape[1])
     return (X[s:s + step] for s in range(0, len(X), step))
+
+
+def _value_range(X) -> tuple[float, float] | None:
+    """(min, max) of X's values, read once in row blocks, or None for no
+    rows. A NaN anywhere makes both NaN, and an infinity is the min or max,
+    so the range is finite exactly when every value is."""
+    ranges = [(block.min(), block.max()) for block in _row_blocks(X)]
+    if not ranges:
+        return None
+    lows, highs = zip(*ranges)
+    return float(np.min(lows)), float(np.max(highs))
 
 
 class _RowIndexed:
@@ -157,13 +158,15 @@ class LatentDataset(_RowIndexed):
 
     Values are stored as float32 (source-model native precision), in memory
     or, for a set read from an LSF file, as its FileRows; solvers upcast to
-    float64 internally. Either way every value is checked finite, in row
-    blocks of about ROW_BLOCK_ENTRIES entries.
+    float64 internally. Either way every value is checked finite, in one
+    pass over row blocks of about ROW_BLOCK_ENTRIES entries, which also
+    keeps the values' (min, max) as ``value_range`` (None for no rows).
     """
 
     model_id: str
     ids: list[str]
     X: np.ndarray | FileRows
+    value_range: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.ids = _check_ids(self.ids)
@@ -173,7 +176,8 @@ class LatentDataset(_RowIndexed):
             raise DataError(f"latents must be a non-degenerate 2-D array, got {self.X.shape}")
         if self.X.shape[0] != len(self.ids):
             raise DataError(f"{len(self.ids)} ids but {self.X.shape[0]} latent rows")
-        if not all(np.isfinite(block).all() for block in _row_blocks(self.X)):
+        self.value_range = _value_range(self.X)
+        if self.value_range is not None and not all(map(math.isfinite, self.value_range)):
             raise DataError(f"latents for {self.model_id!r} contain NaN or Inf")
 
     @property
@@ -363,32 +367,37 @@ def read_latents(path) -> LatentDataset:
     return _read_lsf(path)[0]
 
 
-def check_pixels(values, shape: tuple[int, int, int], path) -> None:
-    """Raise a DataError unless values (n x d, an array or a FileRows, read
-    in row blocks) are [0, 1] pixel rows flattening H x W x C images with
-    u16 sides. Pixel LSF files pass this on read and on write."""
+def check_pixels(values, shape: tuple[int, int, int], path,
+                 value_range: tuple[float, float] | None = None) -> None:
+    """Raise a DataError unless values (n x d, an array or a FileRows) are
+    [0, 1] pixel rows flattening H x W x C images with u16 sides. Their
+    (min, max) is ``value_range`` when given (a LatentDataset's), else it is
+    read in row blocks. Pixel LSF files pass this on read and on write."""
     if math.prod(shape) != values.shape[1]:
         raise DataError(f"{path}: {values.shape[1]} pixels per row do not flatten {shape}")
     if not all(0 < side <= 0xFFFF for side in shape):
         raise DataError(f"{path}: image shape {shape} does not fit u16 (H, W, C) fields")
-    if any(block.min() < 0.0 or block.max() > 1.0 for block in _row_blocks(values)):
+    value_range = value_range or _value_range(values)
+    if value_range is not None and (value_range[0] < 0.0 or value_range[1] > 1.0):
         raise DataError(f"{path}: pixels must lie in [0, 1]")
 
 
 def write_images(ds: LatentDataset, path, shape: tuple[int, int, int]) -> None:
     """Write pixel rows as a pixel LSF file with the given (H, W, C) triple;
     the rows are checked before the file is opened."""
-    check_pixels(ds.X, shape, path)
+    check_pixels(ds.X, shape, path, ds.value_range)
     _write_lsf(path, PIXEL_MODEL_ID, ds.ids, ds.X, image_shape=shape)
 
 
 def read_images(path) -> LatentDataset:
     """Read a pixel LSF file as `read_latents` does, model_id 'pixels'; its
-    (H, W, C) triple is checked against the rows, then dropped."""
+    (H, W, C) triple is checked against the rows, then dropped. The payload
+    is read once: the range check takes the (min, max) that the dataset's
+    finiteness pass kept, so a non-finite value is reported first."""
     ds, image_shape = _read_lsf(path)
     if image_shape is None:
         raise DataError(f"{path}: not a pixel dataset (model_id={ds.model_id!r})")
-    check_pixels(ds.X, image_shape, path)
+    check_pixels(ds.X, image_shape, path, ds.value_range)
     return ds
 
 

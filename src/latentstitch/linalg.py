@@ -2,15 +2,16 @@
 in-place Cholesky factors, symmetric eigendecomposition, PSD matrix square
 roots and their traces, covariance factors and nuclear norms, on NumPy alone.
 An SPD solve factors its matrix in place and substitutes on that factor by
-block matrix products, as NumPy has no triangular solve.
+block matrix products, as NumPy has no triangular solve; it returns the
+factor, which solves for further right-hand sides without factoring again.
 
 All routines compute in float64 regardless of input dtype. Symmetric inputs
 are not checked: callers pass Grams (centered_products', or A^T A and A A^T,
 which matmul returns exactly symmetric), and the factorizations read the
-lower triangle only. spd_solve and cholesky_in_place overwrite their
-arguments; the others are pure functions of their inputs. Failures surface
-as NotSPD or NumericalError instead of raw LAPACK errors, so callers can
-react (mapfit falls back to least squares on NotSPD).
+lower triangle only. spd_solve, Cholesky.solve and cholesky_in_place
+overwrite their arguments; the others are pure functions of their inputs.
+Failures surface as NotSPD or NumericalError instead of raw LAPACK errors,
+so callers can react (mapfit falls back to least squares on NotSPD).
 """
 
 from __future__ import annotations
@@ -88,12 +89,13 @@ def y_block_width(n: int) -> int:
 
 
 def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
-    """(x_mean, Xc^T Xc, y_mean, Xc^T Yc) of the float64 values of X's rows
-    ``rows`` and Y's rows ``y_rows`` (index arrays paired in order; all rows
-    when None), where Xc and Yc are those rows minus their column means. The
-    Gram is None when ``gram`` is False, and y_mean and Xc^T Yc are None
-    without Y. X and Y are float arrays or data.FileRows: either is only
-    indexed by rows, one block at a time.
+    """(x_mean, Xc^T Xc, y_mean, Xc^T Yc, ||Yc||_F^2) of the float64 values
+    of X's rows ``rows`` and Y's rows ``y_rows`` (index arrays paired in
+    order; all rows when None), where Xc and Yc are those rows minus their
+    column means. The Gram is None when ``gram`` is False, and y_mean,
+    Xc^T Yc and ||Yc||_F^2 (an np.float64, summed over the float64 panels of
+    Yc) are None without Y. X and Y are float arrays or data.FileRows:
+    either is only indexed by rows, one block at a time.
 
     Two passes over blocks of ROW_BLOCK_ENTRIES // d rows, each block of X
     read once per pass: the first sums the means; the second centers each
@@ -117,7 +119,7 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     step = max(1, ROW_BLOCK_ENTRIES // d)
     blocks = [slice(s, s + step) for s in range(0, n, step)]
     x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
-    g = y_mean = cross = None
+    g = y_mean = cross = y_sq = None
     y_groups = []
     if Y is not None:
         group = y_block_width(min(step, n))
@@ -127,7 +129,7 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
         for g0, g1 in y_groups:
             y_mean[g0:g1] = sum(_rows(Y, y_rows, blk, slice(g0, g1)).sum(axis=0, dtype=np.float64)
                                 for blk in blocks) / n
-        cross = np.zeros((d, Y.shape[1]))
+        cross, y_sq = np.zeros((d, Y.shape[1])), np.float64(0.0)
     for blk in blocks:
         xb = np.subtract(_rows(X, rows, blk), x_mean, dtype=np.float64)
         for g0, g1 in y_groups:
@@ -135,6 +137,7 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
             for j, e in _panels(g1 - g0, y_width):
                 yb = np.subtract(y_group[:, j:e], y_mean[g0 + j:g0 + e], dtype=np.float64)
                 cross[:, g0 + j:g0 + e] += xb.T @ yb
+                y_sq += np.vdot(yb, yb)
             y_group = yb = None
         if gram:
             if g is None:  # made once the first block's Y panels are freed
@@ -146,7 +149,7 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     if g is not None:
         for j, e in _panels(d):
             g[j:e, e:] = g[e:, j:e].T
-    return x_mean, g, y_mean, cross
+    return x_mean, g, y_mean, cross, y_sq
 
 
 def _forward(low: np.ndarray, inverses: list[np.ndarray], x: np.ndarray) -> None:
@@ -218,28 +221,47 @@ def cholesky_in_place(a: np.ndarray) -> bool:
     return True
 
 
-def spd_solve(a, b) -> np.ndarray:
+@dataclass
+class Cholesky:
+    """A = L L^T for an SPD A: L in the lower triangle of A's own buffer,
+    with the inverses of L's SOLVE_BLOCK diagonal blocks."""
+
+    low: np.ndarray
+    inverses: list[np.ndarray]
+
+    def solve(self, b: np.ndarray) -> np.float64:
+        """Overwrite the float64 array b with A^-1 b, by block forward and
+        back substitution on L, and return ||L^-1 b||_F^2 = tr(b^T A^-1 b),
+        read between the two substitutions."""
+        _forward(self.low, self.inverses, b)
+        forward_sq = np.vdot(b, b)
+        _backward(self.low, self.inverses, b)
+        return forward_sq
+
+
+def spd_solve(a, b) -> tuple[Cholesky, np.float64]:
     """Solve ``A @ X = B`` for symmetric positive-definite A (lower triangle
-    read), in place: A's lower triangle is overwritten with its Cholesky
-    factor L, and B with X, which is returned. An A or B that is not a
-    float64 array is converted first, and the conversion is what gets
-    overwritten.
+    read), in place, and return (A's Cholesky, ||L^-1 B||_F^2): A's lower
+    triangle is overwritten with its factor L, and the float64 array B with
+    X. An A that is not a float64 array is converted first, and the
+    conversion is what gets overwritten. The returned factor solves for
+    further right-hand sides (Cholesky.solve) without factoring A again.
 
     The blocked factorization raises NotSPD on a non-positive pivot (the
     signal to regularize or fall back to least squares) before B is touched;
-    block forward and back substitution on L then solve. Nothing the size
-    of A or B is allocated: past d = PANEL every temporary is at most one
-    panel, d x PANEL or SOLVE_BLOCK rows of B. A d <= PANEL matrix is
-    factored by one LAPACK call, as np.linalg.cholesky would.
+    block forward and back substitution on L then solve, and the squared
+    norm is read between them. Nothing the size of A or B is allocated: past
+    d = PANEL every temporary is at most one panel, d x PANEL or
+    SOLVE_BLOCK rows of B. A d <= PANEL matrix is factored by one LAPACK
+    call, as np.linalg.cholesky would.
     """
     a = _as_square(a, "A")
-    b = np.asarray(b, dtype=np.float64)
+    if not (isinstance(b, np.ndarray) and b.dtype == np.float64):
+        raise TypeError("B must be a float64 array: it is overwritten with X")
     if b.shape[0] != a.shape[0]:
         raise DataError(f"A is {a.shape[0]}x{a.shape[0]} but B has {b.shape[0]} rows")
-    inverses = _factor(a)
-    _forward(a, inverses, b)
-    _backward(a, inverses, b)
-    return b
+    factor = Cholesky(a, _factor(a))
+    return factor, factor.solve(b)
 
 
 def sym_eig(s, vectors: bool = True) -> SymEig:

@@ -12,7 +12,9 @@ and every target; one with more rows through the Cholesky factor of
 (Xc^T Xc + alpha I), or, when that Gram is singular at alpha = 0, through its
 pseudo-inverse. Both min-norm fits drop the Gram eigenvalues at or below
 linalg.eig_cutoff. A SharedFit lets the fits of many targets on one source
-share the dual factor or the pseudo-inverse.
+share the dual factor, the Cholesky factor of one alpha, or the
+pseudo-inverse. A Cholesky fit also gives its train MSE from the norms its
+solve already forms, when their rounding allows (LinearMap.train_mse).
 Fits and scores read their rows by index (``rows=``), so neither makes a
 gathered copy of a latent set, nor a float64 copy of one: an n > d fit sums
 its normal equations from row blocks (linalg.centered_products) and solves
@@ -52,6 +54,10 @@ class LinearMap:
     #: factor of an n <= d design, else "cholesky", or "lstsq" for the min-norm
     #: fallback; "" when unknown. Not stored in LMAP files.
     solver: str = field(default="", compare=False)
+    #: Latent MSE on the fit's own train rows, from its normal equations
+    #: (a "cholesky" fit whose estimate of that value's rounding error is
+    #: small enough), else None. Not stored in LMAP files.
+    train_mse: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.W = np.ascontiguousarray(self.W, dtype=np.float64)
@@ -147,18 +153,42 @@ class SharedFit:
     train rows, or None for all of X), at any alpha. With n <= d train rows
     the first fit builds the source's DualFactor, kept as ``dual``, and every
     later fit only multiplies it with its centered Y. With n > d rows, a
-    Cholesky attempt that fails at alpha = 0 is made once. It keeps the d x d
-    pseudo-inverse of the centered Gram as ``pinv``, with the ``rank`` of the
-    singular values above its ``cutoff`` (d eps max(s)), and every later
-    alpha = 0 fit multiplies pinv with its Xc^T Yc. Not thread-safe: one per
-    task.
+    Cholesky fit keeps its factor of Xc^T Xc + alpha I, with that Gram's
+    trace, as ``cholesky`` = (alpha, trace, linalg.Cholesky): every later fit
+    at that alpha only sums its Xc^T Yc and substitutes on it, and a fit at
+    another alpha frees it before summing its own Gram. A Cholesky attempt
+    that fails at alpha = 0 is made once. It keeps the d x d pseudo-inverse
+    of the centered Gram as ``pinv``, with the ``rank`` of the singular
+    values above its ``cutoff`` (d eps max(s)), and every later alpha = 0
+    fit multiplies pinv with its Xc^T Yc. Not thread-safe: one per task.
     """
 
     def __init__(self, X, rows=None):
         self.X, self.rows = X, rows
         self.dual: DualFactor | None = None
+        self.cholesky: tuple[float, float, linalg.Cholesky] | None = None
         self.pinv: np.ndarray | None = None
         self.rank, self.cutoff = 0, 0.0
+
+
+#: The train MSE is taken from the normal equations when the estimate of its
+#: rounding error is at most this fraction of the residual sum of squares.
+TRAIN_MSE_RTOL = 1e-9
+
+
+def _normal_equations_mse(n: int, k: int, d: int, alpha: float, trace: float,
+                          y_sq: float, forward_sq: float, w_sq: float) -> float | None:
+    """The train latent MSE of a Cholesky fit, RSS / (n k) with
+    RSS = ||Yc||_F^2 - ||L^-1 Xc^T Yc||_F^2 - alpha ||W||_F^2, which holds
+    for (Xc^T Xc + alpha I) W^T = Xc^T Yc and L L^T = Xc^T Xc + alpha I
+    (Bjorck 1996, Numerical Methods for Least Squares Problems, 2.2). The
+    difference cancels when the fit is close, so it is None unless the
+    rounding estimate sqrt(d) eps tr(Xc^T Xc + alpha I) ||W||_F^2
+    + eps ||Yc||_F^2 is at most TRAIN_MSE_RTOL of a positive RSS."""
+    eps = np.finfo(np.float64).eps
+    rss = float(y_sq - forward_sq - alpha * w_sq)
+    error = math.sqrt(d) * eps * trace * w_sq + eps * y_sq
+    return rss / (n * k) if rss > 0 and error <= TRAIN_MSE_RTOL * rss else None
 
 
 def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
@@ -166,6 +196,7 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     key = None if rows is None else rows[0]
+    keep = shared is not None  # a SharedFit of the fit's own keeps no factor
     if shared is None:
         shared = SharedFit(X, rows=key)
     elif shared.X is not X or shared.rows is not key:
@@ -177,9 +208,9 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         raise DataError(f"X has {len(ix)} rows, Y has {len(iy)}")
     (n, d), k = (len(ix), X.shape[1]), Y.shape[1]
 
-    def affine(W, x_mean, y_mean, solver):
+    def affine(W, x_mean, y_mean, solver, train_mse=None):
         return LinearMap(source_model=source_model, target_model=target_model, W=W,
-                         b=y_mean - W @ x_mean, alpha=alpha, solver=solver)
+                         b=y_mean - W @ x_mean, alpha=alpha, solver=solver, train_mse=train_mse)
 
     if n <= d:
         if shared.dual is None:
@@ -196,19 +227,33 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         return affine(W, f.x_mean, y_mean, "eigh")
 
     # The normal equations are accumulated from row blocks of X and Y, and
-    # the solve overwrites the Gram with its factor and Xc^T Yc with W^T.
-    x_mean, gram, y_mean, rhs = linalg.centered_products(
-        X, ix, Y, iy, gram=alpha > 0 or shared.pinv is None)
-    if gram is not None:
+    # the solve overwrites the Gram with its factor and Xc^T Yc with W^T. A
+    # factor kept at this alpha needs no Gram; one kept at another alpha is
+    # freed before this Gram is summed.
+    if shared.cholesky is not None and shared.cholesky[0] != alpha:
+        shared.cholesky = None
+    held, forward_sq = shared.cholesky, None
+    x_mean, gram, y_mean, rhs, y_sq = linalg.centered_products(
+        X, ix, Y, iy, gram=held is None and (alpha > 0 or shared.pinv is None))
+    if held is not None:
+        _, trace, factor = held
+        forward_sq = factor.solve(rhs)
+    elif gram is not None:
         gram[np.diag_indices_from(gram)] += alpha
+        trace = float(np.trace(gram))
         try:
-            linalg.spd_solve(gram, rhs)
+            factor, forward_sq = linalg.spd_solve(gram, rhs)
         except NotSPD:
             if alpha > 0:
                 raise
         else:
-            del gram  # the factor goes before W is copied out of W^T
-            return affine(np.ascontiguousarray(rhs.T), x_mean, y_mean, "cholesky")
+            if keep:
+                shared.cholesky = alpha, trace, factor
+            gram = factor = None  # an unkept factor goes before W is copied out of W^T
+    if forward_sq is not None:
+        mse = _normal_equations_mse(n, k, d, alpha, trace, y_sq, forward_sq, np.vdot(rhs, rhs))
+        return affine(np.ascontiguousarray(rhs.T), x_mean, y_mean, "cholesky", mse)
+    if shared.pinv is None:
         # The failed factor overwrote the Gram: rebuild it, outside the except
         # block, whose traceback would keep the factor alive. rcond=None drops
         # its singular values at or below d eps max(s), linalg.eig_cutoff: the
@@ -246,19 +291,29 @@ def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = ""
     pseudo-inverse, np.linalg.lstsq against the d x d identity, times Xc^T Yc.
     Its singular values at or below linalg.eig_cutoff count as 0, the dual
     factor's rule. The map's ``solver`` records which ("cholesky" or "lstsq").
-    With ``shared`` the Cholesky attempt and the pseudo-inverse are made once
-    per source. Every map equals its fit without ``shared`` to the byte.
+    With ``shared`` the Cholesky factor is made once per run of fits at one
+    alpha, and the failed attempt and the pseudo-inverse once per source.
+    Every map equals its fit without ``shared`` to the byte.
+
+    A Cholesky fit sets the map's ``train_mse``, the latent MSE of its own
+    train rows, from norms its solve already forms (_normal_equations_mse):
+    ||Yc||_F^2 from linalg.centered_products' float64 panels of Yc and
+    ||L^-1 Xc^T Yc||_F^2 from the forward substitution. It is None, and the
+    rows must be mapped for that value, where rounding could dominate it (a
+    near-exact fit, or a rank-deficient design that passes Cholesky on
+    float32 rounding) and for every "eigh" and "lstsq" fit.
 
     Memory: an n > d fit holds no copy of X or Y. Its Gram and Xc^T Yc are
     accumulated from float64 row blocks by linalg.centered_products, and the
     solve overwrites them with the Cholesky factor and W^T. W is copied out
     of W^T once the factor is freed, so the fit holds two of the d x d Gram,
-    the d x k Xc^T Yc and W at a time, never three. The min-norm fallback
-    rebuilds the Gram the failed factor overwrote, then holds its
-    pseudo-inverse. An n <= d fit sums its dual Gram from float64 column
-    blocks of the centered X, frees it after eigh, and fills P = Xc^T U from
-    a second pass over those blocks; it reads Y in such blocks too. A pass
-    over a data.FileRows holds a float32 gather of its train rows.
+    the d x k Xc^T Yc and W at a time, never three; a SharedFit that keeps
+    the factor holds it next to W. The min-norm fallback rebuilds the Gram
+    the failed factor overwrote, then holds its pseudo-inverse. An n <= d
+    fit sums its dual Gram from float64 column blocks of the centered X,
+    frees it after eigh, and fills P = Xc^T U from a second pass over those
+    blocks; it reads Y in such blocks too. A pass over a data.FileRows holds
+    a float32 gather of its train rows.
     """
     return _fit_affine(X, Y, float(alpha), source_model, target_model, shared, rows)
 

@@ -125,7 +125,7 @@ def summarize(features) -> GaussianSummary:
         f -= mu
         f /= np.sqrt(n - 1)
         return GaussianSummary(mu=mu, factor=f, n=n)
-    mu, sigma, _, _ = centered_products(features)
+    mu, sigma = centered_products(features)[:2]
     sigma /= n - 1
     return GaussianSummary(mu=mu, sigma=sigma, n=n)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latentstitch
-from latentstitch import cli, data, metrics, pipeline
+from latentstitch import cli, data, mapfit, metrics, pipeline
 from latentstitch.data import LatentDataset, read_latents, write_latents
 
 
@@ -57,6 +57,27 @@ def test_cli_fit_map_and_train_probe(generated, tmp_path, capsys):
     assert cli.main(["train-probe", "--config", str(generated / "experiment.cfg"),
                      "--out", str(out), "--model", "orthA", "--attribute", "factor_00"]) == 0
     assert (out / "orthA__factor_00.lprb").is_file()
+
+
+@pytest.mark.parametrize("src, dst, mapped", [
+    ("noise", "orthA", 1),  # full rank: the train MSE comes from the normal equations
+    ("orthA", "orthB", 2),  # rank k plus float32 rounding: its train rows are mapped
+    ("noise", "noise", 2),  # an exact self map: no residual to take a difference of
+])
+def test_fit_map_train_mse_equals_that_of_its_mapped_rows(generated, tmp_path, capsys,
+                                                          monkeypatch, src, dst, mapped):
+    scored = []
+    monkeypatch.setattr(cli, "mapped_mse", lambda *a: scored.append(1) or mapfit.mapped_mse(*a))
+    assert cli.main(["fit-map", "--config", str(generated / "experiment.cfg"),
+                     "--out", str(tmp_path), "--src", src, "--dst", dst]) == 0
+    assert len(scored) == mapped
+    printed = capsys.readouterr().out.splitlines()[-1]
+    cfg = pipeline.load_config(generated / "experiment.cfg")
+    x, y = (read_latents(cfg.entry(m).latents_path) for m in (src, dst))
+    train_ids = data.split_ids(x, cfg.split)[0]
+    m = mapfit.load_map(tmp_path / f"{src}__{dst}.lmap")
+    train = mapfit.mapped_mse(m, x.X, y.X, (data.rows_of(x, train_ids), data.rows_of(y, train_ids)))
+    assert printed.startswith(f"latent mse: train={train:.9g} holdout=")
 
 
 def test_cli_dynamics(generated, tmp_path):

@@ -270,6 +270,43 @@ def test_write_images_round_trips_a_file_backed_set(tmp_path, bad_row):
     assert (tmp_path / "copy.lsf").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("damage", [None, "above-one", "nan"])
+def test_read_images_reads_the_payload_once(tmp_path, monkeypatch, damage):
+    # 3,000 x 400 pixels in two row blocks: the finiteness and range checks
+    # share one pass over them, so each row is read once
+    img = np.random.default_rng(7).random((3000, 400), dtype=np.float32)
+    if damage is not None:
+        img[-1, 3] = 1.5 if damage == "above-one" else np.nan
+    path = tmp_path / "pix.lsf"
+    data._write_lsf(path, data.PIXEL_MODEL_ID, [f"{i:05d}" for i in range(3000)], img,
+                    image_shape=(20, 20, 1))
+    rows_read = []
+    read = data.FileRows._read
+    monkeypatch.setattr(data.FileRows, "_read",
+                        lambda self, idx: rows_read.append(len(idx)) or read(self, idx))
+    if damage is not None:
+        message = "pixels must lie in \\[0, 1\\]" if damage == "above-one" else "latents for"
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
+            data.read_images(path)
+        assert sum(rows_read) == 3000 and len(rows_read) == 2
+        return
+    back = data.read_images(path)
+    assert sum(rows_read) == 3000 and len(rows_read) == 2
+    assert back.value_range == (float(img.min()), float(img.max()))
+    assert back.X[:].tobytes() == img.tobytes()
+
+
+def test_read_images_reports_a_non_finite_value_before_its_shape_or_range(tmp_path):
+    values = np.full((2, 3), 1.5)
+    values[0, 0] = np.inf
+    for k, shape in enumerate([(3, 1, 1), (2, 2, 1)]):  # range, then shape and range
+        path = tmp_path / f"case{k}.lsf"
+        data._write_lsf(path, data.PIXEL_MODEL_ID, ["a", "b"], values, image_shape=shape)
+        with pytest.raises(DataError) as raised:
+            data.read_images(path)
+        assert str(raised.value) == f"{path}: latents for 'pixels' contain NaN or Inf"
+
+
 def test_dual_fit_reads_a_file_once_per_pass(tmp_path, monkeypatch):
     # n = 70 <= d = 600 over three 256-column blocks: X's train rows are
     # gathered once for the dual Gram and once for P, Y's once, and never

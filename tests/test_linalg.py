@@ -9,14 +9,20 @@ from latentstitch import data, linalg, metrics
 from latentstitch.errors import NotSPD, NumericalError
 
 
+def _solved(a, b):
+    """spd_solve's X: the B it overwrites."""
+    linalg.spd_solve(a, b)
+    return b
+
+
 def test_spd_solve_identity():
     b = np.arange(6.0).reshape(3, 2)
-    x = linalg.spd_solve(np.eye(3), b.copy())
+    x = _solved(np.eye(3), b.copy())
     np.testing.assert_allclose(x, b, atol=1e-14)
 
 
 def test_spd_solve_diagonal():
-    x = linalg.spd_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+    x = _solved(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
 
@@ -26,7 +32,7 @@ def test_spd_solve_random_residual_oracle():
     m = rng.standard_normal((8, 8))
     a = m.T @ m + np.eye(8)
     b = rng.standard_normal((8, 3))
-    x = linalg.spd_solve(a.copy(), b.copy())
+    x = _solved(a.copy(), b.copy())
     residual = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert residual <= 1e-8
 
@@ -52,12 +58,14 @@ def test_spd_solve_matches_lu_solve(d, k):
     b = rng.standard_normal(d if cols is None else (d, cols))
     expected = np.linalg.solve(a, b)
     low = np.linalg.cholesky(a)
-    x = linalg.spd_solve(a, b)
+    forward_sq = np.vdot(b, expected)  # ||L^-1 B||_F^2 = tr(B^T A^-1 B)
+    factor, got_sq = linalg.spd_solve(a, b)
+    x = b  # in place: B holds X, and A's lower triangle holds its Cholesky factor
     assert x.shape == expected.shape and x.dtype == np.float64
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
-    # in place: B holds X, and A's lower triangle holds its Cholesky factor
-    assert x is b
+    assert factor.low is a
     assert np.abs(np.tril(a) - low).max() <= 1e-13 * np.abs(low).max()
+    assert abs(got_sq - forward_sq) <= 1e-12 * forward_sq
 
 
 def test_spd_solve_holds_no_copy():
@@ -94,7 +102,7 @@ def test_blocked_spd_solve_matches_whole_cholesky(d):
     a = m.T @ m / (2 * d + 5) + 0.5 * np.eye(d)
     b = rng.standard_normal((d, 5))
     expected = _cholesky_solve(a, b)
-    x = linalg.spd_solve(a.copy(), b.copy())
+    x = _solved(a.copy(), b.copy())
     assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -135,7 +143,7 @@ def _whole_copy_products(x, rows, y, y_rows):
     x_mean, y_mean = xc.mean(axis=0), yc.mean(axis=0)
     xc -= x_mean
     yc -= y_mean
-    return x_mean, xc.T @ xc, y_mean, xc.T @ yc
+    return x_mean, xc.T @ xc, y_mean, xc.T @ yc, np.sum(yc * yc)
 
 
 def _relative(got, want):
@@ -158,9 +166,9 @@ def test_centered_products_match_the_whole_copy_formulas(n, d, dtype):
     assert np.array_equal(got[1], got[1].T)
     assert x.tobytes() == x_before.tobytes()
     # all rows, and no Y
-    x_mean, gram, y_mean, cross = linalg.centered_products(x[:n])
+    x_mean, gram, y_mean, cross, y_sq = linalg.centered_products(x[:n])
     whole = _whole_copy_products(x, np.arange(n), y, np.arange(n))
-    assert y_mean is None and cross is None
+    assert y_mean is None and cross is None and y_sq is None
     assert _relative(x_mean, whole[0]) <= 1e-13 and _relative(gram, whole[1]) <= 1e-13
     assert linalg.centered_products(x, rows, y, y_rows, gram=False)[1] is None
     # sigma of a summary (its factor's Gram below d samples) is the
@@ -173,8 +181,9 @@ def test_centered_products_match_the_whole_copy_formulas(n, d, dtype):
 
 def test_centered_products_of_a_y_without_columns():
     x = np.random.default_rng(3).standard_normal((40, 5)).astype(np.float32)
-    x_mean, gram, y_mean, cross = linalg.centered_products(x, None, np.empty((40, 0)))
+    x_mean, gram, y_mean, cross, y_sq = linalg.centered_products(x, None, np.empty((40, 0)))
     assert gram.shape == (5, 5) and y_mean.shape == (0,) and cross.shape == (5, 0)
+    assert y_sq == 0.0
 
 
 def test_centered_products_hold_no_copy_of_the_set():
@@ -249,7 +258,7 @@ def test_spd_solve_recovers_planted_solution(seed):
     a = (q * eigs) @ q.T
     a = (a + a.T) / 2
     x0 = rng.standard_normal((n, 2))
-    x = linalg.spd_solve(a, a @ x0)
+    x = _solved(a, a @ x0)
     assert np.abs(x - x0).max() <= 1e-7 * max(1.0, np.abs(x0).max())
 
 

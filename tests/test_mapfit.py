@@ -50,12 +50,18 @@ def test_fit_ols_rank_deficient_takes_min_norm_lstsq():
     np.testing.assert_allclose(mapfit.apply_map(m, x), y, atol=1e-8)
 
 
-def _reference_unregularized_fit(X, Y, solve=linalg.spd_solve):
+def _spd_solved(gram, rhs):
+    """linalg.spd_solve's solution: the right-hand side it overwrites."""
+    linalg.spd_solve(gram, rhs)
+    return rhs
+
+
+def _reference_unregularized_fit(X, Y, solve=_spd_solved):
     """The alpha = 0 fit as a separate branch: the centered normal equations,
     built by linalg.centered_products as the fit builds them, solved by
     ``solve`` when np.linalg.cholesky accepts the Gram, else multiplied by the
     Gram's pseudo-inverse, lstsq against the identity."""
-    x_mean, gram, y_mean, rhs = linalg.centered_products(X, None, Y, None)
+    x_mean, gram, y_mean, rhs, _ = linalg.centered_products(X, None, Y, None)
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -533,6 +539,79 @@ def test_shared_dual_factor_is_built_once_for_every_target_and_alpha(monkeypatch
             got, want = mapfit.fit_ridge(x, y, alpha, shared=shared), mapfit.fit_ridge(x, y, alpha)
             assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
     assert len(factors) == 1 + 9  # the shared one, then one per unshared fit
+
+
+# --- the Cholesky factor of a (source, alpha) group, and the train MSE ------------
+
+
+def test_shared_cholesky_factor_serves_its_alpha_group(monkeypatch):
+    # targets at alphas 0, 0, 5, 5, 0: one factor per run of one alpha, each
+    # map and train MSE those of the fit without sharing
+    x = np.random.default_rng(60).standard_normal((300, 20))
+    ys = _targets(x, 5, 6, seed=61)
+    alphas = [0.0, 0.0, 5.0, 5.0, 0.0]
+    calls = _count_calls(monkeypatch, linalg, "spd_solve")
+    shared = mapfit.SharedFit(x)
+    got = [mapfit.fit_ridge(x, y, alpha, shared=shared) for y, alpha in zip(ys, alphas)]
+    assert len(calls) == 3
+    assert shared.cholesky[0] == 0.0 and shared.cholesky[2].low.shape == (20, 20)
+    for m, y, alpha in zip(got, ys, alphas):
+        want = mapfit.fit_ridge(x, y, alpha)
+        assert m.solver == want.solver == "cholesky"
+        assert m.W.tobytes() == want.W.tobytes() and m.b.tobytes() == want.b.tobytes()
+        assert m.train_mse == want.train_mse is not None
+    assert len(calls) == 3 + 5
+
+
+def _mapped_train_mse(m, x, y):
+    rows = np.arange(len(x))
+    return mapfit.mapped_mse(m, x, y, (rows, rows))
+
+
+# d = 40 is one factor panel, d = 600 two (PANEL = 512)
+@pytest.mark.parametrize("n, d", [(300, 40), (1100, 600)], ids=["d<PANEL", "d>PANEL"])
+@pytest.mark.parametrize("alpha", [0.0, 7.5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cholesky_train_mse_equals_that_of_the_mapped_rows(n, d, alpha, dtype):
+    rng = np.random.default_rng(n + d)
+    x = (rng.standard_normal((n, d)) + 0.5).astype(dtype)
+    y = (x @ rng.standard_normal((d, 30)) / np.sqrt(d) + rng.standard_normal(30)
+         + 0.3 * rng.standard_normal((n, 30))).astype(dtype)
+    m = mapfit.fit_ridge(x, y, alpha)
+    assert m.solver == "cholesky" and m.train_mse is not None
+    want = _mapped_train_mse(m, x, y)
+    assert abs(m.train_mse - want) <= 1e-10 * want
+
+
+def _orthogonal_like_design(n, k, d, seed):
+    """Rank-k rows in d dimensions whose Gram passes Cholesky only on float32
+    rounding, as synth's orthogonal encoders make: float32 [0, 1] pixels of
+    k factors, rotated and rounded to float32 again. Returns (X, pixels)."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.standard_normal((n, k)) @ np.linalg.qr(rng.standard_normal((d, k)))[0].T
+    pixels = ((pixels - pixels.min()) / np.ptp(pixels)).astype(np.float32)
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (pixels @ rotation.T).astype(np.float32), pixels
+
+
+@pytest.mark.parametrize("case", ["rank-k-float32", "rank-k-self", "full-rank-self"])
+def test_train_mse_is_left_to_the_mapped_rows_when_its_rounding_is_too_large(case):
+    # a rank-k design fits float32 rounding, and a self map has no residual:
+    # either way the difference of the normal equations' norms is rounding
+    x, pixels = _orthogonal_like_design(400, 4, 16, seed=62)
+    if case == "full-rank-self":
+        x = np.random.default_rng(63).standard_normal((300, 24)).astype(np.float32)
+    y = pixels if case == "rank-k-float32" else x
+    m = mapfit.fit_ridge(x, y, 0.0)
+    assert m.solver == "cholesky" and m.train_mse is None
+    assert _mapped_train_mse(m, x, y) < 1e-15
+
+
+def test_train_mse_of_a_constant_target_is_left_to_the_mapped_rows():
+    x = np.random.default_rng(64).standard_normal((50, 4))
+    m = mapfit.fit_ridge(x, np.full((50, 2), 3.0), 0.0)
+    assert m.solver == "cholesky" and m.train_mse is None
+    assert mapfit.fit_ridge(x, np.empty((50, 0)), 0.0).train_mse is None
 
 
 # --- fits by row index, and blocked scoring ------------------------------------

@@ -435,12 +435,6 @@ def test_metadata_records_the_noising_schedule_with_a_noising_model(roster, tmp_
         assert meta["noising_schedule"] == (expected if noising else None)
 
 
-def test_default_latent_dims_roster():
-    assert data.DEFAULT_LATENT_DIMS == {
-        "GAN": 512, "VAE": 512, "VQVAE": 768, "NF": 12288, "DM": 12288,
-    }
-
-
 # --- probe suite --------------------------------------------------------------------
 
 
@@ -948,7 +942,7 @@ def _wide_roster_config(roster, wide_source, extra=""):
 def test_stitch_grid_maps_match_per_cell_fits(roster, wide_source, tmp_path):
     # The roster's own alphas, all 0. wide has 200 train rows for 240
     # dimensions, so its maps are min-norm and share one dual factor; every
-    # other source's fits are per target, as fit-map's are.
+    # other source's maps share one Cholesky factor, and equal fit-map's.
     cfg = _wide_roster_config(roster, wide_source)
     result = pipeline.run_stitch_grid(cfg, tmp_path)
     assert result.errors == []
@@ -969,6 +963,32 @@ def test_stitch_grid_maps_match_per_cell_fits(roster, wide_source, tmp_path):
         s: "eigh" if s == "wide" else "cholesky" for s in ids}
     assert all(meta["map_solver"][f"{f['source']}->{t}"] == f["solver"]
                for f in fits for t in f["targets"])
+
+
+@pytest.mark.parametrize("extra, groups", [
+    ("", 5),  # one alpha per source: 25 fits, one factor per source
+    ("alpha.noise.orthB = 10\nalpha.noise.rand = 3\nalpha.orthA.lossy = 10\n", 8),
+], ids=["roster", "split-alphas"])
+def test_stitch_grid_factors_each_cholesky_group_once(monkeypatch, roster, tmp_path, extra,
+                                                     groups):
+    cfg = pipeline.parse_config(roster["config"].read_text() + extra, base_dir=roster["dir"])
+    solves = []
+    original = linalg.spd_solve
+    monkeypatch.setattr(linalg, "spd_solve", lambda a, b: solves.append(1) or original(a, b))
+    assert pipeline.run_stitch_grid(cfg, tmp_path).errors == []
+    fits = json.loads((tmp_path / "metadata.json").read_text())["map_fits"]
+    assert [f["solver"] for f in fits] == ["cholesky"] * groups
+    assert len(solves) == groups
+    monkeypatch.setattr(linalg, "spd_solve", original)
+    latents = {m.model_id: data.read_latents(m.latents_path) for m in cfg.models}
+    train_ids = data.split_ids(latents["orthA"], cfg.split)[0]
+    for src in cfg.model_ids():
+        for dst in cfg.model_ids():
+            alpha = pipeline.resolve_map_alpha(cfg, src, dst)
+            want = pipeline.fit_pair_map(latents[src], latents[dst], alpha, train_ids)
+            got = mapfit.load_map(tmp_path / "maps" / f"{src}__{dst}.lmap")
+            assert got.alpha == alpha
+            assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
 
 
 def test_stitch_grid_map_fits_split_by_alpha(roster, wide_source, tmp_path):
