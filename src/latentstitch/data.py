@@ -8,10 +8,11 @@ LSF file of flattened images: it reads as a LatentDataset with model_id
 
 Every set read from disk stays on disk. `read_latents` checks an LSF file's
 header, ids, payload size and finiteness in row chunks, and its dataset's X
-is a FileRows: each gather (``X[rows]``, ``X[rows, cols]``, ``X[a:b]``)
-reads just those rows from the file into a fresh array. The block kernels
+is a FileRows: each gather (``X[rows]``, ``X[a:b]``) reads just those whole
+rows from the file into a fresh array. The block kernels
 (linalg.centered_products, the map fit and its scores, metrics.summarize,
-and the block scores through `take`) read a set block by block. Only
+and the block scores through `take`) read a set block by block, each block's
+rows once per pass. Only
 probe-suite and dynamics, which revisit scattered rows, `take` each set's
 split rows into memory, once.
 
@@ -79,14 +80,13 @@ class _RowIndexed:
 class FileRows:
     """The n x d float32 rows of an LSF payload, read from the file by index.
 
-    ``X[rows]``, ``X[rows, cols]`` and ``X[a:b]`` take any NumPy row index
-    (an index array in any order and with repeats, a slice or an int) and a
-    column slice, and read just those rows into a fresh, aligned float32
-    array equal to the array's own gather, one seek and read per run of
-    consecutive rows. The columns are copied out of chunks of about
-    ROW_BLOCK_ENTRIES read entries, so only the selected columns are held
-    whole. ``X[:]`` is the whole array, as is np.asarray(X). Gathers from
-    several threads take turns.
+    ``X[rows]`` and ``X[a:b]`` take any NumPy row index (an index array in
+    any order and with repeats, a slice or an int) and read just those whole
+    rows into a fresh, aligned float32 array equal to the array's own
+    gather, one seek and read per run of consecutive rows. There are no
+    column keys: a kernel that wants some columns reads whole rows once and
+    slices them. ``X[:]`` is the whole array, as is np.asarray(X). Gathers
+    from several threads take turns.
 
     The rows keep the file open, on a descriptor of their own closed with the
     object, so a file renamed over or removed after the check is still the
@@ -110,21 +110,9 @@ class FileRows:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self[:] if dtype is None else self[:].astype(dtype, copy=False)
 
-    def __getitem__(self, key) -> np.ndarray:
-        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        n, d = self.shape
-        idx = np.arange(n)[rows]
-        if idx.ndim == 0:
-            return self[idx.reshape(1), cols][0]
-        if not isinstance(cols, slice):
-            raise TypeError(f"columns of a FileRows are taken by a slice, not {cols!r}")
-        if cols == slice(None):
-            return self._read(idx)
-        out = np.empty((len(idx), len(range(d)[cols])), dtype=self.dtype)
-        step = max(1, ROW_BLOCK_ENTRIES // d)
-        for s in range(0, len(idx), step):
-            out[s:s + step] = self._read(idx[s:s + step])[:, cols]
-        return out
+    def __getitem__(self, rows) -> np.ndarray:
+        idx = np.arange(self.shape[0])[rows]
+        return self._read(idx.reshape(1))[0] if idx.ndim == 0 else self._read(idx)
 
     def _read(self, idx: np.ndarray) -> np.ndarray:
         """Rows idx (in range) of the payload: one seek and read per run of

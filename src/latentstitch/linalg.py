@@ -1,6 +1,6 @@
 """Dense symmetric linear-algebra kernels: centered Grams, SPD solves and
 in-place Cholesky factors, symmetric eigendecomposition, PSD matrix square
-roots and their traces, covariance factors and nuclear norms, on NumPy alone.
+roots and their traces, and nuclear norms, on NumPy alone.
 An SPD solve factors its matrix in place and substitutes on that factor by
 block matrix products, as NumPy has no triangular solve; it returns the
 factor, which solves for further right-hand sides without factoring again.
@@ -42,9 +42,10 @@ PANEL = 512
 #: entries.
 ROW_BLOCK_ENTRIES = 1 << 20
 
-#: Y and a dual fit's design are centered in float64 column blocks of about
-#: this many bytes (of a block's rows of Y, in centered_products), each a
-#: multiple of 256 columns wide, so a blocked product with Y keeps its bytes.
+#: A dual fit's design and Y are centered in float64 column blocks of about
+#: this many bytes, each a multiple of 256 columns wide, so a blocked product
+#: with Y keeps its bytes. centered_products' float64 panels of Y are such
+#: blocks of a row block's rows, at most PANEL columns wide.
 Y_BLOCK_BYTES = 4 << 20
 
 # Eigenvalues of a nominally-PSD matrix may be negative up to this fraction
@@ -73,9 +74,9 @@ def _as_square(a, name: str) -> np.ndarray:
     return a
 
 
-def _rows(A, rows, blk: slice, cols: slice = slice(None)) -> np.ndarray:
-    """A[rows[blk], cols], or A[blk, cols] when rows is None."""
-    return A[blk, cols] if rows is None else A[rows[blk], cols]
+def _rows(A, rows, blk: slice) -> np.ndarray:
+    """A[rows[blk]], or A[blk] when rows is None."""
+    return A[blk] if rows is None else A[rows[blk]]
 
 
 def _panels(width: int, size: int = PANEL) -> list[tuple[int, int]]:
@@ -98,56 +99,59 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     either is only indexed by rows, one block at a time.
 
     Two passes over blocks of ROW_BLOCK_ENTRIES // d rows, each block of X
-    read once per pass: the first sums the means; the second centers each
-    block of X in float64 and adds its products one column panel at a time,
-    Xc^T Yc in panels of Y's columns (y_block_width of the block's rows, at
-    most PANEL) and then the Gram's lower triangle in panels of PANEL
-    columns. A block's rows of Y are read in groups of whole panels,
-    y_block_width columns (about Y_BLOCK_BYTES / 2 of float32, however wide
-    Y is), and each panel is centered from its group: a Y no wider than
-    y_block_width is read once per pass. A Y of no columns gives a d x 0 Xc^T Yc. So
-    no float64 copy of a whole set exists, and the temporaries are one row
-    block of X, one group of Y's rows, one float64 panel of Y and one
-    product of at most d x PANEL: past d = PANEL none is d x d. For at most
-    ROW_BLOCK_ENTRIES // d rows and d <= PANEL the products are those of
-    whole-copy code, one call each. The Gram's diagonal blocks are symmetric
+    read once per pass, and its paired rows of Y read whole, once per pass,
+    in sub-blocks of about ROW_BLOCK_ENTRIES entries of the wider of X and
+    Y (the whole block when Y is no wider than X). The first pass sums the
+    means; the second centers each block of X in float64, adds Xc^T Yc one
+    float64 panel of a sub-block's Y at a time (y_block_width of the
+    block's rows, at most PANEL columns) and then the Gram's lower triangle,
+    each product in pieces of at most PANEL rows. Each panel and sub-block
+    of Y is freed before the next is made. A Y of no columns gives a d x 0
+    Xc^T Yc. So no float64 copy of a whole set exists, and the temporaries
+    are one row block of X, one sub-block of Y's rows, one float64 panel of
+    Y and one product of at most PANEL x PANEL. For at most
+    ROW_BLOCK_ENTRIES // d rows and d <= PANEL the Gram is that of
+    whole-copy code, one product. Its diagonal blocks are symmetric
     products and its upper triangle is mirrored from the lower one, so it is
     exactly symmetric.
     """
     n = X.shape[0] if rows is None else len(rows)
     d = X.shape[1]
     step = max(1, ROW_BLOCK_ENTRIES // d)
-    blocks = [slice(s, s + step) for s in range(0, n, step)]
-    x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
+    sub = step if Y is None else max(1, ROW_BLOCK_ENTRIES // max(d, Y.shape[1]))
+    blocks = [(slice(s, s + step),
+               [slice(t, min(t + sub, s + step)) for t in range(s, min(s + step, n), sub)])
+              for s in range(0, n, step)]
+    x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk, _ in blocks) / n
     g = y_mean = cross = y_sq = None
-    y_groups = []
     if Y is not None:
-        group = y_block_width(min(step, n))
-        y_width = min(PANEL, group)
-        y_groups = _panels(Y.shape[1], group // y_width * y_width)
-        y_mean = np.empty(Y.shape[1])
-        for g0, g1 in y_groups:
-            y_mean[g0:g1] = sum(_rows(Y, y_rows, blk, slice(g0, g1)).sum(axis=0, dtype=np.float64)
-                                for blk in blocks) / n
+        y_panels = _panels(Y.shape[1], min(PANEL, y_block_width(min(step, n))))
+        y_mean = sum(_rows(Y, y_rows, part).sum(axis=0, dtype=np.float64)
+                     for _, parts in blocks for part in parts) / n
         cross, y_sq = np.zeros((d, Y.shape[1])), np.float64(0.0)
-    for blk in blocks:
+    panels = _panels(d)
+    for blk, parts in blocks:
         xb = np.subtract(_rows(X, rows, blk), x_mean, dtype=np.float64)
-        for g0, g1 in y_groups:
-            y_group = _rows(Y, y_rows, blk, slice(g0, g1))
-            for j, e in _panels(g1 - g0, y_width):
-                yb = np.subtract(y_group[:, j:e], y_mean[g0 + j:g0 + e], dtype=np.float64)
-                cross[:, g0 + j:g0 + e] += xb.T @ yb
+        for part in parts if Y is not None else ():
+            y_sub = _rows(Y, y_rows, part)
+            x_sub = xb[part.start - blk.start:part.stop - blk.start]
+            for j, e in y_panels:
+                yb = np.subtract(y_sub[:, j:e], y_mean[j:e], dtype=np.float64)
+                for i, f in panels:
+                    cross[i:f, j:e] += x_sub[:, i:f].T @ yb
                 y_sq += np.vdot(yb, yb)
-            y_group = yb = None
+                del yb
+            del y_sub, x_sub
         if gram:
             if g is None:  # made once the first block's Y panels are freed
                 g = np.zeros((d, d))
-            for j, e in _panels(d):
+            for p, (j, e) in enumerate(panels):
                 g[j:e, j:e] += xb[:, j:e].T @ xb[:, j:e]
-                g[e:, j:e] += xb[:, e:].T @ xb[:, j:e]
+                for i, f in panels[p + 1:]:
+                    g[i:f, j:e] += xb[:, i:f].T @ xb[:, j:e]
         del xb
     if g is not None:
-        for j, e in _panels(d):
+        for j, e in panels:
             g[j:e, e:] = g[e:, j:e].T
     return x_mean, g, y_mean, cross, y_sq
 
@@ -300,17 +304,6 @@ def psd_sqrt(s) -> np.ndarray:
     return (root + root.T) / 2.0
 
 
-def cov_factor(s) -> np.ndarray:
-    """A factor F with ``F.T @ F == S`` for a PSD matrix S: the transposed
-    Cholesky factor, or psd_sqrt(S) when Cholesky fails (S singular, or
-    indefinite, which psd_sqrt then reports as NumericalError)."""
-    s = _as_square(s, "S")
-    try:
-        return np.linalg.cholesky(s).T
-    except np.linalg.LinAlgError:
-        return psd_sqrt(s)
-
-
 def eig_cutoff(w: np.ndarray) -> float:
     """k * eps * max(w) for the ascending eigenvalues w of a k x k Gram:
     eigenvalues at or below it are eigensolver rounding and count as zero."""
@@ -318,7 +311,10 @@ def eig_cutoff(w: np.ndarray) -> float:
 
 
 def sqrt_trace(s) -> float:
-    """tr S^1/2 of a nominally-PSD S (lower triangle), by nuclear_norm's rule."""
+    """tr S^1/2 of a nominally-PSD S (lower triangle): the square roots of
+    its eigenvalues, with psd_sqrt's clamp rule. Eigenvalues at or below
+    eig_cutoff count as zero; each would otherwise add about sqrt(k * eps)
+    of the top square root."""
     w = _psd_eigenvalues(sym_eig(s, vectors=False).eigenvalues)
     w[w <= eig_cutoff(w)] = 0.0
     return float(np.sqrt(w).sum())
@@ -326,15 +322,10 @@ def sqrt_trace(s) -> float:
 
 def nuclear_norm(m, b=None) -> float:
     """Sum of the singular values of m, or of m @ b.T when b is given (formed
-    here and freed as soon as its Gram exists): the square roots of the
-    eigenvalues of the smaller Gram (m m^T or m^T m, which matmul returns
-    exactly symmetric), with psd_sqrt's clamp rule. Gram eigenvalues at or
-    below eig_cutoff count as zero; each would otherwise add about
-    sqrt(k * eps) of the top singular value.
+    here and freed as soon as its Gram exists): sqrt_trace of the smaller
+    Gram (m m^T or m^T m, which matmul returns exactly symmetric).
     """
     m = np.asarray(m, dtype=np.float64) if b is None else m @ b.T
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
     del m
-    w = _psd_eigenvalues(sym_eig(gram, vectors=False).eigenvalues)
-    w[w <= eig_cutoff(w)] = 0.0
-    return float(np.sqrt(w).sum())
+    return sqrt_trace(gram)

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .data import take
 from .errors import DataError, NumericalError
-from .linalg import (PANEL, ROW_BLOCK_ENTRIES, centered_products, cholesky_in_place, cov_factor,
-                     nuclear_norm, sqrt_trace)
+from .linalg import (PANEL, ROW_BLOCK_ENTRIES, centered_products, cholesky_in_place, nuclear_norm,
+                     sqrt_trace)
 
 #: Results above this negative floor are treated as numerical zero.
 NEGATIVE_FLOOR = -1e-6
@@ -146,7 +147,7 @@ def _covariance_cross(p: GaussianSummary, q: GaussianSummary, overwrite: bool) -
         if lower := cholesky_in_place(low):
             break
     else:
-        low[...] = cov_factor(low).T  # LAPACK, else the PSD square root
+        low[...] = linalg.psd_sqrt(low)  # neither factors: the symmetric square root
     for j in range(0, len(low), PANEL):
         k = j if lower else 0  # panel j reads L's columns from j on, a lower L's rows too
         low[j:, j:j + PANEL] = low[k:, j:].T @ (b[k:, k:] @ low[k:, j:j + PANEL])

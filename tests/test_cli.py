@@ -460,14 +460,14 @@ def test_fit_map_resident_memory(tmp_path):
     Two 6,000 x 1,024 float32 sets with split 5,500/500 and one BLAS thread.
     Both are read from their files by rows, so neither is held. While the
     normal equations accumulate the fit holds, in MB: the Gram and XcT Yc at
-    8.4 each, a float64 row block of the source 8.4, a group of 512 of that
-    block's target columns 2.1 (float32), two float64 panels of them 4.2
-    each, and one product 4.2: about 40, 41.5 measured (88.6 when both sets
-    were held as read). The group is cut from a 4.2 MB chunk of whole rows
-    read from the file, freed before the panels are formed. The solve overwrites the Gram with its factor and XcT Yc with the
-    solution. The bound adds 10 MB, so holding either set (+24.6 MB) or a copy
-    of the train rows (+22.5 MB as float32, +45 MB as float64) fails it; one
-    more 8.4 MB d x d array would not.
+    8.4 each, a float64 row block of the source 8.4, that block's float32
+    rows of the target 4.2, read once per pass, one float64 panel of 512 of
+    their columns 4.2, and one PANEL x PANEL product 2.1: about 36, 38.9
+    measured (41.5 with whole d x PANEL products, 88.6 when both sets were
+    held as read). The solve overwrites the Gram with its factor and XcT Yc
+    with the solution. The bound adds 10 MB, so holding either set
+    (+24.6 MB) or a copy of the train rows (+22.5 MB as float32, +45 MB as
+    float64) fails it; one more 8.4 MB d x d array would not.
     """
     rng = np.random.default_rng(21)
     ids = [f"{i:06d}" for i in range(6000)]

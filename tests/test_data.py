@@ -187,11 +187,9 @@ def test_file_rows_gathers_equal_the_array(tmp_path, n, d, model_id):
     assert rows.shape == X.shape and rows.dtype == X.dtype and len(rows) == n
     if model_id == "odd":
         assert rows.offset % 4  # the payload starts off a 4-byte boundary
-    row_keys = [slice(None), slice(1, None, 2), slice(n // 3, n // 2), slice(None, None, -1),
-                0, -1, np.arange(n), rng.permutation(n), rng.integers(0, n, 2 * n),
-                np.array([n - 1, 0, n - 1]), np.array([], dtype=np.intp), [0]]
-    col_keys = [slice(0, max(1, d // 2)), slice(d - 1, None), slice(None, None, 2)]
-    keys = row_keys + [(r, c) for r in row_keys for c in col_keys]
+    keys = [slice(None), slice(1, None, 2), slice(n // 3, n // 2), slice(None, None, -1),
+            0, -1, np.arange(n), rng.permutation(n), rng.integers(0, n, 2 * n),
+            np.array([n - 1, 0, n - 1]), np.array([], dtype=np.intp), [0]]
     for key in keys:
         got, want = rows[key], X[key]
         assert got.shape == want.shape and got.dtype == want.dtype, key
@@ -326,6 +324,29 @@ def test_dual_fit_reads_a_file_once_per_pass(tmp_path, monkeypatch):
     assert got.solver == want.solver == "eigh"
     assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
     assert reads == ["X", "X", "Y"]
+
+
+def test_cholesky_fit_reads_a_file_once_per_block_per_pass(tmp_path, monkeypatch):
+    # n = 500 > d = 400 in four blocks of 128 rows, and Y's 300 columns are
+    # wider than a 256-column panel: each block of X and of Y is read once on
+    # each of the two passes, and never once per panel
+    monkeypatch.setattr(linalg, "Y_BLOCK_BYTES", 1)
+    monkeypatch.setattr(linalg, "ROW_BLOCK_ENTRIES", 400 * 128)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((540, 400), dtype=np.float32)
+    Y = X[:, :300] + rng.standard_normal((540, 300), dtype=np.float32)
+    xs, ys = _on_disk(tmp_path, X, name="x.lsf").X, _on_disk(tmp_path, Y, name="y.lsf").X
+    reads = []
+    for name, rows in (("X", xs), ("Y", ys)):
+        monkeypatch.setattr(rows, "_read", lambda idx, name=name, read=rows._read:
+                            reads.append(name) or read(idx))
+    ix, iy = rng.permutation(540)[:500], rng.permutation(540)[:500]
+    got = mapfit.fit_ridge(xs, ys, 0.5, rows=(ix, iy))
+    want = mapfit.fit_ridge(X, Y, 0.5, rows=(ix, iy))
+    assert got.solver == want.solver == "cholesky" and want.train_mse is not None
+    assert got.W.tobytes() == want.W.tobytes() and got.b.tobytes() == want.b.tobytes()
+    assert got.train_mse == want.train_mse
+    assert reads == ["X"] * 4 + ["Y"] * 4 + ["X", "Y"] * 4
 
 
 @pytest.mark.parametrize("n, d, alpha, solver", [

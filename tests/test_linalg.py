@@ -151,12 +151,15 @@ def _relative(got, want):
 
 
 @pytest.mark.parametrize("n", [2, 257, 1025])
-@pytest.mark.parametrize("d", [1, 255, 257, 300])
+@pytest.mark.parametrize("d", [1, 255, 257, 300, 1100])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_centered_products_match_the_whole_copy_formulas(n, d, dtype):
+    # d = 1100 > 2 PANEL splits each product into pieces of PANEL rows, and
+    # its Y, twice as wide, is read in sub-blocks of 475 rows of each block
+    # of 953 rows of X: 1025 rows are two blocks and three sub-blocks
     rng = np.random.default_rng(n * d)
     x = (rng.standard_normal((n + 9, d)) * 3 + 1).astype(dtype)
-    y = (rng.standard_normal((n + 9, d + 3)) - 2).astype(dtype)
+    y = (rng.standard_normal((n + 9, d + 3 if d <= linalg.PANEL else 2 * d + 3)) - 2).astype(dtype)
     rows, y_rows = rng.permutation(n + 9)[:n], rng.permutation(n + 9)[:n]  # out of order
     x_before = x.copy()
     got = linalg.centered_products(x, rows, y, y_rows)
@@ -189,8 +192,9 @@ def test_centered_products_of_a_y_without_columns():
 def test_centered_products_hold_no_copy_of_the_set():
     # 3000 x 1024 float32 sets: a float64 copy of one is 24 MiB, the Gram
     # and Xc^T Yc 8 MiB each. The temporaries are a float64 row block of X
-    # (8 MiB), a panel of Y's rows (4 MiB and its 2 MiB float32 gather) and
-    # one d x GRAM_PANEL product (4 MiB): 34.1 MiB measured
+    # (8 MiB), that block's float32 rows of Y (4 MiB), one float64 panel of
+    # 512 of their columns (4 MiB) and one PANEL x PANEL product (2 MiB):
+    # 34.1 MiB measured
     rng = np.random.default_rng(66)
     n, d = 3000, 1024
     x = rng.standard_normal((n, d), dtype=np.float32)
@@ -208,11 +212,11 @@ def test_centered_products_hold_no_copy_of_the_set():
 @pytest.mark.parametrize("source", ["array", "file"])
 def test_centered_products_read_a_wide_y_in_bounded_groups(tmp_path, source):
     # A narrow X (64 columns: blocks of 16,384 rows) and a wide Y (4,096
-    # columns, 32 MiB of float32). Xc^T Yc is 2 MiB; Y's rows are read in
-    # groups of 256 columns (2 MiB as float32) and centered in a float64
-    # panel (4 MiB); a file's rows come through chunks of about 2^20
-    # entries (4 MiB): 9.1 MiB measured either way. A gather of all of a
-    # block's Y columns is 32 MiB.
+    # columns, 32 MiB of float32). Xc^T Yc is 2 MiB and X's block 1 MiB as
+    # float64; Y's whole rows are read in sub-blocks of 256 rows (4 MiB as
+    # float32), each centered in float64 panels of 256 columns (0.5 MiB):
+    # 7.8 MiB measured, from an array or a file. A gather of all of a
+    # block's Y rows is 32 MiB.
     rng = np.random.default_rng(67)
     n, d_x, d_y = 2000, 64, 4096
     x = rng.standard_normal((n, d_x), dtype=np.float32)
@@ -233,8 +237,29 @@ def test_centered_products_read_a_wide_y_in_bounded_groups(tmp_path, source):
     assert peak < 8 * d_x * d_y + 12 * 2**20
 
 
-# spd_solve, sym_eig and cov_factor check no symmetry and summarize and
-# nuclear_norm form no (G + G^T)/2: every matrix the program passes them is a
+def test_centered_products_hold_panel_sized_products_at_offline_score_width():
+    # offline-score's fit: d = k = 2048 and about 1,200 train rows, in blocks
+    # of 512 rows. Beyond the Gram and Xc^T Yc (32 MiB each) the kernel holds
+    # a float64 row block of X (8 MiB), that block's float32 rows of Y
+    # (4 MiB), one float64 panel of 512 of their columns (2 MiB) and one
+    # PANEL x PANEL product (2 MiB): 16.2 MiB measured, and 20.2 MiB with
+    # whole d x PANEL products (8 MiB).
+    rng = np.random.default_rng(68)
+    n, d = 1200, 2048
+    x = rng.standard_normal((n, d), dtype=np.float32)
+    y = rng.standard_normal((n, d), dtype=np.float32)
+    rows = rng.permutation(n)
+    tracemalloc.start()
+    try:
+        linalg.centered_products(x, rows, y, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * d * d + 16.5 * 2**20
+
+
+# spd_solve and sym_eig check no symmetry and summarize and nuclear_norm
+# form no (G + G^T)/2: every matrix the program passes them is a
 # Gram of a C-contiguous float64 array, which matmul forms by computing one
 # triangle and mirroring it. Sizes span several BLAS blocks.
 @pytest.mark.parametrize("n, d", [(300, 16), (800, 1024), (2000, 256)])
@@ -362,23 +387,6 @@ def test_cholesky_in_place_is_the_lower_factor_or_restores_its_input(d):
     before = singular.tobytes()
     assert not linalg.cholesky_in_place(singular)
     assert singular.tobytes() == before
-
-
-def test_cov_factor_is_cholesky_for_spd_input():
-    rng = np.random.default_rng(12)
-    m = rng.standard_normal((9, 5))
-    s = m.T @ m
-    f = linalg.cov_factor(s)
-    np.testing.assert_array_equal(f, np.triu(f))
-    assert np.abs(f.T @ f - s).max() <= 1e-13 * np.abs(s).max()
-
-
-def test_cov_factor_falls_back_to_psd_sqrt():
-    s = np.diag([4.0, 0.0, 1.0])  # singular: Cholesky meets a zero pivot
-    f = linalg.cov_factor(s)
-    np.testing.assert_allclose(f, np.diag([2.0, 0.0, 1.0]), atol=1e-12)
-    with pytest.raises(NumericalError, match="eigenvalue -1.000000e\\+00 is below -1e-06"):
-        linalg.cov_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_errors_are_numerical_error_subclasses():

@@ -427,7 +427,7 @@ def test_fid_of_two_singular_sigmas_takes_the_psd_square_root(monkeypatch):
     expected = _brute_force_fid(x, y)
     assert abs(metrics.fid(p, q) - expected) <= 1e-10 * expected
     assert abs(metrics.fid(q, p) - expected) <= 1e-10 * expected
-    assert roots == [12, 12]  # neither factors in place: cov_factor, once per call
+    assert roots == [12, 12]  # neither factors in place: the square root, once per call
 
 
 @pytest.mark.parametrize("overwrite", [False, True])
