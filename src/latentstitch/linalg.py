@@ -89,7 +89,8 @@ def y_block_width(n: int) -> int:
     return max(1, Y_BLOCK_BYTES // (8 * n * 256)) * 256
 
 
-def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
+def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True,
+                      block_entries: int | None = None):
     """(x_mean, Xc^T Xc, y_mean, Xc^T Yc, ||Yc||_F^2) of the float64 values
     of X's rows ``rows`` and Y's rows ``y_rows`` (index arrays paired in
     order; all rows when None), where Xc and Yc are those rows minus their
@@ -98,10 +99,10 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     Yc) are None without Y. X and Y are float arrays or data.FileRows:
     either is only indexed by rows, one block at a time.
 
-    Two passes over blocks of ROW_BLOCK_ENTRIES // d rows, each block of X
+    Two passes over blocks of block_entries // d rows, each block of X
     read once per pass, and its paired rows of Y read whole, once per pass,
-    in sub-blocks of about ROW_BLOCK_ENTRIES entries of the wider of X and
-    Y (the whole block when Y is no wider than X). The first pass sums the
+    in sub-blocks of about block_entries entries of the wider of X and Y
+    (the whole block when Y is no wider than X). The first pass sums the
     means; the second centers each block of X in float64, adds Xc^T Yc one
     float64 panel of a sub-block's Y at a time (y_block_width of the
     block's rows, at most PANEL columns) and then the Gram's lower triangle,
@@ -110,15 +111,18 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     Xc^T Yc. So no float64 copy of a whole set exists, and the temporaries
     are one row block of X, one sub-block of Y's rows, one float64 panel of
     Y and one product of at most PANEL x PANEL. For at most
-    ROW_BLOCK_ENTRIES // d rows and d <= PANEL the Gram is that of
-    whole-copy code, one product. Its diagonal blocks are symmetric
-    products and its upper triangle is mirrored from the lower one, so it is
-    exactly symmetric.
+    block_entries // d rows and d <= PANEL the Gram is that of whole-copy
+    code, one product. Its diagonal blocks are symmetric products and its
+    upper triangle is mirrored from the lower one, so it is exactly
+    symmetric. block_entries is ROW_BLOCK_ENTRIES (None) unless a caller
+    wants smaller blocks, as for a product with one column of Y, which runs
+    as fast from blocks of 2**16 entries.
     """
     n = X.shape[0] if rows is None else len(rows)
     d = X.shape[1]
-    step = max(1, ROW_BLOCK_ENTRIES // d)
-    sub = step if Y is None else max(1, ROW_BLOCK_ENTRIES // max(d, Y.shape[1]))
+    entries = ROW_BLOCK_ENTRIES if block_entries is None else block_entries
+    step = max(1, entries // d)
+    sub = step if Y is None else max(1, entries // max(d, Y.shape[1]))
     blocks = [(slice(s, s + step),
                [slice(t, min(t + sub, s + step)) for t in range(s, min(s + step, n), sub)])
               for s in range(0, n, step)]

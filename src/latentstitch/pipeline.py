@@ -48,11 +48,13 @@ from .probes import (
     FALLBACK_PROBE_ALPHA,
     BalancedSubset,
     Probe,
+    SharedGram,
     accuracy,
     accuracy_delta,
     balanced_subset,
     fit_lasso,
-    match_percent,
+    match_labels,
+    predict,
     save_probe,
     write_probe_report,
 )
@@ -500,16 +502,20 @@ def train_probe(
     standardize: bool = False,
     tol: float = 1e-6,
     max_iter: int = 10000,
+    shared: SharedGram | None = None,
 ) -> tuple[Probe, float]:
     """Fit a lasso probe on an attribute's balanced train subset; return it and its
     holdout accuracy. ``subsets`` may be the error that stands in for the draw
-    (a failed draw, or ds lacking split ids), which is raised."""
+    (a failed draw, or ds lacking split ids), which is raised. fit_lasso reads
+    the subset's rows of ds.X by index; with ``shared``, a SharedGram over
+    ds's train split rows, an n >= d fit takes its Gram from the split's,
+    and otherwise from its own rows."""
     if isinstance(subsets, LatentStitchError):
         raise subsets
     train, hold = subsets
-    probe = fit_lasso(ds.X[rows_of(ds, train.ids)], train.labels(), alpha, tol=tol,
-                      max_iter=max_iter, attribute=attribute, model_id=model_id,
-                      standardize=standardize)
+    probe = fit_lasso(ds.X, train.labels(), alpha, tol=tol, max_iter=max_iter,
+                      attribute=attribute, model_id=model_id, standardize=standardize,
+                      rows=rows_of(ds, train.ids), shared=shared)
     return probe, accuracy(probe, ds.X[rows_of(ds, hold.ids)], hold.labels())
 
 
@@ -731,14 +737,19 @@ def run_probe_suite(
             latents[mid] = take(latents[mid], rows_of(latents[mid], split[0] + split[1]))
         except LatentStitchError as exc:
             lacks[mid] = exc
+    # one Gram of each model's train split, from which each probe removes
+    # the rows its balanced subset leaves out
+    shared = {mid: SharedGram(latents[mid].X, rows_of(latents[mid], split[0]))
+              for mid in model_ids if lacks[mid] is None}
     probe_tasks = [(mid, attr) for mid in model_ids for attr in attributes]
 
     def train_one(task):
         mid, attr = task
         return train_probe(latents[mid], lacks[mid] or subsets[attr], attr, alphas[mid], mid,
-                           standardize=standardize)
+                           standardize=standardize, shared=shared.get(mid))
 
     outcomes = _run_cells(train_one, probe_tasks, threads)
+    del shared  # the split Grams go before the stitched fits
 
     fitted: dict[tuple[str, str], tuple[Probe, float]] = {}
     report_rows: list[dict] = []
@@ -772,10 +783,14 @@ def run_probe_suite(
         for mid in model_ids
     }
 
+    # each target's train scores, formed once for every source that fits to them
+    train_scores = {mid: latents[mid].X[rows_of(latents[mid], split[0])] @ probe_weights[mid].T
+                    for mid in model_ids if probe_attrs[mid]}
+
     def stitch_group(src, alpha, rows, fit):
         """{attribute: stitched Probe} per target, from one fit of the
         stacked train scores of the group's target probes."""
-        Y = np.hstack([latents[dst].X[iy] @ probe_weights[dst].T for dst, iy in rows.items()])
+        Y = np.hstack([train_scores.get(dst, np.empty((len(iy), 0))) for dst, iy in rows.items()])
         m = fit(Y, np.arange(len(Y)), "")
         stitched = {dst: {} for dst in rows}
         columns = [(dst, attr) for dst in rows for attr in probe_attrs[dst]]
@@ -788,7 +803,17 @@ def run_probe_suite(
     # match / delta per (pair, attribute), evaluated on the target's balanced
     # holdout: the native probe on the target's rows, the stitched probe on the
     # source's rows. Map errors come first, in pair order, then match errors.
+    # Each (model, attribute) holdout's rows are looked up once, and each
+    # native probe's holdout labels predicted once, as every pair revisits them.
     pairs, map_solver, map_fits = fit_sources(cfg, latents, split[0], threads, stitch_group)
+    hold_rows: dict[tuple[str, str], np.ndarray] = {}
+    native: dict[tuple[str, str], np.ndarray] = {}
+
+    def holdout(mid, attr):
+        if (mid, attr) not in hold_rows:
+            hold_rows[mid, attr] = rows_of(latents[mid], subsets[attr][1].ids)
+        return latents[mid].X[hold_rows[mid, attr]]
+
     pair_labels = [f"{src}->{dst}" for src, dst in pairs]
     match_values = np.full((len(pairs), len(attributes)), np.nan)
     delta_values = np.full((len(pairs), len(attributes)), np.nan)
@@ -801,9 +826,10 @@ def run_probe_suite(
             probe, acc_native = fitted[(dst, attr)]
             stitched, hold, ai = by_attr[attr], subsets[attr][1], attributes.index(attr)
             try:
-                x_native = latents[dst].X[rows_of(latents[dst], hold.ids)]
-                x_source = latents[src].X[rows_of(latents[src], hold.ids)]
-                match_values[pi, ai] = match_percent(probe, x_native, x_source, stitched=stitched)
+                if (dst, attr) not in native:
+                    native[dst, attr] = predict(probe, holdout(dst, attr))
+                x_source = holdout(src, attr)
+                match_values[pi, ai] = match_labels(native[dst, attr], predict(stitched, x_source))
                 acc_mapped = accuracy(stitched, x_source, hold.labels())
                 delta_values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
             except LatentStitchError as exc:
@@ -843,7 +869,7 @@ def run_probe_suite(
         "noising_schedule": _noising_metadata(cfg),
         "probe_lasso": {
             f"{mid}/{attr}": {"sweeps": probe.sweeps, "nnz": int(np.count_nonzero(probe.w)),
-                              "kkt": probe.kkt}
+                              "kkt": probe.kkt, "alpha_max": probe.alpha_max}
             for (mid, attr), (probe, _) in fitted.items()
         },
         "map_solver": map_solver,
@@ -904,9 +930,10 @@ def run_dynamics(
     subsets = {attr: draw_subsets(table, attr, split, cfg.seed) for attr in attributes}
     acc = np.full((len(attributes), len(datasets)), np.nan)
     for ci, ds in enumerate(datasets):
+        shared = SharedGram(ds.X, np.arange(len(split[0])))  # one train-split Gram
         for ai, attr in enumerate(attributes):
             _, acc[ai, ci] = train_probe(ds, subsets[attr], attr, alphas[ds.model_id],
-                                         ds.model_id, standardize=standardize)
+                                         ds.model_id, standardize=standardize, shared=shared)
 
     plateaus = [plateau_index(acc[ai], cfg.plateau_eps) for ai in range(len(attributes))]
     return DynamicsSeries(

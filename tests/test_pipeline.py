@@ -490,6 +490,7 @@ def test_probe_suite_records_lasso_counters(suite_result):
         assert entry["nnz"] == np.count_nonzero(probe.w)
         assert entry["sweeps"] >= 1
         assert 0.0 <= entry["kkt"] <= 10 * 1e-6  # train_probe's default tol
+        assert entry["alpha_max"] > probe.alpha  # no roster probe is empty
 
 
 def test_probe_suite_grids_replay_from_written_files(roster, suite_result, tmp_path):
@@ -812,6 +813,36 @@ def test_probe_commands_gather_each_sets_split_rows_once(roster, tmp_path, monke
     ckpts = make_checkpoints(tmp_path, roster["world"], [50, 20, 0])
     pipeline.run_dynamics(cfg, ckpts)
     assert gathers == {p.name: [260, 210] for p in ckpts}
+
+
+def test_probe_commands_sum_one_split_gram_per_model(roster, tmp_path, monkeypatch):
+    # every roster probe has more rows than dimensions, so it runs in
+    # covariance form: each model's (or checkpoint's) 200 train rows are
+    # summed into one Gram, and each probe then sums the Gram of the split
+    # rows its subset leaves out and its own rows' correlations with y
+    calls = []
+    real = probes.centered_products
+
+    def counted(X, rows=None, **kwargs):
+        calls.append((len(rows), "Y" in kwargs))
+        return real(X, rows, **kwargs)
+
+    monkeypatch.setattr(probes, "centered_products", counted)
+    cfg = pipeline.load_config(roster["config"])
+    result = pipeline.run_probe_suite(cfg, tmp_path / "suite")
+    n_probes = len(result.report_rows)
+    assert n_probes == 15 and result.errors == []
+    per_class = {r["attribute"]: r["train_n_per_class"] for r in result.report_rows}
+    subsets = sorted(2 * per_class[r["attribute"]] for r in result.report_rows)
+    assert sorted(n for n, y in calls if y) == subsets
+    assert sorted(n for n, y in calls if not y) == sorted([200] * 5 + [200 - s for s in subsets])
+
+    calls.clear()
+    ckpts = make_checkpoints(tmp_path, roster["world"], [50, 20, 0])
+    pipeline.run_dynamics(cfg, ckpts)
+    subsets = sorted(2 * n for n in per_class.values()) * 3
+    assert sorted(n for n, y in calls if y) == sorted(subsets)
+    assert sorted(n for n, y in calls if not y) == sorted([200] * 3 + [200 - s for s in subsets])
 
 
 # d_pix is 36: a 60-row holdout's summaries hold covariances, a 30-row one's their

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import latentstitch
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentstitch import probes
+from latentstitch import linalg, probes
 from latentstitch.data import AttributeTable
 from latentstitch.errors import DataError, NumericalError
 
@@ -312,13 +314,216 @@ def test_lasso_objective_non_increasing_as_the_working_set_grows(monkeypatch):
     assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
 
+# --- covariance form and the shared split Gram ------------------------------------
+
+
+def row_rounds_reference(X, y, alpha, tol=1e-6, max_iter=10000, objectives=None):
+    """The working-set lasso as it ran on every design before the covariance
+    form: a centered float64 copy of the rows, each round's correlations
+    from a fresh residual and each working set's Gram from its columns."""
+    Xc = np.array(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n, d = Xc.shape
+    x_mean = Xc.mean(axis=0)
+    Xc -= x_mean
+    y_mean = y.mean()
+    yc = y - y_mean
+    usable = np.einsum("ij,ij->j", Xc, Xc) > 0.0
+    n_usable = int(usable.sum())
+    w = np.zeros(d)
+    sweeps = 0
+    while True:
+        corr = Xc.T @ (yc - Xc @ w) / n
+        viol = probes._kkt_violations(corr, w, alpha)
+        kkt = float(viol.max(initial=0.0))
+        if kkt <= 10.0 * tol:
+            return w, float(y_mean - x_mean @ w), sweeps, kkt
+        assert sweeps < max_iter
+        active = w != 0.0
+        nnz = int(active.sum())
+        grow = max(10, 2 * nnz)
+        if 4 * (nnz + grow) >= n_usable:
+            in_set = usable
+        else:
+            in_set = active.copy()
+            viol[active] = 0.0
+            worst = np.argsort(-viol, kind="stable")[:grow]
+            in_set[worst[viol[worst] > 0.0]] = True
+        W = np.flatnonzero(in_set)
+        XW = Xc.take(W, axis=1)
+        G = XW.T @ XW / n
+        rows, diag = list(G), G.diagonal().tolist()
+        g = corr[W]
+        ws = w[W].tolist()
+        while sweeps < max_iter:
+            sweeps += 1
+            for j, gjj in enumerate(diag):
+                wj = ws[j]
+                wj_new = _oracle_soft_threshold(g.item(j) + gjj * wj, alpha) / gjj
+                if wj_new != wj:
+                    g -= rows[j] * (wj_new - wj)
+                    ws[j] = wj_new
+            wW = np.array(ws)
+            if objectives is not None:
+                r = yc - XW @ wW
+                objectives.append(0.5 * (r @ r) / n + alpha * float(np.abs(wW).sum()))
+            if probes._kkt_violations(g, wW, alpha).max() <= 10.0 * tol:
+                break
+        w[W] = wW
+
+
+def test_lasso_with_fewer_rows_than_columns_keeps_its_row_rounds():
+    # the design of test_lasso_objective_non_increasing_as_the_working_set_grows
+    rng = np.random.default_rng(14)
+    n, d = 200, 400
+    x = rng.standard_normal((n, d))
+    y = x[:, :30] @ rng.standard_normal(30) + 0.5 * rng.standard_normal(n)
+    objectives, expected = [], []
+    w, b, sweeps, kkt = probes.lasso_cd(x, y, alpha=0.05, objectives=objectives)
+    w_ref, b_ref, sweeps_ref, kkt_ref = row_rounds_reference(x, y, 0.05, objectives=expected)
+    assert w.tobytes() == w_ref.tobytes()
+    assert (b, sweeps, kkt, objectives) == (b_ref, sweeps_ref, kkt_ref, expected)
+    # a probe's rows of a larger set, with a shared split Gram that it never forms
+    x32 = np.vstack([x, rng.standard_normal((100, d))]).astype(np.float32)
+    rows = rng.permutation(300)[:n]
+    shared = probes.SharedGram(x32, np.arange(300))
+    probe = probes.fit_lasso(x32, y, alpha=0.05, rows=rows, shared=shared)
+    w_ref, b_ref, sweeps_ref, kkt_ref = row_rounds_reference(x32[rows], y, 0.05)
+    assert probe.w.tobytes() == w_ref.tobytes()
+    assert (probe.b, probe.sweeps, probe.kkt) == (b_ref, sweeps_ref, kkt_ref)
+    assert shared._split is None
+    xc = x32[rows].astype(np.float64) - x32[rows].astype(np.float64).mean(axis=0)
+    assert probe.alpha_max == pytest.approx(np.abs(xc.T @ (y - y.mean())).max() / n, rel=1e-12)
+
+
+def offset_design(rng, n, d):
+    """float32 columns of standard deviations 0.5-2 whose means sit 100 of
+    their standard deviations away from 0."""
+    sd = rng.uniform(0.5, 2.0, d)
+    x = rng.standard_normal((n, d)) * sd + 100.0 * sd * rng.choice([-1.0, 1.0], d)
+    return x.astype(np.float32)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_shared_gram_of_a_subset_equals_its_direct_gram(standardize):
+    rng = np.random.default_rng(20)
+    x = offset_design(rng, 700, 24)
+    split = rng.permutation(700)[:600]  # scattered split rows
+    rows = rng.permutation(split)[:470]  # a probe's rows, in its own order
+    y = (x[rows, 0] + x[rows, 1] + rng.standard_normal(470) > x[:, 0].mean() + x[:, 1].mean())
+    y = y.astype(float)
+    m = probes.Moments.of(x, y, rows, probes.SharedGram(x, split))
+    xs = x[rows].astype(np.float64)
+    if standardize:
+        np.testing.assert_allclose(m.standardize(), xs.std(axis=0), rtol=1e-12)
+        xs = xs / xs.std(axis=0)
+    xc = xs - xs.mean(axis=0)
+    gram, corr = xc.T @ xc / 470, xc.T @ (y - y.mean()) / 470
+    assert np.abs(m.gram - gram).max() <= 1e-12 * np.abs(gram).max()
+    assert np.abs(m.corr - corr).max() <= 1e-12 * np.abs(corr).max()
+    np.testing.assert_allclose(m.x_mean, xs.mean(axis=0), rtol=1e-12)
+    assert (m.y_mean, m.y_sq) == pytest.approx((y.mean(), np.var(y)), rel=1e-12)
+    assert m.alpha_max == pytest.approx(np.abs(corr).max(), rel=1e-12)
+    assert np.array_equal(m.gram, m.gram.T)
+
+
+def test_shared_gram_of_the_whole_split_and_of_rows_outside_it():
+    rng = np.random.default_rng(21)
+    x = offset_design(rng, 50, 4)
+    x[:30, 2] = 1.5  # constant over the first 30 rows only
+    split = np.arange(40)
+    shared = probes.SharedGram(x, split)
+    np.testing.assert_array_equal(shared.gram(split[::-1]),
+                                  linalg.centered_products(x, split)[1])
+    # a column constant over the subset reads 0, as in the subset's own Gram,
+    # and its weight stays 0
+    assert not shared.gram(np.arange(30))[2].any()
+    assert not shared.gram(np.arange(30))[:, 2].any()
+    y = (x[:30, 0] > np.median(x[:30, 0])).astype(float)
+    probe = probes.fit_lasso(x, y, alpha=1e-3, rows=np.arange(30), shared=shared)
+    assert probe.w[2] == 0.0
+    for rows in ([0, 45], [0, 0, 1], []):
+        with pytest.raises(DataError, match="not distinct rows of the 40-row split"):
+            shared.gram(np.array(rows, dtype=np.intp))
+
+
+def test_shared_gram_sums_its_split_once_across_threads(monkeypatch):
+    # probe-suite --threads N fits one model's probes on several threads at
+    # once: the first request sums the split, and every thread reads it
+    rng = np.random.default_rng(22)
+    x = offset_design(rng, 300, 12)
+    subsets = [rng.permutation(250)[:200] for _ in range(4)]
+    expected = [probes.SharedGram(x, np.arange(250)).gram(rows) for rows in subsets]
+    shared = probes.SharedGram(x, np.arange(250))
+    split_sums = []
+    real = probes.centered_products
+
+    def counted(X, rows=None, **kwargs):
+        if len(rows) == 250:
+            split_sums.append(1)
+        return real(X, rows, **kwargs)
+
+    monkeypatch.setattr(probes, "centered_products", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(shared.gram, subsets[i % 4]) for i in range(32)]
+            grams = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(split_sums) == 1
+    for i, g in enumerate(grams):
+        np.testing.assert_array_equal(g, expected[i % 4])
+
+
+@pytest.mark.parametrize("design", [rank8_design, dense_design])
+def test_fit_lasso_on_a_shared_gram_matches_the_standalone_fit(design):
+    rng = np.random.default_rng(15)
+    x, labels = design(rng, 1300)
+    rows = rng.permutation(1200)[:1000]
+    y = labels[rows]
+    alone = probes.fit_lasso(x[rows], y, alpha=0.001)
+    probe = probes.fit_lasso(x, y, alpha=0.001, rows=rows,
+                             shared=probes.SharedGram(x, np.arange(1200)))
+    assert probe.sweeps == alone.sweeps
+    assert np.count_nonzero(probe.w) == np.count_nonzero(alone.w) > 0
+    assert np.abs(probe.w - alone.w).max() <= 1e-9 * np.abs(alone.w).max()
+    assert probe.alpha_max == pytest.approx(alone.alpha_max, rel=1e-12)
+    raw = kkt_violation_raw(x[rows].astype(np.float64), y, probe.w, probe.b, 0.001)
+    assert raw <= 10 * 1e-6
+    assert probe.kkt == pytest.approx(raw, rel=1e-6, abs=1e-12)
+
+
+def test_a_probe_on_a_shared_gram_holds_no_float64_copy_of_its_rows():
+    # a demo-sized probe: 1,550 of 2,000 split rows at d = 256. The row
+    # rounds held a centered float64 copy of the rows (3.2 MB) and each
+    # working set's columns of it; the covariance form holds d x d arrays
+    # (0.5 MB each) and blocks of at most linalg.ROW_BLOCK_ENTRIES entries of
+    # the excluded rows and of CORR_BLOCK_ENTRIES of the probe's rows
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((2000, 256)).astype(np.float32)
+    rows = rng.permutation(2000)[:1550]
+    y = (x[rows, :8].sum(axis=1) > 0).astype(float)
+    shared = probes.SharedGram(x, np.arange(2000))
+    shared.gram(rows)  # the split's Gram, formed once per model
+    tracemalloc.start()
+    try:
+        probe = probes.fit_lasso(x, y, alpha=0.001, rows=rows, shared=shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(probe.w) > 100
+    assert peak < 1550 * 256 * 8
+
+
 def test_lasso_imports_no_masked_arrays():
     """np.union1d and np.unique import numpy.ma lazily, which costs memory in
     every command that fits a probe."""
     script = textwrap.dedent("""
         import sys
         import numpy as np
-        from latentstitch import probes
+        from latentstitch import linalg, probes
         rng = np.random.default_rng(0)
         x = rng.standard_normal((120, 200))
         probes.lasso_cd(x, x[:, :3].sum(axis=1), alpha=0.05)
