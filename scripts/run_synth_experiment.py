@@ -25,7 +25,6 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=2200)
     parser.add_argument("--k", type=int, default=8)
     parser.add_argument("--dpix", type=int, default=256)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     out = args.out
@@ -38,12 +37,10 @@ def main() -> int:
         return rc
     config = str(data_dir / "experiment.cfg")
 
-    rc = cli.main(["stitch-grid", "--config", config, "--out", str(out / "grid"),
-                   "--threads", str(args.threads)])
+    rc = cli.main(["stitch-grid", "--config", config, "--out", str(out / "grid")])
     if rc != 0:
         return rc
-    rc = cli.main(["probe-suite", "--config", config, "--out", str(out / "suite"),
-                   "--threads", str(args.threads)])
+    rc = cli.main(["probe-suite", "--config", config, "--out", str(out / "suite")])
     if rc != 0:
         return rc
 

@@ -51,7 +51,8 @@ def _common_flags(parser: argparse.ArgumentParser, config=True, threads=True) ->
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
     if threads:
-        parser.add_argument("--threads", type=int, default=1, help="worker threads for grid cells")
+        parser.add_argument("--threads", type=int, default=1,
+                            help="ignored: every command runs its cells serially")
 
 
 def _check_common(args) -> None:
@@ -166,7 +167,7 @@ def _cmd_fit_map(args) -> int:
 
 def _cmd_stitch_grid(args) -> int:
     cfg = _load(args)
-    result = run_stitch_grid(cfg, args.out, threads=args.threads)
+    result = run_stitch_grid(cfg, args.out)
     for name in sorted(result.grids):
         print(f"wrote {args.out / (name + '.csv')}")
     if result.errors:
@@ -196,7 +197,7 @@ def _cmd_train_probe(args) -> int:
 
 def _cmd_probe_suite(args) -> int:
     cfg = _load(args)
-    result = run_probe_suite(cfg, args.out, threads=args.threads, standardize=args.standardize)
+    result = run_probe_suite(cfg, args.out, standardize=args.standardize)
     for name in ("probe_report", "probe_accuracy_grid", "match_grid", "delta_grid"):
         print(f"wrote {args.out / (name + '.csv')}")
     if result.errors:

@@ -28,7 +28,6 @@ import hashlib
 import math
 import os
 import struct
-import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -85,8 +84,7 @@ class FileRows:
     rows into a fresh, aligned float32 array equal to the array's own
     gather, one seek and read per run of consecutive rows. There are no
     column keys: a kernel that wants some columns reads whole rows once and
-    slices them. ``X[:]`` is the whole array, as is np.asarray(X). Gathers
-    from several threads take turns.
+    slices them. ``X[:]`` is the whole array, as is np.asarray(X).
 
     The rows keep the file open, on a descriptor of their own closed with the
     object, so a file renamed over or removed after the check is still the
@@ -101,7 +99,6 @@ class FileRows:
     def __init__(self, f: BinaryIO, path, offset: int, n: int, d: int) -> None:
         self.path, self.offset, self.shape = path, offset, (n, d)
         self._file = open(os.dup(f.fileno()), "rb", buffering=0)
-        self._lock = threading.Lock()
         weakref.finalize(self, self._file.close)
 
     def __len__(self) -> int:
@@ -123,10 +120,9 @@ class FileRows:
             return out
         bounds = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
         view = memoryview(out).cast("B")
-        with self._lock:
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                self._read_run(view[s * row_bytes:e * row_bytes],
-                               self.offset + int(idx[s]) * row_bytes)
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            self._read_run(view[s * row_bytes:e * row_bytes],
+                           self.offset + int(idx[s]) * row_bytes)
         return out
 
     def _read_run(self, buf: memoryview, pos: int) -> None:

@@ -160,7 +160,7 @@ class SharedFit:
     that fails at alpha = 0 is made once. It keeps the d x d pseudo-inverse
     of the centered Gram as ``pinv``, with the ``rank`` of the singular
     values above its ``cutoff`` (d eps max(s)), and every later alpha = 0
-    fit multiplies pinv with its Xc^T Yc. Not thread-safe: one per task.
+    fit multiplies pinv with its Xc^T Yc.
     """
 
     def __init__(self, X, rows=None):

@@ -1,10 +1,10 @@
 """Experiment orchestration: stitching grids, probe suites, training-dynamics
 runs, and deterministic CSV reports.
 
-Configs are line-oriented key=value text (see parse_config). Grid cells have
-deterministic placement: cell order is fixed by config order, a pair that
-lacks data never disturbs another cell, and a fixed (config, seed) always
-produces byte-identical CSV output for any thread count.
+Configs are line-oriented key=value text (see parse_config). Every command
+runs its cells serially, in config order: a pair that lacks data never
+disturbs another cell, and a fixed (config, seed) always produces
+byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -385,20 +384,13 @@ def _error_text(exc: LatentStitchError | MemoryError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cells(fn, items, threads: int):
-    """Run fn over items with deterministic result placement; each result is
-    (value, error_string) so one failure cannot disturb other cells."""
-
-    def guarded(item):
-        try:
-            return fn(item), None
-        except (LatentStitchError, MemoryError) as exc:
-            return None, _error_text(exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(guarded, items))
-    return [guarded(item) for item in items]
+def _guarded(fn, *args, **kwargs) -> tuple:
+    """fn's result as (value, None), or (None, error_string) for a failure
+    confined to one cell, so that it cannot disturb other cells."""
+    try:
+        return fn(*args, **kwargs), None
+    except (LatentStitchError, MemoryError) as exc:
+        return None, _error_text(exc)
 
 
 # --- map fitting and probe training on a run's split ---------------------------
@@ -415,8 +407,8 @@ def fit_pair_map(src: LatentDataset, dst: LatentDataset, alpha: float,
 
 
 def fit_sources(cfg: ExperimentConfig, latents: dict[str, LatentDataset], train_ids: list[str],
-                threads: int, fit_group) -> tuple[dict, dict, list]:
-    """The map step of stitch-grid and probe-suite, one source per task.
+                fit_group) -> tuple[dict, dict, list]:
+    """The map step of stitch-grid and probe-suite, one source at a time.
 
     A source's targets are grouped by map alpha in config order (one lacking a
     train id joins no group: that is its pair's error) and share one
@@ -463,7 +455,8 @@ def fit_sources(cfg: ExperimentConfig, latents: dict[str, LatentDataset], train_
         return outcomes, fits
 
     pairs, map_fits = {}, []
-    for src, (row, row_err) in zip(model_ids, _run_cells(fit_row, model_ids, threads)):
+    for src in model_ids:
+        row, row_err = _guarded(fit_row, src)
         outcomes, fits = row if row_err is None else (dict.fromkeys(model_ids, (None, row_err)), [])
         map_fits.extend(fits)
         pairs.update(((src, dst), outcomes[dst]) for dst in model_ids)
@@ -516,7 +509,18 @@ def train_probe(
     probe = fit_lasso(ds.X, train.labels(), alpha, tol=tol, max_iter=max_iter,
                       attribute=attribute, model_id=model_id, standardize=standardize,
                       rows=rows_of(ds, train.ids), shared=shared)
+    if report := empty_probe(probe):
+        log.warning("probe %s/%s: %s", model_id, attribute, report)
     return probe, accuracy(probe, ds.X[rows_of(ds, hold.ids)], hold.labels())
+
+
+def empty_probe(probe: Probe) -> str | None:
+    """The report of a probe whose weights are all 0, as a lasso fit's are at
+    alpha >= alpha_max: its score is constant, so a match or delta cell with
+    it as the target would measure nothing. None for any other probe."""
+    if probe.w.any():
+        return None
+    return f"empty: alpha {probe.alpha:.9g} >= alpha_max {probe.alpha_max:.9g}"
 
 
 def _noising_metadata(cfg: ExperimentConfig) -> dict | None:
@@ -556,7 +560,7 @@ def _read_lpips_pairs(path, model_ids: list[str]) -> dict[tuple[str, str], float
     return out
 
 
-def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchResult:
+def run_stitch_grid(cfg: ExperimentConfig, out_dir) -> StitchResult:
     """Fit a stitching map for every ordered (encoder, decoder) pair and
     report latent MSE plus, where a decoder is available in-process, pixel
     RMSE and FID of the stitched reconstructions against the true holdout
@@ -625,9 +629,9 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir, threads: int = 1) -> StitchR
             m = None  # decoding needs only the mapped holdout, not the d_out x d_in map
             return score_decoded(dst, mapped_ds, result)
 
-        return dict(zip(rows, _run_cells(cell, rows, 1)))
+        return {dst: _guarded(cell, dst) for dst in rows}
 
-    pairs, map_solver, map_fits = fit_sources(cfg, latents, train_ids, threads, fit_group)
+    pairs, map_solver, map_fits = fit_sources(cfg, latents, train_ids, fit_group)
 
     n = len(model_ids)
     grids = {
@@ -700,9 +704,7 @@ class SuiteResult:
     errors: list[str]
 
 
-def run_probe_suite(
-    cfg: ExperimentConfig, out_dir, threads: int = 1, standardize: bool = False
-) -> SuiteResult:
+def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -> SuiteResult:
     """Train balanced lasso probes per (model, attribute), evaluate them on
     balanced holdouts, then measure cross-space prediction agreement (match
     percentage) and signed accuracy change through the stitching maps for
@@ -737,39 +739,35 @@ def run_probe_suite(
             latents[mid] = take(latents[mid], rows_of(latents[mid], split[0] + split[1]))
         except LatentStitchError as exc:
             lacks[mid] = exc
-    # one Gram of each model's train split, from which each probe removes
-    # the rows its balanced subset leaves out
-    shared = {mid: SharedGram(latents[mid].X, rows_of(latents[mid], split[0]))
-              for mid in model_ids if lacks[mid] is None}
-    probe_tasks = [(mid, attr) for mid in model_ids for attr in attributes]
-
-    def train_one(task):
-        mid, attr = task
-        return train_probe(latents[mid], lacks[mid] or subsets[attr], attr, alphas[mid], mid,
-                           standardize=standardize, shared=shared.get(mid))
-
-    outcomes = _run_cells(train_one, probe_tasks, threads)
-    del shared  # the split Grams go before the stitched fits
-
     fitted: dict[tuple[str, str], tuple[Probe, float]] = {}
     report_rows: list[dict] = []
     acc_values = np.full((len(model_ids), len(attributes)), np.nan)
-    for (mid, attr), (result, err) in zip(probe_tasks, outcomes):
-        if err is not None:
-            errors.append(f"probe {mid}/{attr}: {err}")
-            continue
-        probe, acc = fitted[(mid, attr)] = result
-        save_probe(probe, probes_dir / f"{mid}__{attr}.lprb")
-        report_rows.append(
-            {
-                "model": mid,
-                "attribute": attr,
-                "alpha": probe.alpha,
-                "train_n_per_class": subsets[attr][0].per_class,
-                "holdout_accuracy": acc,
-            }
-        )
-        acc_values[model_ids.index(mid), attributes.index(attr)] = acc
+    for mi, mid in enumerate(model_ids):
+        # one Gram of the model's train split, from which each probe removes
+        # the rows its balanced subset leaves out
+        ds = latents[mid]
+        shared = None if lacks[mid] else SharedGram(ds.X, rows_of(ds, split[0]))
+        for ai, attr in enumerate(attributes):
+            result, err = _guarded(train_probe, ds, lacks[mid] or subsets[attr], attr, alphas[mid],
+                                   mid, standardize=standardize, shared=shared)
+            if err is not None:
+                errors.append(f"probe {mid}/{attr}: {err}")
+                continue
+            probe, acc = fitted[(mid, attr)] = result
+            save_probe(probe, probes_dir / f"{mid}__{attr}.lprb")
+            report_rows.append(
+                {
+                    "model": mid,
+                    "attribute": attr,
+                    "alpha": probe.alpha,
+                    "train_n_per_class": subsets[attr][0].per_class,
+                    "holdout_accuracy": acc,
+                }
+            )
+            acc_values[mi, ai] = acc
+            if report := empty_probe(probe):  # kept, but no cell is scored with it
+                errors.append(f"probe {mid}/{attr}: {report}")
+    del shared  # the last split Gram goes before the stitched fits
 
     # Stitched probes, from fit_sources: one fit per (source, alpha) group.
     # fit_ridge fits each output column alone with one factor of the source,
@@ -802,10 +800,11 @@ def run_probe_suite(
 
     # match / delta per (pair, attribute), evaluated on the target's balanced
     # holdout: the native probe on the target's rows, the stitched probe on the
-    # source's rows. Map errors come first, in pair order, then match errors.
+    # source's rows; a cell whose target probe is empty stays NaN. Map errors
+    # come first, in pair order, then match errors.
     # Each (model, attribute) holdout's rows are looked up once, and each
     # native probe's holdout labels predicted once, as every pair revisits them.
-    pairs, map_solver, map_fits = fit_sources(cfg, latents, split[0], threads, stitch_group)
+    pairs, map_solver, map_fits = fit_sources(cfg, latents, split[0], stitch_group)
     hold_rows: dict[tuple[str, str], np.ndarray] = {}
     native: dict[tuple[str, str], np.ndarray] = {}
 
@@ -824,6 +823,8 @@ def run_probe_suite(
             continue
         for attr in probe_attrs[dst]:
             probe, acc_native = fitted[(dst, attr)]
+            if not probe.w.any():  # an empty probe, reported above
+                continue
             stitched, hold, ai = by_attr[attr], subsets[attr][1], attributes.index(attr)
             try:
                 if (dst, attr) not in native:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import struct
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -190,16 +189,14 @@ class SharedGram:
 
     def __init__(self, X, rows):
         self.X, self.rows = X, np.asarray(rows, dtype=np.intp)
-        self._split = None  # (x_s, C_s), made once, under the lock
-        self._lock = threading.Lock()
+        self._split = None  # (x_s, C_s), made once
 
     def gram(self, rows) -> np.ndarray:
         """A new float64 Xc^T Xc of X's rows ``rows``, exactly symmetric.
         A column whose sum of squares over the rows is rounding beside the
         split's (it is constant there) reads 0, as in a direct Gram."""
-        with self._lock:
-            if self._split is None:
-                self._split = centered_products(self.X, self.rows)[:2]
+        if self._split is None:
+            self._split = centered_products(self.X, self.rows)[:2]
         x_mean, split = self._split
         left = np.ones(self.X.shape[0], dtype=bool)
         left[rows] = False

@@ -698,7 +698,7 @@ def test_mutated_config_ends_in_a_documented_exit_code(fuzz_world, command, muta
 INTS = st.integers(-3, 1 << 40)
 FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-320, 1e308, 1e-3, 50000.0]))
 #: command -> numeric flag -> values. Sizes and counts stay small so that no
-#: value asks for a large world, many threads or a long lasso run.
+#: value asks for a large world or a long lasso run.
 NUMERIC_FLAGS = {
     "synth-gen": {"--seed": INTS, "--n": st.integers(-2, 400), "--k": st.integers(-2, 12),
                   "--dpix": st.integers(-2, 96), "--noise-t": st.integers(-3, 60),

@@ -398,16 +398,6 @@ def test_lpips_file_with_a_repeated_pair_or_late_header_is_a_config_error(tmp_pa
         pipeline._read_lpips_pairs(path, ["encoder", "dec"])
 
 
-def test_stitch_grid_threads_match_serial(roster, tmp_path):
-    cfg = pipeline.load_config(roster["config"])
-    serial = pipeline.run_stitch_grid(cfg, tmp_path / "serial")
-    threaded = pipeline.run_stitch_grid(cfg, tmp_path / "threaded", threads=4)
-    for name in ("latent_mse", "pixel_rmse", "fid"):
-        a = (tmp_path / "serial" / f"{name}.csv").read_bytes()
-        b = (tmp_path / "threaded" / f"{name}.csv").read_bytes()
-        assert a == b
-
-
 def test_stitch_grid_decoder_only_model(roster, tmp_path):
     # GAN-style entry: its own (latent, image) pairs come from its sampling;
     # with id-based alignment the fit path is identical, the flag is metadata
@@ -533,6 +523,54 @@ def test_probe_suite_delta_zero_on_diagonal(suite_result):
         np.testing.assert_allclose(grid.values[row], 0.0, atol=1e-12)
 
 
+def test_probe_suite_reports_an_empty_probe_and_scores_no_cell_with_it(roster, suite_result,
+                                                                       tmp_path, caplog):
+    # at alpha >= alpha_max a lasso probe has w = 0: its holdout accuracy and
+    # file are kept, but a match or delta cell with it as the target is NaN
+    _, full_out = suite_result
+    text = roster["config"].read_text().replace("probe_alpha.orthA = 0.001",
+                                                "probe_alpha.orthA = 10")
+    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+    with caplog.at_level(logging.WARNING, logger="latentstitch.pipeline"):
+        result = pipeline.run_probe_suite(cfg, tmp_path)
+    attributes = result.accuracy_grid.col_ids
+    meta = json.loads((tmp_path / "metadata.json").read_text())["probe_lasso"]
+    lines = [f"probe orthA/{a}: empty: alpha 10 >= alpha_max {meta[f'orthA/{a}']['alpha_max']:.9g}"
+             for a in attributes]
+    assert result.errors == lines
+    assert (tmp_path / "suite_errors.txt").read_text() == "\n".join(lines) + "\n"
+    assert [r.getMessage() for r in caplog.records if "empty" in r.getMessage()] == lines
+    for attr in attributes:
+        assert not probes.load_probe(tmp_path / "probes" / f"orthA__{attr}.lprb").w.any()
+    assert np.isfinite(result.accuracy_grid.values).all()
+    for grid, name in ((result.match_grid, "match_grid"), (result.delta_grid, "delta_grid")):
+        full = pipeline.read_csv_grid(full_out / f"{name}.csv")
+        for i, pair in enumerate(grid.row_ids):
+            if pair.endswith("->orthA"):
+                assert np.isnan(grid.values[i]).all(), pair
+            else:  # every other cell keeps its written bytes
+                assert list(map(pipeline._fmt, grid.values[i])) == \
+                    list(map(pipeline._fmt, full.values[i])), pair
+
+
+def test_dynamics_and_train_probe_log_an_empty_probe(roster, tmp_path, caplog):
+    cfg = pipeline.parse_config(roster["config"].read_text() + "probe_alpha.nf = 10\n",
+                                base_dir=roster["dir"])
+    ckpts = make_checkpoints(tmp_path, roster["world"], [50, 0])
+    with caplog.at_level(logging.WARNING, logger="latentstitch.pipeline"):
+        series = pipeline.run_dynamics(cfg, ckpts)
+    empty = [r.getMessage() for r in caplog.records if ": empty: " in r.getMessage()]
+    assert [line.split(":")[0] for line in empty] == [f"probe nf/{a}" for a in series.attributes] * 2
+    assert all(" empty: alpha 10 >= alpha_max " in line for line in empty)
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="latentstitch.pipeline"):
+        assert cli.main(["train-probe", "--config", str(roster["config"]), "--out", str(tmp_path),
+                         "--model", "orthA", "--attribute", "factor_01", "--alpha", "10"]) == 0
+    assert [r.getMessage().split(" >= ")[0] for r in caplog.records] == [
+        "probe orthA/factor_01: empty: alpha 10"]
+
+
 # --- dynamics -------------------------------------------------------------------------
 
 
@@ -588,7 +626,7 @@ def test_dynamics_label_count_must_match(roster, tmp_path):
         pipeline.run_dynamics(cfg, ckpts, labels=["only-one"])
 
 
-# --- reruns, warnings, threads ------------------------------------------------------
+# --- reruns, warnings, --threads ---------------------------------------------------
 
 
 def test_clean_rerun_removes_stale_cell_errors(roster, tmp_path):
@@ -627,7 +665,7 @@ def test_missing_probe_alpha_warns_once_per_space(roster, tmp_path, caplog):
     assert len(_unconfigured_warnings(caplog, "nf")) == 1
 
 
-def test_probe_suite_threads_match_serial(roster, tmp_path):
+def test_probe_suite_accepts_threads_and_ignores_it(roster, tmp_path):
     config = str(roster["config"])
     for threads in ("1", "2"):
         assert cli.main(["probe-suite", "--config", config, "--out", str(tmp_path / threads),
