@@ -214,7 +214,10 @@ def _cmd_dynamics(args) -> int:
     path = args.out / "dynamics.csv"
     emit_csv(series, path)
     for attr, p in zip(series.attributes, series.plateau_indices):
-        print(f"{attr}: plateau at checkpoint {series.checkpoint_labels[p]}")
+        if p is None:
+            print(f"{attr}: no plateau: the probe of every checkpoint is empty")
+        else:
+            print(f"{attr}: plateau at checkpoint {series.checkpoint_labels[p]}")
     print(f"wrote {path}")
     return 0
 

@@ -12,9 +12,10 @@ is a FileRows: each gather (``X[rows]``, ``X[a:b]``) reads just those whole
 rows from the file into a fresh array. The block kernels
 (linalg.centered_products, the map fit and its scores, metrics.summarize,
 and the block scores through `take`) read a set block by block, each block's
-rows once per pass. Only
-probe-suite and dynamics, which revisit scattered rows, `take` each set's
-split rows into memory, once.
+rows once per pass. Only probe-suite and dynamics, whose probes revisit
+scattered rows, `take` a set's split rows into memory: one set at a time,
+while its own probes train. probe-suite then keeps just its holdout rows,
+and its stitched fits read the train rows from the files.
 
 Datasets are immutable, and rows are selected by index arrays: `align(a, b)`
 gives the rows (ia, ib) of the ids both share, `rows_of` the rows of given

@@ -310,20 +310,24 @@ class DynamicsSeries:
 
     checkpoint_labels: list[str]
     attributes: list[str]
-    accuracies: np.ndarray  # (n_attributes, n_checkpoints)
-    plateau_indices: list[int]
+    accuracies: np.ndarray  # (n_attributes, n_checkpoints), NaN for an empty probe
+    plateau_indices: list[int | None]  # None: no checkpoint has a non-empty probe
 
 
-def plateau_index(accuracies, eps: float) -> int:
-    """First index after which every subsequent accuracy increment is < eps."""
+def plateau_index(accuracies, eps: float) -> int | None:
+    """First index after which every subsequent accuracy increment is < eps.
+    A NaN accuracy (an empty probe's) is skipped; None when all are NaN."""
     acc = np.asarray(accuracies, dtype=np.float64)
     if acc.ndim != 1 or acc.size < 1:
         raise ConfigError("need a 1-D accuracy sequence")
-    diffs = np.diff(acc)
-    idx = acc.size - 1
+    scored = np.flatnonzero(~np.isnan(acc))
+    if not len(scored):
+        return None
+    diffs = np.diff(acc[scored])
+    idx = len(scored) - 1
     while idx > 0 and diffs[idx - 1] < eps:
         idx -= 1
-    return idx
+    return int(scored[idx])
 
 
 def _fmt(value) -> str:
@@ -345,7 +349,8 @@ def emit_csv(obj, path) -> None:
             elif isinstance(obj, DynamicsSeries):
                 writer.writerow(["attribute", *obj.checkpoint_labels, "plateau_epoch"])
                 for attr, row, p in zip(obj.attributes, obj.accuracies, obj.plateau_indices):
-                    writer.writerow([attr, *[_fmt(v) for v in row], obj.checkpoint_labels[p]])
+                    plateau = "" if p is None else obj.checkpoint_labels[p]
+                    writer.writerow([attr, *[_fmt(v) for v in row], plateau])
             else:
                 raise TypeError(f"cannot emit {type(obj).__name__} as CSV")
     except OSError as exc:
@@ -731,24 +736,28 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
             subsets[attr] = draw_subsets(table, attr, split, cfg.seed)
         except LatentStitchError as exc:
             subsets[attr] = exc
-    # each model's split rows are gathered once, as probes and maps revisit
-    # them; a model lacking split ids fails each probe of its row with that error
-    lacks: dict[str, LatentStitchError | None] = dict.fromkeys(model_ids)
-    for mid in model_ids:
-        try:
-            latents[mid] = take(latents[mid], rows_of(latents[mid], split[0] + split[1]))
-        except LatentStitchError as exc:
-            lacks[mid] = exc
+    # Each model's split rows are gathered while its own probes train, then
+    # dropped before the next model's: the stitched fits read the train rows
+    # from the files, and the match cells read the holdout rows kept here. A
+    # model lacking split ids keeps its file set, and each probe of its row
+    # fails with that error.
+    n_train = len(split[0])
+    holdouts: dict[str, LatentDataset] = dict(latents)
+    probe_attrs: dict[str, list[str]] = {}
+    train_scores: dict[str, np.ndarray] = {}  # each target's, for every source fitted to it
     fitted: dict[tuple[str, str], tuple[Probe, float]] = {}
     report_rows: list[dict] = []
     acc_values = np.full((len(model_ids), len(attributes)), np.nan)
     for mi, mid in enumerate(model_ids):
+        try:
+            ds, lacks = take(latents[mid], rows_of(latents[mid], split[0] + split[1])), None
+        except LatentStitchError as exc:
+            ds, lacks = latents[mid], exc
         # one Gram of the model's train split, from which each probe removes
         # the rows its balanced subset leaves out
-        ds = latents[mid]
-        shared = None if lacks[mid] else SharedGram(ds.X, rows_of(ds, split[0]))
+        shared = None if lacks else SharedGram(ds.X, np.arange(n_train))
         for ai, attr in enumerate(attributes):
-            result, err = _guarded(train_probe, ds, lacks[mid] or subsets[attr], attr, alphas[mid],
+            result, err = _guarded(train_probe, ds, lacks or subsets[attr], attr, alphas[mid],
                                    mid, standardize=standardize, shared=shared)
             if err is not None:
                 errors.append(f"probe {mid}/{attr}: {err}")
@@ -767,7 +776,13 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
             acc_values[mi, ai] = acc
             if report := empty_probe(probe):  # kept, but no cell is scored with it
                 errors.append(f"probe {mid}/{attr}: {report}")
-    del shared  # the last split Gram goes before the stitched fits
+        probe_attrs[mid] = [a for a in attributes if (mid, a) in fitted]
+        if probe_attrs[mid]:  # one column per probe
+            weights = np.array([fitted[(mid, a)][0].w for a in probe_attrs[mid]])
+            train_scores[mid] = ds.X[:n_train] @ weights.T
+        if not lacks:
+            holdouts[mid] = take(ds, np.arange(n_train, ds.n))
+        del ds, shared  # the gather and its Gram go before the next model's
 
     # Stitched probes, from fit_sources: one fit per (source, alpha) group.
     # fit_ridge fits each output column alone with one factor of the source,
@@ -775,16 +790,6 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
     # gives that probe composed with the src->dst map,
     # x -> (W^T w).x + (c.w + b), without the d_out x d_in map or any mapped
     # holdout.
-    probe_attrs = {mid: [a for a in attributes if (mid, a) in fitted] for mid in model_ids}
-    probe_weights = {  # (attributes with a probe) x d, the rows of the probe weights
-        mid: np.array([fitted[(mid, a)][0].w for a in probe_attrs[mid]]).reshape(-1, latents[mid].d)
-        for mid in model_ids
-    }
-
-    # each target's train scores, formed once for every source that fits to them
-    train_scores = {mid: latents[mid].X[rows_of(latents[mid], split[0])] @ probe_weights[mid].T
-                    for mid in model_ids if probe_attrs[mid]}
-
     def stitch_group(src, alpha, rows, fit):
         """{attribute: stitched Probe} per target, from one fit of the
         stacked train scores of the group's target probes."""
@@ -810,8 +815,8 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
 
     def holdout(mid, attr):
         if (mid, attr) not in hold_rows:
-            hold_rows[mid, attr] = rows_of(latents[mid], subsets[attr][1].ids)
-        return latents[mid].X[hold_rows[mid, attr]]
+            hold_rows[mid, attr] = rows_of(holdouts[mid], subsets[attr][1].ids)
+        return holdouts[mid].X[hold_rows[mid, attr]]
 
     pair_labels = [f"{src}->{dst}" for src, dst in pairs]
     match_values = np.full((len(pairs), len(attributes)), np.nan)
@@ -900,7 +905,9 @@ def run_dynamics(
     standardize: bool = False,
 ) -> DynamicsSeries:
     """Retrain probes on each checkpoint's frozen latents and locate the
-    plateau checkpoint per attribute."""
+    plateau checkpoint per attribute. An empty probe (empty_probe) leaves its
+    accuracy NaN, which the plateau skips; an attribute whose probes are all
+    empty has no plateau (None)."""
     paths = [Path(p) for p in checkpoint_paths]
     if len(paths) < 2:
         raise ConfigError("dynamics needs at least 2 checkpoint latent files")
@@ -925,16 +932,20 @@ def run_dynamics(
 
     split = split_ids(datasets[0], cfg.split)
     # every checkpoint holds the first one's ids, so its split rows are its head
-    datasets = [take(ds, np.arange(len(split[0]) + len(split[1]))) for ds in datasets]
+    head = np.arange(len(split[0]) + len(split[1]))
     spaces = dict.fromkeys(ds.model_id for ds in datasets)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in spaces}
     subsets = {attr: draw_subsets(table, attr, split, cfg.seed) for attr in attributes}
     acc = np.full((len(attributes), len(datasets)), np.nan)
-    for ci, ds in enumerate(datasets):
+    for ci, checkpoint in enumerate(datasets):
+        ds = take(checkpoint, head)  # held while this checkpoint's probes train
         shared = SharedGram(ds.X, np.arange(len(split[0])))  # one train-split Gram
         for ai, attr in enumerate(attributes):
-            _, acc[ai, ci] = train_probe(ds, subsets[attr], attr, alphas[ds.model_id],
-                                         ds.model_id, standardize=standardize, shared=shared)
+            probe, score = train_probe(ds, subsets[attr], attr, alphas[ds.model_id],
+                                       ds.model_id, standardize=standardize, shared=shared)
+            if probe.w.any():  # an empty probe, logged by train_probe, scores no cell
+                acc[ai, ci] = score
+        del ds, shared
 
     plateaus = [plateau_index(acc[ai], cfg.plateau_eps) for ai in range(len(attributes))]
     return DynamicsSeries(

@@ -558,6 +558,61 @@ def test_stitch_grid_resident_memory(tmp_path):
     assert growth_mb <= 44 + 10
 
 
+def _four_noising_sets(tmp_path) -> Path:
+    """Four noising sets at d = 512 (6,000 x 512 float32, 12.3 MB each) and
+    their attributes, split 5,800/200; the returned config probes one
+    attribute."""
+    assert cli.main([
+        "synth-gen", "--out", str(tmp_path), "--seed", "4", "--n", "6000", "--k", "8",
+        "--dpix", "512", *[arg for i, t in enumerate((20, 10, 5, 30)) for arg in (
+            "--model", f"m{i}=noising:seed={i + 1},d=512,dpix=512,t={t}")]]) == 0
+    config = tmp_path / "experiment.cfg"
+    config.write_text(config.read_text() + "attributes.subset = factor_00\n")
+    return config
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_probe_suite_resident_memory(tmp_path):
+    """probe-suite's peak resident growth over its post-import baseline.
+
+    Four models of 6,000 x 512 float32 rows (12.3 MB each), split
+    5,800/200, one attribute and one BLAS thread; every probe has more rows
+    than dimensions. Each model's split rows are gathered (12.3) while its
+    probe trains on the split's Gram (2.1). Its train scores then cast the
+    5,800 train rows to float64 (23.8) next to them. The checks and the Gram
+    sums leave about 19 of row-block temporaries to the allocator: about 57
+    MB, 57.1 measured (94.8 when every model's split rows were gathered
+    first and held). The stitched fits read the train rows from the files
+    by row blocks, and the four holdouts kept for the match cells are 0.4
+    each. The bound adds 10 MB, so holding a second model's split rows
+    (+12.3 MB) fails it.
+    """
+    config = _four_noising_sets(tmp_path)
+    growth_mb = _resident_growth_mb("probe-suite", "--config", str(config),
+                                    "--out", str(tmp_path / "suite"))
+    assert growth_mb <= 57 + 10
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_dynamics_resident_memory(tmp_path):
+    """dynamics' peak resident growth over its post-import baseline.
+
+    The four sets of test_probe_suite_resident_memory as checkpoints, with
+    one attribute and one BLAS thread. Each checkpoint's 6,000 split rows
+    are gathered (12.3 MB) while its probe trains and freed before the next
+    checkpoint's. Summing its train-split Gram (2.1) holds a float32 row
+    block (4.2) and its float64 copy (8.4); the checks leave about 7 of
+    row-block temporaries to the allocator: about 34 MB, 34.2 measured
+    (72.1 when every checkpoint's rows were gathered first). The bound adds
+    10 MB, so holding a second checkpoint's rows (+12.3 MB) fails it.
+    """
+    config = _four_noising_sets(tmp_path)
+    growth_mb = _resident_growth_mb(
+        "dynamics", "--config", str(config), "--out", str(tmp_path / "dynamics"),
+        "--checkpoints", *(str(tmp_path / f"m{i}.lsf") for i in range(4)))
+    assert growth_mb <= 34 + 10
+
+
 def test_cli_fid_checks_widths_before_summarizing(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(14)
     paths = []

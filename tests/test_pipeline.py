@@ -188,6 +188,14 @@ def test_plateau_drop_counts_as_small_increment():
     assert pipeline.plateau_index([0.2, 0.8, 0.79, 0.785], eps=0.01) == 1
 
 
+def test_plateau_skips_nan_accuracies():
+    # a NaN is an empty probe's cell, no point of the curve
+    nan = float("nan")
+    assert pipeline.plateau_index([0.2, nan, 0.6, 0.605], eps=0.01) == 2
+    assert pipeline.plateau_index([nan, 0.6, nan, 0.605], eps=0.01) == 1
+    assert pipeline.plateau_index([nan, nan], eps=0.01) is None
+
+
 # --- stitch grid -------------------------------------------------------------------
 
 
@@ -553,15 +561,23 @@ def test_probe_suite_reports_an_empty_probe_and_scores_no_cell_with_it(roster, s
                     list(map(pipeline._fmt, full.values[i])), pair
 
 
-def test_dynamics_and_train_probe_log_an_empty_probe(roster, tmp_path, caplog):
-    cfg = pipeline.parse_config(roster["config"].read_text() + "probe_alpha.nf = 10\n",
-                                base_dir=roster["dir"])
+def test_dynamics_and_train_probe_log_an_empty_probe(roster, tmp_path, caplog, capsys):
+    config = roster["dir"] / "empty_nf.cfg"
+    config.write_text(roster["config"].read_text() + "probe_alpha.nf = 10\n")
     ckpts = make_checkpoints(tmp_path, roster["world"], [50, 0])
     with caplog.at_level(logging.WARNING, logger="latentstitch.pipeline"):
-        series = pipeline.run_dynamics(cfg, ckpts)
+        assert cli.main(["dynamics", "--config", str(config), "--out", str(tmp_path / "dyn"),
+                         "--checkpoints", *map(str, ckpts)]) == 0
+    attributes = data.read_attribute_table(roster["dir"] / "attributes.txt").names
     empty = [r.getMessage() for r in caplog.records if ": empty: " in r.getMessage()]
-    assert [line.split(":")[0] for line in empty] == [f"probe nf/{a}" for a in series.attributes] * 2
+    assert [line.split(":")[0] for line in empty] == [f"probe nf/{a}" for a in attributes] * 2
     assert all(" empty: alpha 10 >= alpha_max " in line for line in empty)
+    # no probe is scored, so every accuracy and plateau cell is empty
+    with open(tmp_path / "dyn" / "dynamics.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows == [["attribute", "0", "1", "plateau_epoch"]] + [[a, "", "", ""] for a in attributes]
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        f"{a}: no plateau: the probe of every checkpoint is empty" for a in attributes]
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="latentstitch.pipeline"):
@@ -583,6 +599,22 @@ def make_checkpoints(tmp_path, world, t_values, seed=50):
         data.write_latents(synth.encode(spec, img), path)
         paths.append(path)
     return paths
+
+
+def test_dynamics_takes_each_plateau_over_its_non_empty_probes(roster, tmp_path):
+    # the middle checkpoint's latents scaled by 1e-6 put its alpha_max far
+    # below alpha = 0.001, so its probes are empty: their cells stay NaN, and
+    # each plateau is that of the first and last checkpoints' accuracies
+    ckpts = make_checkpoints(tmp_path, roster["world"], [50, 0, 0])
+    middle = data.read_latents(ckpts[1])
+    data.write_latents(data.LatentDataset(model_id="nf", ids=middle.ids,
+                                          X=np.asarray(middle.X) * 1e-6), ckpts[1])
+    cfg = pipeline.load_config(roster["config"])
+    series = pipeline.run_dynamics(cfg, ckpts)
+    acc = series.accuracies
+    assert np.isnan(acc[:, 1]).all() and not np.isnan(acc[:, [0, 2]]).any()
+    assert series.plateau_indices == [
+        [0, 2][pipeline.plateau_index(row[[0, 2]], cfg.plateau_eps)] for row in acc]
 
 
 def test_dynamics_saturating_curve(roster, tmp_path):
@@ -830,14 +862,17 @@ def test_split_ids_are_checked_once_per_dataset(roster, reordered_copy, tmp_path
 
 def test_probe_commands_gather_each_sets_split_rows_once(roster, tmp_path, monkeypatch):
     # a 150+60 split of 260 rows: each file is read once by its check (one
-    # row block at d = 36), then its split rows are gathered once, and no set
-    # is read whole again
-    gathers = {}
+    # row block at d = 36), then its split rows are gathered once, while its
+    # own probes train, and freed before the next set's are gathered
+    gathers, held = {}, []
     getitem = data.FileRows.__getitem__
 
     def counted(rows, key):
         out = getitem(rows, key)
         gathers.setdefault(Path(rows.path).name, []).append(len(out))
+        if len(out) == 210:
+            assert all(ref() is None for ref in held), "another set's split rows are held"
+            held.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(data.FileRows, "__getitem__", counted)
@@ -845,9 +880,13 @@ def test_probe_commands_gather_each_sets_split_rows_once(roster, tmp_path, monke
     cfg = pipeline.parse_config(text, base_dir=roster["dir"])
     result = pipeline.run_probe_suite(cfg, tmp_path / "suite")
     assert result.errors == []
-    assert gathers == {f"{mid}.lsf": [260, 210] for mid in cfg.model_ids()}
+    # the stitched fits then read each source's 150 train rows from its file,
+    # one row block per pass: every roster map has alpha 0, so each source
+    # makes one fit, a pass for the means and one for the products
+    assert gathers == {f"{mid}.lsf": [260, 210, 150, 150] for mid in cfg.model_ids()}
 
     gathers.clear()
+    held.clear()
     ckpts = make_checkpoints(tmp_path, roster["world"], [50, 20, 0])
     pipeline.run_dynamics(cfg, ckpts)
     assert gathers == {p.name: [260, 210] for p in ckpts}
