@@ -5,6 +5,13 @@ Configs are line-oriented key=value text (see parse_config). Every command
 runs its cells serially, in config order: a pair that lacks data never
 disturbs another cell, and a fixed (config, seed) always produces
 byte-identical CSV output.
+
+stitch-grid and probe-suite share one run frame. `_read_run` reads and
+checks a run's inputs (the attribute table first, for probe-suite; every
+latent set; the split) and each command reads the rest of its own (the
+pixels and the LPIPS file, for stitch-grid) before it makes a directory or
+writes a file. `_write_run` writes each grid, the error file and
+metadata.json with the keys both commands share.
 """
 
 from __future__ import annotations
@@ -52,8 +59,7 @@ from .probes import (
     accuracy_delta,
     balanced_subset,
     fit_lasso,
-    match_labels,
-    predict,
+    match_percent,
     save_probe,
     write_probe_report,
 )
@@ -300,6 +306,11 @@ class MetricGrid:
                 f"grid {self.name!r}: values shape {self.values.shape} does not match ids"
             )
 
+    @classmethod
+    def nan(cls, name: str, row_ids: list[str], col_ids: list[str]) -> MetricGrid:
+        """A grid of the given ids whose every cell is absent."""
+        return cls(name, list(row_ids), list(col_ids), np.full((len(row_ids), len(col_ids)), np.nan))
+
     def get(self, row_id: str, col_id: str) -> float:
         return float(self.values[self.row_ids.index(row_id), self.col_ids.index(col_id)])
 
@@ -360,26 +371,12 @@ def emit_csv(obj, path) -> None:
 def read_csv_grid(path) -> MetricGrid:
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
-    col_ids = rows[0][1:]
-    row_ids = [r[0] for r in rows[1:]]
-    values = np.full((len(row_ids), len(col_ids)), np.nan)
+    grid = MetricGrid.nan(Path(path).stem, [r[0] for r in rows[1:]], rows[0][1:])
     for i, r in enumerate(rows[1:]):
         for j, cell in enumerate(r[1:]):
             if cell != "":
-                values[i, j] = float(cell)
-    return MetricGrid(name=Path(path).stem, row_ids=row_ids, col_ids=col_ids, values=values)
-
-
-def _write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_errors(errors: list[str], path) -> None:
-    """Write one error per line, or remove a previous run's file when there are none."""
-    if errors:
-        Path(path).write_text("\n".join(errors) + "\n", encoding="utf-8")
-    else:
-        Path(path).unlink(missing_ok=True)
+                grid.values[i, j] = float(cell)
+    return grid
 
 
 def _error_text(exc: LatentStitchError | MemoryError) -> str:
@@ -528,10 +525,50 @@ def empty_probe(probe: Probe) -> str | None:
     return f"empty: alpha {probe.alpha:.9g} >= alpha_max {probe.alpha_max:.9g}"
 
 
-def _noising_metadata(cfg: ExperimentConfig) -> dict | None:
-    if any(m.synth is not None and m.synth.kind == "noising" for m in cfg.models):
-        return dict(NOISING_SCHEDULE)
-    return None
+# --- the run frame of stitch-grid and probe-suite ------------------------------
+
+
+def _read_run(cfg: ExperimentConfig, attributes: bool) -> tuple:
+    """A grid command's inputs, each read and checked before the command
+    writes anything: validate_paths; with ``attributes``, the attribute table
+    and the attributes it selects, before any latent set is read; every
+    latent set; and the run's split, from the first model's ids. Returns
+    (table, attributes, latents, split), the first two None without
+    ``attributes``."""
+    validate_paths(cfg, need_attributes=attributes)
+    table = read_attribute_table(cfg.attributes_path) if attributes else None
+    selected = select_attributes(table, cfg.attribute_subset) if attributes else None
+    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
+    return table, selected, latents, split_ids(latents[cfg.model_ids()[0]], cfg.split)
+
+
+def _write_run(cfg: ExperimentConfig, out: Path, command: str, grids: dict, errors: list[str],
+               errors_name: str, map_solver: dict, map_fits: list, **metadata) -> None:
+    """Write a grid command's outputs to out: each grid as <key>.csv, its
+    errors one per line to errors_name, and metadata.json with the keys both
+    commands share next to the command's own. A None grid, or no errors,
+    removes that file of a previous run."""
+    for name, grid in grids.items():
+        if grid is None:
+            (out / f"{name}.csv").unlink(missing_ok=True)
+        else:
+            emit_csv(grid, out / f"{name}.csv")
+    if errors:
+        (out / errors_name).write_text("\n".join(errors) + "\n", encoding="utf-8")
+    else:
+        (out / errors_name).unlink(missing_ok=True)
+    noising = any(m.synth is not None and m.synth.kind == "noising" for m in cfg.models)
+    metadata.update(
+        command=command,
+        seed=cfg.seed,
+        split={"train": cfg.split.n_train, "holdout": cfg.split.n_holdout,
+               "from": cfg.model_ids()[0]},
+        noising_schedule=dict(NOISING_SCHEDULE) if noising else None,
+        map_solver=map_solver,
+        map_fits=map_fits,
+    )
+    (out / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n",
+                                       encoding="utf-8")
 
 
 # --- stitch grid --------------------------------------------------------------
@@ -572,21 +609,22 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir) -> StitchResult:
     images. Maps and mapped holdout latents are serialized per cell so every
     reported number can be recomputed offline.
 
-    The maps come from fit_sources, which fits each source's targets one at a
-    time here; metadata.json records its map_solver and map_fits. Each cell's
-    map is dropped once it is written, before the decoder runs."""
-    validate_paths(cfg)
-    out = Path(out_dir)
-    maps_dir = out / "maps"
-    mapped_dir = out / "mapped"
-    for p in (out, maps_dir, mapped_dir):
-        p.mkdir(parents=True, exist_ok=True)
-
-    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
+    The latent sets, the pixels, the split and the LPIPS file are all read
+    and checked before anything is written. The maps come from fit_sources,
+    which fits each source's targets one at a time here; metadata.json
+    records its map_solver and map_fits. Each cell's map is dropped once it
+    is written, before the decoder runs."""
+    _, _, latents, (train_ids, hold_ids) = _read_run(cfg, attributes=False)
     images = read_images(cfg.pixels_path) if cfg.pixels_path else None
     model_ids = cfg.model_ids()
     entry_by_id = {m.model_id: m for m in cfg.models}
-    train_ids, hold_ids = split_ids(latents[model_ids[0]], cfg.split)
+    grids = {name: MetricGrid.nan(name, model_ids, model_ids)
+             for name in ("latent_mse", "pixel_rmse", "fid", "lpips")}
+    if cfg.lpips_path is None:
+        grids["lpips"] = None  # a previous run's lpips.csv is removed
+    else:
+        for (src, dst), value in _read_lpips_pairs(cfg.lpips_path, model_ids).items():
+            grids["lpips"].values[model_ids.index(src), model_ids.index(dst)] = value
     # Every decoded cell is scored against the same true holdout images (the
     # holdout ids the image file holds, in holdout order), summarized once.
     real = real_summary = None
@@ -595,6 +633,11 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir) -> StitchResult:
         decodes = any(m.synth is not None and m.synth.kind != "random" for m in cfg.models)
         if decodes and real.n >= 2:
             real_summary = summarize(real.X)
+    out = Path(out_dir)
+    maps_dir = out / "maps"
+    mapped_dir = out / "mapped"
+    for p in (out, maps_dir, mapped_dir):  # made once every input is read and checked
+        p.mkdir(parents=True, exist_ok=True)
 
     def write_cell(src, dst, m):
         """A cell's latent MSE and its files: the map and the mapped holdout."""
@@ -637,13 +680,6 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir) -> StitchResult:
         return {dst: _guarded(cell, dst) for dst in rows}
 
     pairs, map_solver, map_fits = fit_sources(cfg, latents, train_ids, fit_group)
-
-    n = len(model_ids)
-    grids = {
-        name: MetricGrid(name=name, row_ids=list(model_ids), col_ids=list(model_ids),
-                         values=np.full((n, n), np.nan))
-        for name in ("latent_mse", "pixel_rmse", "fid")
-    }
     errors: list[str] = []
     fid_n: dict[str, int] = {}
     for (src, dst), (result, err) in pairs.items():
@@ -657,23 +693,10 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir) -> StitchResult:
             fid_n[f"{src}->{dst}"] = result["fid_n"]
         errors.extend(f"{src}->{dst}: {msg}" for msg in result["errors"])
 
-    if cfg.lpips_path is not None:
-        lpips_pairs = _read_lpips_pairs(cfg.lpips_path, model_ids)
-        lpips = MetricGrid(name="lpips", row_ids=list(model_ids), col_ids=list(model_ids),
-                           values=np.full((n, n), np.nan))
-        for (src, dst), value in lpips_pairs.items():
-            lpips.values[model_ids.index(src), model_ids.index(dst)] = value
-        grids["lpips"] = lpips
-
-    for name, grid in grids.items():
-        emit_csv(grid, out / f"{name}.csv")
-    _write_errors(errors, out / "cell_errors.txt")
-    metadata = {
-        "command": "stitch-grid",
-        "seed": cfg.seed,
-        "split": {"train": cfg.split.n_train, "holdout": cfg.split.n_holdout, "from": model_ids[0]},
-        "grid_orientation": "rows=encoder (source), columns=decoder (target)",
-        "models": [
+    _write_run(
+        cfg, out, "stitch-grid", grids, errors, "cell_errors.txt", map_solver, map_fits,
+        grid_orientation="rows=encoder (source), columns=decoder (target)",
+        models=[
             {
                 "model_id": m.model_id,
                 "decoder_only": m.decoder_only,
@@ -681,20 +704,16 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir) -> StitchResult:
             }
             for m in cfg.models
         ],
-        "alpha": {f"{s}->{t}": resolve_map_alpha(cfg, s, t) for s in model_ids for t in model_ids},
-        "map_solver": map_solver,
-        "map_fits": map_fits,
-        "latent_mse_convention": "mean over all n*d entries (per-entry, not per-vector)",
-        "pixel_range": [0.0, 1.0],
-        "fid_features": "flattened pixels of decoded holdout vs true holdout; the cross "
-                        "term is the nuclear norm of Fp Fq^T for covariance factors "
-                        "F^T F = Sigma (scaled centered samples when n < d, else the Cholesky "
-                        "factor, or the PSD square root of a singular Sigma), no ridge",
-        "fid_n": fid_n,
-        "noising_schedule": _noising_metadata(cfg),
-    }
-    _write_json(metadata, out / "metadata.json")
-    return StitchResult(grids=grids, errors=errors)
+        alpha={f"{s}->{t}": resolve_map_alpha(cfg, s, t) for s in model_ids for t in model_ids},
+        latent_mse_convention="mean over all n*d entries (per-entry, not per-vector)",
+        pixel_range=[0.0, 1.0],
+        fid_features="flattened pixels of decoded holdout vs true holdout; the cross "
+                     "term is the nuclear norm of Fp Fq^T for covariance factors "
+                     "F^T F = Sigma (scaled centered samples when n < d, else the Cholesky "
+                     "factor, or the PSD square root of a singular Sigma), no ridge",
+        fid_n=fid_n,
+    )
+    return StitchResult(grids={k: g for k, g in grids.items() if g is not None}, errors=errors)
 
 
 # --- probe suite ---------------------------------------------------------------
@@ -717,17 +736,17 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
     fit_sources, with one fit per (source, alpha) of the source's train rows to
     the target probes' train scores; metadata.json records its map_solver and
     map_fits."""
-    validate_paths(cfg, need_attributes=True)
-    out = Path(out_dir)
-    table = read_attribute_table(cfg.attributes_path)
-    attributes = select_attributes(table, cfg.attribute_subset)
-    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
+    table, attributes, latents, split = _read_run(cfg, attributes=True)
     model_ids = cfg.model_ids()
-    split = split_ids(latents[model_ids[0]], cfg.split)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
+    out = Path(out_dir)
     probes_dir = out / "probes"  # made once every input is read and checked
     probes_dir.mkdir(parents=True, exist_ok=True)
     errors: list[str] = []
+    pair_labels = [f"{src}->{dst}" for src in model_ids for dst in model_ids]  # fit_sources' order
+    accuracy_grid = MetricGrid.nan("probe_accuracy", model_ids, attributes)
+    match_grid = MetricGrid.nan("match_percent", pair_labels, attributes)
+    delta_grid = MetricGrid.nan("accuracy_delta_percent", pair_labels, attributes)
 
     # probes per (model, attribute), on subsets drawn once per attribute
     subsets: dict[str, tuple[BalancedSubset, BalancedSubset] | LatentStitchError] = {}
@@ -746,8 +765,6 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
     probe_attrs: dict[str, list[str]] = {}
     train_scores: dict[str, np.ndarray] = {}  # each target's, for every source fitted to it
     fitted: dict[tuple[str, str], tuple[Probe, float]] = {}
-    report_rows: list[dict] = []
-    acc_values = np.full((len(model_ids), len(attributes)), np.nan)
     for mi, mid in enumerate(model_ids):
         try:
             ds, lacks = take(latents[mid], rows_of(latents[mid], split[0] + split[1])), None
@@ -764,16 +781,7 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
                 continue
             probe, acc = fitted[(mid, attr)] = result
             save_probe(probe, probes_dir / f"{mid}__{attr}.lprb")
-            report_rows.append(
-                {
-                    "model": mid,
-                    "attribute": attr,
-                    "alpha": probe.alpha,
-                    "train_n_per_class": subsets[attr][0].per_class,
-                    "holdout_accuracy": acc,
-                }
-            )
-            acc_values[mi, ai] = acc
+            accuracy_grid.values[mi, ai] = acc
             if report := empty_probe(probe):  # kept, but no cell is scored with it
                 errors.append(f"probe {mid}/{attr}: {report}")
         probe_attrs[mid] = [a for a in attributes if (mid, a) in fitted]
@@ -807,20 +815,11 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
     # holdout: the native probe on the target's rows, the stitched probe on the
     # source's rows; a cell whose target probe is empty stays NaN. Map errors
     # come first, in pair order, then match errors.
-    # Each (model, attribute) holdout's rows are looked up once, and each
-    # native probe's holdout labels predicted once, as every pair revisits them.
     pairs, map_solver, map_fits = fit_sources(cfg, latents, split[0], stitch_group)
-    hold_rows: dict[tuple[str, str], np.ndarray] = {}
-    native: dict[tuple[str, str], np.ndarray] = {}
 
     def holdout(mid, attr):
-        if (mid, attr) not in hold_rows:
-            hold_rows[mid, attr] = rows_of(holdouts[mid], subsets[attr][1].ids)
-        return holdouts[mid].X[hold_rows[mid, attr]]
+        return holdouts[mid].X[rows_of(holdouts[mid], subsets[attr][1].ids)]
 
-    pair_labels = [f"{src}->{dst}" for src, dst in pairs]
-    match_values = np.full((len(pairs), len(attributes)), np.nan)
-    delta_values = np.full((len(pairs), len(attributes)), np.nan)
     match_errors: list[str] = []
     for pi, ((src, dst), (by_attr, err)) in enumerate(pairs.items()):
         if err is not None:
@@ -832,67 +831,43 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
                 continue
             stitched, hold, ai = by_attr[attr], subsets[attr][1], attributes.index(attr)
             try:
-                if (dst, attr) not in native:
-                    native[dst, attr] = predict(probe, holdout(dst, attr))
                 x_source = holdout(src, attr)
-                match_values[pi, ai] = match_labels(native[dst, attr], predict(stitched, x_source))
+                match_grid.values[pi, ai] = match_percent(probe, holdout(dst, attr), x_source,
+                                                          stitched)
                 acc_mapped = accuracy(stitched, x_source, hold.labels())
-                delta_values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
+                delta_grid.values[pi, ai] = accuracy_delta(acc_native, acc_mapped)
             except LatentStitchError as exc:
                 match_errors.append(f"match {src}->{dst}/{attr}: {_error_text(exc)}")
     errors.extend(match_errors)
 
-    accuracy_grid = MetricGrid(
-        name="probe_accuracy", row_ids=list(model_ids), col_ids=list(attributes), values=acc_values
-    )
-    match_grid = MetricGrid(
-        name="match_percent", row_ids=pair_labels, col_ids=list(attributes), values=match_values
-    )
-    delta_grid = MetricGrid(
-        name="accuracy_delta_percent",
-        row_ids=pair_labels,
-        col_ids=list(attributes),
-        values=delta_values,
-    )
+    report_rows = [{"model": mid, "attribute": attr, "alpha": probe.alpha,
+                    "train_n_per_class": subsets[attr][0].per_class, "holdout_accuracy": acc}
+                   for (mid, attr), (probe, acc) in fitted.items()]
     write_probe_report(report_rows, out / "probe_report.csv")
-    emit_csv(accuracy_grid, out / "probe_accuracy_grid.csv")
-    emit_csv(match_grid, out / "match_grid.csv")
-    emit_csv(delta_grid, out / "delta_grid.csv")
-    _write_errors(errors, out / "suite_errors.txt")
-    metadata = {
-        "command": "probe-suite",
-        "seed": cfg.seed,
-        "split": {"train": cfg.split.n_train, "holdout": cfg.split.n_holdout, "from": model_ids[0]},
-        "attributes": attributes,
-        "probe_alpha": alphas,
-        "label_coding": {"-1": 0, "+1": 1},
-        "decision_threshold": 0.5,
-        "threshold_tie_rule": "scores exactly at threshold classify as 1",
-        "standardize": standardize,
-        "holdout_per_class": HOLDOUT_PER_CLASS,
-        "accuracy_delta": "signed percent change relative to native accuracy",
-        "grid_layout": "rows=source->target pair, columns=attributes",
-        "noising_schedule": _noising_metadata(cfg),
-        "probe_lasso": {
+    _write_run(
+        cfg, out, "probe-suite",
+        {"probe_accuracy_grid": accuracy_grid, "match_grid": match_grid, "delta_grid": delta_grid},
+        errors, "suite_errors.txt", map_solver, map_fits,
+        attributes=attributes,
+        probe_alpha=alphas,
+        label_coding={"-1": 0, "+1": 1},
+        decision_threshold=0.5,
+        threshold_tie_rule="scores exactly at threshold classify as 1",
+        standardize=standardize,
+        holdout_per_class=HOLDOUT_PER_CLASS,
+        accuracy_delta="signed percent change relative to native accuracy",
+        grid_layout="rows=source->target pair, columns=attributes",
+        probe_lasso={
             f"{mid}/{attr}": {"sweeps": probe.sweeps, "nnz": int(np.count_nonzero(probe.w)),
                               "kkt": probe.kkt, "alpha_max": probe.alpha_max}
             for (mid, attr), (probe, _) in fitted.items()
         },
-        "map_solver": map_solver,
-        "map_fits": map_fits,
-        "stitched_probes": "each target probe (w, b) composed with its src->dst map: the map's "
-                           "fit (same alpha and solver) run on the target probes' train scores "
-                           "Y w gives (W^T w, c.w + b) on the source space, scored on the "
-                           "source's holdout rows",
-    }
-    _write_json(metadata, out / "metadata.json")
-    return SuiteResult(
-        report_rows=report_rows,
-        accuracy_grid=accuracy_grid,
-        match_grid=match_grid,
-        delta_grid=delta_grid,
-        errors=errors,
+        stitched_probes="each target probe (w, b) composed with its src->dst map: the map's "
+                        "fit (same alpha and solver) run on the target probes' train scores "
+                        "Y w gives (W^T w, c.w + b) on the source space, scored on the "
+                        "source's holdout rows",
     )
+    return SuiteResult(report_rows, accuracy_grid, match_grid, delta_grid, errors)
 
 
 # --- training dynamics ----------------------------------------------------------

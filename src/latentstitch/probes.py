@@ -484,12 +484,8 @@ def match_percent(probe: Probe, X_native, X_mapped, stitched: Probe | None = Non
     label on native and mapped latents. With a stitched probe (the probe
     composed with a stitching map), X_mapped holds the map's source latents
     and the stitched probe labels them."""
-    return match_labels(predict(probe, X_native),
-                        predict(probe if stitched is None else stitched, X_mapped))
-
-
-def match_labels(a: np.ndarray, b: np.ndarray) -> float:
-    """match_percent of two row-aligned predicted label arrays."""
+    a = predict(probe, X_native)
+    b = predict(probe if stitched is None else stitched, X_mapped)
     if a.shape != b.shape:
         raise DataError(f"{a.shape[0]} native rows vs {b.shape[0]} mapped rows")
     if a.size == 0:

@@ -368,6 +368,30 @@ def test_cli_bad_file_is_a_data_error_before_any_output(tmp_path, capsys, comman
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("command", ["stitch-grid", "probe-suite"])
+@pytest.mark.parametrize("fault", ["truncated-latents", "truncated-pixels", "short-first-model"])
+def test_grid_command_input_error_makes_no_out_dir(generated, tmp_path, capsys, command, fault):
+    # each input is read and checked before --out is made. probe-suite reads
+    # no pixel file, so a truncated one is no error of its run
+    bad = tmp_path / "bad.lsf"
+    if fault == "short-first-model":  # 200 rows for the config's 234 + 26 split
+        orth_a = read_latents(generated / "orthA.lsf")
+        write_latents(data.take(orth_a, np.arange(200)), bad)
+        key, message = "model.orthA.latents", "data error: need 234+26 rows, dataset has 200"
+    else:
+        key, name = {"truncated-latents": ("model.orthB.latents", "orthB.lsf"),
+                     "truncated-pixels": ("pixels", "pixels.lsf")}[fault]
+        bad.write_bytes((generated / name).read_bytes()[:-100])
+        message = f"data error: {bad}: expected "
+    cfg = _config_copy(generated, tmp_path, f"{key} = {bad}\n")
+    out = tmp_path / "out"
+    code = 0 if (command, fault) == ("probe-suite", "truncated-pixels") else 2
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith(message)
+    assert out.exists() == (code == 0)
+
+
 def test_cli_exit_code_numerical_error(generated, tmp_path):
     # a starved iteration budget stops the lasso short of convergence
     code = cli.main([

@@ -374,11 +374,30 @@ def test_stitch_grid_lpips_passthrough(roster, tmp_path):
 
 
 def test_stitch_grid_lpips_file_with_invalid_utf8_is_a_config_error(roster, tmp_path):
-    (tmp_path / "lpips.csv").write_bytes(b"encoder,decoder,value\northA,orth\xff,0.1\n")
-    text = roster["config"].read_text() + f"lpips = {tmp_path / 'lpips.csv'}\n"
-    cfg = pipeline.parse_config(text, base_dir=roster["dir"])
-    with pytest.raises(ConfigError, match="utf-8"):
-        pipeline.run_stitch_grid(cfg, tmp_path / "out")
+    # so is an unknown pair; either fails before any map is fitted or written
+    for row, message in ((b"orthA,orth\xff,0.1", "utf-8"),
+                         (b"orthA,nosuch,0.1", "unknown model pair 'orthA' -> 'nosuch'")):
+        (tmp_path / "lpips.csv").write_bytes(b"encoder,decoder,value\n" + row + b"\n")
+        text = roster["config"].read_text() + f"lpips = {tmp_path / 'lpips.csv'}\n"
+        cfg = pipeline.parse_config(text, base_dir=roster["dir"])
+        with pytest.raises(ConfigError, match=message):
+            pipeline.run_stitch_grid(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
+def test_stitch_grid_rerun_without_lpips_removes_its_lpips_csv(roster, tmp_path):
+    # a rerun into the same --out leaves no grid of the previous run behind
+    (tmp_path / "lpips.csv").write_text("orthA,orthB,0.5\n")
+    text = roster["config"].read_text()
+    with_lpips = pipeline.parse_config(text + f"lpips = {tmp_path / 'lpips.csv'}\n",
+                                       base_dir=roster["dir"])
+    assert "lpips" in pipeline.run_stitch_grid(with_lpips, tmp_path / "out").grids
+    assert (tmp_path / "out" / "lpips.csv").is_file()
+    result = pipeline.run_stitch_grid(pipeline.parse_config(text, base_dir=roster["dir"]),
+                                      tmp_path / "out")
+    assert sorted(result.grids) == ["fid", "latent_mse", "pixel_rmse"]
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == [
+        "fid.csv", "latent_mse.csv", "pixel_rmse.csv"]
 
 
 def test_lpips_row_of_a_model_named_encoder_is_kept(tmp_path):
