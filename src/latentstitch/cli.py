@@ -13,24 +13,22 @@ import math
 import sys
 from pathlib import Path
 
-from .data import align, read_attribute_table, read_latents, rows_of, split_ids
+from .data import align, read_latents, rows_of
 from .errors import ConfigError, DataError, NumericalError
 from .mapfit import mapped_mse, save_map
 from .metrics import fid, pixel_rmse, summarize
 from .pipeline import (
     ExperimentConfig,
-    draw_subsets,
     emit_csv,
     fit_pair_map,
     load_config,
+    read_run,
     resolve_map_alpha,
     resolve_probe_alpha,
     run_dynamics,
     run_probe_suite,
     run_stitch_grid,
-    select_attributes,
     train_probe,
-    validate_paths,
 )
 from .probes import save_probe
 from .synth import (
@@ -143,11 +141,9 @@ def _cmd_synth_gen(args) -> int:
 
 def _cmd_fit_map(args) -> int:
     cfg = _load(args)
-    validate_paths(cfg)
-    src = read_latents(cfg.entry(args.src).latents_path)
-    dst = read_latents(cfg.entry(args.dst).latents_path)
+    (src, dst), split, _, _ = read_run(
+        cfg, [cfg.entry(args.src).latents_path, cfg.entry(args.dst).latents_path])
     alpha = args.alpha if args.alpha is not None else resolve_map_alpha(cfg, args.src, args.dst)
-    split = split_ids(src, cfg.split)
     m = fit_pair_map(src, dst, alpha, split[0])
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.src}__{args.dst}.lmap"
@@ -178,13 +174,10 @@ def _cmd_stitch_grid(args) -> int:
 
 def _cmd_train_probe(args) -> int:
     cfg = _load(args)
-    validate_paths(cfg, need_attributes=True)
-    ds = read_latents(cfg.entry(args.model).latents_path)
-    table = read_attribute_table(cfg.attributes_path)
-    select_attributes(table, [args.attribute], source="--attribute")
+    (ds,), _, _, drawn = read_run(cfg, [cfg.entry(args.model).latents_path],
+                                  attributes=([args.attribute], "--attribute"))
     alpha = args.alpha if args.alpha is not None else resolve_probe_alpha(cfg, args.model)
-    split = split_ids(ds, cfg.split)
-    subsets = draw_subsets(table, args.attribute, split, cfg.seed)
+    subsets = drawn[args.attribute]
     probe, acc = train_probe(ds, subsets, args.attribute, alpha, args.model,
                              standardize=args.standardize, tol=args.tol, max_iter=args.max_iter)
     args.out.mkdir(parents=True, exist_ok=True)

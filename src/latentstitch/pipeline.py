@@ -6,12 +6,12 @@ runs its cells serially, in config order: a pair that lacks data never
 disturbs another cell, and a fixed (config, seed) always produces
 byte-identical CSV output.
 
-stitch-grid and probe-suite share one run frame. `_read_run` reads and
-checks a run's inputs (the attribute table first, for probe-suite; every
-latent set; the split) and each command reads the rest of its own (the
-pixels and the LPIPS file, for stitch-grid) before it makes a directory or
-writes a file. `_write_run` writes each grid, the error file and
-metadata.json with the keys both commands share.
+Every config command reads its inputs through one frame, `read_run`, which
+checks exactly the files the command reads (the attribute table first, then
+the latent sets, the split and each attribute's balanced subsets) before the
+command writes; stitch-grid then reads its pixels and LPIPS file before it
+makes a directory. `_write_run` writes each grid, the error file and
+metadata.json with the keys both grid commands share.
 """
 
 from __future__ import annotations
@@ -251,24 +251,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text, base_dir=path.parent)
 
 
-def validate_paths(cfg: ExperimentConfig, need_pixels=False, need_attributes=False) -> None:
-    missing = [str(m.latents_path) for m in cfg.models if not Path(m.latents_path).is_file()]
-    for label, p, needed in (
-        ("pixels", cfg.pixels_path, need_pixels),
-        ("attributes", cfg.attributes_path, need_attributes),
-        ("lpips", cfg.lpips_path, False),
-    ):
-        if p is None:
-            if needed:
-                raise ConfigError(f"config needs a {label} path for this command")
-        elif not Path(p).is_file():
-            missing.append(str(p))
-    if missing:
-        raise ConfigError("missing files referenced by config: " + ", ".join(sorted(missing)))
-    if not cfg.models:
-        raise ConfigError("config defines no models")
-
-
 def resolve_map_alpha(cfg: ExperimentConfig, src: str, dst: str) -> float:
     """The config's ridge strength for a map, else the roster default, else 0."""
     return cfg.alpha_overrides.get((src, dst), DEFAULT_MAP_ALPHAS.get((src, dst), 0.0))
@@ -466,8 +448,7 @@ def fit_sources(cfg: ExperimentConfig, latents: dict[str, LatentDataset], train_
     return pairs, map_solver, map_fits
 
 
-def select_attributes(table: AttributeTable, names: list[str] | None,
-                      source: str = "attributes.subset") -> list[str]:
+def select_attributes(table: AttributeTable, names: list[str] | None, source: str) -> list[str]:
     """The named attributes, or every attribute of the table when names is
     empty; a name the table lacks, or one named twice, is a config error."""
     attributes = names or list(table.names)
@@ -501,10 +482,10 @@ def train_probe(
 ) -> tuple[Probe, float]:
     """Fit a lasso probe on an attribute's balanced train subset; return it and its
     holdout accuracy. ``subsets`` may be the error that stands in for the draw
-    (a failed draw, or ds lacking split ids), which is raised. fit_lasso reads
-    the subset's rows of ds.X by index; with ``shared``, a SharedGram over
-    ds's train split rows, an n >= d fit takes its Gram from the split's,
-    and otherwise from its own rows."""
+    (a failed draw that read_run kept, or ds lacking split ids), which is
+    raised. fit_lasso reads the subset's rows of ds.X by index; with
+    ``shared``, a SharedGram over ds's train split rows, an n >= d fit takes
+    its Gram from the split's, and otherwise from its own rows."""
     if isinstance(subsets, LatentStitchError):
         raise subsets
     train, hold = subsets
@@ -525,21 +506,40 @@ def empty_probe(probe: Probe) -> str | None:
     return f"empty: alpha {probe.alpha:.9g} >= alpha_max {probe.alpha_max:.9g}"
 
 
-# --- the run frame of stitch-grid and probe-suite ------------------------------
+# --- the run frame of every config command -----------------------------------
 
 
-def _read_run(cfg: ExperimentConfig, attributes: bool) -> tuple:
-    """A grid command's inputs, each read and checked before the command
-    writes anything: validate_paths; with ``attributes``, the attribute table
-    and the attributes it selects, before any latent set is read; every
-    latent set; and the run's split, from the first model's ids. Returns
-    (table, attributes, latents, split), the first two None without
-    ``attributes``."""
-    validate_paths(cfg, need_attributes=attributes)
+def read_run(cfg: ExperimentConfig, sets: list,
+             attributes: tuple[list[str] | None, str] | None = None, extra=()) -> tuple:
+    """A config command's inputs, read and checked before it writes anything.
+    Every file it reads must exist: the latent sets ``sets``, with
+    ``attributes`` (a (names, source) pair) the attribute table, and the
+    ``extra`` files the command reads itself (None is no file). The table is
+    read and its named attributes (all, for no names) selected before any
+    latent set; then each set is read, the split taken from the first and each
+    attribute's balanced subsets drawn once, a failed draw kept as its error
+    for train_probe to raise. Returns (latents, split, attributes, subsets)."""
+    files = [*sets, *filter(None, extra)]
+    if attributes is not None:
+        if cfg.attributes_path is None:
+            raise ConfigError("config needs an attributes path for this command")
+        files.append(cfg.attributes_path)
+    missing = sorted({str(p) for p in files if not Path(p).is_file()})
+    if missing:
+        raise ConfigError("missing input files: " + ", ".join(missing))
+    if not sets:
+        raise ConfigError("config defines no models")
     table = read_attribute_table(cfg.attributes_path) if attributes else None
-    selected = select_attributes(table, cfg.attribute_subset) if attributes else None
-    latents = {m.model_id: read_latents(m.latents_path) for m in cfg.models}
-    return table, selected, latents, split_ids(latents[cfg.model_ids()[0]], cfg.split)
+    selected = select_attributes(table, *attributes) if attributes else []
+    latents = [read_latents(p) for p in sets]
+    split = split_ids(latents[0], cfg.split)
+    subsets: dict[str, tuple[BalancedSubset, BalancedSubset] | LatentStitchError] = {}
+    for attr in selected:
+        try:
+            subsets[attr] = draw_subsets(table, attr, split, cfg.seed)
+        except LatentStitchError as exc:
+            subsets[attr] = exc
+    return latents, split, selected, subsets
 
 
 def _write_run(cfg: ExperimentConfig, out: Path, command: str, grids: dict, errors: list[str],
@@ -614,9 +614,11 @@ def run_stitch_grid(cfg: ExperimentConfig, out_dir) -> StitchResult:
     which fits each source's targets one at a time here; metadata.json
     records its map_solver and map_fits. Each cell's map is dropped once it
     is written, before the decoder runs."""
-    _, _, latents, (train_ids, hold_ids) = _read_run(cfg, attributes=False)
-    images = read_images(cfg.pixels_path) if cfg.pixels_path else None
     model_ids = cfg.model_ids()
+    sets, (train_ids, hold_ids), _, _ = read_run(cfg, [m.latents_path for m in cfg.models],
+                                                 extra=(cfg.pixels_path, cfg.lpips_path))
+    latents = dict(zip(model_ids, sets))
+    images = read_images(cfg.pixels_path) if cfg.pixels_path else None
     entry_by_id = {m.model_id: m for m in cfg.models}
     grids = {name: MetricGrid.nan(name, model_ids, model_ids)
              for name in ("latent_mse", "pixel_rmse", "fid", "lpips")}
@@ -736,8 +738,11 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
     fit_sources, with one fit per (source, alpha) of the source's train rows to
     the target probes' train scores; metadata.json records its map_solver and
     map_fits."""
-    table, attributes, latents, split = _read_run(cfg, attributes=True)
     model_ids = cfg.model_ids()
+    sets, split, attributes, subsets = read_run(
+        cfg, [m.latents_path for m in cfg.models],
+        attributes=(cfg.attribute_subset, "attributes.subset"))
+    latents = dict(zip(model_ids, sets))
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in model_ids}
     out = Path(out_dir)
     probes_dir = out / "probes"  # made once every input is read and checked
@@ -748,18 +753,12 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
     match_grid = MetricGrid.nan("match_percent", pair_labels, attributes)
     delta_grid = MetricGrid.nan("accuracy_delta_percent", pair_labels, attributes)
 
-    # probes per (model, attribute), on subsets drawn once per attribute
-    subsets: dict[str, tuple[BalancedSubset, BalancedSubset] | LatentStitchError] = {}
-    for attr in attributes:
-        try:
-            subsets[attr] = draw_subsets(table, attr, split, cfg.seed)
-        except LatentStitchError as exc:
-            subsets[attr] = exc
-    # Each model's split rows are gathered while its own probes train, then
-    # dropped before the next model's: the stitched fits read the train rows
-    # from the files, and the match cells read the holdout rows kept here. A
-    # model lacking split ids keeps its file set, and each probe of its row
-    # fails with that error.
+    # Probes per (model, attribute), on the subsets read_run drew once per
+    # attribute. Each model's split rows are gathered while its own probes
+    # train, then dropped before the next model's: the stitched fits read the
+    # train rows from the files, and the match cells read the holdout rows kept
+    # here. A model lacking split ids keeps its file set, and each probe of its
+    # row fails with that error.
     n_train = len(split[0])
     holdouts: dict[str, LatentDataset] = dict(latents)
     probe_attrs: dict[str, list[str]] = {}
@@ -886,13 +885,6 @@ def run_dynamics(
     paths = [Path(p) for p in checkpoint_paths]
     if len(paths) < 2:
         raise ConfigError("dynamics needs at least 2 checkpoint latent files")
-    if cfg.attributes_path is None or not Path(cfg.attributes_path).is_file():
-        raise ConfigError("dynamics needs an existing attributes path in the config")
-    missing = [str(p) for p in paths if not p.is_file()]
-    if missing:
-        raise ConfigError("missing checkpoint files: " + ", ".join(missing))
-    table = read_attribute_table(cfg.attributes_path)
-    attributes = select_attributes(table, cfg.attribute_subset)
     if labels is None:
         labels = [str(i) for i in range(len(paths))]
     if len(labels) != len(paths):
@@ -900,17 +892,15 @@ def run_dynamics(
     if "" in labels or len(set(labels)) < len(labels):
         raise ConfigError(f"checkpoint labels must be non-empty and distinct, got {labels}")
 
-    datasets = [read_latents(p) for p in paths]
+    datasets, split, attributes, subsets = read_run(
+        cfg, paths, attributes=(cfg.attribute_subset, "attributes.subset"))
     for ds, p in zip(datasets[1:], paths[1:]):
         if ds.ids != datasets[0].ids:
             raise DataError(f"{p}: sample ids differ from the first checkpoint")
-
-    split = split_ids(datasets[0], cfg.split)
     # every checkpoint holds the first one's ids, so its split rows are its head
     head = np.arange(len(split[0]) + len(split[1]))
     spaces = dict.fromkeys(ds.model_id for ds in datasets)
     alphas = {mid: resolve_probe_alpha(cfg, mid) for mid in spaces}
-    subsets = {attr: draw_subsets(table, attr, split, cfg.seed) for attr in attributes}
     acc = np.full((len(attributes), len(datasets)), np.nan)
     for ci, checkpoint in enumerate(datasets):
         ds = take(checkpoint, head)  # held while this checkpoint's probes train

@@ -32,7 +32,11 @@ def test_synth_gen_outputs(generated):
         assert (generated / name).is_file(), name
     cfg = pipeline.load_config(generated / "experiment.cfg")
     assert len(cfg.models) == 5
-    pipeline.validate_paths(cfg, need_pixels=True, need_attributes=True)
+    latents, split, attributes, subsets = pipeline.read_run(
+        cfg, [m.latents_path for m in cfg.models], attributes=(None, "attributes.subset"),
+        extra=(cfg.pixels_path,))
+    assert [ds.model_id for ds in latents] == cfg.model_ids()
+    assert list(subsets) == attributes and all(isinstance(s, tuple) for s in subsets.values())
 
 
 def test_cli_stitch_grid_and_probe_suite(generated, tmp_path):
@@ -113,6 +117,61 @@ def test_cli_unknown_attribute_is_a_config_error(generated, tmp_path, capsys, co
         args += ["--model", "orthA", "--attribute", "nosuch"]
     assert cli.main(args) == 1
     assert "config error" in capsys.readouterr().err
+
+
+COMMAND_FLAGS = {
+    "fit-map": ["--src", "orthA", "--dst", "noise"],
+    "train-probe": ["--model", "orthA", "--attribute", "factor_00"],
+}
+
+
+@pytest.mark.parametrize("command, fault, code", [
+    ("probe-suite", "pixels", 0),
+    ("probe-suite", "lpips", 0),
+    ("stitch-grid", "attributes", 0),
+    ("fit-map", "model.lossy.latents", 0),
+    ("train-probe", "model.lossy.latents", 0),
+    ("train-probe", "attributes", 1),
+    ("dynamics", "attributes", 1),
+    ("dynamics", "checkpoint", 1),
+])
+def test_config_command_checks_exactly_the_files_it_reads(generated, tmp_path, capsys, command,
+                                                          fault, code):
+    # one missing file: a command that never opens it runs as if it were not
+    # named, and one that reads it names it before --out is made
+    ghost = tmp_path / "nosuch.lsf"
+    cfg = _config_copy(generated, tmp_path, "" if fault == "checkpoint" else f"{fault} = {ghost}\n")
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg), "--out", str(out), *COMMAND_FLAGS.get(command, [])]
+    if command == "dynamics":
+        args += ["--checkpoints", str(generated / "noise.lsf"),
+                 str(ghost if fault == "checkpoint" else generated / "noise.lsf")]
+    assert cli.main(args) == code
+    first = capsys.readouterr().err.partition("\n")[0]
+    assert first == ("" if code == 0 else f"config error: missing input files: {ghost}")
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("probe-suite", "config needs an attributes path for this command"),
+    ("dynamics", "config needs an attributes path for this command"),
+    ("train-probe", "config needs an attributes path for this command"),
+    ("stitch-grid", "config defines no models"),
+    ("probe-suite", "config defines no models"),
+])
+def test_config_without_a_needed_key_names_it(generated, tmp_path, capsys, command, message):
+    key = "attributes" if "attributes" in message else r"model\.\w+\.\w+"
+    text = re.sub(rf"^{key} = .*\n", "", _config_copy(generated, tmp_path, "").read_text(),
+                  flags=re.M)
+    cfg = tmp_path / "experiment.cfg"
+    cfg.write_text(text)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+            *COMMAND_FLAGS.get(command, [])]
+    if command == "dynamics":
+        args += ["--checkpoints", str(generated / "noise.lsf"), str(generated / "noise.lsf")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.partition("\n")[0] == f"config error: {message}"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["probe-suite", "dynamics"])

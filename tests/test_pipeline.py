@@ -97,10 +97,10 @@ def test_parse_config_rejects_malformed(line):
         pipeline.parse_config(line)
 
 
-def test_validate_paths_missing(tmp_path):
+def test_read_run_names_a_missing_latents_file(tmp_path):
     cfg = pipeline.parse_config("model.a.latents = ghost.lsf", base_dir=tmp_path)
-    with pytest.raises(ConfigError, match="ghost.lsf"):
-        pipeline.validate_paths(cfg)
+    with pytest.raises(ConfigError, match="^missing input files: .*ghost.lsf$"):
+        pipeline.read_run(cfg, [m.latents_path for m in cfg.models])
 
 
 def test_resolve_probe_alpha_roster_defaults():
