@@ -38,7 +38,7 @@ from typing import BinaryIO, Sequence, Union
 import numpy as np
 
 from .errors import DataError
-from .linalg import ROW_BLOCK_ENTRIES
+from .linalg import row_blocks
 
 LSF_MAGIC = b"LSF1"
 LSF_VERSION = 1
@@ -54,9 +54,8 @@ def _check_ids(ids: Sequence[str]) -> list[str]:
 
 
 def _row_blocks(X):
-    """X's rows, an array's or a FileRows', in blocks of ROW_BLOCK_ENTRIES."""
-    step = max(1, ROW_BLOCK_ENTRIES // X.shape[1])
-    return (X[s:s + step] for s in range(0, len(X), step))
+    """X's rows, an array's or a FileRows', in linalg.row_blocks."""
+    return (X[blk] for blk in row_blocks(len(X)))
 
 
 def _value_range(X) -> tuple[float, float] | None:
@@ -144,7 +143,7 @@ class LatentDataset(_RowIndexed):
     Values are stored as float32 (source-model native precision), in memory
     or, for a set read from an LSF file, as its FileRows; solvers upcast to
     float64 internally. Either way every value is checked finite, in one
-    pass over row blocks of about ROW_BLOCK_ENTRIES entries, which also
+    pass over linalg.row_blocks, which also
     keeps the values' (min, max) as ``value_range`` (None for no rows).
     """
 

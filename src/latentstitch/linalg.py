@@ -33,14 +33,19 @@ SOLVE_BLOCK = 128
 #: LAPACK call and summed by one product per row block, as whole-matrix code
 #: would. Measured on one BLAS thread, at offline-score's normal equations
 #: (5,000 rows, d = k = 2048): 2.2 s with 128-column panels and 256-row
-#: blocks, 1.3 s with 512 and blocks of ROW_BLOCK_ENTRIES (a float64 copy of
-#: the rows and two whole products took 1.1 s). A narrow panel makes each
+#: blocks, 1.3 s with 512 and blocks of BLOCK_ROWS (a float64 copy of the
+#: rows and two whole products took 1.1 s). A narrow panel makes each
 #: product re-pack its wide left operand.
 PANEL = 512
 
-#: centered_products centers X in float64 blocks of rows of about this many
-#: entries.
-ROW_BLOCK_ENTRIES = 1 << 20
+#: Every row kernel (centered_products, metrics.mean_squared_blocks, the
+#: read-time value scan and probe-suite's train scores) takes this many rows
+#: per block and per pass, with the paired rows of a second operand. A
+#: product runs at GEMM speed over a large fixed inner dimension (Goto &
+#: van de Geijn 2008, ACM TOMS 34(3)); on one BLAS thread, float32 900 x 512
+#: rows to a 12288-wide Y took 0.31 s in 512-row blocks and 0.52 s in the
+#: 85-row blocks of 2**20 entries. At d = 12288 a block is 50 MB as float64.
+BLOCK_ROWS = 512
 
 #: A dual fit's design and Y are centered in float64 column blocks of about
 #: this many bytes, each a multiple of 256 columns wide, so a blocked product
@@ -75,8 +80,19 @@ def _as_square(a, name: str) -> np.ndarray:
 
 
 def _rows(A, rows, blk: slice) -> np.ndarray:
-    """A[rows[blk]], or A[blk] when rows is None."""
-    return A[blk] if rows is None else A[rows[blk]]
+    """A[rows[blk]], or A[blk] when rows is None; a view of A when it is an
+    array and those rows are one ascending contiguous run."""
+    if rows is None:
+        return A[blk]
+    idx = rows[blk]
+    if isinstance(A, np.ndarray) and len(idx) and (np.diff(idx) == 1).all():
+        return A[idx[0]:idx[-1] + 1]
+    return A[idx]
+
+
+def row_blocks(n: int) -> list[slice]:
+    """The slices of BLOCK_ROWS rows that cover n rows, in order."""
+    return [slice(s, min(s + BLOCK_ROWS, n)) for s in range(0, n, BLOCK_ROWS)]
 
 
 def _panels(width: int, size: int = PANEL) -> list[tuple[int, int]]:
@@ -89,8 +105,7 @@ def y_block_width(n: int) -> int:
     return max(1, Y_BLOCK_BYTES // (8 * n * 256)) * 256
 
 
-def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True,
-                      block_entries: int | None = None):
+def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     """(x_mean, Xc^T Xc, y_mean, Xc^T Yc, ||Yc||_F^2) of the float64 values
     of X's rows ``rows`` and Y's rows ``y_rows`` (index arrays paired in
     order; all rows when None), where Xc and Yc are those rows minus their
@@ -99,53 +114,41 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True,
     Yc) are None without Y. X and Y are float arrays or data.FileRows:
     either is only indexed by rows, one block at a time.
 
-    Two passes over blocks of block_entries // d rows, each block of X
-    read once per pass, and its paired rows of Y read whole, once per pass,
-    in sub-blocks of about block_entries entries of the wider of X and Y
-    (the whole block when Y is no wider than X). The first pass sums the
-    means; the second centers each block of X in float64, adds Xc^T Yc one
-    float64 panel of a sub-block's Y at a time (y_block_width of the
-    block's rows, at most PANEL columns) and then the Gram's lower triangle,
-    each product in pieces of at most PANEL rows. Each panel and sub-block
-    of Y is freed before the next is made. A Y of no columns gives a d x 0
-    Xc^T Yc. So no float64 copy of a whole set exists, and the temporaries
-    are one row block of X, one sub-block of Y's rows, one float64 panel of
-    Y and one product of at most PANEL x PANEL. For at most
-    block_entries // d rows and d <= PANEL the Gram is that of whole-copy
-    code, one product. Its diagonal blocks are symmetric products and its
-    upper triangle is mirrored from the lower one, so it is exactly
-    symmetric. block_entries is ROW_BLOCK_ENTRIES (None) unless a caller
-    wants smaller blocks, as for a product with one column of Y, which runs
-    as fast from blocks of 2**16 entries.
+    Two passes over row_blocks, each block of X and its paired rows of Y
+    read once per pass. The first pass sums the means; the second centers
+    each block of X in float64, adds Xc^T Yc one float64 panel of the
+    block's Y at a time (y_block_width of the block's rows, at most PANEL
+    columns) and then the Gram's lower triangle, each product in pieces of
+    at most PANEL rows. Each panel and block of Y is freed before the next
+    is made. A Y of no columns gives a d x 0 Xc^T Yc. So no float64 copy of
+    a whole set exists, and the temporaries are one row block of X, its
+    rows of Y, one float64 panel of Y and one product of at most PANEL x
+    PANEL. For at most BLOCK_ROWS rows and d <= PANEL the Gram is that of
+    whole-copy code, one product. Its diagonal blocks are symmetric
+    products and its upper triangle is mirrored from the lower one, so it
+    is exactly symmetric.
     """
     n = X.shape[0] if rows is None else len(rows)
     d = X.shape[1]
-    entries = ROW_BLOCK_ENTRIES if block_entries is None else block_entries
-    step = max(1, entries // d)
-    sub = step if Y is None else max(1, entries // max(d, Y.shape[1]))
-    blocks = [(slice(s, s + step),
-               [slice(t, min(t + sub, s + step)) for t in range(s, min(s + step, n), sub)])
-              for s in range(0, n, step)]
-    x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk, _ in blocks) / n
+    blocks = row_blocks(n)
+    x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
     g = y_mean = cross = y_sq = None
     if Y is not None:
-        y_panels = _panels(Y.shape[1], min(PANEL, y_block_width(min(step, n))))
-        y_mean = sum(_rows(Y, y_rows, part).sum(axis=0, dtype=np.float64)
-                     for _, parts in blocks for part in parts) / n
+        y_panels = _panels(Y.shape[1], min(PANEL, y_block_width(min(BLOCK_ROWS, n))))
+        y_mean = sum(_rows(Y, y_rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
         cross, y_sq = np.zeros((d, Y.shape[1])), np.float64(0.0)
     panels = _panels(d)
-    for blk, parts in blocks:
+    for blk in blocks:
         xb = np.subtract(_rows(X, rows, blk), x_mean, dtype=np.float64)
-        for part in parts if Y is not None else ():
-            y_sub = _rows(Y, y_rows, part)
-            x_sub = xb[part.start - blk.start:part.stop - blk.start]
+        if Y is not None:
+            y_blk = _rows(Y, y_rows, blk)
             for j, e in y_panels:
-                yb = np.subtract(y_sub[:, j:e], y_mean[j:e], dtype=np.float64)
+                yb = np.subtract(y_blk[:, j:e], y_mean[j:e], dtype=np.float64)
                 for i, f in panels:
-                    cross[i:f, j:e] += x_sub[:, i:f].T @ yb
+                    cross[i:f, j:e] += xb[:, i:f].T @ yb
                 y_sq += np.vdot(yb, yb)
                 del yb
-            del y_sub, x_sub
+            del y_blk
         if gram:
             if g is None:  # made once the first block's Y panels are freed
                 g = np.zeros((d, d))

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .data import take
 from .errors import DataError, NumericalError
-from .linalg import (PANEL, ROW_BLOCK_ENTRIES, centered_products, cholesky_in_place, nuclear_norm,
+from .linalg import (PANEL, centered_products, cholesky_in_place, nuclear_norm, row_blocks,
                      sqrt_trace)
 
 #: Results above this negative floor are treated as numerical zero.
@@ -68,8 +68,7 @@ def mean_squared_difference(a, b, rows=None) -> float:
     data.align(a, b), two latent datasets whose rows ia[k] and ib[k] are
     compared, each block of rows gathered with data.take so no aligned copy
     of either is made. The squared differences are summed in float64 over
-    row blocks of about 2^20 entries, so no float64 copy of a whole input is
-    made.
+    linalg.row_blocks, so no float64 copy of a whole input is made.
     """
     if rows is None:
         x, y = _rows(a), _rows(b)
@@ -87,14 +86,13 @@ def mean_squared_difference(a, b, rows=None) -> float:
 def mean_squared_blocks(n: int, d: int, pair) -> float:
     """Mean over n*d entries of the squared difference x - y, where
     pair(rows) gives the (x, y) blocks of a slice of the n rows. The squares
-    are summed in float64, one block of about ROW_BLOCK_ENTRIES entries at a
-    time, in row order; each block is freed before the next is made."""
+    are summed in float64, one of linalg.row_blocks at a time, in row order;
+    each block is freed before the next is made."""
     if n * d == 0:
         raise DataError("no entries to average")
-    step = max(1, ROW_BLOCK_ENTRIES // d)
     total = np.float64(0.0)
-    for start in range(0, n, step):
-        diff = np.subtract(*pair(slice(start, start + step)), dtype=np.float64)
+    for blk in row_blocks(n):
+        diff = np.subtract(*pair(blk), dtype=np.float64)
         total += np.vdot(diff, diff)
         del diff
     return float(total / (n * d))

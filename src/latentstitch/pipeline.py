@@ -39,6 +39,7 @@ from .data import (
     write_latents,
 )
 from .errors import ConfigError, DataError, LatentStitchError
+from .linalg import row_blocks
 from .mapfit import (
     DEFAULT_MAP_ALPHAS,
     LinearMap,
@@ -785,8 +786,10 @@ def run_probe_suite(cfg: ExperimentConfig, out_dir, standardize: bool = False) -
                 errors.append(f"probe {mid}/{attr}: {report}")
         probe_attrs[mid] = [a for a in attributes if (mid, a) in fitted]
         if probe_attrs[mid]:  # one column per probe
-            weights = np.array([fitted[(mid, a)][0].w for a in probe_attrs[mid]])
-            train_scores[mid] = ds.X[:n_train] @ weights.T
+            weights = np.array([fitted[(mid, a)][0].w for a in probe_attrs[mid]]).T
+            scores = train_scores[mid] = np.empty((n_train, weights.shape[1]))
+            for blk in row_blocks(n_train):  # no float64 copy of the train rows
+                scores[blk] = ds.X[blk] @ weights
         if not lacks:
             holdouts[mid] = take(ds, np.arange(n_train, ds.n))
         del ds, shared  # the gather and its Gram go before the next model's
@@ -897,6 +900,9 @@ def run_dynamics(
     for ds, p in zip(datasets[1:], paths[1:]):
         if ds.ids != datasets[0].ids:
             raise DataError(f"{p}: sample ids differ from the first checkpoint")
+    for drawn in subsets.values():  # a failed draw fails the run before any probe
+        if isinstance(drawn, LatentStitchError):
+            raise drawn
     # every checkpoint holds the first one's ids, so its split rows are its head
     head = np.arange(len(split[0]) + len(split[1]))
     spaces = dict.fromkeys(ds.model_id for ds in datasets)

@@ -147,13 +147,6 @@ def _kkt_violations(corr: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray
     )
 
 
-#: Moments.of sums c = Xc^T yc in float64 blocks of rows of about this many
-#: entries: a product with one column runs as fast from them, and a probe's
-#: rows are not copied whole. For 1,550 x 256 float32 rows (a demo probe) on
-#: one BLAS thread, one block of linalg.ROW_BLOCK_ENTRIES took 1.9 ms with
-#: 4.9 MB of temporaries, and blocks of 2**16 entries 1.7 ms with 0.9 MB.
-CORR_BLOCK_ENTRIES = 1 << 16
-
 #: SharedGram.gram zeroes a column whose sum of squares over the subset is at
 #: most this fraction of the split's: three sums of at most the split's size
 #: meet there, each rounded to a few eps of it.
@@ -232,14 +225,12 @@ class Moments:
     def of(cls, X, y, rows=None, shared: SharedGram | None = None) -> Moments:
         """The Moments of X's rows ``rows`` (all when None) against y, one
         value per row. One linalg.centered_products pass gives the means and
-        c, in blocks of CORR_BLOCK_ENTRIES, and the Gram comes from
-        ``shared``, or else from a second pass over the rows. X is a float
-        array or data.FileRows, read one block of rows at a time, so no
-        float64 copy of the rows is made."""
+        c, and the Gram comes from ``shared``, or else from a second pass
+        over the rows. X is a float array or data.FileRows, read one block
+        of rows at a time, so no float64 copy of the rows is made."""
         n, _ = _shape(X, y, rows)
         y = np.asarray(y, dtype=np.float64).reshape(n, 1)
-        x_mean, _, y_mean, cross, y_sq = centered_products(
-            X, rows, Y=y, gram=False, block_entries=CORR_BLOCK_ENTRIES)
+        x_mean, _, y_mean, cross, y_sq = centered_products(X, rows, Y=y, gram=False)
         gram = centered_products(X, rows)[1] if shared is None else shared.gram(rows)
         gram /= n
         return cls(x_mean, gram, cross[:, 0] / n, float(y_mean[0]), float(y_sq) / n)

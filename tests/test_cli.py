@@ -383,6 +383,32 @@ def test_cli_dynamics_rejects_empty_or_repeated_labels(generated, tmp_path, caps
     assert not (tmp_path / "dyn" / "dynamics.csv").exists()
 
 
+def test_cli_dynamics_reports_a_failed_draw_before_any_warning(generated, tmp_path):
+    # a one-class attribute cannot be drawn balanced, and the checkpoints'
+    # space has no probe alpha: the run's first stderr line is the data
+    # error, not the fallback-alpha warning. The child's stderr is read
+    # whole, as the CLI's logging writes it.
+    attr_lines = (generated / "attributes.txt").read_text().splitlines()
+    rows = [" ".join([ln.split()[0], "1", *ln.split()[2:]]) for ln in attr_lines[2:]]
+    (tmp_path / "attributes.txt").write_text("\n".join(attr_lines[:2] + rows) + "\n")
+    cfg = _config_copy(generated, tmp_path, f"attributes = {tmp_path / 'attributes.txt'}\n"
+                                            "attributes.subset = factor_00\n")
+    noise = read_latents(generated / "noise.lsf")
+    ckpts = [str(tmp_path / f"ckpt{i}.lsf") for i in range(2)]
+    for path in ckpts:
+        write_latents(LatentDataset(model_id="ckpt", ids=noise.ids, X=noise.X[:]), path)
+    src = str(Path(latentstitch.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from latentstitch import cli; sys.exit(cli.main())",
+         "dynamics", "--config", str(cfg), "--out", str(tmp_path / "dyn"),
+         "--checkpoints", *ckpts],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error: "), proc.stderr
+    assert "no probe alpha configured" not in proc.stderr
+
+
 def test_cli_exit_code_data_error(tmp_path):
     bad = tmp_path / "bad.lsf"
     bad.write_bytes(b"not an lsf file at all")
@@ -660,20 +686,24 @@ def test_probe_suite_resident_memory(tmp_path):
 
     Four models of 6,000 x 512 float32 rows (12.3 MB each), split
     5,800/200, one attribute and one BLAS thread; every probe has more rows
-    than dimensions. Each model's split rows are gathered (12.3) while its
-    probe trains on the split's Gram (2.1). Its train scores then cast the
-    5,800 train rows to float64 (23.8) next to them. The checks and the Gram
-    sums leave about 19 of row-block temporaries to the allocator: about 57
-    MB, 57.1 measured (94.8 when every model's split rows were gathered
-    first and held). The stitched fits read the train rows from the files
-    by row blocks, and the four holdouts kept for the match cells are 0.4
-    each. The bound adds 10 MB, so holding a second model's split rows
-    (+12.3 MB) fails it.
+    than dimensions. The read-time checks leave about 4 of row-block
+    temporaries to the allocator. Each model's split rows are gathered
+    (12.3) while its probe trains on the split's Gram (2.1), summed from
+    views of the gather in float64 blocks of 512 rows (2.1), and the lasso
+    and the probe's own sums hold about 6 more. Its train scores are formed
+    one such block at a time, never a float64 copy of the 5,800 train rows
+    (23.8). Later models and the stitched fits, which read the train rows
+    from the files by row blocks, add about 6 as the heap fragments, and the
+    four holdouts kept for the match cells are 0.4 each: about 34 MB, 33.7
+    measured (56.8 with the whole float64 train rows and blocks of 2,048
+    rows; 94.8 when every model's split rows were gathered first and held).
+    The bound adds 10 MB, so holding a second model's split rows (+12.3 MB)
+    fails it.
     """
     config = _four_noising_sets(tmp_path)
     growth_mb = _resident_growth_mb("probe-suite", "--config", str(config),
                                     "--out", str(tmp_path / "suite"))
-    assert growth_mb <= 57 + 10
+    assert growth_mb <= 34 + 10
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -683,17 +713,19 @@ def test_dynamics_resident_memory(tmp_path):
     The four sets of test_probe_suite_resident_memory as checkpoints, with
     one attribute and one BLAS thread. Each checkpoint's 6,000 split rows
     are gathered (12.3 MB) while its probe trains and freed before the next
-    checkpoint's. Summing its train-split Gram (2.1) holds a float32 row
-    block (4.2) and its float64 copy (8.4); the checks leave about 7 of
-    row-block temporaries to the allocator: about 34 MB, 34.2 measured
-    (72.1 when every checkpoint's rows were gathered first). The bound adds
-    10 MB, so holding a second checkpoint's rows (+12.3 MB) fails it.
+    checkpoint's. Its train-split Gram (2.1) is summed from views of the
+    gather, one float64 block of 512 rows (2.1) at a time; the checks, the
+    lasso and the probe's sums leave about 12 of temporaries to the
+    allocator: about 28 MB, 28.4 measured (34.2 with float32 copies and
+    float64 blocks of 2,048 rows; 72.1 when every checkpoint's rows were
+    gathered first). The bound adds 10 MB, so holding a second
+    checkpoint's rows (+12.3 MB) fails it.
     """
     config = _four_noising_sets(tmp_path)
     growth_mb = _resident_growth_mb(
         "dynamics", "--config", str(config), "--out", str(tmp_path / "dynamics"),
         "--checkpoints", *(str(tmp_path / f"m{i}.lsf") for i in range(4)))
-    assert growth_mb <= 34 + 10
+    assert growth_mb <= 28 + 10
 
 
 def test_cli_fid_checks_widths_before_summarizing(tmp_path, capsys, monkeypatch):

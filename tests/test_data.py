@@ -270,8 +270,9 @@ def test_write_images_round_trips_a_file_backed_set(tmp_path, bad_row):
 
 @pytest.mark.parametrize("damage", [None, "above-one", "nan"])
 def test_read_images_reads_the_payload_once(tmp_path, monkeypatch, damage):
-    # 3,000 x 400 pixels in two row blocks: the finiteness and range checks
-    # share one pass over them, so each row is read once
+    # 3,000 x 400 pixels in six row blocks of linalg.BLOCK_ROWS: the
+    # finiteness and range checks share one pass over them, so each row is
+    # read once
     img = np.random.default_rng(7).random((3000, 400), dtype=np.float32)
     if damage is not None:
         img[-1, 3] = 1.5 if damage == "above-one" else np.nan
@@ -286,10 +287,10 @@ def test_read_images_reads_the_payload_once(tmp_path, monkeypatch, damage):
         message = "pixels must lie in \\[0, 1\\]" if damage == "above-one" else "latents for"
         with pytest.raises(DataError, match=f"^{path}: {message}"):
             data.read_images(path)
-        assert sum(rows_read) == 3000 and len(rows_read) == 2
+        assert sum(rows_read) == 3000 and len(rows_read) == 6
         return
     back = data.read_images(path)
-    assert sum(rows_read) == 3000 and len(rows_read) == 2
+    assert sum(rows_read) == 3000 and len(rows_read) == 6
     assert back.value_range == (float(img.min()), float(img.max()))
     assert back.X[:].tobytes() == img.tobytes()
 
@@ -331,7 +332,7 @@ def test_cholesky_fit_reads_a_file_once_per_block_per_pass(tmp_path, monkeypatch
     # wider than a 256-column panel: each block of X and of Y is read once on
     # each of the two passes, and never once per panel
     monkeypatch.setattr(linalg, "Y_BLOCK_BYTES", 1)
-    monkeypatch.setattr(linalg, "ROW_BLOCK_ENTRIES", 400 * 128)
+    monkeypatch.setattr(linalg, "BLOCK_ROWS", 128)
     rng = np.random.default_rng(7)
     X = rng.standard_normal((540, 400), dtype=np.float32)
     Y = X[:, :300] + rng.standard_normal((540, 300), dtype=np.float32)

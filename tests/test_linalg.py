@@ -155,8 +155,8 @@ def _relative(got, want):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_centered_products_match_the_whole_copy_formulas(n, d, dtype):
     # d = 1100 > 2 PANEL splits each product into pieces of PANEL rows, and
-    # its Y, twice as wide, is read in sub-blocks of 475 rows of each block
-    # of 953 rows of X: 1025 rows are two blocks and three sub-blocks
+    # its Y, twice as wide, is read with each block of BLOCK_ROWS rows of X:
+    # 1025 rows are three blocks, the last of one row
     rng = np.random.default_rng(n * d)
     x = (rng.standard_normal((n + 9, d)) * 3 + 1).astype(dtype)
     y = (rng.standard_normal((n + 9, d + 3 if d <= linalg.PANEL else 2 * d + 3)) - 2).astype(dtype)
@@ -211,12 +211,12 @@ def test_centered_products_hold_no_copy_of_the_set():
 
 @pytest.mark.parametrize("source", ["array", "file"])
 def test_centered_products_read_a_wide_y_in_bounded_groups(tmp_path, source):
-    # A narrow X (64 columns: blocks of 16,384 rows) and a wide Y (4,096
-    # columns, 32 MiB of float32). Xc^T Yc is 2 MiB and X's block 1 MiB as
-    # float64; Y's whole rows are read in sub-blocks of 256 rows (4 MiB as
-    # float32), each centered in float64 panels of 256 columns (0.5 MiB):
-    # 7.8 MiB measured, from an array or a file. A gather of all of a
-    # block's Y rows is 32 MiB.
+    # A narrow X (64 columns) and a wide Y (4,096 columns, 32 MiB of
+    # float32), in blocks of BLOCK_ROWS = 512 rows. Xc^T Yc is 2 MiB and X's
+    # block 0.25 MiB as float64; a block's whole rows of Y are 8 MiB as
+    # float32, each centered in float64 panels of 512 columns (2 MiB):
+    # 12.7 MiB measured, from an array or a file. A gather of all of
+    # Y's rows is 32 MiB.
     rng = np.random.default_rng(67)
     n, d_x, d_y = 2000, 64, 4096
     x = rng.standard_normal((n, d_x), dtype=np.float32)

@@ -491,8 +491,8 @@ def test_a_probe_on_a_shared_gram_holds_no_float64_copy_of_its_rows():
     # a demo-sized probe: 1,550 of 2,000 split rows at d = 256. The row
     # rounds held a centered float64 copy of the rows (3.2 MB) and each
     # working set's columns of it; the covariance form holds d x d arrays
-    # (0.5 MB each) and blocks of at most linalg.ROW_BLOCK_ENTRIES entries of
-    # the excluded rows and of CORR_BLOCK_ENTRIES of the probe's rows
+    # (0.5 MB each) and blocks of linalg.BLOCK_ROWS of the excluded rows and
+    # of the probe's rows
     rng = np.random.default_rng(16)
     x = rng.standard_normal((2000, 256)).astype(np.float32)
     rows = rng.permutation(2000)[:1550]
