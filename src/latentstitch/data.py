@@ -53,16 +53,12 @@ def _check_ids(ids: Sequence[str]) -> list[str]:
     return out
 
 
-def _row_blocks(X):
-    """X's rows, an array's or a FileRows', in linalg.row_blocks."""
-    return (X[blk] for blk in row_blocks(len(X)))
-
-
 def _value_range(X) -> tuple[float, float] | None:
-    """(min, max) of X's values, read once in row blocks, or None for no
-    rows. A NaN anywhere makes both NaN, and an infinity is the min or max,
-    so the range is finite exactly when every value is."""
-    ranges = [(block.min(), block.max()) for block in _row_blocks(X)]
+    """(min, max) of X's values, an array's or a FileRows', read once in
+    linalg.row_blocks, or None for no rows. A NaN anywhere makes both NaN,
+    and an infinity is the min or max, so the range is finite exactly when
+    every value is."""
+    ranges = [(block.min(), block.max()) for block in (X[blk] for blk in row_blocks(len(X)))]
     if not ranges:
         return None
     lows, highs = zip(*ranges)
@@ -143,8 +139,8 @@ class LatentDataset(_RowIndexed):
     Values are stored as float32 (source-model native precision), in memory
     or, for a set read from an LSF file, as its FileRows; solvers upcast to
     float64 internally. Either way every value is checked finite, in one
-    pass over linalg.row_blocks, which also
-    keeps the values' (min, max) as ``value_range`` (None for no rows).
+    pass over linalg.row_blocks, which also keeps the values' (min, max) as
+    ``value_range`` (None for no rows).
     """
 
     model_id: str

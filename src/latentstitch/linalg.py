@@ -42,8 +42,8 @@ PANEL = 512
 #: read-time value scan and probe-suite's train scores) takes this many rows
 #: per block and per pass, with the paired rows of a second operand. A
 #: product runs at GEMM speed over a large fixed inner dimension (Goto &
-#: van de Geijn 2008, ACM TOMS 34(3)); on one BLAS thread, float32 900 x 512
-#: rows to a 12288-wide Y took 0.31 s in 512-row blocks and 0.52 s in the
+#: van de Geijn 2008, ACM TOMS 34(3)); on one BLAS thread, float32 2900 x 512
+#: rows to a 12288-wide Y took 0.94 s in 512-row blocks and 1.45 s in the
 #: 85-row blocks of 2**20 entries. At d = 12288 a block is 50 MB as float64.
 BLOCK_ROWS = 512
 

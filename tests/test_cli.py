@@ -569,11 +569,11 @@ def test_fit_map_resident_memory(tmp_path):
     Two 6,000 x 1,024 float32 sets with split 5,500/500 and one BLAS thread.
     Both are read from their files by rows, so neither is held. While the
     normal equations accumulate the fit holds, in MB: the Gram and XcT Yc at
-    8.4 each, a float64 row block of the source 8.4, that block's float32
-    rows of the target 4.2, read once per pass, one float64 panel of 512 of
-    their columns 4.2, and one PANEL x PANEL product 2.1: about 36, 38.9
-    measured (41.5 with whole d x PANEL products, 88.6 when both sets were
-    held as read). The solve overwrites the Gram with its factor and XcT Yc
+    8.4 each, a float64 row block of 512 source rows 4.2, that block's
+    float32 rows of the target 2.1, read once per pass, one float64 panel of
+    512 of their columns 2.1, and one PANEL x PANEL product 2.1: about 27,
+    30.3 measured (38.9 with blocks of 1,024 rows, 41.5 with whole d x PANEL
+    products, 88.6 when both sets were held as read). The solve overwrites the Gram with its factor and XcT Yc
     with the solution. The bound adds 10 MB, so holding either set
     (+24.6 MB) or a copy of the train rows (+22.5 MB as float32, +45 MB as
     float64) fails it; one more 8.4 MB d x d array would not.
@@ -590,7 +590,7 @@ def test_fit_map_resident_memory(tmp_path):
     growth_mb = _resident_growth_mb(
         "fit-map", "--config", str(tmp_path / "experiment.cfg"), "--out", str(tmp_path / "fit"),
         "--src", "a", "--dst", "b", "--alpha", "0")
-    assert growth_mb <= 42 + 10
+    assert growth_mb <= 30 + 10
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -649,14 +649,15 @@ def test_stitch_grid_resident_memory(tmp_path):
     Two noising models at d = 1,024 and their pixels, 6,000 rows each (three
     24.6 MB sets), split 5,800/200, with one BLAS thread. Every set is read
     from its file by rows. The first fit holds what fit-map's does: the Gram
-    and XcT Yc at 8.4 MB each, a float64 row block of the source 8.4, a group
-    of 512 of that block's target columns 2.1 (float32), two float64 panels
-    of them 4.2 each and one product 4.2: about 40. Next to it sit the true
-    holdout images, gathered once (200 x 1,024 float32, 0.8), and their
-    summary (a 200-row float64 factor, 1.6); a cell's holdout rows, its
-    decode and its scores hold a few 200-row arrays of at most 1.6 each:
-    about 44 MB, 45.9 measured (116.2 when all three sets were held as
-    read). The bound adds 10 MB, so holding any one set (+24.6 MB) fails it.
+    and XcT Yc at 8.4 MB each, a float64 row block of 512 source rows 4.2,
+    that block's target rows 2.1 (float32), one float64 panel of them 2.1
+    and one product 2.1: about 27. Next to it sit the true holdout images,
+    gathered once (200 x 1,024 float32, 0.8), and their summary (a 200-row
+    float64 factor, 1.6); a cell's holdout rows, its decode and its scores
+    hold a few 200-row arrays of at most 1.6 each, and earlier fits leave
+    freed blocks to the allocator: about 39 MB, 39.3 measured (45.9 with
+    blocks of 1,024 rows; 116.2 when all three sets were held as read). The
+    bound adds 10 MB, so holding any one set (+24.6 MB) fails it.
     """
     assert cli.main([
         "synth-gen", "--out", str(tmp_path), "--seed", "4", "--n", "6000", "--k", "8",
@@ -664,7 +665,7 @@ def test_stitch_grid_resident_memory(tmp_path):
         "--model", "b=noising:seed=2,d=1024,dpix=1024,t=10"]) == 0
     growth_mb = _resident_growth_mb("stitch-grid", "--config", str(tmp_path / "experiment.cfg"),
                                     "--out", str(tmp_path / "grid"))
-    assert growth_mb <= 44 + 10
+    assert growth_mb <= 39 + 10
 
 
 def _four_noising_sets(tmp_path) -> Path:

@@ -192,9 +192,9 @@ def test_centered_products_of_a_y_without_columns():
 def test_centered_products_hold_no_copy_of_the_set():
     # 3000 x 1024 float32 sets: a float64 copy of one is 24 MiB, the Gram
     # and Xc^T Yc 8 MiB each. The temporaries are a float64 row block of X
-    # (8 MiB), that block's float32 rows of Y (4 MiB), one float64 panel of
-    # 512 of their columns (4 MiB) and one PANEL x PANEL product (2 MiB):
-    # 34.1 MiB measured
+    # (512 rows, 4 MiB), that block's float32 rows of Y (2 MiB), one float64
+    # panel of 512 of their columns (2 MiB) and one PANEL x PANEL product
+    # (2 MiB): 26.1 MiB measured
     rng = np.random.default_rng(66)
     n, d = 3000, 1024
     x = rng.standard_normal((n, d), dtype=np.float32)

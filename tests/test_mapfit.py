@@ -680,8 +680,8 @@ def test_rows_fit_holds_one_float64_design(alpha):
     # 3000 x 1024 float32 pools: the design is 24 MiB in float64, d x d 8 MiB.
     # The fit holds at most one float64 row block of the design, never all of
     # it: the Gram and Xc^T Yc (8 MiB each) are accumulated from row blocks of
-    # 2^20 entries (8 MiB), with a panel of Y's rows and one product (about
-    # 10 MiB together), and the solve overwrites both; 34.1 MiB measured. A
+    # 512 rows (4 MiB), with a panel of Y's rows and one product (about
+    # 6 MiB together), and the solve overwrites both; 26.1 MiB measured. A
     # float64 design, a gathered float32 copy (12 MiB) or one more d x d
     # array would each break the bound.
     rng = np.random.default_rng(68)
@@ -717,7 +717,7 @@ def test_mapped_mse_equals_whole_score_and_holds_row_blocks():
     want = mapfit.latent_mse(mapfit.apply_map(m, x[rows[0]]), y[rows[1]])
     got, peak = _traced_peak(lambda: mapfit.mapped_mse(m, x, y, rows))
     assert got == want
-    # about four 8 MB blocks; the whole mapped set alone is 18 MB
+    # blocks of 512 rows, 7.6 MiB measured; the whole mapped set alone is 18 MB
     assert peak < 5 * 8 * 2**20
     head = rows[0][:7], rows[1][:7]
     assert mapfit.mapped_mse(m, x, y, head) == mapfit.latent_mse(
