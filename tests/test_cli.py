@@ -573,10 +573,11 @@ def test_fit_map_resident_memory(tmp_path):
     float32 rows of the target 2.1, read once per pass, one float64 panel of
     512 of their columns 2.1, and one PANEL x PANEL product 2.1: about 27,
     30.3 measured (38.9 with blocks of 1,024 rows, 41.5 with whole d x PANEL
-    products, 88.6 when both sets were held as read). The solve overwrites the Gram with its factor and XcT Yc
-    with the solution. The bound adds 10 MB, so holding either set
-    (+24.6 MB) or a copy of the train rows (+22.5 MB as float32, +45 MB as
-    float64) fails it; one more 8.4 MB d x d array would not.
+    products, 88.6 when both sets were held as read). The solve overwrites
+    the Gram with its factor and XcT Yc with the solution. The bound adds
+    10 MB, so holding either set (+24.6 MB) or a copy of the train rows
+    (+22.5 MB as float32, +45 MB as float64) fails it; one more 8.4 MB d x d
+    array would not.
     """
     rng = np.random.default_rng(21)
     ids = [f"{i:06d}" for i in range(6000)]
