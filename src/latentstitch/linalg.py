@@ -49,8 +49,7 @@ BLOCK_ROWS = 512
 
 #: A dual fit's design and Y are centered in float64 column blocks of about
 #: this many bytes, each a multiple of 256 columns wide, so a blocked product
-#: with Y keeps its bytes. centered_products' float64 panels of Y are such
-#: blocks of a row block's rows, at most PANEL columns wide.
+#: with Y keeps its bytes.
 Y_BLOCK_BYTES = 4 << 20
 
 # Eigenvalues of a nominally-PSD matrix may be negative up to this fraction
@@ -95,8 +94,8 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(s, min(s + BLOCK_ROWS, n)) for s in range(0, n, BLOCK_ROWS)]
 
 
-def _panels(width: int, size: int = PANEL) -> list[tuple[int, int]]:
-    return [(j, min(j + size, width)) for j in range(0, width, size)]
+def _panels(width: int) -> list[tuple[int, int]]:
+    return [(j, min(j + PANEL, width)) for j in range(0, width, PANEL)]
 
 
 def y_block_width(n: int) -> int:
@@ -116,17 +115,16 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
 
     Two passes over row_blocks, each block of X and its paired rows of Y
     read once per pass. The first pass sums the means; the second centers
-    each block of X in float64, adds Xc^T Yc one float64 panel of the
-    block's Y at a time (y_block_width of the block's rows, at most PANEL
-    columns) and then the Gram's lower triangle, each product in pieces of
-    at most PANEL rows. Each panel and block of Y is freed before the next
-    is made. A Y of no columns gives a d x 0 Xc^T Yc. So no float64 copy of
-    a whole set exists, and the temporaries are one row block of X, its
-    rows of Y, one float64 panel of Y and one product of at most PANEL x
-    PANEL. For at most BLOCK_ROWS rows and d <= PANEL the Gram is that of
-    whole-copy code, one product. Its diagonal blocks are symmetric
-    products and its upper triangle is mirrored from the lower one, so it
-    is exactly symmetric.
+    each block of X in float64, adds Xc^T Yc one float64 panel of PANEL
+    columns of the block's Y at a time and then the Gram's lower triangle,
+    each product in pieces of at most PANEL rows. Each panel and block of Y
+    is freed before the next is made. A Y of no columns gives a d x 0
+    Xc^T Yc. So no float64 copy of a whole set exists, and the temporaries
+    are one row block of X, its rows of Y, one float64 panel of Y and one
+    product of at most PANEL x PANEL. For at most BLOCK_ROWS rows and
+    d <= PANEL the Gram is that of whole-copy code, one product. Its
+    diagonal blocks are symmetric products and its upper triangle is
+    mirrored from the lower one, so it is exactly symmetric.
     """
     n = X.shape[0] if rows is None else len(rows)
     d = X.shape[1]
@@ -134,7 +132,7 @@ def centered_products(X, rows=None, Y=None, y_rows=None, gram: bool = True):
     x_mean = sum(_rows(X, rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
     g = y_mean = cross = y_sq = None
     if Y is not None:
-        y_panels = _panels(Y.shape[1], min(PANEL, y_block_width(min(BLOCK_ROWS, n))))
+        y_panels = _panels(Y.shape[1])
         y_mean = sum(_rows(Y, y_rows, blk).sum(axis=0, dtype=np.float64) for blk in blocks) / n
         cross, y_sq = np.zeros((d, Y.shape[1])), np.float64(0.0)
     panels = _panels(d)

@@ -58,6 +58,10 @@ class LinearMap:
     #: (a "cholesky" fit whose estimate of that value's rounding error is
     #: small enough), else None. Not stored in LMAP files.
     train_mse: float | None = field(default=None, compare=False)
+    #: The rank and cutoff of an "eigh" or "lstsq" fit's source factor (as
+    #: DualFactor's), else None. Not stored in LMAP files.
+    rank: int | None = field(default=None, compare=False)
+    cutoff: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.W = np.ascontiguousarray(self.W, dtype=np.float64)
@@ -208,9 +212,9 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         raise DataError(f"X has {len(ix)} rows, Y has {len(iy)}")
     (n, d), k = (len(ix), X.shape[1]), Y.shape[1]
 
-    def affine(W, x_mean, y_mean, solver, train_mse=None):
+    def affine(W, x_mean, y_mean, solver, **fit):
         return LinearMap(source_model=source_model, target_model=target_model, W=W,
-                         b=y_mean - W @ x_mean, alpha=alpha, solver=solver, train_mse=train_mse)
+                         b=y_mean - W @ x_mean, alpha=alpha, solver=solver, **fit)
 
     if n <= d:
         if shared.dual is None:
@@ -224,7 +228,7 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
             g = U.T @ block
             g *= scale[:, None]
             np.matmul(g.T, P.T, out=W[cols])
-        return affine(W, f.x_mean, y_mean, "eigh")
+        return affine(W, f.x_mean, y_mean, "eigh", rank=f.rank, cutoff=f.cutoff)
 
     # The normal equations are accumulated from row blocks of X and Y, and
     # the solve overwrites the Gram with its factor and Xc^T Yc with W^T. A
@@ -252,7 +256,7 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
             gram = factor = None  # an unkept factor goes before W is copied out of W^T
     if forward_sq is not None:
         mse = _normal_equations_mse(n, k, d, alpha, trace, y_sq, forward_sq, np.vdot(rhs, rhs))
-        return affine(np.ascontiguousarray(rhs.T), x_mean, y_mean, "cholesky", mse)
+        return affine(np.ascontiguousarray(rhs.T), x_mean, y_mean, "cholesky", train_mse=mse)
     if shared.pinv is None:
         # The failed factor overwrote the Gram: rebuild it, outside the except
         # block, whose traceback would keep the factor alive. rcond=None drops
@@ -264,7 +268,8 @@ def _fit_affine(X, Y, alpha: float, source_model: str, target_model: str,
         shared.rank, shared.cutoff = int(rank), linalg.eig_cutoff(s[::-1])
         del gram
     # the min-norm fit, W^T = pinv(Xc^T Xc) Xc^T Yc
-    return affine(rhs.T @ shared.pinv.T, x_mean, y_mean, "lstsq")
+    return affine(rhs.T @ shared.pinv.T, x_mean, y_mean, "lstsq", rank=shared.rank,
+                  cutoff=shared.cutoff)
 
 
 def fit_ridge(X, Y, alpha: float, source_model: str = "", target_model: str = "",

@@ -424,9 +424,8 @@ def fit_sources(cfg: ExperimentConfig, latents: dict[str, LatentDataset], train_
                 m = fit_ridge(X, Y, alpha, source_model=src, target_model=dst, shared=shared,
                               rows=(ix, iy))
                 how["solver"] = m.solver
-                if m.solver != "cholesky":  # the dual factor's or the pseudo-inverse's
-                    kept = shared.dual or shared
-                    how.update(rank=kept.rank, cutoff=kept.cutoff)
+                if m.solver != "cholesky":
+                    how.update(rank=m.rank, cutoff=m.cutoff)
                 return m
 
             try:
@@ -484,9 +483,9 @@ def train_probe(
     """Fit a lasso probe on an attribute's balanced train subset; return it and its
     holdout accuracy. ``subsets`` may be the error that stands in for the draw
     (a failed draw that read_run kept, or ds lacking split ids), which is
-    raised. fit_lasso reads the subset's rows of ds.X by index; with
-    ``shared``, a SharedGram over ds's train split rows, an n >= d fit takes
-    its Gram from the split's, and otherwise from its own rows."""
+    raised. fit_lasso reads the subset's rows of ds.X by index into one
+    lasso design (probes.design_of); with ``shared``, a SharedGram over ds's
+    train split rows, an n >= d design takes its Gram from the split's."""
     if isinstance(subsets, LatentStitchError):
         raise subsets
     train, hold = subsets

@@ -1,9 +1,10 @@
 """Lasso linear probes for binary attributes on latent spaces.
 
 Probes are lasso *regressors* on {0,1}-coded labels, thresholded at 0.5
-(ties classify as 1). Training sets are class-balanced by the
-80%-of-minimum rule; evaluation uses balanced holdouts. Cross-space
-agreement is measured as a match percentage and a signed accuracy delta.
+(ties classify as 1), each fit by one descent over its rows' design
+(design_of). Training sets are class-balanced by the 80%-of-minimum rule;
+evaluation uses balanced holdouts. Cross-space agreement is measured as a
+match percentage and a signed accuracy delta.
 """
 
 from __future__ import annotations
@@ -153,15 +154,6 @@ def _kkt_violations(corr: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray
 FLAT_RTOL = 64 * np.finfo(np.float64).eps
 
 
-def _shape(X, y, rows) -> tuple[int, int]:
-    """(n, d) of X's rows ``rows`` (all rows when None), checked against
-    the length of y."""
-    shape = tuple(X.shape) if rows is None else (len(rows), *X.shape[1:])
-    if len(shape) != 2 or shape[0] != np.size(y) or shape[0] < 1:
-        raise DataError(f"X shape {shape} incompatible with y length {np.shape(y)}")
-    return shape
-
-
 class SharedGram:
     """The centered Gram of a split's rows of X, from which each probe's
     Gram is taken by removing the rows its balanced subset leaves out.
@@ -211,9 +203,10 @@ class SharedGram:
 
 @dataclass
 class Moments:
-    """A probe's rows in covariance form: the means x_mean and y_mean, the
-    Gram G = Xc^T Xc / n, the correlations c = Xc^T yc / n and
-    ||yc||^2 / n, for lasso_cd's covariance rounds."""
+    """A probe's rows in covariance form (Friedman, Hastie & Tibshirani
+    2010, JSS 33(1)): the means x_mean and y_mean, the Gram G = Xc^T Xc / n,
+    the correlations c = Xc^T yc / n and ||yc||^2 / n. The design
+    (design_of) of n >= d rows."""
 
     x_mean: np.ndarray
     gram: np.ndarray
@@ -228,7 +221,7 @@ class Moments:
         c, and the Gram comes from ``shared``, or else from a second pass
         over the rows. X is a float array or data.FileRows, read one block
         of rows at a time, so no float64 copy of the rows is made."""
-        n, _ = _shape(X, y, rows)
+        n = np.size(y)
         y = np.asarray(y, dtype=np.float64).reshape(n, 1)
         x_mean, _, y_mean, cross, y_sq = centered_products(X, rows, Y=y, gram=False)
         gram = centered_products(X, rows)[1] if shared is None else shared.gram(rows)
@@ -237,17 +230,13 @@ class Moments:
 
     @property
     def usable(self) -> np.ndarray:
-        """The columns that vary over the rows."""
         return np.diagonal(self.gram) > 0.0
 
     @property
     def alpha_max(self) -> float:
-        """max |c| over the usable columns: the smallest alpha at which w = 0."""
         return float(np.abs(self.corr[self.usable]).max(initial=0.0))
 
     def standardize(self) -> np.ndarray:
-        """Rescale in place to unit-variance columns (a column without
-        variance keeps its scale) and return the columns' standard deviations."""
         sd = np.sqrt(np.diagonal(self.gram))
         sd[sd == 0.0] = 1.0
         self.gram /= np.outer(sd, sd)
@@ -255,25 +244,130 @@ class Moments:
         self.x_mean /= sd
         return sd
 
+    def corr_at(self, w: np.ndarray) -> np.ndarray:
+        return self.corr - self.gram @ w
 
-def _descend(d, usable, corr_at, set_gram, loss, alpha, tol, max_iter, objectives):
-    """lasso_cd's rounds, given corr_at(w) = Xc^T r / n at weights w and
-    set_gram(W) = XW^T XW / n for a working set W; loss(W, wW, GW) is the
-    squared-error half of the objective, read only when ``objectives`` is a
-    list. Returns (w, sweeps, kkt)."""
-    w = np.zeros(d)
+    def set_gram(self, W: np.ndarray) -> np.ndarray:
+        return self.gram[np.ix_(W, W)]
+
+    def loss(self, W: np.ndarray, wW: np.ndarray, GW: np.ndarray) -> float:
+        return 0.5 * (self.y_sq - 2.0 * (self.corr[W] @ wW) + wW @ GW @ wW)
+
+
+class Rows:
+    """A probe's rows as one centered float64 copy xc, with the centered
+    labels yc: the design (design_of) of n < d rows, where a d x d Gram
+    would be larger than the rows. A working set of every column still
+    forms one, which is cheap for the probes run here but not at the
+    paper's d = 12288; there the sweeps would need residual updates."""
+
+    def __init__(self, X, y, rows=None):
+        self.xc = np.array(X if rows is None else X[rows], dtype=np.float64)
+        self.x_mean = self.xc.mean(axis=0)
+        self.xc -= self.x_mean
+        y = np.asarray(y, dtype=np.float64).ravel()
+        self.y_mean = y.mean()
+        self.yc = y - self.y_mean
+        self.usable = np.einsum("ij,ij->j", self.xc, self.xc) > 0.0
+
+    @property
+    def alpha_max(self) -> float:
+        corr = self.corr_at(np.zeros(len(self.usable)))
+        return float(np.abs(corr[self.usable]).max(initial=0.0))
+
+    def standardize(self) -> np.ndarray:
+        sd = np.sqrt(np.einsum("ij,ij->j", self.xc, self.xc) / len(self.yc))
+        sd[sd == 0.0] = 1.0
+        self.xc /= sd
+        self.x_mean /= sd
+        return sd
+
+    def corr_at(self, w: np.ndarray) -> np.ndarray:
+        return self.xc.T @ (self.yc - self.xc @ w) / len(self.yc)
+
+    def set_gram(self, W: np.ndarray) -> np.ndarray:
+        XW = self.xc.take(W, axis=1)
+        return XW.T @ XW / len(self.yc)
+
+    def loss(self, W: np.ndarray, wW: np.ndarray, GW: np.ndarray) -> float:
+        r = self.yc - self.xc.take(W, axis=1) @ wW
+        return 0.5 * (r @ r) / len(self.yc)
+
+
+def design_of(X, y, rows=None, shared: SharedGram | None = None) -> Moments | Rows:
+    """lasso_cd's design of X's rows ``rows`` (all rows when None) against
+    y, one value per row (DataError otherwise): their Moments, the Gram
+    from ``shared`` when given, if n >= d, else their Rows. Either gives
+    the means x_mean and y_mean; the ``usable`` columns, those that vary
+    over the rows; alpha_max = max |Xc^T yc| / n over them, the smallest
+    alpha at which w = 0; standardize(), which rescales the design in place
+    to unit-variance columns (a column without variance keeps its scale)
+    and returns the columns' standard deviations; corr_at(w) = Xc^T r / n
+    for the residual r at weights w; set_gram(W) = XW^T XW / n for the
+    columns W; and loss(W, wW, GW) = (1/2n) ||yc - XW wW||^2 for
+    GW = set_gram(W)."""
+    X = np.asarray(X) if rows is None else X
+    shape = tuple(X.shape) if rows is None else (len(rows), *X.shape[1:])
+    if len(shape) != 2 or shape[0] != np.size(y) or shape[0] < 1:
+        raise DataError(f"X shape {shape} incompatible with y length {np.shape(y)}")
+    n, d = shape
+    return Moments.of(X, y, rows, shared) if n >= d else Rows(X, y, rows)
+
+
+def lasso_cd(
+    X,
+    y,
+    alpha: float,
+    tol: float = 1e-6,
+    max_iter: int = 10000,
+    objectives: list | None = None,
+    design: Moments | Rows | None = None,
+):
+    """Working-set coordinate descent for (1/2n)||y - Xw - b1||^2 + alpha ||w||_1.
+
+    The intercept is unpenalized and handled by centering. Zero-variance
+    features are skipped (their weight stays 0).
+
+    The descent reads the rows only through their design, design_of(X, y)
+    unless the caller passes one as ``design`` (fit_lasso does), when X and
+    y are not read.
+
+    Each outer round computes the correlations Xc^T r / n of every column
+    with the residual r afresh. It returns once the worst KKT subgradient
+    violation is at most 10*tol (comparable in scale to a
+    max-coordinate-update test of tol on well-conditioned data). Otherwise
+    the working set is the nonzero weights plus the max(10, 2*nnz) zero
+    weights that violate KKT most, or every non-constant column once four
+    times that many reaches their number. Cyclic sweeps over the set then
+    update each weight from the set's own Gram with covariance updates
+    until the set's KKT conditions hold within 10*tol. A sweep is one pass
+    over the working set, not over all d columns; max_iter caps the sweeps
+    over all rounds, after which NumericalError is raised.
+
+    Returns (w, b, n_sweeps, kkt): kkt is the worst KKT violation of the
+    fresh test the fit stopped on (at most 10*tol; NumericalError gives its
+    last value instead), and n_sweeps is 0 when w = 0 already meets it. A
+    caller-passed ``objectives`` list gets each sweep's objective.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    design = design_of(X, y) if design is None else design
+    usable = design.usable
     n_usable = int(usable.sum())
+    w = np.zeros(len(usable))
     sweeps = 0
     while True:
         # KKT is the binding exit condition: on ill-conditioned designs the
         # fit settles long before the weights stop sloshing between
         # near-collinear columns, so a small weight step neither implies nor
         # is implied by optimality.
-        corr = corr_at(w)
+        corr = design.corr_at(w)
         viol = _kkt_violations(corr, w, alpha)
         kkt = float(viol.max(initial=0.0))
         if kkt <= 10.0 * tol:
-            return w, sweeps, kkt
+            return w, float(design.y_mean - design.x_mean @ w), sweeps, kkt
         if sweeps >= max_iter:
             break
         active = w != 0.0
@@ -288,11 +382,10 @@ def _descend(d, usable, corr_at, set_gram, loss, alpha, tol, max_iter, objective
             worst = np.argsort(-viol, kind="stable")[:grow]
             in_set[worst[viol[worst] > 0.0]] = True
         W = np.flatnonzero(in_set)
-        G = set_gram(W)
+        G = design.set_gram(W)
         rows, diag = list(G), G.diagonal().tolist()
         g = corr[W]  # weights outside W are 0, so this is XW^T r / n
-        wW = w[W]
-        ws = wW.tolist()  # Python floats: the sweep is scalar code
+        ws = w[W].tolist()  # Python floats: the sweep is scalar code
         while sweeps < max_iter:
             sweeps += 1
             for j, gjj in enumerate(diag):
@@ -303,7 +396,7 @@ def _descend(d, usable, corr_at, set_gram, loss, alpha, tol, max_iter, objective
                     ws[j] = wj_new
             wW = np.array(ws)
             if objectives is not None:
-                objectives.append(loss(W, wW, G) + alpha * float(np.abs(wW).sum()))
+                objectives.append(design.loss(W, wW, G) + alpha * float(np.abs(wW).sum()))
             if _kkt_violations(g, wW, alpha).max() <= 10.0 * tol:
                 break
         w[W] = wW
@@ -311,93 +404,6 @@ def _descend(d, usable, corr_at, set_gram, loss, alpha, tol, max_iter, objective
         f"lasso did not converge in {max_iter} sweeps "
         f"(max KKT violation {kkt:.6e} > 10*tol = {10.0 * tol:.1e})"
     )
-
-
-def lasso_cd(
-    X,
-    y,
-    alpha: float,
-    tol: float = 1e-6,
-    max_iter: int = 10000,
-    objectives: list | None = None,
-    moments: Moments | None = None,
-):
-    """Working-set coordinate descent for (1/2n)||y - Xw - b1||^2 + alpha ||w||_1.
-
-    The intercept is unpenalized and handled by centering. Zero-variance
-    features are skipped (their weight stays 0).
-
-    With at least as many rows as columns (n >= d) the fit runs in
-    covariance form (Friedman, Hastie & Tibshirani 2010, JSS 33(1)): from
-    the rows' Moments alone, the centered Gram G = Xc^T Xc / n and
-    c = Xc^T yc / n, summed here from X (Moments.of) unless the caller
-    passes them as ``moments`` (fit_lasso does, taking the Gram from a
-    SharedGram); X and y are then not read. With n < d it centers one
-    float64 copy of X in place, since a d x d Gram would be larger than the
-    design.
-
-    Each outer round computes the correlations Xc^T r / n of every column
-    with the residual r afresh: c - G w in covariance form, Xc^T r / n from
-    the rows otherwise. It returns once the worst KKT subgradient violation
-    is at most 10*tol (comparable in scale to a max-coordinate-update test
-    of tol on well-conditioned data). Otherwise the working set is the
-    nonzero weights plus the max(10, 2*nnz) zero weights that violate KKT
-    most, or every non-constant column once four times that many reaches
-    their number. Cyclic sweeps over the set then update each weight from
-    the set's own Gram with covariance updates until the set's KKT
-    conditions hold within 10*tol; the set's Gram is a slice of G, or is
-    formed from the set's columns of the rows when n < d. A sweep is one
-    pass over the working set, not over all d columns; max_iter caps the
-    sweeps over all rounds, after which NumericalError is raised.
-
-    In the row rounds a set covering every column still forms a d x d
-    Gram, which is cheap for the probes run here but not for d > n at the
-    paper's scale (d = 12288); there the sweeps would need residual updates
-    instead.
-
-    Returns (w, b, n_sweeps, kkt): kkt is the worst KKT violation of the
-    fresh test the fit stopped on (at most 10*tol; NumericalError gives its
-    last value instead), and n_sweeps is 0 when w = 0 already meets it. A
-    caller-passed ``objectives`` list gets each sweep's objective.
-    """
-    if moments is None:
-        X = np.asarray(X)
-        n, d = _shape(X, y, None)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if moments is None and n < d:
-        Xc = np.array(X, dtype=np.float64)
-        x_mean = Xc.mean(axis=0)
-        Xc -= x_mean
-        y = np.asarray(y, dtype=np.float64).ravel()
-        y_mean = y.mean()
-        yc = y - y_mean
-
-        def loss(W, wW, _):
-            r = yc - Xc.take(W, axis=1) @ wW
-            return 0.5 * (r @ r) / n
-
-        def set_gram(W):
-            XW = Xc.take(W, axis=1)
-            return XW.T @ XW / n
-
-        w, sweeps, kkt = _descend(
-            d, np.einsum("ij,ij->j", Xc, Xc) > 0.0,
-            lambda w: Xc.T @ (yc - Xc @ w) / n, set_gram, loss, alpha, tol, max_iter,
-            objectives)
-    else:
-        m = moments if moments is not None else Moments.of(X, y)
-        x_mean, y_mean, G, c = m.x_mean, m.y_mean, m.gram, m.corr
-
-        def loss(W, wW, GW):
-            return 0.5 * (m.y_sq - 2.0 * (c[W] @ wW) + wW @ GW @ wW)
-
-        w, sweeps, kkt = _descend(
-            len(c), m.usable, lambda w: c - G @ w, lambda W: G[np.ix_(W, W)], loss,
-            alpha, tol, max_iter, objectives)
-    return w, float(y_mean - x_mean @ w), sweeps, kkt
 
 
 def fit_lasso(
@@ -415,40 +421,21 @@ def fit_lasso(
     """Fit a lasso probe on X's rows ``rows`` (all rows when None); y is the
     regression target ({0,1} labels in probe use), one value per row.
 
-    With n >= d the fit takes the rows' Moments, its Gram from ``shared``
-    (a SharedGram over a split holding the rows) when given, so no float64
-    copy of the rows is made; with n < d it gathers the rows for lasso_cd's
-    row rounds. With standardize=True the fit runs on unit-variance columns
-    and the weights are mapped back to raw feature scale, so predict()
-    always consumes raw latents; the stored alpha then refers to the
-    standardized design. The probe's ``kkt`` is lasso_cd's: the max KKT
-    violation of its final stop test on the design it ran on, at most
-    10*tol; its ``alpha_max`` is max |Xc^T yc| / n over that design's
-    non-constant columns, the alpha at and above which w = 0.
+    lasso_cd runs on the rows' design_of(X, y, rows, shared), which takes
+    an n >= d design's Gram from ``shared`` (a SharedGram over a split
+    holding the rows) when given. With standardize=True the design is
+    rescaled to unit-variance columns and the weights are mapped back to
+    raw feature scale, so predict() always consumes raw latents; the stored
+    alpha then refers to the standardized design. The probe's ``kkt`` is
+    lasso_cd's: the max KKT violation of its final stop test on that
+    design, at most 10*tol; its ``alpha_max`` is the design's, the alpha at
+    and above which w = 0.
     """
-    X = np.asarray(X) if rows is None else X
-    n, d = _shape(X, y, rows)
-    if n >= d:
-        m = Moments.of(X, y, rows, shared)
-        sd = m.standardize() if standardize else None
-        w, b, sweeps, kkt = lasso_cd(X, y, alpha, tol=tol, max_iter=max_iter, moments=m)
-        alpha_max = m.alpha_max
-    else:
-        X = X if rows is None else X[rows]
-        sd = None
-        if standardize:
-            X = np.asarray(X, dtype=np.float64)
-            sd = X.std(axis=0)
-            sd[sd == 0.0] = 1.0
-            X = X / sd
-        w, b, sweeps, kkt = lasso_cd(X, y, alpha, tol=tol, max_iter=max_iter)
-        cross = centered_products(X, Y=np.asarray(y, dtype=np.float64).reshape(n, 1),
-                                  gram=False)[3]
-        alpha_max = float(np.abs(cross).max(initial=0.0)) / n
-    if sd is not None:
-        w = w / sd
-    return Probe(attribute=attribute, model_id=model_id, w=w, b=b, alpha=float(alpha),
-                 sweeps=sweeps, kkt=kkt, alpha_max=alpha_max)
+    design = design_of(X, y, rows, shared)
+    sd = design.standardize() if standardize else 1.0
+    w, b, sweeps, kkt = lasso_cd(X, y, alpha, tol=tol, max_iter=max_iter, design=design)
+    return Probe(attribute=attribute, model_id=model_id, w=w / sd, b=b, alpha=float(alpha),
+                 sweeps=sweeps, kkt=kkt, alpha_max=design.alpha_max)
 
 
 def predict(probe: Probe, X) -> np.ndarray:

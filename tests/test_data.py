@@ -331,7 +331,7 @@ def test_cholesky_fit_reads_a_file_once_per_block_per_pass(tmp_path, monkeypatch
     # n = 500 > d = 400 in four blocks of 128 rows, and Y's 300 columns are
     # wider than a 256-column panel: each block of X and of Y is read once on
     # each of the two passes, and never once per panel
-    monkeypatch.setattr(linalg, "Y_BLOCK_BYTES", 1)
+    monkeypatch.setattr(linalg, "PANEL", 256)
     monkeypatch.setattr(linalg, "BLOCK_ROWS", 128)
     rng = np.random.default_rng(7)
     X = rng.standard_normal((540, 400), dtype=np.float32)

@@ -431,8 +431,9 @@ def test_unregularized_fit_with_n_at_most_d_skips_the_cholesky_attempt(
 
 
 def test_fit_reads_targets_in_column_blocks(monkeypatch):
-    # blocks of 256 columns: results equal the single-block fit to the byte on
-    # the Cholesky and min-norm lstsq paths, and within rounding on the dual path
+    # blocks and panels of 256 columns: results equal the single-block fit to
+    # the byte on the Cholesky and min-norm lstsq paths, and within rounding on
+    # the dual path
     x = np.random.default_rng(40).standard_normal((300, 6))
     y = np.hstack(_targets(x, 3, 200, seed=41))
     x_singular = _singular_design(300, 6, seed=44)
@@ -445,6 +446,7 @@ def test_fit_reads_targets_in_column_blocks(monkeypatch):
 
     direct, singular, dual = fits()
     monkeypatch.setattr(linalg, "Y_BLOCK_BYTES", 1)
+    monkeypatch.setattr(linalg, "PANEL", 256)
     direct_blocked, singular_blocked, dual_blocked = fits()
     assert (direct.solver, singular.solver, dual.solver) == ("cholesky", "lstsq", "eigh")
     for got, want in ((direct_blocked, direct), (singular_blocked, singular)):
@@ -510,11 +512,13 @@ def test_dual_factor_keeps_the_planted_rank(monkeypatch, n, d, offset, r, dtype)
         lam = np.linalg.eigvalsh(xc.T @ xc)
         assert m.solver == "lstsq" and shared.rank == r == (lam > linalg.eig_cutoff(lam)).sum()
         assert shared.cutoff == pytest.approx(linalg.eig_cutoff(lam), rel=1e-12)
+        assert (m.rank, m.cutoff) == (shared.rank, shared.cutoff)  # the fit reports them
     else:
         assert m.solver == "eigh" and shared.dual.rank == r
         assert shared.dual.cutoff == n * np.finfo(np.float64).eps * shared.dual.lam[-1]
         assert (shared.dual.lam[:-r] == 0).all()
         assert (shared.dual.lam[-r:] > shared.dual.cutoff).all()
+        assert (m.rank, m.cutoff) == (shared.dual.rank, shared.dual.cutoff)
         # the oracle: eigh of the whole copy's Gram, and the min-norm W it gives
         lam, U = np.linalg.eigh(xc @ xc.T)
         keep = lam > linalg.eig_cutoff(lam)

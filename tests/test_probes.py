@@ -395,6 +395,47 @@ def test_lasso_with_fewer_rows_than_columns_keeps_its_row_rounds():
     assert probe.alpha_max == pytest.approx(np.abs(xc.T @ (y - y.mean())).max() / n, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["direct", "standardize", "shared-gram"])
+def test_moments_and_rows_of_one_problem_agree(case):
+    # an n >= d problem with a constant column in both designs: lasso_cd
+    # sees the same numbers up to rounding, and fits to the same optimum
+    rng = np.random.default_rng(24)
+    x = offset_design(rng, 420, 30)
+    x[:, 7] = 1.5  # constant, so not usable in either design
+    rows = rng.permutation(360)[:300]
+    y = (x[rows, 0] + x[rows, 1] + rng.standard_normal(300) > x[:, 0].mean() + x[:, 1].mean())
+    y = y.astype(float)
+    shared = probes.SharedGram(x, np.arange(360)) if case == "shared-gram" else None
+    designs = probes.Moments.of(x, y, rows, shared), probes.Rows(x, y, rows)
+    m, r = designs
+    assert np.array_equal(m.usable, r.usable) and m.usable.sum() == 29
+    if case == "standardize":
+        sd = [design.standardize() for design in designs]
+        np.testing.assert_allclose(sd[1], sd[0], rtol=1e-12)
+    assert r.alpha_max == pytest.approx(m.alpha_max, rel=1e-12)
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+    w = rng.standard_normal(30) * m.usable
+    assert close(r.corr_at(w), m.corr_at(w))
+    W = np.sort(rng.permutation(30)[:12])
+    gm, gr = m.set_gram(W), r.set_gram(W)
+    assert close(gr, gm)
+    assert r.loss(W, w[W], gr) == pytest.approx(m.loss(W, w[W], gm), rel=1e-10)
+    xs = x[rows].astype(np.float64)
+    if case == "standardize":
+        xs = xs / sd[0]
+    objective = []
+    for design in designs:
+        w, b, _, kkt = probes.lasso_cd(x, y, alpha=0.01, design=design)
+        assert kkt <= 10 * 1e-6 and kkt_violation_raw(xs, y, w, b, 0.01) <= 10 * 1e-6
+        assert w[7] == 0.0 and np.count_nonzero(w) > 0
+        res = y - xs @ w - b
+        objective.append(0.5 * (res @ res) / 300 + 0.01 * np.abs(w).sum())
+    assert objective[1] == pytest.approx(objective[0], rel=1e-9)
+
+
 def offset_design(rng, n, d):
     """float32 columns of standard deviations 0.5-2 whose means sit 100 of
     their standard deviations away from 0."""
@@ -535,6 +576,18 @@ def test_fit_lasso_standardize_smoke():
     y = (x[:, 0] > 0).astype(float)
     probe = probes.fit_lasso(x, y, alpha=0.05, standardize=True, attribute="a", model_id="m")
     assert probes.accuracy(probe, x, y) >= 0.9
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (3, 10)], ids=["n>=d", "n<d"])
+def test_lasso_rejects_labels_that_do_not_match_its_rows(shape):
+    # design_of checks the shape for either design, before any pass over X
+    x = np.ones(shape)
+    fits = (lambda: probes.lasso_cd(x, np.zeros(shape[0] - 1), alpha=0.1),
+            lambda: probes.fit_lasso(x, np.zeros(shape[0]), alpha=0.1, rows=[0, 1]),
+            lambda: probes.fit_lasso(x[0], np.zeros(1), alpha=0.1))
+    for fit in fits:
+        with pytest.raises(DataError, match="incompatible with y length"):
+            fit()
 
 
 # 9000 rows of 10 columns span two of the KKT check's row blocks
